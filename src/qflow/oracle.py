@@ -5,28 +5,26 @@ numerically, so the closed-form entropies, couplings and minimizers in the
 rest of the package can be cross-checked against a path that shares no
 algebra with them.
 
-Integration uses adaptive Gauss-Kronrod (scipy.integrate.quad), tensorized
-over bounding boxes for bivariate integrands.  Domain policy:
+One-dimensional integrals use adaptive Gauss-Kronrod (scipy.integrate.quad).
+Domain policy:
 
-* compact supports (q < 1, m < 1): the integration domain is the exact
+* compact 1d supports (q < 1): the integration domain is the exact
   support, with edges passed as breakpoints;
 * one-dimensional heavy tails (q > 1): the domain is truncated at a radius
   where a power-law envelope provably bounds the discarded mass below
   cfg.tail_mass_bound, with breakpoints on a log ladder so the central
   peak cannot be missed on the huge resulting interval;
-* bivariate heavy tails (m > 1): a central box around the means is
-  integrated with ladder breakpoints and the wings run to infinity through
-  the library's variable transformation.  No truncation: near the
-  normalizable limit m = 3/2 the tails decay so slowly that an envelope
-  radius for any useful bound overflows, while the transformed wings
-  remain accurate.
+* every bivariate integral goes through one polar rule about a centre,
+  whitened by a member's Cholesky factor: periodic trapezoid in angle,
+  tanh-sinh in radius.  Heavy tails (m > 1) run each ray to infinity
+  untruncated (near m = 3/2 an envelope radius for any useful bound
+  overflows); compact supports (m < 1) split each ray where it crosses a
+  support ellipse, so non-nested supports stay exact.
 
 Each result records the policy applied in its note.
 
 The grid searches are deterministic (no randomness): minimize_kh_grid uses
-nested refinement, minimize_theta uses coarse grid + golden section + a
-parabolic polish (the polish averages out adaptive-quadrature noise, which
-would otherwise limit the minimizer location to ~sqrt(noise/curvature)).
+nested refinement, minimize_theta uses a coarse grid + golden section.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, tanhsinh
 from scipy.optimize import brentq
 
 from .functionals import coefficients
@@ -63,14 +61,13 @@ __all__ = [
     "support_included",
 ]
 
-# Central half-width of the exactly integrated box, in units of the largest
-# scale parameter; beyond it the transformed wings take over.
-_WING_MULT = 20.0
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget for the quadrature oracle."""
+    """Tolerances and budget for the quadrature oracle.
+
+    max_subdivisions caps the subintervals of quad in 1d and the blocks of
+    angles the polar rule may evaluate in 2d.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
@@ -81,9 +78,10 @@ class QuadratureConfig:
 class QuadResult(NamedTuple):
     """Integral value with the adaptive error estimate.
 
-    converged is False when the subdivision budget ran out before the
-    requested tolerance; note carries the quadrature message and the
-    domain policy applied (truncation radius or infinite wings).
+    converged is False when the budget ran out before the requested
+    tolerance or a radial solve failed; note carries the quadrature message
+    and the domain policy applied (truncation radius, or the polar rule
+    with its final angle count and centre).
     """
 
     value: float
@@ -119,41 +117,6 @@ def _quad(
     full_note = "; ".join(s for s in (note, msg) if s)
     return QuadResult(
         value=float(out[0]), error_estimate=float(out[1]), converged=converged, note=full_note
-    )
-
-
-def _composite_line(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    pts: Sequence[float],
-    cfg: QuadratureConfig,
-    left_wing: bool = True,
-) -> QuadResult:
-    """Central cell [lo, hi] plus infinite wings.
-
-    The wings run at an absolute tolerance anchored to the central value:
-    they only have to avoid polluting the total at rel_tol level, and
-    chasing the wings' own relative precision makes the transformed
-    tail integrals arbitrarily expensive.  left_wing=False drops
-    (-inf, lo) (for point-symmetric integrands whose caller doubles a
-    half-line result).
-    """
-    central = _quad(f, lo, hi, cfg, pts)
-    wing_cfg = QuadratureConfig(
-        rel_tol=cfg.rel_tol,
-        abs_tol=max(cfg.abs_tol, 100.0 * cfg.rel_tol * abs(central.value)),
-        max_subdivisions=cfg.max_subdivisions,
-        tail_mass_bound=cfg.tail_mass_bound,
-    )
-    parts = [central, _quad(f, hi, math.inf, wing_cfg)]
-    if left_wing:
-        parts.append(_quad(f, -math.inf, lo, wing_cfg))
-    return QuadResult(
-        value=sum(p.value for p in parts),
-        error_estimate=sum(p.error_estimate for p in parts),
-        converged=all(p.converged for p in parts),
-        note="; ".join(p.note for p in parts if p.note),
     )
 
 
@@ -276,152 +239,103 @@ def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadRes
     return _quad(integrand, lo, hi, cfg, pts, note)
 
 
-def _ellipse_slice(nu: MBivariate, x: float) -> tuple[float, float] | None:
-    """y-extent of the support ellipse of a compact bivariate at abscissa x."""
-    thr = nu.support_threshold()
-    u = (x - nu.mu1) / nu.s1
-    if u * u >= thr:
-        return None
-    th = nu.theta
-    disc = math.sqrt((1.0 - th * th) * (thr - u * u))
-    return nu.mu2 + nu.s2 * (th * u - disc), nu.mu2 + nu.s2 * (th * u + disc)
+# Angles per tanhsinh call: bounds the size of the radial solver's arrays.
+_ANGLE_BLOCK = 64
+# Angle count of the coarsest periodic trapezoid rule.
+_MIN_ANGLES = 16
+# First tanh-sinh level allowed to stop: the error estimate of levels 2
+# and 3 can pass on rays whose mass sits off the whitened unit scale.
+_MIN_LEVEL = 4
 
 
-def _ellipse_xrange(nu: MBivariate) -> tuple[float, float]:
-    r = math.sqrt(nu.support_threshold())
-    return nu.mu1 - r * nu.s1, nu.mu1 + r * nu.s1
-
-
-def _quad_2d_compact(
-    integrand: Callable[[float, float], float],
-    xlo: float,
-    xhi: float,
+def _polar_quad(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    center: np.ndarray,
+    chol: np.ndarray,
+    members: Sequence[MBivariate],
     cfg: QuadratureConfig,
-    xpts: Sequence[float],
-    yslice: Callable[[float], tuple[float, float, Sequence[float]] | None],
-    note: str = "exact support",
 ) -> QuadResult:
-    """Tensorized quadrature over per-column slices of a compact support."""
+    """Integral of a vectorized integrand over the plane, in polar form.
 
-    def inner(x: float) -> float:
-        lims = yslice(x)
-        if lims is None:
-            return 0.0
-        lo, hi, pts = lims
-        return _quad(lambda y: integrand(x, y), lo, hi, cfg, pts).value
-
-    return _quad(inner, xlo, xhi, cfg, xpts, note)
-
-
-def _quad_2d_wings(
-    integrand: Callable[[float, float], float],
-    nus: Sequence[MBivariate],
-    cfg: QuadratureConfig,
-    symmetric: bool,
-) -> QuadResult:
-    """Tensorized quadrature over the plane: central cells + infinite wings.
-
-    The central y-cell of each column tracks every density's conditional
-    mean at that x (correlated members concentrate on a narrow moving
-    ridge that fixed breakpoints and the wing transformation both miss),
-    extended by _WING_MULT conditional widths and never smaller than the
-    overall central box.  symmetric doubles the half-plane x >= center
-    (valid when the integrand is even under point reflection through the
-    common mean).
+    z = center + r chol (cos phi, sin phi), Jacobian det(chol) r.  In phi:
+    the periodic trapezoid rule (Trefethen and Weideman, SIAM Rev. 56,
+    2014), doubling on nested nodes until two totals agree within
+    max(abs_tol, rel_tol |I|), up to max_subdivisions blocks of angles.  In
+    r: tanh-sinh (Takahasi and Mori, 1974), one call per block of angles,
+    each ray split where it crosses the support ellipse of a compact
+    member and ended at the last crossing; heavy-tailed rays run to inf.
     """
-    center = np.mean([nu.mean for nu in nus], axis=0)
-    cx, cy = float(center[0]), float(center[1])
-    max_shift = max(float(np.linalg.norm(nu.mean - center)) for nu in nus)
-    max_scale = max(max(nu.s1, nu.s2) for nu in nus)
-    half = 2.0 * max_shift + _WING_MULT * max_scale
-    xpts = _ladder(cx, max_scale, half) + [nu.mu1 for nu in nus]
-    base_ypts = _ladder(cy, max_scale, half) + [nu.mu2 for nu in nus]
-    # (x-intercept, y-intercept, ridge slope, conditional width) per member
-    ridges = [
-        (nu.mu1, nu.mu2, nu.theta * nu.s2 / nu.s1, nu.s2 * math.sqrt(1.0 - nu.theta**2))
-        for nu in nus
-    ]
+    cx, cy = center
+    det = chol[0, 0] * chol[1, 1]
+    compact = [nu for nu in members if math.isfinite(nu.support_threshold())]
 
-    def inner(x: float) -> float:
-        centers = [m2 + slope * (x - m1) for m1, m2, slope, _ in ridges]
-        ylo = min(cy - half, min(c - _WING_MULT * w for c, (_, _, _, w) in zip(centers, ridges)))
-        yhi = max(cy + half, max(c + _WING_MULT * w for c, (_, _, _, w) in zip(centers, ridges)))
-        pts = centers + base_ypts
-        return _composite_line(lambda y: integrand(x, y), ylo, yhi, pts, cfg).value
+    def ray(r, vx, vy):
+        return integrand(cx + r * vx, cy + r * vy) * (det * r)
 
-    if symmetric:
-        res = _composite_line(inner, cx, cx + half, xpts, cfg, left_wing=False)
+    def sweep(phis: np.ndarray) -> tuple[float, float, bool]:
+        """Sums of the radial integrals and their errors over the rays at phis."""
+        total = err = 0.0
+        ok = True
+        for block in np.split(phis, range(_ANGLE_BLOCK, len(phis), _ANGLE_BLOCK)):
+            vx, vy = chol @ np.stack([np.cos(block), np.sin(block)])
+            lo, hi = 0.0, math.inf
+            if compact:
+                ends = [np.zeros_like(vx)]
+                for nu in compact:
+                    # Q(c + r v) = a r^2 + 2 b r + q0 meets the support threshold
+                    q0 = nu.quadratic_form(cx, cy)
+                    qp = nu.quadratic_form(cx + vx, cy + vy)
+                    qm = nu.quadratic_form(cx - vx, cy - vy)
+                    a, b = 0.5 * (qp + qm) - q0, 0.25 * (qp - qm)
+                    disc = np.sqrt(np.maximum(b * b - a * (q0 - nu.support_threshold()), 0.0))
+                    ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
+                cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
+                lo, hi, vx, vy = cuts[:, :-1], cuts[:, 1:], vx[:, None], vy[:, None]
+            res = tanhsinh(ray, lo, hi, args=(vx, vy), rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                           minlevel=_MIN_LEVEL)
+            total, err = total + float(res.integral.sum()), err + float(res.error.sum())
+            ok = ok and bool(res.success.all())
+        return total, err, ok
+
+    n, step = _MIN_ANGLES, 2.0 * math.pi / _MIN_ANGLES
+    total, radial_err, converged = sweep(step * np.arange(n))
+    value, angle_err = step * total, math.inf
+    while 2 * n <= _ANGLE_BLOCK * cfg.max_subdivisions:
+        # the refined rule adds the midpoints and keeps every earlier node
+        more, more_err, ok = sweep(step * (np.arange(n) + 0.5))
+        total, radial_err, converged = total + more, radial_err + more_err, converged and ok
+        n, step = 2 * n, 0.5 * step
+        angle_err, value = abs(step * total - value), step * total
+        if angle_err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            break
     else:
-        res = _composite_line(inner, cx - half, cx + half, xpts, cfg)
-    value = 2.0 * res.value if symmetric else res.value
-    err = 2.0 * res.error_estimate if symmetric else res.error_estimate
-    note = f"central box half-width {half:.6g} with ridge tracking, wings to infinity"
-    full_note = "; ".join(
-        s for s in (note, "symmetric half doubled" if symmetric else "", res.note) if s
-    )
-    return QuadResult(value, err, res.converged, full_note)
+        converged = False
+    note = f"polar trapezoid x tanh-sinh rule, {n} angles, centre ({cx:.6g}, {cy:.6g})"
+    return QuadResult(value, angle_err + step * radial_err, converged, note)
+
+
+def _xlogm(a: np.ndarray, b: np.ndarray, m: float) -> np.ndarray:
+    """a log_m b elementwise, 0 where a = 0.  For m > 1 a density is 0 (or
+    nan) only where it underflowed far out in the tail, where the limit is 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        val = a * np.expm1((1.0 - m) * np.log(b)) / (1.0 - m)
+    return np.where((a > 0.0) & ((b > 0.0) | (m < 1.0)), val, 0.0)
 
 
 def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> QuadResult:
-    """Entropy integral f log_m f of a bivariate member, by quadrature."""
+    """Entropy integral f log_m f of a bivariate member, by quadrature.
+
+    Centred at the mean and whitened by the member's own scale matrix, so
+    the integrand is radial.
+    """
     cfg = cfg or QuadratureConfig()
-    m = nu.m
 
-    def integrand(x: float, y: float) -> float:
+    def integrand(x, y):
         fv = nu.density(x, y)
-        if fv == 0.0:
-            return 0.0
-        return fv * _logm_val(fv, m)
+        return _xlogm(fv, fv, nu.m)
 
-    if m < 1.0:
-        xlo, xhi = _ellipse_xrange(nu)
-
-        def yslice(x: float):
-            seg = _ellipse_slice(nu, x)
-            if seg is None:
-                return None
-            return seg[0], seg[1], [nu.mu2]
-
-        return _quad_2d_compact(integrand, xlo, xhi, cfg, [nu.mu1], yslice)
-
-    return _quad_2d_wings(integrand, [nu], cfg, symmetric=True)
-
-
-def _mrel_integrand(
-    f_biv: MBivariate, g_biv: MBivariate, form: str
-) -> Callable[[float, float], float]:
-    m = f_biv.m
-    if form == "second":
-
-        def integrand(x: float, y: float) -> float:
-            fv = f_biv.density(x, y)
-            gv = g_biv.density(x, y)
-            if fv == 0.0 and gv == 0.0:
-                return 0.0
-            t = (1.0 - m) * gv * _logm_val(gv, m) if gv > 0.0 else 0.0
-            if fv > 0.0:
-                t += fv * _logm_val(fv, m)
-                t -= (2.0 - m) * fv * _logm_val(gv, m)
-            return t / (2.0 - m)
-
-    elif form == "first":
-
-        def integrand(x: float, y: float) -> float:
-            fv = f_biv.density(x, y)
-            gv = g_biv.density(x, y)
-            if fv == 0.0 and gv == 0.0:
-                return 0.0
-            lg = _logm_val(gv, m)
-            t = -(2.0 - m) * lg * (fv - gv)
-            if fv > 0.0:
-                t += fv * _logm_val(fv, m)
-            if gv > 0.0:
-                t -= gv * lg
-            return t / (2.0 - m)
-
-    else:
-        raise ValueError(f"form must be 'first' or 'second', got {form!r}")
-    return integrand
+    return _polar_quad(integrand, nu.mean, np.linalg.cholesky(nu.cov), [nu], cfg)
 
 
 def m_rel_entropy_quad(
@@ -439,36 +353,28 @@ def m_rel_entropy_quad(
         (1/(2-m)) [f log_m f + (1-m) g log_m g - (2-m) f log_m g],
 
     which share no cancellation pattern and therefore cross-check each
-    other.  For m < 1 this is the honest integral even when the supports
-    are not nested (the closed form then differs).
+    other.  The polar rule is centred at f's mean (inside both supports
+    when supp f lies inside supp g) and whitened by g's scale matrix.  For
+    m < 1 this is the honest integral even when the supports are not
+    nested (the closed form then differs).
     """
     cfg = cfg or QuadratureConfig()
     if f_biv.m != g_biv.m:
         raise DomainError("relative entropy needs a common exponent m")
+    if form not in ("first", "second"):
+        raise ValueError(f"form must be 'first' or 'second', got {form!r}")
     m = f_biv.m
-    integrand = _mrel_integrand(f_biv, g_biv, form)
-    # Exactly equal centers make the integrand even under point reflection
-    # through them, so the half-plane x >= center integral can be doubled.
-    symmetric = f_biv.mu1 == g_biv.mu1 and f_biv.mu2 == g_biv.mu2
 
-    if m < 1.0:
-        xr_f = _ellipse_xrange(f_biv)
-        xr_g = _ellipse_xrange(g_biv)
-        xlo, xhi = min(xr_f[0], xr_g[0]), max(xr_f[1], xr_g[1])
-        xpts = [f_biv.mu1, g_biv.mu1, xr_f[0], xr_f[1], xr_g[0], xr_g[1]]
+    def integrand(x, y):
+        fv, gv = f_biv.density(x, y), g_biv.density(x, y)
+        glg = _xlogm(gv, gv, m)
+        if form == "first":
+            t = _xlogm(fv, fv, m) - glg - (2.0 - m) * (_xlogm(fv, gv, m) - glg)
+        else:
+            t = _xlogm(fv, fv, m) + (1.0 - m) * glg - (2.0 - m) * _xlogm(fv, gv, m)
+        return t / (2.0 - m)
 
-        def yslice(x: float):
-            segs = [s for s in (_ellipse_slice(f_biv, x), _ellipse_slice(g_biv, x)) if s]
-            if not segs:
-                return None
-            lo = min(s[0] for s in segs)
-            hi = max(s[1] for s in segs)
-            pts = [p for s in segs for p in s]
-            return lo, hi, pts
-
-        return _quad_2d_compact(integrand, xlo, xhi, cfg, xpts, yslice)
-
-    return _quad_2d_wings(integrand, [f_biv, g_biv], cfg, symmetric=symmetric)
+    return _polar_quad(integrand, f_biv.mean, np.linalg.cholesky(g_biv.cov), [f_biv, g_biv], cfg)
 
 
 class ThetaMin(NamedTuple):
@@ -485,26 +391,21 @@ def minimize_theta(
     cfg: QuadratureConfig | None = None,
 ) -> ThetaMin:
     """Minimize theta -> H_m(N_m(nu1, xi1^2, nu2, xi2^2, theta) || P) by
-    grid search, golden section, and a parabolic polish.
+    grid search and golden section.
 
     The search runs in t = atanh(theta): minimizers cluster near |theta|
     = 1 (the reference coupling's own correlation approaches 1 as the step
     size shrinks), where a uniform theta grid has no resolution.  The
-    objective is a quadrature value carrying ~rel_tol noise that is
-    discontinuous in theta, so golden section alone cannot localize the
-    vertex below ~sqrt(noise/curvature); the final least-squares parabola
-    over five points, with spacing chosen from a curvature probe so the
-    value swing stays well above the noise, does.  Raises DomainError when
-    the objective is flat over the coarse grid (degenerate family).
+    objective is the polar quadrature, whose noise sits near rounding
+    level, so golden section alone brackets the vertex to 1e-5 in t (and
+    therefore in theta).  Raises DomainError when the objective is flat
+    over the coarse grid (degenerate family).
     """
     cfg = cfg or QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
-    cache: dict[float, float] = {}
 
     def obj(t: float) -> float:
-        if t not in cache:
-            qv = MBivariate(nu1, nu2, xi1, xi2, math.tanh(t), p_biv.mparams)
-            cache[t] = m_rel_entropy_quad(qv, p_biv, cfg).value
-        return cache[t]
+        qv = MBivariate(nu1, nu2, xi1, xi2, math.tanh(t), p_biv.mparams)
+        return m_rel_entropy_quad(qv, p_biv, cfg).value
 
     t_max = math.atanh(0.9995)
     grid = np.linspace(-t_max, t_max, 17)
@@ -516,10 +417,9 @@ def minimize_theta(
     b = float(grid[min(i + 1, len(grid) - 1)])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = obj(c), obj(d)
-    while b - a > 5e-4:
+    while b - a > 1e-5:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -528,23 +428,7 @@ def minimize_theta(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = obj(d)
-    mid = 0.5 * (a + b)
-
-    noise = cfg.rel_tol * abs(obj(mid)) + cfg.abs_tol
-    spacing = 2.5e-4
-    for probe in (1e-2, 1e-1):
-        curv = (obj(mid + probe) + obj(mid - probe) - 2.0 * obj(mid)) / probe**2
-        if curv > 0.0 and curv * probe**2 > 100.0 * noise:
-            spacing = min(max(math.sqrt(1e4 * noise / curv), 1e-4), probe)
-            break
-
-    ts = mid + spacing * np.arange(-2.0, 3.0)
-    vs = np.array([obj(float(t)) for t in ts])
-    coeffs = np.polyfit(ts, vs, 2)
-    if coeffs[0] <= 0.0:
-        t_star = mid
-    else:
-        t_star = float(np.clip(-coeffs[1] / (2.0 * coeffs[0]), ts[0], ts[-1]))
+    t_star = 0.5 * (a + b)
     return ThetaMin(theta=math.tanh(t_star), value=obj(t_star))
 
 
@@ -684,8 +568,4 @@ def support_included(
     phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     circle = np.stack([np.cos(phis), np.sin(phis)])
     boundary = inner.mean[:, None] + math.sqrt(thr_i) * (chol @ circle)
-    limit = thr_o * (1.0 - margin)
-    return all(
-        outer.quadratic_form(float(zx), float(zy)) < limit
-        for zx, zy in boundary.T
-    )
+    return bool(np.all(outer.quadratic_form(*boundary) < thr_o * (1.0 - margin)))

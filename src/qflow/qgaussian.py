@@ -175,17 +175,28 @@ class MBivariate:
             return math.inf
         return 2.0 / ((1.0 - m) * self.mparams.c1_q_d)
 
-    def quadratic_form(self, x: float, y: float) -> float:
+    def quadratic_form(self, x, y):
+        """<z - mean, Sigma^(-1) (z - mean)>, elementwise on arrays.
+
+        Summed in whitened coordinates, so far points give +inf, never
+        inf - inf.
+        """
         u = (x - self.mu1) / self.s1
         v = (y - self.mu2) / self.s2
         th = self.theta
-        return (u * u + v * v - 2.0 * th * u * v) / (1.0 - th * th)
+        w = v - th * u
+        return u * u + w * w / (1.0 - th * th)
 
-    def density(self, x: float, y: float) -> float:
+    def density(self, x, y):
+        """Pointwise density, elementwise on arrays (0.0 off a compact support)."""
         th = self.theta
         norm = self.mparams.c0_q_d / (self.s1 * self.s2 * math.sqrt(1.0 - th * th))
-        w = 0.5 * self.mparams.c1_q_d * self.quadratic_form(x, y)
-        return norm * q_exp(-w, self.m)
+        om = 1.0 - self.m
+        # exp_m(-w) = [1 - (1-m) w]_+^(1/(1-m)), the scalar q_exp on arrays;
+        # far points overflow w to +inf and get density 0
+        with np.errstate(divide="ignore", over="ignore"):
+            w = 0.5 * self.mparams.c1_q_d * self.quadratic_form(x, y)
+            return norm * np.exp(np.log1p(np.maximum(-om * w, -1.0)) / om)
 
 
 def make_bivariate(

@@ -5,7 +5,13 @@ import pytest
 
 from qflow import oracle
 from qflow.functionals import jko_step, q0h
-from qflow.qgaussian import QGaussian1D, SupportInterval, m_rel_entropy_closed, make_bivariate
+from qflow.qgaussian import (
+    QGaussian1D,
+    SupportInterval,
+    entropy_diff_closed,
+    m_rel_entropy_closed,
+    make_bivariate,
+)
 from qflow.qmath import DomainError, make_params
 
 
@@ -102,6 +108,55 @@ def test_mrel_zero_at_equal_and_exponent_mismatch():
         oracle.m_rel_entropy_quad(nu, other)
     with pytest.raises(ValueError):
         oracle.m_rel_entropy_quad(nu, nu, form="third")
+
+
+# Criterion 3's configuration for the 2D cross-checks.
+CRIT3_CFG = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_entropy_quad_2d_near_upper_exponent():
+    # the box-plus-wings rule missed this by 4.5e-3 to 1.3e-2, unconverged
+    m = 1.45
+    nu_a = make_bivariate(0.2, -0.1, 0.75, 0.8, 0.3, m)
+    nu_b = make_bivariate(-0.1, 0.25, 1.3, 1.2, -0.4, m)
+    res_a = oracle.entropy_quad_2d(nu_a, CRIT3_CFG)
+    res_b = oracle.entropy_quad_2d(nu_b, CRIT3_CFG)
+    assert res_a.converged and res_b.converged
+    closed = entropy_diff_closed(nu_a.mparams, nu_a.det_cov, nu_b.det_cov)
+    assert res_a.value - res_b.value == pytest.approx(closed, rel=1e-6)
+
+
+def test_mrel_quad_heavy_tail_criterion_geometry():
+    m = 1.45
+    f = make_bivariate(0.28, 0.09, 1.25, 0.72, -0.45, m)
+    g = make_bivariate(-0.27, 0.18, 0.82, 1.18, 0.48, m)
+    res = oracle.m_rel_entropy_quad(f, g, CRIT3_CFG)
+    assert res.converged
+    closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+    assert res.value == pytest.approx(closed, rel=1e-6)
+    assert "polar" in res.note and "angles" in res.note and "centre (0.28, 0.09)" in res.note
+
+
+def test_mrel_forms_agree_on_crossing_supports():
+    # the ellipses cross: neither support holds the other and the centres differ
+    f = make_bivariate(0.1, 0.05, 1.2, 0.5, 0.3, 0.5)
+    g = make_bivariate(-0.1, 0.0, 0.6, 1.1, -0.2, 0.5)
+    assert not oracle.support_included(f, g)
+    assert not oracle.support_included(g, f)
+    first = oracle.m_rel_entropy_quad(f, g, CRIT3_CFG, form="first")
+    second = oracle.m_rel_entropy_quad(f, g, CRIT3_CFG, form="second")
+    assert first.converged and second.converged
+    assert first.value == pytest.approx(second.value, rel=1e-8)
+
+
+def test_small_budget_reports_unconverged():
+    # needs far more than one block of angles at this tolerance
+    f = make_bivariate(0.0, 0.0, 1.6, 1.5, -0.86, 4.0 / 3.0)
+    g = make_bivariate(0.0, 0.0, 1.6, 1.7, 0.97, 4.0 / 3.0)
+    tight = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=1)
+    res = oracle.m_rel_entropy_quad(f, g, tight)
+    assert not res.converged
+    assert oracle.m_rel_entropy_quad(f, g, CRIT3_CFG).converged
 
 
 def test_theta_family_minimizer_stationarity():

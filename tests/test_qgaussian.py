@@ -177,16 +177,24 @@ def test_bivariate_support_threshold():
 
 
 def test_bivariate_mass():
+    cfg = oracle.QuadratureConfig()
+    for m in (0.5, 1.3, 1.45):
+        nu = make_bivariate(0.1, -0.2, 0.9, 1.4, 0.35, m)
+        chol = np.linalg.cholesky(nu.cov)
+        res = oracle._polar_quad(nu.density, nu.mean, chol, [nu], cfg)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_bivariate_density_on_arrays():
     for m in (0.5, 1.3):
         nu = make_bivariate(0.1, -0.2, 0.9, 1.4, 0.35, m)
+        xs = np.linspace(-4.0, 4.0, 17)
+        ys = np.linspace(3.0, -5.0, 17)
+        loop = [nu.density(float(x), float(y)) for x, y in zip(xs, ys)]
+        assert nu.density(xs, ys) == pytest.approx(loop, rel=1e-15, abs=0.0)
         if m < 1.0:
-            xlo, xhi = oracle._ellipse_xrange(nu)
-
-            def yslice(x):
-                seg = oracle._ellipse_slice(nu, x)
-                return None if seg is None else (seg[0], seg[1], [nu.mu2])
-
-            res = oracle._quad_2d_compact(nu.density, xlo, xhi, oracle.QuadratureConfig(), [nu.mu1], yslice)
-        else:
-            res = oracle._quad_2d_wings(nu.density, [nu], oracle.QuadratureConfig(), symmetric=True)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+            assert nu.density(xs, ys)[0] == 0.0
+    # far points give density 0, never nan
+    heavy = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.9, 1.3)
+    assert heavy.density(np.array([1e300]), np.array([1e300]))[0] == 0.0
