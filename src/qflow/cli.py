@@ -35,13 +35,13 @@ import numpy as np
 
 from . import oracle
 from .functionals import (
+    StepPair,
     entropy_diff,
     f_h,
     jh,
     jko_step,
     rescaled_first,
     rescaled_second,
-    rescaled_third,
     solve_eta,
     wasserstein2_sq,
 )
@@ -155,13 +155,10 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
     g = QGaussian1D(mu=cfg.mu, sigma=cfg.sigma, params=p)
 
     if statement == 1:
-        functional: Callable[[QGaussian1D, QGaussian1D, float], float] = rescaled_first
+        functional: Callable[[StepPair], float] = StepPair.first
         limit = wasserstein2_sq(g, g0)
-    elif statement == 2:
-        functional = rescaled_second
-        limit = entropy_diff(g, g0)
     else:
-        functional = rescaled_third
+        functional = StepPair.second if statement == 2 else StepPair.third
         limit = entropy_diff(g, g0)
 
     columns = ("h", "value", "limit", "abs_error")
@@ -170,10 +167,11 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
 
     rows = []
     for h in cfg.h_grid():
-        value = functional(g, g0, h)
+        step = StepPair(g, g0, h)
+        value = functional(step)
         row = (h, value, limit, abs(value - limit))
         if statement == 3:
-            row = row + (rescaled_third(g, g0, h) - rescaled_second(g, g0, h),)
+            row = row + (value - step.second(),)
         rows.append(row)
 
     inputs = {
@@ -263,7 +261,7 @@ def _loglog_slope(hs: Sequence[float], errs: Sequence[float]) -> float:
     return float(np.polyfit(lh, le, 1)[0])
 
 
-def _check_lanczos(params: Sequence[QParams] | None) -> CheckResult:
+def _check_lanczos(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     xs = [0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.5, 60.0, 100.25, 140.0, 170.0]
     worst = 0.0
     for x in xs:
@@ -272,7 +270,7 @@ def _check_lanczos(params: Sequence[QParams] | None) -> CheckResult:
             worst = max(worst, abs(lgamma_pos(x) - math.lgamma(x)) / max(1.0, abs(math.lgamma(x))))
     return CheckResult(
         name="lanczos-stdlib-agreement",
-        scope="qmath",
+        scope=scope,
         passed=worst <= 1e-13,
         measured=worst,
         tolerance=1e-13,
@@ -280,7 +278,7 @@ def _check_lanczos(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_roundtrip(params: Sequence[QParams] | None) -> CheckResult:
+def _check_roundtrip(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(200):
@@ -292,7 +290,7 @@ def _check_roundtrip(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(back / t - 1.0))
     return CheckResult(
         name="qexp-qlog-roundtrip",
-        scope="qmath",
+        scope=scope,
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
@@ -300,7 +298,7 @@ def _check_roundtrip(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_product_rule(params: Sequence[QParams] | None) -> CheckResult:
+def _check_product_rule(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     rng = np.random.default_rng(20240818)
     worst = 0.0
     for _ in range(200):
@@ -312,7 +310,7 @@ def _check_product_rule(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return CheckResult(
         name="qlog-product-rule",
-        scope="qmath",
+        scope=scope,
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
@@ -325,7 +323,7 @@ def _default_identity_params() -> list[QParams]:
     return [make_params(q, 1) for q in qs]
 
 
-def _check_constant_identity(params: Sequence[QParams] | None) -> CheckResult:
+def _check_constant_identity(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     ps = list(params) if params is not None else _default_identity_params()
     worst = 0.0
     for p in ps:
@@ -335,7 +333,7 @@ def _check_constant_identity(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(lhs / rhs - 1.0))
     return CheckResult(
         name="constant-identity",
-        scope="qmath",
+        scope=scope,
         passed=worst <= 1e-10,
         measured=worst,
         tolerance=1e-10,
@@ -343,14 +341,14 @@ def _check_constant_identity(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_mass(params: Sequence[QParams] | None) -> CheckResult:
+def _check_mass(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q, sigma in [(0.3, 0.8), (0.8, 1.3), (1.2, 0.7), (1.5, 1.1)]:
         g = QGaussian1D(mu=0.4, sigma=sigma, params=make_params(q, 1))
         worst = max(worst, abs(oracle.mass_quad(g).value - 1.0))
     return CheckResult(
         name="mass-quadrature",
-        scope="qgaussian",
+        scope=scope,
         passed=worst <= 1e-9,
         measured=worst,
         tolerance=1e-9,
@@ -358,14 +356,14 @@ def _check_mass(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_variance(params: Sequence[QParams] | None) -> CheckResult:
+def _check_variance(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q, sigma in [(0.3, 0.8), (0.8, 1.3), (1.2, 0.7), (1.5, 1.1)]:
         g = QGaussian1D(mu=-0.2, sigma=sigma, params=make_params(q, 1))
         worst = max(worst, abs(oracle.moment2_quad(g).value / g.variance - 1.0))
     return CheckResult(
         name="variance-quadrature",
-        scope="qgaussian",
+        scope=scope,
         passed=worst <= 1e-7,
         measured=worst,
         tolerance=1e-7,
@@ -373,7 +371,7 @@ def _check_variance(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_entropy_closed(params: Sequence[QParams] | None) -> CheckResult:
+def _check_entropy_closed(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q, s0, s1 in [(0.8, 1.0, 1.5), (1.2, 0.7, 1.1), (0.5, 0.6, 0.9)]:
         p = make_params(q, 1)
@@ -384,7 +382,7 @@ def _check_entropy_closed(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(quad - closed))
     return CheckResult(
         name="entropy-closed-vs-quad",
-        scope="qgaussian",
+        scope=scope,
         passed=worst <= 1e-8,
         measured=worst,
         tolerance=1e-8,
@@ -392,7 +390,7 @@ def _check_entropy_closed(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_mrel_closed(params: Sequence[QParams] | None) -> CheckResult:
+def _check_mrel_closed(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     pairs = [
         (make_bivariate(0.0, 0.0, 0.6, 0.5, 0.2, 0.5), make_bivariate(0.1, -0.05, 1.0, 0.9, -0.1, 0.5)),
@@ -404,7 +402,7 @@ def _check_mrel_closed(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(quad / closed - 1.0))
     return CheckResult(
         name="mrel-closed-vs-quad",
-        scope="qgaussian",
+        scope=scope,
         passed=worst <= 1e-6,
         measured=worst,
         tolerance=1e-6,
@@ -412,7 +410,7 @@ def _check_mrel_closed(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_eta_residual(params: Sequence[QParams] | None) -> CheckResult:
+def _check_eta_residual(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q in (0.5, 0.8, 1.2):
         for h in (1e-1, 1e-4, 1e-8):
@@ -420,7 +418,7 @@ def _check_eta_residual(params: Sequence[QParams] | None) -> CheckResult:
             worst = max(worst, abs(sol.residual))
     return CheckResult(
         name="eta-equation-residual",
-        scope="functionals",
+        scope=scope,
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
@@ -428,7 +426,7 @@ def _check_eta_residual(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_jh_zero(params: Sequence[QParams] | None) -> CheckResult:
+def _check_jh_zero(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q in (0.8, 1.2):
         p = make_params(q, 1)
@@ -438,7 +436,7 @@ def _check_jh_zero(params: Sequence[QParams] | None) -> CheckResult:
             worst = max(worst, abs(jh(g, g0, h)))
     return CheckResult(
         name="jh-zero-at-flow",
-        scope="functionals",
+        scope=scope,
         passed=worst <= 1e-10,
         measured=worst,
         tolerance=1e-10,
@@ -446,7 +444,7 @@ def _check_jh_zero(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_fh_forms(params: Sequence[QParams] | None) -> CheckResult:
+def _check_fh_forms(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q in (0.5, 0.8, 1.2):
         p = make_params(q, 1)
@@ -456,7 +454,7 @@ def _check_fh_forms(params: Sequence[QParams] | None) -> CheckResult:
             worst = max(worst, abs(f_h(g, g0, h, form="q") - f_h(g, g0, h, form="m")))
     return CheckResult(
         name="fh-two-forms",
-        scope="functionals",
+        scope=scope,
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
@@ -474,11 +472,11 @@ def _rescaled_slope(which: Callable[[QGaussian1D, QGaussian1D, float], float], l
     return _loglog_slope(hs, errs)
 
 
-def _check_rescaled_first(params: Sequence[QParams] | None) -> CheckResult:
+def _check_rescaled_first(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     slope = _rescaled_slope(rescaled_first, wasserstein2_sq)
     return CheckResult(
         name="rescaled-first-order",
-        scope="functionals",
+        scope=scope,
         passed=0.9 <= slope <= 1.1,
         measured=slope,
         tolerance=0.1,
@@ -486,11 +484,11 @@ def _check_rescaled_first(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_rescaled_second(params: Sequence[QParams] | None) -> CheckResult:
+def _check_rescaled_second(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     slope = _rescaled_slope(rescaled_second, entropy_diff)
     return CheckResult(
         name="rescaled-second-order",
-        scope="functionals",
+        scope=scope,
         passed=0.9 <= slope <= 1.1,
         measured=slope,
         tolerance=0.1,
@@ -498,14 +496,14 @@ def _check_rescaled_second(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_jko_grid(params: Sequence[QParams] | None) -> CheckResult:
+def _check_jko_grid(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     g0 = QGaussian1D(mu=0.5, sigma=1.0, params=make_params(0.8, 1))
     stepped = jko_step(g0, 0.05)
     grid = oracle.minimize_kh_grid(g0, 0.05)
     measured = abs(grid.sigma - stepped.sigma)
     return CheckResult(
         name="jko-vs-grid",
-        scope="functionals",
+        scope=scope,
         passed=measured <= 1e-5,
         measured=measured,
         tolerance=1e-5,
@@ -513,7 +511,7 @@ def _check_jko_grid(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_semigroup(params: Sequence[QParams] | None) -> CheckResult:
+def _check_semigroup(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q in (0.5, 0.8, 1.2, 1.5):
         one = evolve_sigma(0.9, 0.7, q)
@@ -521,7 +519,7 @@ def _check_semigroup(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(one / two - 1.0))
     return CheckResult(
         name="semigroup-composition",
-        scope="pme_flow",
+        scope=scope,
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
@@ -529,7 +527,7 @@ def _check_semigroup(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_self_similar(params: Sequence[QParams] | None) -> CheckResult:
+def _check_self_similar(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q in (0.8, 1.2):
         p = make_params(q, 1)
@@ -540,7 +538,7 @@ def _check_self_similar(params: Sequence[QParams] | None) -> CheckResult:
             worst = max(worst, abs(barenblatt_density(t, float(x), p) - g.density(float(x))))
     return CheckResult(
         name="self-similar-family-match",
-        scope="pme_flow",
+        scope=scope,
         passed=worst <= 1e-12,
         measured=worst,
         tolerance=1e-12,
@@ -548,7 +546,7 @@ def _check_self_similar(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_residual_order(params: Sequence[QParams] | None) -> CheckResult:
+def _check_residual_order(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     p = make_params(0.8, 1)
     g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
     dxs = [0.04, 0.02, 0.01]
@@ -556,7 +554,7 @@ def _check_residual_order(params: Sequence[QParams] | None) -> CheckResult:
     slope = _loglog_slope(dxs, res)
     return CheckResult(
         name="pde-residual-order",
-        scope="pme_flow",
+        scope=scope,
         passed=1.8 <= slope <= 2.2,
         measured=slope,
         tolerance=0.2,
@@ -564,7 +562,7 @@ def _check_residual_order(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-def _check_flow_mass(params: Sequence[QParams] | None) -> CheckResult:
+def _check_flow_mass(scope: str, params: Sequence[QParams] | None) -> CheckResult:
     worst = 0.0
     for q in (0.8, 1.2):
         sigma_t = evolve_sigma(1.0, 0.5, q)
@@ -572,7 +570,7 @@ def _check_flow_mass(params: Sequence[QParams] | None) -> CheckResult:
         worst = max(worst, abs(oracle.mass_quad(g).value - 1.0))
     return CheckResult(
         name="flow-mass-conservation",
-        scope="pme_flow",
+        scope=scope,
         passed=worst <= 1e-9,
         measured=worst,
         tolerance=1e-9,
@@ -580,26 +578,19 @@ def _check_flow_mass(params: Sequence[QParams] | None) -> CheckResult:
     )
 
 
-_CHECKS: list[Callable[[Sequence[QParams] | None], CheckResult]] = [
-    _check_lanczos,
-    _check_roundtrip,
-    _check_product_rule,
-    _check_constant_identity,
-    _check_mass,
-    _check_variance,
-    _check_entropy_closed,
-    _check_mrel_closed,
-    _check_eta_residual,
-    _check_jh_zero,
-    _check_fh_forms,
-    _check_rescaled_first,
-    _check_rescaled_second,
-    _check_jko_grid,
-    _check_semigroup,
-    _check_self_similar,
-    _check_residual_order,
-    _check_flow_mass,
-]
+_CHECKS: dict[str, tuple[Callable[[str, Sequence[QParams] | None], CheckResult], ...]] = {
+    "qmath": (_check_lanczos, _check_roundtrip, _check_product_rule, _check_constant_identity),
+    "qgaussian": (_check_mass, _check_variance, _check_entropy_closed, _check_mrel_closed),
+    "functionals": (
+        _check_eta_residual,
+        _check_jh_zero,
+        _check_fh_forms,
+        _check_rescaled_first,
+        _check_rescaled_second,
+        _check_jko_grid,
+    ),
+    "pme_flow": (_check_semigroup, _check_self_similar, _check_residual_order, _check_flow_mass),
+}
 
 VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals")
 
@@ -607,20 +598,21 @@ VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals")
 def run_checks(
     scope: str = "all", constant_params: Sequence[QParams] | None = None
 ) -> list[CheckResult]:
-    """Run the named invariant checks, optionally filtered by scope.
+    """Run the named invariant checks of one scope, or all of them.
 
-    constant_params substitutes the parameter sets fed to the
-    constant-identity check; the fault-injection tests use it to confirm
-    a perturbed normalization constant is caught.
+    Only the checks of the requested scope run.  constant_params
+    substitutes the parameter sets fed to the constant-identity check; the
+    fault-injection tests use it to confirm a perturbed normalization
+    constant is caught.
     """
     if scope not in VERIFY_SCOPES:
         raise DomainError(f"scope must be one of {VERIFY_SCOPES}, got {scope!r}")
-    results = []
-    for fn in _CHECKS:
-        res = fn(constant_params if fn is _check_constant_identity else None)
-        if scope == "all" or res.scope == scope:
-            results.append(res)
-    return results
+    return [
+        fn(check_scope, constant_params if fn is _check_constant_identity else None)
+        for check_scope, fns in _CHECKS.items()
+        if scope in ("all", check_scope)
+        for fn in fns
+    ]
 
 
 def cmd_verify(scope: str = "all") -> tuple[dict, bool]:

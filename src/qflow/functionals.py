@@ -33,29 +33,33 @@ with D = sigma_h^2 - sigma0^2 and F_h the bounded correction
           + q log_q(sigma0 / (sigma eta)) - 1   -->   log_q(sigma0/sigma),
 
 used as the computation paths: they stay conditioned uniformly in h while
-the defining expressions lose all digits below h ~ 1e-8.  The coefficients
+the defining expressions lose all digits below h ~ 1e-8.  StepPair(g, g0,
+h) solves for D and delta once; J_h, F_h, the optimal coupling and the
+three rescalings all read those two numbers from it.  The coefficients
 
     a = 2 C^(2-m) / C1(m,2) * (C0(m,2)/sigma0)^(m-1),
     b = (2-q) C1(q,1) / C^((3-q)/2) * (C0(q,1)/sigma0)^(1-q)
 
 satisfy (3-q) b sigma0^(1-q) = 1 identically, with a -> 4 and b -> 1/2 as
-q -> 1.
+q -> 1; every reader of b evaluates it from the member's own parameter
+set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from scipy.optimize import brentq
 
 from .pme_flow import evolve_sigma, sigma_sq_gap
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
-from .qmath import DomainError, c0_const, c1_const, in_q_domain, make_params, q_log
+from .qmath import DomainError, QParams, c0_const, c1_const, make_params, q_log
 
 __all__ = [
     "EtaSolve",
     "GammaCoefficients",
+    "StepPair",
     "wasserstein2_sq",
     "entropy_diff",
     "kh",
@@ -119,22 +123,29 @@ def wasserstein2_sq(g1: QGaussian1D, g2: QGaussian1D) -> float:
     return c * (g1.sigma - g2.sigma) ** 2 + (g1.mu - g2.mu) ** 2
 
 
+def _entropy_b(p: QParams, sigma0: float) -> float:
+    """Entropy coefficient b(sigma0, q) of the parameter set p.
+
+    Computed from the printed constant formula (not from the algebraic
+    shortcut b = sigma0^(q-1)/(3-q), which the identity tests compare
+    against).
+    """
+    q = p.q
+    return (2.0 - q) * p.c1_q_d / p.C ** ((3.0 - q) / 2.0) * (p.c0_q_d / sigma0) ** (1.0 - q)
+
+
 def coefficients(q: float, sigma0: float) -> GammaCoefficients:
     """Evaluate the rescaling coefficients a(q, sigma0) and b(sigma0, q).
 
-    Computed from the printed constant formulas (not from the algebraic
-    shortcut b = sigma0^(q-1)/(3-q), which the identity tests compare
-    against).  The conjugate constants C1(m,2), C0(m,2) behind a are
-    evaluated at m = 3 - 2/q and exist for every m < 3/2 (m <= 0
-    included); for q >= 4/3, where m reaches 3/2 and the bivariate
+    b comes from _entropy_b.  The conjugate constants C1(m,2), C0(m,2)
+    behind a are evaluated at m = 3 - 2/q and exist for every m < 3/2
+    (m <= 0 included); for q >= 4/3, where m reaches 3/2 and the bivariate
     normalization blows up, a is nan, while b (a purely one-dimensional
     quantity) stays valid on all of Q_1.
     """
-    if not in_q_domain(q, 1):
-        raise DomainError(f"q={q!r} outside Q_1")
+    p = make_params(q, 1)
     if not sigma0 > 0.0:
         raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
-    p = make_params(q, 1)
     m = p.m
     if m < 1.5:
         c1m = c1_const(m, 2)
@@ -142,8 +153,7 @@ def coefficients(q: float, sigma0: float) -> GammaCoefficients:
         a = 2.0 * p.C ** (2.0 - m) / c1m * (c0m / sigma0) ** (m - 1.0)
     else:
         a = math.nan
-    b = (2.0 - q) * p.c1_q_d / p.C ** ((3.0 - q) / 2.0) * (p.c0_q_d / sigma0) ** (1.0 - q)
-    return GammaCoefficients(a=a, b=b, sigma0=sigma0, q=q)
+    return GammaCoefficients(a=a, b=_entropy_b(p, sigma0), sigma0=sigma0, q=q)
 
 
 def entropy_diff(g: QGaussian1D, g0: QGaussian1D) -> float:
@@ -152,7 +162,7 @@ def entropy_diff(g: QGaussian1D, g0: QGaussian1D) -> float:
     Exactly 0.0 at sigma == sigma0 (log_q(1) evaluates to 0 exactly).
     """
     _require_same_family(g, g0)
-    b = coefficients(g.params.q, g0.sigma).b
+    b = _entropy_b(g.params, g0.sigma)
     return b * g.params.C * q_log(g0.sigma / g.sigma, g.params.q)
 
 
@@ -198,8 +208,8 @@ def solve_eta(sigma: float, sigma0: float, sigma_h: float, q: float) -> EtaSolve
 
     Requires sigma_h > sigma0 > 0.  The variance gap is formed as the
     product (sigma_h - sigma0)(sigma_h + sigma0); when sigma_h comes from a
-    step size h, prefer the internal expm1 gap used by jh/f_h/rescaled_*,
-    which does not lose digits to the subtraction.
+    step size h, prefer StepPair, whose expm1 gap does not lose digits to
+    the subtraction.
     """
     if not sigma_h > sigma0:
         raise DomainError(f"need sigma_h > sigma0, got {sigma_h!r} <= {sigma0!r}")
@@ -223,55 +233,6 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
     )
 
 
-def qstar(g: QGaussian1D, g0: QGaussian1D, h: float) -> MBivariate:
-    """Optimal coupling N_m(mu0, C sigma0^2, mu, C sigma^2, eta_h)."""
-    _require_same_family(g, g0)
-    _require_h(h)
-    p = g.params
-    gap = sigma_sq_gap(g0.sigma, h, p.q)
-    sol = _solve_eta_gap(g.sigma, g0.sigma, gap, p.q)
-    root_c = math.sqrt(p.C)
-    return make_bivariate(g0.mu, g.mu, root_c * g0.sigma, root_c * g.sigma, sol.eta, p.m)
-
-
-def jh(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
-    """Rate-like functional J_h(g | g0): relative m-entropy of the optimal
-    coupling against the flow coupling, in closed form.
-
-        (1/2) C1(m,2) (C0(m,2)/(C sigma0 sqrt(D)))^(1-m)
-        * [ (sigma-sigma0)^2/D + 2 sigma0 sigma (1-eta)/D + (mu-mu0)^2/(C D)
-            + 2 log_m (sigma0/(sigma eta))^(1/(3-m)) - 1 ],
-
-    D = sigma_h^2 - sigma0^2.  Vanishes exactly at the time-h evolution of
-    g0 (where eta = sigma0/sigma_h) and is positive elsewhere.
-    """
-    _require_same_family(g, g0)
-    _require_h(h)
-    p = g.params
-    q = p.q
-    m = p.m
-    sigma, sigma0 = g.sigma, g0.sigma
-    gap = sigma_sq_gap(sigma0, h, q)
-    sol = _solve_eta_gap(sigma, sigma0, gap, q)
-    delta = sol.one_minus_eta
-    c1m = c1_const(m, 2)
-    c0m = c0_const(m, 2)
-    pref = 0.5 * c1m * math.exp(
-        (1.0 - m) * (math.log(c0m) - math.log(p.C * sigma0) - 0.5 * math.log(gap))
-    )
-    ell = math.log(sigma0 / sigma) - math.log1p(-delta)
-    log_term = math.expm1((1.0 - m) * ell / (3.0 - m)) / (1.0 - m)
-    dmu = g.mu - g0.mu
-    bracket = (
-        (sigma - sigma0) ** 2 / gap
-        + 2.0 * sigma0 * sigma * delta / gap
-        + dmu * dmu / (p.C * gap)
-        + 2.0 * log_term
-        - 1.0
-    )
-    return pref * bracket
-
-
 def _f_h_from_delta(delta: float, sigma: float, sigma0: float, q: float) -> float:
     """F_h in the q-form, given delta = 1 - eta_h."""
     eta_pow_q = math.exp(q * math.log1p(-delta))
@@ -292,55 +253,6 @@ def _f_h_from_delta_mform(
     return t1 + t2 - 1.0
 
 
-def f_h(g: QGaussian1D, g0: QGaussian1D, h: float, form: str = "q") -> float:
-    """Bounded correction F_h with F_h -> log_q(sigma0/sigma) as h -> 0.
-
-    form="q" evaluates 2 eta^q/(1+eta) (sigma0/sigma)^(1-q)
-    + q log_q(sigma0/(sigma eta)) - 1; form="m" evaluates the equivalent
-    2 sigma0 sigma (1-eta)/D + 2 log_m (sigma0/(sigma eta))^(1/(3-m)) - 1.
-    Both agree to roundoff at the solved eta.
-    """
-    _require_same_family(g, g0)
-    _require_h(h)
-    p = g.params
-    gap = sigma_sq_gap(g0.sigma, h, p.q)
-    sol = _solve_eta_gap(g.sigma, g0.sigma, gap, p.q)
-    if form == "q":
-        return _f_h_from_delta(sol.one_minus_eta, g.sigma, g0.sigma, p.q)
-    if form == "m":
-        return _f_h_from_delta_mform(sol.one_minus_eta, g.sigma, g0.sigma, gap, p.m)
-    raise ValueError(f"form must be 'q' or 'm', got {form!r}")
-
-
-def f_limit(g: QGaussian1D, g0: QGaussian1D) -> float:
-    """Limit of F_h as h -> 0: log_q(sigma0/sigma)."""
-    _require_same_family(g, g0)
-    return q_log(g0.sigma / g.sigma, g.params.q)
-
-
-def rescaled_first(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
-    """a D^(1/q) J_h, evaluated as W2^2 + C D F_h (exact reduction)."""
-    _require_same_family(g, g0)
-    _require_h(h)
-    p = g.params
-    gap = sigma_sq_gap(g0.sigma, h, p.q)
-    sol = _solve_eta_gap(g.sigma, g0.sigma, gap, p.q)
-    fh = _f_h_from_delta(sol.one_minus_eta, g.sigma, g0.sigma, p.q)
-    return wasserstein2_sq(g, g0) + p.C * gap * fh
-
-
-def rescaled_second(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
-    """a b D^((1-q)/q) J_h - (b/D) W2^2, evaluated as b C F_h."""
-    _require_same_family(g, g0)
-    _require_h(h)
-    p = g.params
-    gap = sigma_sq_gap(g0.sigma, h, p.q)
-    sol = _solve_eta_gap(g.sigma, g0.sigma, gap, p.q)
-    fh = _f_h_from_delta(sol.one_minus_eta, g.sigma, g0.sigma, p.q)
-    b = coefficients(p.q, g0.sigma).b
-    return b * p.C * fh
-
-
 def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) -> float:
     """b/D - 1/(2h) = (2hb - D)/(2hD), formed without cancellation.
 
@@ -357,6 +269,113 @@ def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) ->
     return num / (2.0 * h * gap)
 
 
+@dataclass(frozen=True)
+class StepPair:
+    """One step (g | g0, h): the variance gap D = sigma_h^2 - sigma0^2 and
+    the coupling root delta = 1 - eta_h, each computed once.
+
+    J_h, F_h, the optimal coupling and the three rescalings are readers
+    of these two numbers.
+    """
+
+    g: QGaussian1D
+    g0: QGaussian1D
+    h: float
+    gap: float = field(init=False)
+    delta: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        _require_same_family(self.g, self.g0)
+        _require_h(self.h)
+        q = self.g.params.q
+        gap = sigma_sq_gap(self.g0.sigma, self.h, q)
+        sol = _solve_eta_gap(self.g.sigma, self.g0.sigma, gap, q)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "delta", sol.one_minus_eta)
+
+    def f_h(self, form: str = "q") -> float:
+        g, g0 = self.g, self.g0
+        if form == "q":
+            return _f_h_from_delta(self.delta, g.sigma, g0.sigma, g.params.q)
+        if form == "m":
+            return _f_h_from_delta_mform(self.delta, g.sigma, g0.sigma, self.gap, g.params.m)
+        raise ValueError(f"form must be 'q' or 'm', got {form!r}")
+
+    def jh(self) -> float:
+        p = self.g.params
+        m = p.m
+        pref = 0.5 * c1_const(m, 2) * math.exp(
+            (1.0 - m)
+            * (math.log(c0_const(m, 2)) - math.log(p.C * self.g0.sigma) - 0.5 * math.log(self.gap))
+        )
+        return pref * (wasserstein2_sq(self.g, self.g0) / (p.C * self.gap) + self.f_h("m"))
+
+    def qstar(self) -> MBivariate:
+        g, g0 = self.g, self.g0
+        root_c = math.sqrt(g.params.C)
+        return make_bivariate(
+            g0.mu, g.mu, root_c * g0.sigma, root_c * g.sigma, 1.0 - self.delta, g.params.m
+        )
+
+    def first(self) -> float:
+        return wasserstein2_sq(self.g, self.g0) + self.g.params.C * self.gap * self.f_h()
+
+    def second(self) -> float:
+        return _entropy_b(self.g.params, self.g0.sigma) * self.g.params.C * self.f_h()
+
+    def third(self) -> float:
+        p, sigma0 = self.g.params, self.g0.sigma
+        coeff = _third_gap_coeff(sigma0, self.h, p.q, _entropy_b(p, sigma0), self.gap)
+        return self.second() + coeff * wasserstein2_sq(self.g, self.g0)
+
+
+def qstar(g: QGaussian1D, g0: QGaussian1D, h: float) -> MBivariate:
+    """Optimal coupling N_m(mu0, C sigma0^2, mu, C sigma^2, eta_h)."""
+    return StepPair(g, g0, h).qstar()
+
+
+def jh(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
+    """Rate-like functional J_h(g | g0): relative m-entropy of the optimal
+    coupling against the flow coupling, in closed form.
+
+        (1/2) C1(m,2) (C0(m,2)/(C sigma0 sqrt(D)))^(1-m)
+        * [ W2^2/(C D) + 2 sigma0 sigma (1-eta)/D
+            + 2 log_m (sigma0/(sigma eta))^(1/(3-m)) - 1 ],
+
+    D = sigma_h^2 - sigma0^2; the last three terms are F_h in its m-form.
+    Vanishes exactly at the time-h evolution of g0 (where eta =
+    sigma0/sigma_h) and is positive elsewhere.
+    """
+    return StepPair(g, g0, h).jh()
+
+
+def f_h(g: QGaussian1D, g0: QGaussian1D, h: float, form: str = "q") -> float:
+    """Bounded correction F_h with F_h -> log_q(sigma0/sigma) as h -> 0.
+
+    form="q" evaluates 2 eta^q/(1+eta) (sigma0/sigma)^(1-q)
+    + q log_q(sigma0/(sigma eta)) - 1; form="m" evaluates the equivalent
+    2 sigma0 sigma (1-eta)/D + 2 log_m (sigma0/(sigma eta))^(1/(3-m)) - 1.
+    Both agree to roundoff at the solved eta.
+    """
+    return StepPair(g, g0, h).f_h(form)
+
+
+def f_limit(g: QGaussian1D, g0: QGaussian1D) -> float:
+    """Limit of F_h as h -> 0: log_q(sigma0/sigma)."""
+    _require_same_family(g, g0)
+    return q_log(g0.sigma / g.sigma, g.params.q)
+
+
+def rescaled_first(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
+    """a D^(1/q) J_h, evaluated as W2^2 + C D F_h (exact reduction)."""
+    return StepPair(g, g0, h).first()
+
+
+def rescaled_second(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
+    """a b D^((1-q)/q) J_h - (b/D) W2^2, evaluated as b C F_h."""
+    return StepPair(g, g0, h).second()
+
+
 def rescaled_third(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
     """a b D^((1-q)/q) J_h - W2^2/(2h).
 
@@ -364,15 +383,7 @@ def rescaled_third(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
     is nonnegative, which is what puts this rescaling above the second one
     pointwise.
     """
-    _require_same_family(g, g0)
-    _require_h(h)
-    p = g.params
-    q = p.q
-    gap = sigma_sq_gap(g0.sigma, h, q)
-    sol = _solve_eta_gap(g.sigma, g0.sigma, gap, q)
-    fh = _f_h_from_delta(sol.one_minus_eta, g.sigma, g0.sigma, q)
-    b = coefficients(q, g0.sigma).b
-    return b * p.C * fh + _third_gap_coeff(g0.sigma, h, q, b, gap) * wasserstein2_sq(g, g0)
+    return StepPair(g, g0, h).third()
 
 
 def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
@@ -388,8 +399,7 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     p = g0.params
     q = p.q
     sigma0 = g0.sigma
-    b = coefficients(q, sigma0).b
-    lead = h * b * sigma0 ** (1.0 - q)
+    lead = h * _entropy_b(p, sigma0) * sigma0 ** (1.0 - q)
 
     def stat(sigma: float) -> float:
         return (sigma - sigma0) - lead * sigma ** (q - 2.0)

@@ -50,8 +50,6 @@ __all__ = [
     "QGaussian1D",
     "MBivariate",
     "make_bivariate",
-    "density_1d",
-    "density_2d",
     "entropy_diff_closed",
     "m_rel_entropy_closed",
 ]
@@ -81,7 +79,8 @@ class QGaussian1D:
     """q-Gaussian N_q(mu, C sigma^2) in shape-scale parametrization.
 
     sigma is the scale parameter; the second moment about mu is exactly
-    C sigma^2 (params.C).  params must be a d=1 parameter set.
+    C sigma^2 (params.C).  params must be a d=1 parameter set; mu and
+    sigma must be finite.
     """
 
     mu: float
@@ -91,8 +90,10 @@ class QGaussian1D:
     def __post_init__(self) -> None:
         if self.params.d != 1:
             raise DomainError(f"QGaussian1D needs d=1 params, got d={self.params.d}")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu!r}")
 
     @property
     def variance(self) -> float:
@@ -117,11 +118,6 @@ class QGaussian1D:
         dx = x - self.mu
         w = self.params.c1_q_d * dx * dx / (2.0 * v)
         return self.params.c0_q_d / math.sqrt(v) * q_exp(-w, self.params.q)
-
-
-def density_1d(g: QGaussian1D, x: float) -> float:
-    """Pointwise density of a 1d q-Gaussian (0.0 outside a compact support)."""
-    return g.density(x)
 
 
 @dataclass(frozen=True)
@@ -216,11 +212,6 @@ def make_bivariate(
             "for bivariate m-Gaussians"
         )
     return MBivariate(mu1=mu1, mu2=mu2, s1=s1, s2=s2, theta=theta, mparams=make_params(m, 2))
-
-
-def density_2d(nu: MBivariate, x: float, y: float) -> float:
-    """Pointwise density of a bivariate m-Gaussian."""
-    return nu.density(x, y)
 
 
 def _check_spd(mat: np.ndarray, d: int, name: str) -> None:

@@ -267,8 +267,9 @@ class QParams:
     """Exponent q, dimension d, and the derived profile constants.
 
     m is the conjugate exponent 3 - 2/q of the second-order formulation.
-    Instances are built by make_params, which restricts q to Q_d; the
-    cached constants re-evaluate from (q, d) alone.
+    Instances are built by make_params, which restricts q to Q_d before
+    the constants pipeline runs; the cached constants re-evaluate from
+    (q, d) alone.
     """
 
     q: float
@@ -280,14 +281,6 @@ class QParams:
     A: float
     B: float
     C: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise DomainError(f"d must be a positive integer, got {self.d!r}")
-        if not in_q_domain(self.q, self.d):
-            raise DomainError(
-                f"q={self.q!r} outside Q_{self.d} = (0, 1) u (1, {q_domain_upper(self.d)!r})"
-            )
 
 
 def make_params(q: float, d: int) -> QParams:

@@ -115,6 +115,15 @@ def test_gamma_out_of_domain_q_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--sigma0", "inf"), ("--mu0", "nan")])
+def test_gamma_non_finite_member_exits_2(flag, value, capsys):
+    args = ["gamma", "--statement", "2", "--q", "0.8", "--sigma0", "1.0",
+            "--mu0", "0.0", "--mu", "0.3", "--sigma", "1.4", "--h-grid", "1e-1:1e-4:4"]
+    args[args.index(flag) + 1] = value
+    assert cli.main(args) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_jko_table(tmp_path, capsys):
     assert cli.main(["jko", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0.5",
                      "--h", "0.01", "--steps", "5"]) == 0
@@ -159,7 +168,7 @@ def test_verify_all_passes(tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, _schema("verify.v1.schema.json"))
     assert doc["all_passed"] is True
-    assert len(doc["checks"]) == len(cli._CHECKS)
+    assert len(doc["checks"]) == sum(len(fns) for fns in cli._CHECKS.values())
     names = [c["name"] for c in doc["checks"]]
     assert len(names) == len(set(names))
     for c in doc["checks"]:
@@ -189,6 +198,19 @@ def test_verify_catches_injected_constant_fault():
     # the untampered pipeline passes the same check
     clean = cli.run_checks(scope="qmath", constant_params=[p])
     assert {r.name: r for r in clean}["constant-identity"].passed
+
+
+def test_run_checks_runs_only_the_requested_scope(monkeypatch):
+    def broken(scope, params):
+        raise AssertionError("a qgaussian check ran")
+
+    patched = (broken,) + cli._CHECKS["qgaussian"][1:]
+    monkeypatch.setitem(cli._CHECKS, "qgaussian", patched)
+    results = cli.run_checks("qmath")
+    assert [r.scope for r in results] == ["qmath"] * len(cli._CHECKS["qmath"])
+    assert all(r.passed for r in results)
+    with pytest.raises(AssertionError, match="a qgaussian check ran"):
+        cli.run_checks("all")
 
 
 def test_run_checks_rejects_unknown_scope():

@@ -7,8 +7,6 @@ from qflow import oracle
 from qflow.qgaussian import (
     OutsideVerifiedRangeError,
     QGaussian1D,
-    density_1d,
-    density_2d,
     entropy_diff_closed,
     m_rel_entropy_closed,
     make_bivariate,
@@ -41,7 +39,8 @@ def test_density_shape():
     assert g.density(0.5) == pytest.approx(g.peak_density(), rel=1e-15)
     assert g.density(1.7) == pytest.approx(g.density(-0.7), rel=1e-14)
     assert g.density(0.5) > g.density(1.5) > g.density(2.5)
-    assert density_1d(g, 0.9) == g.density(0.9)
+    w = g.params.c1_q_d * 0.4**2 / (2.0 * g.variance)
+    assert g.density(0.9) == pytest.approx(g.peak_density() * q_exp(-w, 0.8), rel=1e-14)
 
 
 def test_compact_support_edge():
@@ -71,6 +70,9 @@ def test_sigma_and_params_validation():
         QGaussian1D(mu=0.0, sigma=0.0, params=make_params(0.8, 1))
     with pytest.raises(DomainError):
         QGaussian1D(mu=0.0, sigma=1.0, params=make_params(0.8, 2))
+    for mu, sigma in [(0.0, math.inf), (0.0, math.nan), (math.inf, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(DomainError):
+            QGaussian1D(mu=mu, sigma=sigma, params=make_params(0.8, 1))
 
 
 def test_entropy_diff_closed_vs_quadrature_1d():
@@ -161,7 +163,7 @@ def test_bivariate_geometry():
     # density from the normalization and quadratic form directly
     w = 0.5 * nu.mparams.c1_q_d * nu.quadratic_form(1.1, 0.4)
     expect = nu.mparams.c0_q_d / math.sqrt(nu.det_cov) * q_exp(-w, nu.m)
-    assert density_2d(nu, 1.1, 0.4) == pytest.approx(expect, rel=1e-14)
+    assert nu.density(1.1, 0.4) == pytest.approx(expect, rel=1e-14)
 
 
 def test_bivariate_support_threshold():

@@ -168,6 +168,25 @@ def test_make_params_rejects_bad_d():
         make_params(0.8, 1.0)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize(
+    "q,d,message",
+    [
+        (0.0, 1, "q=0.0 outside Q_1 = (0, 1) u (1, 1.6666666666666667)"),
+        (1.0, 1, "q=1.0 outside Q_1 = (0, 1) u (1, 1.6666666666666667)"),
+        (5.0 / 3.0, 1, "q=1.6666666666666667 outside Q_1 = (0, 1) u (1, 1.6666666666666667)"),
+        (math.nan, 1, "q=nan outside Q_1 = (0, 1) u (1, 1.6666666666666667)"),
+        (0.8, 0, "d must be a positive integer, got 0"),
+        (0.8, 1.5, "d must be a positive integer, got 1.5"),
+    ],
+)
+def test_make_params_domain_messages(q, d, message):
+    # the domain is checked before the constants pipeline runs, so q = 1
+    # reports Q_1 and not the c0_const pole
+    with pytest.raises(DomainError) as exc:
+        make_params(q, d)
+    assert str(exc.value) == message
+
+
 def test_constant_pipeline_cross_relations():
     for q in (0.3, 0.8, 1.2, 1.6):
         p = make_params(q, 1)
