@@ -11,7 +11,9 @@ Subcommands:
   against the exact scale evolution at the same times.
 * ``verify``: runs the named invariant checks (closed forms against the
   quadrature oracle, constant identities, convergence orders) and emits a
-  machine-readable report; exit code 0 only if every check passes.
+  machine-readable report; exit code 0 only if every check passes.  A
+  check is one measure function plus one row of the check table; a nan
+  measurement fails its check.
 * ``const``: dumps the constants pipeline for one (q, d) as JSON.
 
 Output is byte-deterministic: no timestamps, floats rendered by repr
@@ -195,8 +197,6 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
     """Minimizing-movement trajectory against the exact scale evolution."""
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps!r}")
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h!r}")
     p = make_params(q, 1)
     g = QGaussian1D(mu=mu0, sigma=sigma0, params=p)
     rows = [(0, g.mu, g.sigma, sigma0, 0.0)]
@@ -255,211 +255,139 @@ class CheckResult:
     detail: str
 
 
+Check = Callable[[str, Sequence[QParams] | None], CheckResult]
+
+
+def _check(
+    name: str, tolerance: float, detail: str, measure: Callable, target: float | None = None
+) -> Check:
+    """One row of the check table as a (scope, params) -> CheckResult callable.
+
+    Without a target, measure yields per-instance errors and the check
+    reports the worst one (nan if any error is nan) and passes when it is
+    at most the tolerance; ``{n}`` in detail becomes the instance count.
+    With a target, measure returns one slope, which must lie within the
+    tolerance of the target.  A nan measurement fails either way.  params
+    is handed to measure only when given (the constant-identity seam).
+    """
+
+    def run(scope: str, params: Sequence[QParams] | None) -> CheckResult:
+        values = measure() if params is None else measure(params)
+        if target is None:
+            errs = list(values)
+            measured = math.nan if any(map(math.isnan, errs)) else max(errs, default=0.0)
+            passed = measured <= tolerance
+            text = detail.format(n=len(errs))
+        else:
+            measured = values
+            passed = target - tolerance <= measured <= target + tolerance
+            text = detail
+        return CheckResult(
+            name=name, scope=scope, passed=passed, measured=measured, tolerance=tolerance, detail=text
+        )
+
+    return run
+
+
 def _loglog_slope(hs: Sequence[float], errs: Sequence[float]) -> float:
     lh = np.log(np.asarray(hs))
     le = np.log(np.asarray(errs))
     return float(np.polyfit(lh, le, 1)[0])
 
 
-def _check_lanczos(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    xs = [0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.5, 60.0, 100.25, 140.0, 170.0]
-    worst = 0.0
-    for x in xs:
-        worst = max(worst, abs(gamma_pos(x) / math.gamma(x) - 1.0))
+def _lanczos_errors():
+    for x in [0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.5, 60.0, 100.25, 140.0, 170.0]:
+        yield abs(gamma_pos(x) / math.gamma(x) - 1.0)
         if x > 0.5:
-            worst = max(worst, abs(lgamma_pos(x) - math.lgamma(x)) / max(1.0, abs(math.lgamma(x))))
-    return CheckResult(
-        name="lanczos-stdlib-agreement",
-        scope=scope,
-        passed=worst <= 1e-13,
-        measured=worst,
-        tolerance=1e-13,
-        detail=f"max relative deviation over {len(xs)} abscissas",
-    )
+            yield abs(lgamma_pos(x) - math.lgamma(x)) / max(1.0, abs(math.lgamma(x)))
 
 
-def _check_roundtrip(scope: str, params: Sequence[QParams] | None) -> CheckResult:
+def _roundtrip_errors():
     rng = np.random.default_rng(20240817)
-    worst = 0.0
     for _ in range(200):
         q = float(rng.uniform(0.05, 1.6))
         if abs(q - 1.0) < 1e-3:
             continue
         t = float(rng.uniform(0.05, 20.0))
-        back = q_exp(q_log(t, q), q)
-        worst = max(worst, abs(back / t - 1.0))
-    return CheckResult(
-        name="qexp-qlog-roundtrip",
-        scope=scope,
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail="exp_q(log_q(t)) over 200 seeded draws",
-    )
+        yield abs(q_exp(q_log(t, q), q) / t - 1.0)
 
 
-def _check_product_rule(scope: str, params: Sequence[QParams] | None) -> CheckResult:
+def _product_rule_errors():
     rng = np.random.default_rng(20240818)
-    worst = 0.0
     for _ in range(200):
         q = float(rng.uniform(0.05, 1.6))
         x = float(rng.uniform(0.1, 5.0))
         y = float(rng.uniform(0.1, 5.0))
         lhs = q_log(x * y, q)
         rhs = q_log(x, q) + x ** (1.0 - q) * q_log(y, q)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return CheckResult(
-        name="qlog-product-rule",
-        scope=scope,
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail="log_q(xy) = log_q x + x^(1-q) log_q y over 200 seeded draws",
-    )
+        yield abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
-def _default_identity_params() -> list[QParams]:
+def _constant_identity_errors(params: Sequence[QParams] | None = None):
     qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
-    return [make_params(q, 1) for q in qs]
-
-
-def _check_constant_identity(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    ps = list(params) if params is not None else _default_identity_params()
-    worst = 0.0
-    for p in ps:
+    for p in params if params is not None else [make_params(q, 1) for q in qs]:
         q = p.q
         lhs = p.C ** ((3.0 - q) / 2.0)
         rhs = (3.0 - q) * (2.0 - q) * p.c1_q_d * p.c0_q_d ** (1.0 - q)
-        worst = max(worst, abs(lhs / rhs - 1.0))
-    return CheckResult(
-        name="constant-identity",
-        scope=scope,
-        passed=worst <= 1e-10,
-        measured=worst,
-        tolerance=1e-10,
-        detail=f"C^((3-q)/2) = (3-q)(2-q) C1 C0^(1-q) over {len(ps)} parameter sets",
-    )
+        yield abs(lhs / rhs - 1.0)
 
 
-def _check_mass(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
-    for q, sigma in [(0.3, 0.8), (0.8, 1.3), (1.2, 0.7), (1.5, 1.1)]:
+_MOMENT_INSTANCES = [(0.3, 0.8), (0.8, 1.3), (1.2, 0.7), (1.5, 1.1)]
+
+
+def _mass_errors():
+    for q, sigma in _MOMENT_INSTANCES:
         g = QGaussian1D(mu=0.4, sigma=sigma, params=make_params(q, 1))
-        worst = max(worst, abs(oracle.mass_quad(g).value - 1.0))
-    return CheckResult(
-        name="mass-quadrature",
-        scope=scope,
-        passed=worst <= 1e-9,
-        measured=worst,
-        tolerance=1e-9,
-        detail="density mass over 4 (q, sigma) instances",
-    )
+        yield abs(oracle.mass_quad(g).value - 1.0)
 
 
-def _check_variance(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
-    for q, sigma in [(0.3, 0.8), (0.8, 1.3), (1.2, 0.7), (1.5, 1.1)]:
+def _variance_errors():
+    for q, sigma in _MOMENT_INSTANCES:
         g = QGaussian1D(mu=-0.2, sigma=sigma, params=make_params(q, 1))
-        worst = max(worst, abs(oracle.moment2_quad(g).value / g.variance - 1.0))
-    return CheckResult(
-        name="variance-quadrature",
-        scope=scope,
-        passed=worst <= 1e-7,
-        measured=worst,
-        tolerance=1e-7,
-        detail="second moment = C sigma^2 over 4 (q, sigma) instances",
-    )
+        yield abs(oracle.moment2_quad(g).value / g.variance - 1.0)
 
 
-def _check_entropy_closed(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _entropy_closed_errors():
     for q, s0, s1 in [(0.8, 1.0, 1.5), (1.2, 0.7, 1.1), (0.5, 0.6, 0.9)]:
         p = make_params(q, 1)
         g0 = QGaussian1D(mu=0.3, sigma=s0, params=p)
         g1 = QGaussian1D(mu=0.3, sigma=s1, params=p)
         quad = oracle.entropy_quad(g1).value - oracle.entropy_quad(g0).value
-        closed = entropy_diff(g1, g0)
-        worst = max(worst, abs(quad - closed))
-    return CheckResult(
-        name="entropy-closed-vs-quad",
-        scope=scope,
-        passed=worst <= 1e-8,
-        measured=worst,
-        tolerance=1e-8,
-        detail="1d entropy difference, closed form vs quadrature, 3 instances",
-    )
+        yield abs(quad - entropy_diff(g1, g0))
 
 
-def _check_mrel_closed(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _mrel_closed_errors():
     pairs = [
         (make_bivariate(0.0, 0.0, 0.6, 0.5, 0.2, 0.5), make_bivariate(0.1, -0.05, 1.0, 0.9, -0.1, 0.5)),
         (make_bivariate(0.3, 0.1, 0.9, 1.1, 0.25, 4.0 / 3.0), make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 4.0 / 3.0)),
     ]
     for f, g in pairs:
         closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
-        quad = oracle.m_rel_entropy_quad(f, g).value
-        worst = max(worst, abs(quad / closed - 1.0))
-    return CheckResult(
-        name="mrel-closed-vs-quad",
-        scope=scope,
-        passed=worst <= 1e-6,
-        measured=worst,
-        tolerance=1e-6,
-        detail="relative m-entropy closed form vs quadrature, compact and heavy-tailed",
-    )
+        yield abs(oracle.m_rel_entropy_quad(f, g).value / closed - 1.0)
 
 
-def _check_eta_residual(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _eta_residual_errors():
     for q in (0.5, 0.8, 1.2):
         for h in (1e-1, 1e-4, 1e-8):
-            sol = solve_eta(1.3, 1.0, evolve_sigma(1.0, h, q), q)
-            worst = max(worst, abs(sol.residual))
-    return CheckResult(
-        name="eta-equation-residual",
-        scope=scope,
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail="coupling correlation equation over 9 (q, h) instances",
-    )
+            yield abs(solve_eta(1.3, 1.0, evolve_sigma(1.0, h, q), q).residual)
 
 
-def _check_jh_zero(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _jh_zero_errors():
     for q in (0.8, 1.2):
         p = make_params(q, 1)
         for h in (1e-1, 1e-3, 1e-5):
             g0 = QGaussian1D(mu=0.2, sigma=1.0, params=p)
             g = QGaussian1D(mu=0.2, sigma=evolve_sigma(1.0, h, q), params=p)
-            worst = max(worst, abs(jh(g, g0, h)))
-    return CheckResult(
-        name="jh-zero-at-flow",
-        scope=scope,
-        passed=worst <= 1e-10,
-        measured=worst,
-        tolerance=1e-10,
-        detail="step functional vanishes on the exact evolution, 6 instances",
-    )
+            yield abs(jh(g, g0, h))
 
 
-def _check_fh_forms(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _fh_forms_errors():
     for q in (0.5, 0.8, 1.2):
         p = make_params(q, 1)
         g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
         g = QGaussian1D(mu=0.3, sigma=1.4, params=p)
         for h in (1e-1, 1e-4, 1e-7):
-            worst = max(worst, abs(f_h(g, g0, h, form="q") - f_h(g, g0, h, form="m")))
-    return CheckResult(
-        name="fh-two-forms",
-        scope=scope,
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail="q-form and m-form of the correction agree, 9 instances",
-    )
+            yield abs(f_h(g, g0, h, form="q") - f_h(g, g0, h, form="m"))
 
 
 def _rescaled_slope(which: Callable[[QGaussian1D, QGaussian1D, float], float], limit_fn) -> float:
@@ -472,124 +400,93 @@ def _rescaled_slope(which: Callable[[QGaussian1D, QGaussian1D, float], float], l
     return _loglog_slope(hs, errs)
 
 
-def _check_rescaled_first(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    slope = _rescaled_slope(rescaled_first, wasserstein2_sq)
-    return CheckResult(
-        name="rescaled-first-order",
-        scope=scope,
-        passed=0.9 <= slope <= 1.1,
-        measured=slope,
-        tolerance=0.1,
-        detail="log-log slope of |value - limit| in h, target 1",
-    )
-
-
-def _check_rescaled_second(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    slope = _rescaled_slope(rescaled_second, entropy_diff)
-    return CheckResult(
-        name="rescaled-second-order",
-        scope=scope,
-        passed=0.9 <= slope <= 1.1,
-        measured=slope,
-        tolerance=0.1,
-        detail="log-log slope of |value - limit| in h, target 1",
-    )
-
-
-def _check_jko_grid(scope: str, params: Sequence[QParams] | None) -> CheckResult:
+def _jko_grid_errors():
     g0 = QGaussian1D(mu=0.5, sigma=1.0, params=make_params(0.8, 1))
     stepped = jko_step(g0, 0.05)
-    grid = oracle.minimize_kh_grid(g0, 0.05)
-    measured = abs(grid.sigma - stepped.sigma)
-    return CheckResult(
-        name="jko-vs-grid",
-        scope=scope,
-        passed=measured <= 1e-5,
-        measured=measured,
-        tolerance=1e-5,
-        detail="implicit step agrees with brute-force grid minimizer",
-    )
+    yield abs(oracle.minimize_kh_grid(g0, 0.05).sigma - stepped.sigma)
 
 
-def _check_semigroup(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _semigroup_errors():
     for q in (0.5, 0.8, 1.2, 1.5):
         one = evolve_sigma(0.9, 0.7, q)
         two = evolve_sigma(evolve_sigma(0.9, 0.3, q), 0.4, q)
-        worst = max(worst, abs(one / two - 1.0))
-    return CheckResult(
-        name="semigroup-composition",
-        scope=scope,
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail="evolving 0.3 then 0.4 equals evolving 0.7, 4 exponents",
-    )
+        yield abs(one / two - 1.0)
 
 
-def _check_self_similar(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _self_similar_errors():
     for q in (0.8, 1.2):
         p = make_params(q, 1)
         t = 0.7
-        sigma = math.sqrt(theta_map_1d(t, q))
-        g = QGaussian1D(mu=0.0, sigma=sigma, params=p)
+        g = QGaussian1D(mu=0.0, sigma=math.sqrt(theta_map_1d(t, q)), params=p)
         for x in np.linspace(-2.0, 2.0, 41):
-            worst = max(worst, abs(barenblatt_density(t, float(x), p) - g.density(float(x))))
-    return CheckResult(
-        name="self-similar-family-match",
-        scope=scope,
-        passed=worst <= 1e-12,
-        measured=worst,
-        tolerance=1e-12,
-        detail="source solution equals the evolving family member pointwise",
-    )
+            yield abs(barenblatt_density(t, float(x), p) - g.density(float(x)))
 
 
-def _check_residual_order(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    p = make_params(0.8, 1)
-    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
+def _residual_slope() -> float:
+    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=make_params(0.8, 1))
     dxs = [0.04, 0.02, 0.01]
-    res = [pde_residual(g0, 0.5, dx, dx * dx) for dx in dxs]
-    slope = _loglog_slope(dxs, res)
-    return CheckResult(
-        name="pde-residual-order",
-        scope=scope,
-        passed=1.8 <= slope <= 2.2,
-        measured=slope,
-        tolerance=0.2,
-        detail="residual refinement slope in dx, target 2",
-    )
+    return _loglog_slope(dxs, [pde_residual(g0, 0.5, dx, dx * dx) for dx in dxs])
 
 
-def _check_flow_mass(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-    worst = 0.0
+def _flow_mass_errors():
     for q in (0.8, 1.2):
-        sigma_t = evolve_sigma(1.0, 0.5, q)
-        g = QGaussian1D(mu=0.0, sigma=sigma_t, params=make_params(q, 1))
-        worst = max(worst, abs(oracle.mass_quad(g).value - 1.0))
-    return CheckResult(
-        name="flow-mass-conservation",
-        scope=scope,
-        passed=worst <= 1e-9,
-        measured=worst,
-        tolerance=1e-9,
-        detail="evolved density still integrates to 1",
-    )
+        g = QGaussian1D(mu=0.0, sigma=evolve_sigma(1.0, 0.5, q), params=make_params(q, 1))
+        yield abs(oracle.mass_quad(g).value - 1.0)
 
 
-_CHECKS: dict[str, tuple[Callable[[str, Sequence[QParams] | None], CheckResult], ...]] = {
-    "qmath": (_check_lanczos, _check_roundtrip, _check_product_rule, _check_constant_identity),
-    "qgaussian": (_check_mass, _check_variance, _check_entropy_closed, _check_mrel_closed),
-    "functionals": (
-        _check_eta_residual,
-        _check_jh_zero,
-        _check_fh_forms,
-        _check_rescaled_first,
-        _check_rescaled_second,
-        _check_jko_grid,
+_SLOPE_DETAIL = "log-log slope of |value - limit| in h, target 1"
+
+_check_constant_identity = _check(
+    "constant-identity", 1e-10,
+    "C^((3-q)/2) = (3-q)(2-q) C1 C0^(1-q) over {n} parameter sets", _constant_identity_errors,
+)
+
+# The check table: scope -> rows of (name, tolerance, detail, measure[, target]).
+_CHECKS: dict[str, tuple[Check, ...]] = {
+    "qmath": (
+        _check("lanczos-stdlib-agreement", 1e-13,
+               "max relative deviation over 11 abscissas", _lanczos_errors),
+        _check("qexp-qlog-roundtrip", 1e-12,
+               "exp_q(log_q(t)) over 200 seeded draws", _roundtrip_errors),
+        _check("qlog-product-rule", 1e-12,
+               "log_q(xy) = log_q x + x^(1-q) log_q y over 200 seeded draws", _product_rule_errors),
+        _check_constant_identity,
     ),
-    "pme_flow": (_check_semigroup, _check_self_similar, _check_residual_order, _check_flow_mass),
+    "qgaussian": (
+        _check("mass-quadrature", 1e-9,
+               "density mass over 4 (q, sigma) instances", _mass_errors),
+        _check("variance-quadrature", 1e-7,
+               "second moment = C sigma^2 over 4 (q, sigma) instances", _variance_errors),
+        _check("entropy-closed-vs-quad", 1e-8,
+               "1d entropy difference, closed form vs quadrature, 3 instances", _entropy_closed_errors),
+        _check("mrel-closed-vs-quad", 1e-6,
+               "relative m-entropy closed form vs quadrature, compact and heavy-tailed",
+               _mrel_closed_errors),
+    ),
+    "functionals": (
+        _check("eta-equation-residual", 1e-12,
+               "coupling correlation equation over 9 (q, h) instances", _eta_residual_errors),
+        _check("jh-zero-at-flow", 1e-10,
+               "step functional vanishes on the exact evolution, 6 instances", _jh_zero_errors),
+        _check("fh-two-forms", 1e-12,
+               "q-form and m-form of the correction agree, 9 instances", _fh_forms_errors),
+        _check("rescaled-first-order", 0.1, _SLOPE_DETAIL,
+               lambda: _rescaled_slope(rescaled_first, wasserstein2_sq), target=1.0),
+        _check("rescaled-second-order", 0.1, _SLOPE_DETAIL,
+               lambda: _rescaled_slope(rescaled_second, entropy_diff), target=1.0),
+        _check("jko-vs-grid", 1e-5,
+               "implicit step agrees with brute-force grid minimizer", _jko_grid_errors),
+    ),
+    "pme_flow": (
+        _check("semigroup-composition", 1e-12,
+               "evolving 0.3 then 0.4 equals evolving 0.7, 4 exponents", _semigroup_errors),
+        _check("self-similar-family-match", 1e-12,
+               "source solution equals the evolving family member pointwise", _self_similar_errors),
+        _check("pde-residual-order", 0.2,
+               "residual refinement slope in dx, target 2", _residual_slope, target=2.0),
+        _check("flow-mass-conservation", 1e-9,
+               "evolved density still integrates to 1", _flow_mass_errors),
+    ),
 }
 
 VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals")

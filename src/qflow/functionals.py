@@ -177,7 +177,8 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> EtaSolv
 
     G(delta) = (1-delta)^q - delta (2-delta) rhs is strictly decreasing
     with G(0) = 1 and G(1) = -rhs, so the bracket [0, 1] always holds the
-    unique root.
+    unique root.  A root that rounds to delta = 1 (eta below double
+    resolution) raises DomainError.
     """
     if not (sigma > 0.0 and sigma0 > 0.0):
         raise DomainError("sigma and sigma0 must be positive")
@@ -194,6 +195,10 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> EtaSolv
     delta, info = brentq(
         g_of_delta, 0.0, 1.0, xtol=1e-300, rtol=_BRENTQ_RTOL, maxiter=300, full_output=True
     )
+    if not delta < 1.0:
+        raise DomainError(
+            f"eta is below double resolution for sigma={sigma!r}, sigma0={sigma0!r}, gap={gap!r}"
+        )
     lhs = math.exp(q * math.log1p(-delta)) / (delta * (2.0 - delta))
     return EtaSolve(
         eta=1.0 - delta,

@@ -41,19 +41,36 @@ __all__ = [
 ]
 
 
+def _log_growth(sigma0: float, h: float, q: float) -> float:
+    """log(sigma_h^(3-q) / sigma0^(3-q)) = log1p(h / sigma0^(3-q)), validated.
+
+    Raises DomainError for sigma0 <= 0, for h at or past extinction, and
+    when sigma0^(3-q) or h / sigma0^(3-q) is not representable as a
+    positive finite double.
+    """
+    if not sigma0 > 0.0:
+        raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
+    try:
+        v0 = sigma0 ** (3.0 - q)
+    except OverflowError:
+        v0 = math.inf
+    if not 0.0 < v0 < math.inf:
+        raise DomainError(f"sigma0^(3-q) is not a positive finite double for sigma0={sigma0!r}")
+    if not h > -v0:
+        raise DomainError(f"h={h!r} reaches extinction (needs h > {-v0!r})")
+    x = h / v0
+    if not math.isfinite(x):
+        raise DomainError(f"h / sigma0^(3-q) is not finite for h={h!r}, sigma0={sigma0!r}")
+    return math.log1p(x)
+
+
 def evolve_sigma(sigma0: float, h: float, q: float) -> float:
     """Scale parameter after time h: (h + sigma0^(3-q))^(1/(3-q)).
 
     h = 0 returns sigma0 (up to roundoff); h may not be negative past
     extinction, so h > -sigma0^(3-q) is required.
     """
-    if not sigma0 > 0.0:
-        raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
-    v0 = sigma0 ** (3.0 - q)
-    if not h > -v0:
-        raise DomainError(f"h={h!r} reaches extinction (needs h > {-v0!r})")
-    e = 3.0 - q
-    return math.exp(math.log1p(h / v0) / e) * sigma0
+    return math.exp(_log_growth(sigma0, h, q) / (3.0 - q)) * sigma0
 
 
 def sigma_sq_gap(sigma0: float, h: float, q: float) -> float:
@@ -63,12 +80,7 @@ def sigma_sq_gap(sigma0: float, h: float, q: float) -> float:
     keeps full relative precision down to h ~ 1e-300; squaring and
     subtracting evolve_sigma would keep ~6 digits at h = 1e-10.
     """
-    if not sigma0 > 0.0:
-        raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
-    v0 = sigma0 ** (3.0 - q)
-    if not h > -v0:
-        raise DomainError(f"h={h!r} reaches extinction (needs h > {-v0!r})")
-    return sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * math.log1p(h / v0))
+    return sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * _log_growth(sigma0, h, q))
 
 
 def theta_map_1d(v: float, q: float) -> float:

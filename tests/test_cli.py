@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qflow import cli
+from qflow import cli, oracle
 from qflow.functionals import entropy_diff, wasserstein2_sq
 from qflow.pme_flow import evolve_sigma
 from qflow.qgaussian import QGaussian1D
@@ -124,6 +124,28 @@ def test_gamma_non_finite_member_exits_2(flag, value, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # sigma0^(3-q) overflows, then underflows to 0
+        ["gamma", "--statement", "2", "--q", "0.8", "--sigma0", "1e300", "--mu0", "0",
+         "--mu", "0.3", "--sigma", "1.4", "--h-grid", "1e-1:1e-4:3"],
+        ["gamma", "--statement", "2", "--q", "0.8", "--sigma0", "1e-300", "--mu0", "0",
+         "--mu", "0.3", "--sigma", "1.4", "--h-grid", "1e-1:1e-4:3"],
+        ["jko", "--q", "0.8", "--sigma0", "1e300", "--mu0", "0", "--h", "0.1", "--steps", "3"],
+        # eta_h is below double resolution (the root rounds to delta = 1)
+        ["gamma", "--statement", "2", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0",
+         "--mu", "0.3", "--sigma", "1e-300", "--h-grid", "1e-1:1e-4:3"],
+    ],
+    ids=["gamma-sigma0-1e300", "gamma-sigma0-1e-300", "jko-sigma0-1e300", "gamma-sigma-1e-300"],
+)
+def test_extreme_finite_scales_exit_2(args, capsys):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_jko_table(tmp_path, capsys):
     assert cli.main(["jko", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0.5",
                      "--h", "0.01", "--steps", "5"]) == 0
@@ -211,6 +233,17 @@ def test_run_checks_runs_only_the_requested_scope(monkeypatch):
     assert all(r.passed for r in results)
     with pytest.raises(AssertionError, match="a qgaussian check ran"):
         cli.run_checks("all")
+
+
+def test_nan_measurement_fails_its_check(monkeypatch):
+    def nan_mass(g, cfg=None):
+        return oracle.QuadResult(value=math.nan, error_estimate=0.0, converged=True, note="")
+
+    monkeypatch.setattr(oracle, "mass_quad", nan_mass)
+    mass = {r.name: r for r in cli.run_checks("qgaussian")}["mass-quadrature"]
+    assert mass.passed is False
+    assert math.isnan(mass.measured)
+    assert cli.main(["verify", "--scope", "qgaussian"]) == 1
 
 
 def test_run_checks_rejects_unknown_scope():

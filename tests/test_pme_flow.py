@@ -51,6 +51,14 @@ def test_sigma_sq_gap_no_cancellation():
     assert abs(naive / gap - 1.0) > 1e-6
 
 
+@pytest.mark.parametrize("sigma0,h", [(1e300, 0.1), (1e-300, 0.1), (1e-120, 1e300)])
+def test_unrepresentable_growth_raises_domain_error(sigma0, h):
+    # sigma0^(3-q) overflows, underflows to 0, or h / sigma0^(3-q) overflows
+    for fn in (evolve_sigma, sigma_sq_gap):
+        with pytest.raises(DomainError):
+            fn(sigma0, h, 0.8)
+
+
 def test_theta_map_consistency():
     for q in (0.5, 0.8, 1.2):
         s0, t = 1.4, 0.9
