@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 from scipy.optimize import brentq
 
-from .pme_flow import evolve_sigma, sigma_sq_gap
+from .pme_flow import _log_growth, evolve_sigma, sigma_sq_gap
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
 from .qmath import DomainError, QParams, c0_const, c1_const, make_params, q_log
 
@@ -398,9 +398,11 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     sigma - sigma0 = h b sigma0^(1-q) sigma^(q-2).  The right side
     decreases in sigma, so the unique root lies strictly inside
     (sigma0, sigma0 + h b / sigma0); K_h is strictly convex along sigma so
-    the root is the minimum.
+    the root is the minimum.  Scales that evolve_sigma rejects raise the
+    same DomainError.
     """
     _require_h(h)
+    _log_growth(g0.sigma, h, g0.params.q)
     p = g0.params
     q = p.q
     sigma0 = g0.sigma

@@ -5,15 +5,13 @@ numerically, so the closed-form entropies, couplings and minimizers in the
 rest of the package can be cross-checked against a path that shares no
 algebra with them.
 
-One-dimensional integrals use adaptive Gauss-Kronrod (scipy.integrate.quad).
-Domain policy:
+One-dimensional integrals use adaptive Gauss-Kronrod (scipy.integrate.quad)
+on two half-lines from the mean, in units of the member's scale.  Domain
+policy:
 
-* compact 1d supports (q < 1): the integration domain is the exact
-  support, with edges passed as breakpoints;
-* one-dimensional heavy tails (q > 1): the domain is truncated at a radius
-  where a power-law envelope provably bounds the discarded mass below
-  cfg.tail_mass_bound, with breakpoints on a log ladder so the central
-  peak cannot be missed on the huge resulting interval;
+* compact 1d supports (q < 1): each half-line ends at the support edge;
+* one-dimensional heavy tails (q > 1): each half-line runs to infinity
+  untruncated, through QUADPACK's own infinite-interval map;
 * every bivariate integral goes through one polar rule about a centre,
   whitened by a member's Cholesky factor: periodic trapezoid in angle,
   tanh-sinh in radius.  Heavy tails (m > 1) run each ray to infinity
@@ -30,7 +28,7 @@ nested refinement, minimize_theta uses a coarse grid + golden section.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,14 +36,12 @@ from scipy.integrate import quad, tanhsinh
 from scipy.optimize import brentq
 
 from .functionals import coefficients
-from .qgaussian import MBivariate, QGaussian1D, SupportInterval
-from .qmath import DomainError
+from .qgaussian import MBivariate, QGaussian1D
+from .qmath import DomainError, q_log
 
 __all__ = [
     "QuadratureConfig",
     "QuadResult",
-    "power_tail_radius",
-    "integrate_1d",
     "mass_quad",
     "moment2_quad",
     "entropy_quad",
@@ -65,23 +61,22 @@ __all__ = [
 class QuadratureConfig:
     """Tolerances and budget for the quadrature oracle.
 
-    max_subdivisions caps the subintervals of quad in 1d and the blocks of
-    angles the polar rule may evaluate in 2d.
+    max_subdivisions caps the subintervals of quad on each 1d half-line and
+    the blocks of angles the polar rule may evaluate in 2d.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_subdivisions: int = 200
-    tail_mass_bound: float = 1e-11
 
 
 class QuadResult(NamedTuple):
     """Integral value with the adaptive error estimate.
 
     converged is False when the budget ran out before the requested
-    tolerance or a radial solve failed; note carries the quadrature message
-    and the domain policy applied (truncation radius, or the polar rule
-    with its final angle count and centre).
+    tolerance or a radial solve failed; note carries the domain policy
+    applied (the 1d half-lines, or the polar rule with its final angle
+    count and centre) and any quadrature message.
     """
 
     value: float
@@ -90,153 +85,48 @@ class QuadResult(NamedTuple):
     note: str
 
 
-def _quad(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig,
-    points: Sequence[float] | None = None,
-    note: str = "",
+def _line_quad(
+    integrand: Callable[[float, float], float], g: QGaussian1D, cfg: QuadratureConfig | None
 ) -> QuadResult:
-    kwargs = {
-        "epsabs": cfg.abs_tol,
-        "epsrel": cfg.rel_tol,
-        "full_output": True,
-    }
-    pts = None
-    if points is not None and math.isfinite(lo) and math.isfinite(hi):
-        pts = sorted({p for p in points if lo < p < hi})
-        if not pts:
-            pts = None
-    kwargs["limit"] = max(cfg.max_subdivisions, 3 * len(pts) if pts else 0)
-    if pts is not None:
-        kwargs["points"] = pts
-    out = quad(f, lo, hi, **kwargs)
-    converged = len(out) < 4
-    msg = "" if converged else str(out[3]).strip().replace("\n", " ")
-    full_note = "; ".join(s for s in (note, msg) if s)
-    return QuadResult(
-        value=float(out[0]), error_estimate=float(out[1]), converged=converged, note=full_note
-    )
+    """Integral over the real line of integrand(d, f), f = g's density at mu + d.
 
-
-def integrate_1d(
-    f: Callable[[float], float],
-    support: SupportInterval,
-    cfg: QuadratureConfig,
-    points: Sequence[float] | None = None,
-) -> QuadResult:
-    """Adaptive quadrature of f over a support interval.
-
-    Infinite endpoints are passed through to the transformation-based
-    routine; breakpoints are honored on finite intervals only.
+    Two half-lines from the mean, d = +-scale u, with u from 0 to the
+    support edge (q < 1) or to +inf untruncated (q > 1, QUADPACK's own
+    infinite-interval map).  The density is read at the offset d from a
+    centred copy of g, so a scale far below the resolution of mu stays
+    exact.  The absolute tolerance is rescaled to the u units.
     """
-    return _quad(f, support.lo, support.hi, cfg, points)
-
-
-def power_tail_radius(coef: float, p_decay: float, bound: float) -> float:
-    """Radius R with integral_R^inf coef * u^(-p_decay) du <= bound.
-
-    Requires p_decay > 1 (integrable tail).
-    """
-    if not p_decay > 1.0:
-        raise DomainError(f"tail exponent must exceed 1, got {p_decay!r}")
-    if not (coef > 0.0 and bound > 0.0):
-        raise DomainError("coef and bound must be positive")
-    return (coef / ((p_decay - 1.0) * bound)) ** (1.0 / (p_decay - 1.0))
-
-
-def _ladder(center: float, scale: float, radius: float) -> list[float]:
-    """Log-spaced breakpoints center +- scale * 10^k out to the radius."""
-    pts = [center]
-    r = scale
-    while r < radius:
-        pts.append(center - r)
-        pts.append(center + r)
-        r *= 10.0
-    return pts
-
-
-def _tail_envelope_1d(g: QGaussian1D) -> tuple[float, float]:
-    """(coef, p) with density(mu + u) <= coef * u^(-p) for all u > 0 (q > 1)."""
-    q = g.params.q
-    v = g.variance
-    kappa = (q - 1.0) * g.params.c1_q_d / (2.0 * v)
-    p = 2.0 / (q - 1.0)
-    coef = g.params.c0_q_d / math.sqrt(v) * kappa ** (-1.0 / (q - 1.0))
-    return coef, p
-
-
-def _interval_for(
-    g: QGaussian1D, cfg: QuadratureConfig, pieces: Sequence[tuple[float, float]]
-) -> tuple[float, float, list[float], str]:
-    """Integration interval, breakpoints and note for a 1d q-Gaussian.
-
-    pieces lists (coef, p_decay) power-law envelopes of the integrand; the
-    radius is the largest one needed to push every tail below the bound.
-    """
-    s = g.support()
-    if s.is_finite:
-        return s.lo, s.hi, [g.mu], "exact support"
-    radius = max(power_tail_radius(c, p, cfg.tail_mass_bound) for c, p in pieces)
-    radius = max(radius, 20.0 * g.scale)
-    note = f"truncated at |x-mu| <= {radius:.6g} (tail bound {cfg.tail_mass_bound:g})"
-    return g.mu - radius, g.mu + radius, _ladder(g.mu, g.scale, radius), note
+    cfg = cfg or QuadratureConfig()
+    centred = replace(g, mu=0.0)
+    edge = centred.support().hi / g.scale
+    policy = "to the support edge" if edge < math.inf else "untruncated"
+    notes = [f"two half-lines from the mean, {policy}"]
+    value = err = 0.0
+    converged = True
+    for step in (g.scale, -g.scale):
+        out = quad(lambda u: integrand(step * u, centred.density(step * u)), 0.0, edge,
+                   epsabs=cfg.abs_tol / g.scale, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
+                   full_output=True)
+        value, err = value + out[0], err + out[1]
+        if len(out) > 3:
+            converged = False
+            notes.append(str(out[3]).strip().replace("\n", " "))
+    return QuadResult(g.scale * value, g.scale * err, converged, "; ".join(notes))
 
 
 def mass_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Total mass of the density by quadrature (should be 1)."""
-    cfg = cfg or QuadratureConfig()
-    if g.support().is_finite:
-        lo, hi, pts, note = _interval_for(g, cfg, [])
-    else:
-        lo, hi, pts, note = _interval_for(g, cfg, [_tail_envelope_1d(g)])
-    return _quad(g.density, lo, hi, cfg, pts, note)
+    return _line_quad(lambda d, f: f, g, cfg)
 
 
 def moment2_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Second moment about the mean by quadrature (should be C sigma^2)."""
-    cfg = cfg or QuadratureConfig()
-    if g.support().is_finite:
-        lo, hi, pts, note = _interval_for(g, cfg, [])
-    else:
-        coef, p = _tail_envelope_1d(g)
-        if not p - 2.0 > 1.0:
-            raise DomainError(f"second moment tail not integrable at q={g.params.q!r}")
-        lo, hi, pts, note = _interval_for(g, cfg, [(coef, p - 2.0)])
-    mu = g.mu
-    return _quad(lambda x: (x - mu) ** 2 * g.density(x), lo, hi, cfg, pts, note)
-
-
-def _logm_val(t: float, m: float) -> float:
-    """log_m(t) extended to t = 0 (finite for m < 1, -inf for m > 1)."""
-    if t > 0.0:
-        return math.expm1((1.0 - m) * math.log(t)) / (1.0 - m)
-    return -1.0 / (1.0 - m) if m < 1.0 else -math.inf
+    return _line_quad(lambda d, f: d * d * f, g, cfg)
 
 
 def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Tsallis entropy integral f log_q f of a 1d member, by quadrature."""
-    cfg = cfg or QuadratureConfig()
-    q = g.params.q
-    if g.support().is_finite:
-        lo, hi, pts, note = _interval_for(g, cfg, [])
-    else:
-        coef, p = _tail_envelope_1d(g)
-        # |f log_q f| <= (f^(2-q) + f)/(q-1)
-        pieces = [
-            (coef ** (2.0 - q) / (q - 1.0), p * (2.0 - q)),
-            (coef / (q - 1.0), p),
-        ]
-        lo, hi, pts, note = _interval_for(g, cfg, pieces)
-
-    def integrand(x: float) -> float:
-        fv = g.density(x)
-        if fv == 0.0:
-            return 0.0
-        return fv * _logm_val(fv, q)
-
-    return _quad(integrand, lo, hi, cfg, pts, note)
+    return _line_quad(lambda d, f: f * q_log(f, g.params.q) if f > 0.0 else 0.0, g, cfg)
 
 
 # Angles per tanhsinh call: bounds the size of the radial solver's arrays.

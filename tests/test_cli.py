@@ -136,8 +136,15 @@ def test_gamma_non_finite_member_exits_2(flag, value, capsys):
         # eta_h is below double resolution (the root rounds to delta = 1)
         ["gamma", "--statement", "2", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0",
          "--mu", "0.3", "--sigma", "1e-300", "--h-grid", "1e-1:1e-4:3"],
+        # jko_step rejects the scales that evolve_sigma rejects
+        ["jko", "--q", "0.8", "--sigma0", "1e-300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
+        ["jko", "--q", "1.2", "--sigma0", "1e-300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
+        ["jko", "--q", "1.2", "--sigma0", "1e300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
+        ["jko", "--q", "1.6", "--sigma0", "1e300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
     ],
-    ids=["gamma-sigma0-1e300", "gamma-sigma0-1e-300", "jko-sigma0-1e300", "gamma-sigma-1e-300"],
+    ids=["gamma-sigma0-1e300", "gamma-sigma0-1e-300", "jko-sigma0-1e300", "gamma-sigma-1e-300",
+         "jko-q0.8-sigma0-1e-300", "jko-q1.2-sigma0-1e-300", "jko-q1.2-sigma0-1e300",
+         "jko-q1.6-sigma0-1e300"],
 )
 def test_extreme_finite_scales_exit_2(args, capsys):
     assert cli.main(args) == 2

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow import oracle
-from qflow.functionals import jko_step, q0h
+from qflow.functionals import entropy_diff, jko_step, q0h
 from qflow.qgaussian import (
     QGaussian1D,
-    SupportInterval,
     entropy_diff_closed,
     m_rel_entropy_closed,
     make_bivariate,
@@ -15,47 +16,59 @@ from qflow.qgaussian import (
 from qflow.qmath import DomainError, make_params
 
 
-def test_integrate_1d_known_values():
-    cfg = oracle.QuadratureConfig()
-    res = oracle.integrate_1d(lambda x: 3.0 * x * x, SupportInterval(0.0, 1.0), cfg)
-    assert res.value == pytest.approx(1.0, rel=1e-12)
-    assert res.converged
-    res = oracle.integrate_1d(
-        lambda x: math.exp(-0.5 * x * x), SupportInterval(-math.inf, math.inf), cfg
-    )
-    assert res.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
-    # breakpoints let the adaptive routine handle a kink exactly
-    res = oracle.integrate_1d(lambda x: abs(x), SupportInterval(-1.0, 2.0), cfg, points=[0.0])
-    assert res.value == pytest.approx(2.5, rel=1e-12)
-
-
-def test_power_tail_radius_bound():
-    for coef, p, bound in [(1.0, 3.0, 1e-10), (7.3, 2.2, 1e-8)]:
-        r = oracle.power_tail_radius(coef, p, bound)
-        discarded = coef * r ** (1.0 - p) / (p - 1.0)
-        assert discarded == pytest.approx(bound, rel=1e-12)
-    with pytest.raises(DomainError):
-        oracle.power_tail_radius(1.0, 1.0, 1e-10)
-    with pytest.raises(DomainError):
-        oracle.power_tail_radius(-1.0, 2.0, 1e-10)
-
-
 def test_truncation_policy_recorded():
     compact = QGaussian1D(mu=0.0, sigma=1.0, params=make_params(0.8, 1))
     heavy = QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.2, 1))
-    assert oracle.mass_quad(compact).note == "exact support"
-    note = oracle.mass_quad(heavy).note
-    assert "truncated at" in note and "tail bound" in note
-    assert "truncated at" in oracle.entropy_quad(heavy).note
-    assert "truncated at" in oracle.moment2_quad(heavy).note
+    assert oracle.mass_quad(compact).note == "two half-lines from the mean, to the support edge"
+    for res in (oracle.mass_quad(heavy), oracle.moment2_quad(heavy), oracle.entropy_quad(heavy)):
+        assert res.note == "two half-lines from the mean, untruncated"
+    # a quad message rides along after the policy
+    tight = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=2)
+    res = oracle.entropy_quad(QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.66, 1)), tight)
+    assert not res.converged
+    assert res.note.startswith("two half-lines from the mean, untruncated; ")
 
 
-def test_truncated_mass_within_stated_bound():
-    cfg = oracle.QuadratureConfig()
-    for q in (1.1, 1.4, 1.6):
-        g = QGaussian1D(mu=0.3, sigma=1.2, params=make_params(q, 1))
-        res = oracle.mass_quad(g, cfg)
-        assert abs(res.value - 1.0) <= 10.0 * cfg.tail_mass_bound
+@pytest.mark.parametrize("q", [0.02, 0.5, 0.95, 1.001, 1.3, 1.6, 1.65, 1.66, 1.666])
+def test_line_quad_converges_across_q1(q):
+    # N(0.2, C 1.3^2): compact, near-Gaussian and barely integrable tails
+    params = make_params(q, 1)
+    g = QGaussian1D(mu=0.2, sigma=1.3, params=params)
+    wide = QGaussian1D(mu=0.2, sigma=1.5 * 1.3, params=params)
+    mass, moment2 = oracle.mass_quad(g), oracle.moment2_quad(g)
+    ent, ent_wide = oracle.entropy_quad(g), oracle.entropy_quad(wide)
+    assert mass.converged and moment2.converged and ent.converged and ent_wide.converged
+    assert abs(mass.value - 1.0) <= 1e-12
+    assert moment2.value == pytest.approx(g.variance, rel=1e-11)
+    assert ent_wide.value - ent.value == pytest.approx(entropy_diff(wide, g), rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.3])
+def test_line_quad_scale_below_resolution_of_mean(q):
+    # mu + sigma rounds to mu here: the rule must integrate about the offset
+    g = QGaussian1D(mu=10.0, sigma=1e-100, params=make_params(q, 1))
+    res = oracle.mass_quad(g)
+    assert res.converged
+    assert abs(res.value - 1.0) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    q=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=1.0, max_value=5.0 / 3.0, exclude_min=True, exclude_max=True),
+    ),
+    log_sigma=st.floats(min_value=-3.0, max_value=3.0),
+    mu=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_line_quad_finite_or_domain_error(q, log_sigma, mu):
+    g = QGaussian1D(mu=mu, sigma=10.0**log_sigma, params=make_params(q, 1))
+    for oracle_1d in (oracle.mass_quad, oracle.moment2_quad, oracle.entropy_quad):
+        try:
+            value = oracle_1d(g).value
+        except DomainError:
+            continue
+        assert math.isfinite(value)
 
 
 def test_mrel_two_integrand_forms_agree():
@@ -233,4 +246,3 @@ def test_quadrature_config_defaults():
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-13
     assert cfg.max_subdivisions == 200
-    assert cfg.tail_mass_bound == 1e-11
