@@ -489,7 +489,7 @@ _CHECKS: dict[str, tuple[Check, ...]] = {
     ),
 }
 
-VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals")
+VERIFY_SCOPES = ("all", *_CHECKS)
 
 
 def run_checks(

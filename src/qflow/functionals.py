@@ -394,27 +394,31 @@ def rescaled_third(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
 def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     """One minimizing-movement step: argmin of K_h(. | g0) over the family.
 
-    The minimizer keeps mu = mu0 and solves the stationarity equation
-    sigma - sigma0 = h b sigma0^(1-q) sigma^(q-2).  The right side
-    decreases in sigma, so the unique root lies strictly inside
-    (sigma0, sigma0 + h b / sigma0); K_h is strictly convex along sigma so
-    the root is the minimum.  Scales that evolve_sigma rejects raise the
-    same DomainError.
+    The minimizer keeps mu = mu0.  K_h is strictly convex along sigma, and
+    with b sigma0^(1-q) = 1/(3-q) its stationarity equation in the
+    relative increment u = sigma/sigma0 - 1 reads
+
+        u (1 + u)^(2-q) = r,    r = h / sigma0^(3-q) / (3-q).
+
+    One brentq solves t + (2-q) log1p(e^t) = log r for t = log u: the left
+    side increases strictly, and r (1+r)^(q-2) < u < r gives the bracket
+    [log r - (2-q) log1p(r), log r].  log r is formed in logs where
+    h / sigma0^(3-q) underflows; such an increment, far below sigma0's
+    resolution, rounds the step to sigma0.  u is resolved to about
+    |log u| eps, so sigma is within 2 ulps for u <= 1 and 1e-12 relative
+    above.  Scales that evolve_sigma rejects raise the same DomainError.
     """
     _require_h(h)
-    _log_growth(g0.sigma, h, g0.params.q)
-    p = g0.params
-    q = p.q
+    q = g0.params.q
     sigma0 = g0.sigma
-    lead = h * _entropy_b(p, sigma0) * sigma0 ** (1.0 - q)
-
-    def stat(sigma: float) -> float:
-        return (sigma - sigma0) - lead * sigma ** (q - 2.0)
-
-    hi = sigma0 + lead * sigma0 ** (q - 2.0)
-    sigma_star = brentq(stat, sigma0, hi, xtol=1e-300, rtol=_BRENTQ_RTOL, maxiter=300)
-    g_star = QGaussian1D(mu=g0.mu, sigma=sigma_star, params=p)
-    # the value at the minimizer must improve on staying put (K_h(g0) = 0)
-    if not kh(g_star, g0, h) <= 0.0:
-        raise RuntimeError("jko_step produced a non-improving point")
-    return g_star
+    _log_growth(sigma0, h, q)
+    v0 = sigma0 ** (3.0 - q)
+    x = h / v0
+    log_r = (math.log(x) if x > 0.0 else math.log(h) - math.log(v0)) - math.log(3.0 - q)
+    # xtol is absolute in t, that is, relative in u
+    t = brentq(
+        lambda t: t + (2.0 - q) * math.log1p(math.exp(t)) - log_r,
+        log_r - (2.0 - q) * math.log1p(math.exp(log_r)), log_r,
+        xtol=1e-17, rtol=_BRENTQ_RTOL, maxiter=300,
+    )
+    return QGaussian1D(mu=g0.mu, sigma=sigma0 + sigma0 * math.exp(t), params=g0.params)

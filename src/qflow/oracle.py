@@ -390,16 +390,12 @@ class KhGrid(NamedTuple):
     sigma_resolution: float
 
 
-def minimize_kh_grid(
-    g0: QGaussian1D,
-    h: float,
-    rounds: int = 3,
-    points_per_axis: int = 101,
-) -> KhGrid:
+def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
     """Minimize K_h(. | g0) over (mu, sigma) by nested grid refinement.
 
-    Deterministic: each round re-grids a window of +-2 cells around the
-    running argmin.  The returned resolutions are the final grid steps.
+    Deterministic: each of 3 rounds re-grids a window of +-2 cells (101
+    points per axis) around the running argmin.  The returned resolutions
+    are the final grid steps.
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h!r}")
@@ -419,9 +415,9 @@ def minimize_kh_grid(
 
     best = (mu0, sigma0, 0.0)
     dmu = dsig = 0.0
-    for _ in range(rounds):
-        mus = np.linspace(mu_lo, mu_hi, points_per_axis)
-        sigs = np.linspace(sig_lo, sig_hi, points_per_axis)
+    for _ in range(3):
+        mus = np.linspace(mu_lo, mu_hi, 101)
+        sigs = np.linspace(sig_lo, sig_hi, 101)
         mm, ss = np.meshgrid(mus, sigs, indexing="ij")
         w2 = big_c * (ss - sigma0) ** 2 + (mm - mu0) ** 2
         ent = bc * ((sigma0 / ss) ** (1.0 - q) - 1.0) / (1.0 - q)
@@ -441,21 +437,19 @@ def minimize_kh_grid(
     )
 
 
-def support_included(
-    inner: MBivariate, outer: MBivariate, margin: float = 0.0, n_angles: int = 720
-) -> bool:
+def support_included(inner: MBivariate, outer: MBivariate, margin: float = 0.0) -> bool:
     """True when the support ellipse of inner lies inside outer's.
 
-    Sweeps the boundary of inner (exact parametrization via Cholesky) and
-    requires outer's quadratic form to stay below its threshold by the
-    given relative margin.  Both exponents must be < 1.
+    Sweeps 720 points of the boundary of inner (exact parametrization via
+    Cholesky) and requires outer's quadratic form to stay below its
+    threshold by the given relative margin.  Both exponents must be < 1.
     """
     thr_i = inner.support_threshold()
     thr_o = outer.support_threshold()
     if not (math.isfinite(thr_i) and math.isfinite(thr_o)):
         raise DomainError("support_included needs compactly supported members (m < 1)")
     chol = np.linalg.cholesky(inner.cov)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     circle = np.stack([np.cos(phis), np.sin(phis)])
     boundary = inner.mean[:, None] + math.sqrt(thr_i) * (chol @ circle)
     return bool(np.all(outer.quadratic_form(*boundary) < thr_o * (1.0 - margin)))

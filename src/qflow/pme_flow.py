@@ -128,6 +128,9 @@ def barenblatt_density(t: float, x: float, p: QParams) -> float:
     return bracket ** (1.0 / (1.0 - q)) * t ** (-p.d * p.alpha)
 
 
+_MIN_DENSITY_RATIO = 1e-3
+
+
 def _density_grid(mu: float, sigma: float, p: QParams, x: np.ndarray) -> np.ndarray:
     v = p.C * sigma * sigma
     w = p.c1_q_d * (x - mu) ** 2 / (2.0 * v)
@@ -138,20 +141,14 @@ def _density_grid(mu: float, sigma: float, p: QParams, x: np.ndarray) -> np.ndar
     return p.c0_q_d / math.sqrt(v) * bracket ** (1.0 / om)
 
 
-def pde_residual(
-    g0: QGaussian1D,
-    t: float,
-    dx: float,
-    dt: float,
-    min_density_ratio: float = 1e-3,
-) -> float:
+def pde_residual(g0: QGaussian1D, t: float, dx: float, dt: float) -> float:
     """Max abs residual of d/dt rho - d2/dx2 rho^(2-q) at time t.
 
     rho(s, .) is the exactly evolved density started from g0 at time 0;
     the time derivative is a centered difference over [t-dt, t+dt] and the
     space derivative a three-point stencil on rho^(2-q).  A stencil point
     is admitted only if all five density evaluations exceed
-    min_density_ratio times the peak of rho(t, .).  Raises DomainError if
+    _MIN_DENSITY_RATIO times the peak of rho(t, .).  Raises DomainError if
     the grid is degenerate (no admitted points, nonpositive steps, or
     t - dt <= 0).
     """
@@ -159,8 +156,6 @@ def pde_residual(
         raise DomainError("dx and dt must be positive")
     if not t - dt > 0.0:
         raise DomainError(f"need t - dt > 0, got t={t!r}, dt={dt!r}")
-    if not 0.0 < min_density_ratio < 1.0:
-        raise DomainError("min_density_ratio must lie in (0, 1)")
     p = g0.params
     q = p.q
     mu = g0.mu
@@ -171,7 +166,7 @@ def pde_residual(
     v_c = p.C * sig_c * sig_c
     peak = p.c0_q_d / math.sqrt(v_c)
     # radius where rho(t, .) falls to the threshold fraction of its peak
-    w_edge = -q_log(min_density_ratio, q)
+    w_edge = -q_log(_MIN_DENSITY_RATIO, q)
     radius = math.sqrt(2.0 * v_c * w_edge / p.c1_q_d)
     n = int(math.floor(2.0 * radius / dx))
     if n < 4:
@@ -188,7 +183,7 @@ def pde_residual(
     dt_term = (rho_hi - rho_lo) / (2.0 * dt)
     dxx_term = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
 
-    thr = min_density_ratio * peak
+    thr = _MIN_DENSITY_RATIO * peak
     mask = (
         (rho_lo >= thr)
         & (rho_hi >= thr)

@@ -173,6 +173,16 @@ def test_jko_table(tmp_path, capsys):
     jsonschema.validate(json.loads(out.read_text()), _schema("jko.v1.schema.json"))
 
 
+def test_jko_small_h_exits_0(capsys):
+    assert cli.main(["jko", "--q", "0.8", "--sigma0", "1", "--mu0", "0",
+                     "--h", "1e-300", "--steps", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    rows = [ln.split(",") for ln in lines[header_idx + 1:]]
+    # the increment (about 4e-301) is far below the resolution of sigma0
+    assert [float(r[2]) for r in rows] == [1.0] * 4
+
+
 def test_jko_rejects_bad_inputs():
     assert cli.main(["jko", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0.0",
                      "--h", "0.01", "--steps", "0"]) == 2
@@ -214,6 +224,19 @@ def test_verify_scope_filtering(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--scope", "everything"])
     assert exc.value.code == 2
+
+
+def test_verify_pme_flow_scope(capsys):
+    assert "pme_flow" in cli.VERIFY_SCOPES
+    assert cli.main(["verify", "--scope", "pme_flow"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, _schema("verify.v1.schema.json"))
+    assert doc["scope"] == "pme_flow"
+    assert [c["name"] for c in doc["checks"]] == [
+        "semigroup-composition", "self-similar-family-match", "pde-residual-order",
+        "flow-mass-conservation",
+    ]
+    assert all(c["scope"] == "pme_flow" for c in doc["checks"])
 
 
 def test_verify_catches_injected_constant_fault():

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.functionals import (
     coefficients,
@@ -295,3 +298,90 @@ def test_jko_step_second_order_in_h():
         exact = evolve_sigma(1.0, h, 0.8)
         errs.append(abs(jko_step(g0, h).sigma - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def _jko_reference(q, sigma0, h):
+    """sigma0 (1 + u) and u for the root of u (1 + u)^(2-q) = r, 50 digits.
+
+    Newton on the convex, increasing t + (2-q) log1p(e^t) - log r from
+    t = log r, where it is nonnegative, so the iterates fall monotonically.
+    The root is checked against the stationarity equation in sigma itself,
+    delta = h (sigma0 + delta)^(q-2) / (3-q) with delta = sigma - sigma0.
+    """
+    with mpmath.workdps(50):
+        q, sigma0, h = mpmath.mpf(q), mpmath.mpf(sigma0), mpmath.mpf(h)
+        log_r = mpmath.log(h / sigma0 ** (3 - q) / (3 - q))
+        t = log_r
+        for _ in range(100):
+            f = t + (2 - q) * mpmath.log1p(mpmath.exp(t)) - log_r
+            step = f / (1 + (2 - q) / (1 + mpmath.exp(-t)))
+            t -= step
+            if abs(step) <= mpmath.mpf(10) ** -45 * max(1, abs(t)):
+                break
+        u = mpmath.exp(t)
+        delta = sigma0 * u
+        assert abs(delta - h * (sigma0 + delta) ** (q - 2) / (3 - q)) <= delta * 1e-40
+        return sigma0 + delta, u
+
+
+def test_jko_step_matches_mpmath_or_raises_domain_error():
+    worst_ulps = worst_rel = 0.0
+    for q in (0.3, 0.5, 0.8, 1.2, 1.6):
+        for sigma0 in (1e-300, 1.0, 1e300):
+            g0 = _g(q, sigma=sigma0)
+            for k in range(-300, 201, 4):
+                h = 10.0**k
+                try:
+                    sigma = jko_step(g0, h).sigma
+                except DomainError:
+                    # only where the exact flow rejects the same scales
+                    with pytest.raises(DomainError):
+                        evolve_sigma(sigma0, h, q)
+                    continue
+                ref, u = _jko_reference(q, sigma0, h)
+                err = abs(mpmath.mpf(sigma) - ref)
+                if u <= 1:
+                    worst_ulps = max(worst_ulps, float(err) / math.ulp(float(ref)))
+                else:
+                    worst_rel = max(worst_rel, float(err / ref))
+    assert worst_ulps <= 2.0
+    assert worst_rel <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    q=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=1.0, max_value=5.0 / 3.0, exclude_min=True, exclude_max=True),
+    ),
+    log_sigma0=st.floats(min_value=-300.0, max_value=300.0),
+    log_h=st.floats(min_value=math.log10(5e-324), max_value=200.0),
+)
+def test_jko_step_bracket_monotone_and_improving(q, log_sigma0, log_h):
+    g0 = _g(q, mu=0.25, sigma=10.0**log_sigma0)
+    sigma0 = g0.sigma
+    h = max(10.0**log_h, 5e-324)
+    try:
+        step = jko_step(g0, h)
+    except DomainError:
+        return
+    assert step.mu == g0.mu
+    # sigma0 < sigma0 (1 + u) and u < r; the step may round to sigma0 only
+    # where the stationarity lower bound r (1 + r)^(q-2) is below sigma0's
+    # resolution (the rule of perfbench's check_jko)
+    r = h / sigma0 ** (3.0 - q) / (3.0 - q)
+    hi = sigma0 * r
+    lo = hi * (1.0 + r) ** (q - 2.0)
+    assert sigma0 <= step.sigma <= sigma0 + hi
+    if sigma0 + lo > sigma0:
+        assert step.sigma > sigma0
+    # K_h(g0 | g0) = 0 bounds the minimum, up to the roundoff of its terms.
+    # entropy_diff rounds the ratio sigma0/sigma once, so its relative
+    # error is about eps sigma / (sigma - sigma0): near the resolution of
+    # sigma0 it is of order one.
+    if step.sigma == sigma0:
+        assert kh(step, g0, h) == 0.0
+        return
+    transport = wasserstein2_sq(step, g0) / (4.0 * h)
+    entropy = 0.5 * entropy_diff(step, g0) * step.sigma / (step.sigma - sigma0)
+    assert kh(step, g0, h) <= 4.0 * 2.0**-52 * (abs(transport) + abs(entropy))
