@@ -12,17 +12,18 @@ policy:
 * compact 1d supports (q < 1): each half-line ends at the support edge;
 * one-dimensional heavy tails (q > 1): each half-line runs to infinity
   untruncated, through QUADPACK's own infinite-interval map;
-* every bivariate integral goes through one polar rule about a centre,
-  whitened by a member's Cholesky factor: periodic trapezoid in angle,
-  tanh-sinh in radius.  Heavy tails (m > 1) run each ray to infinity
-  untruncated (near m = 3/2 an envelope radius for any useful bound
-  overflows); compact supports (m < 1) split each ray where it crosses a
-  support ellipse, so non-nested supports stay exact.
+* every bivariate integral goes through one polar rule whose frame comes
+  from the members alone: centred at the first member's mean, whitened by
+  the Cholesky factor of the members' average scale matrix.  Periodic
+  trapezoid in angle, tanh-sinh in radius.  Heavy tails (m > 1) run each
+  ray to infinity untruncated (near m = 3/2 an envelope radius for any
+  useful bound overflows); compact supports (m < 1) split each ray where
+  it crosses a support ellipse, so non-nested supports stay exact.
 
 Each result records the policy applied in its note.
 
 The grid searches are deterministic (no randomness): minimize_kh_grid uses
-nested refinement, minimize_theta uses a coarse grid + golden section.
+nested refinement, minimize_theta uses a coarse grid + bounded Brent.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad, tanhsinh
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .functionals import coefficients
 from .qgaussian import MBivariate, QGaussian1D
@@ -140,22 +141,25 @@ _MIN_LEVEL = 4
 
 def _polar_quad(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    center: np.ndarray,
-    chol: np.ndarray,
     members: Sequence[MBivariate],
     cfg: QuadratureConfig,
 ) -> QuadResult:
     """Integral of a vectorized integrand over the plane, in polar form.
 
-    z = center + r chol (cos phi, sin phi), Jacobian det(chol) r.  In phi:
-    the periodic trapezoid rule (Trefethen and Weideman, SIAM Rev. 56,
-    2014), doubling on nested nodes until two totals agree within
-    max(abs_tol, rel_tol |I|), up to max_subdivisions blocks of angles.  In
-    r: tanh-sinh (Takahasi and Mori, 1974), one call per block of angles,
-    each ray split where it crosses the support ellipse of a compact
-    member and ended at the last crossing; heavy-tailed rays run to inf.
+    The frame comes from the members alone: z = c + r L (cos phi, sin phi),
+    Jacobian det(L) r, with c the first member's mean and L the Cholesky
+    factor of the members' average scale matrix.  Balancing the frame keeps
+    every member near isotropic in it, which keeps the angular integrand's
+    strip of analyticity wide.  In phi: the periodic trapezoid rule
+    (Trefethen and Weideman, SIAM Rev. 56, 2014), doubling on nested nodes
+    until two totals agree within max(abs_tol, rel_tol |I|), up to
+    max_subdivisions blocks of angles.  In r: tanh-sinh (Takahasi and Mori,
+    1974), one call per block of angles, each ray split where it crosses
+    the support ellipse of a compact member and ended at the last crossing;
+    heavy-tailed rays run to inf.
     """
-    cx, cy = center
+    cx, cy = members[0].mean
+    chol = np.linalg.cholesky(sum(nu.cov for nu in members) / len(members))
     det = chol[0, 0] * chol[1, 1]
     compact = [nu for nu in members if math.isfinite(nu.support_threshold())]
 
@@ -216,8 +220,7 @@ def _xlogm(a: np.ndarray, b: np.ndarray, m: float) -> np.ndarray:
 def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Entropy integral f log_m f of a bivariate member, by quadrature.
 
-    Centred at the mean and whitened by the member's own scale matrix, so
-    the integrand is radial.
+    The polar rule's frame is the member's own, so the integrand is radial.
     """
     cfg = cfg or QuadratureConfig()
 
@@ -225,7 +228,7 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
         fv = nu.density(x, y)
         return _xlogm(fv, fv, nu.m)
 
-    return _polar_quad(integrand, nu.mean, np.linalg.cholesky(nu.cov), [nu], cfg)
+    return _polar_quad(integrand, [nu], cfg)
 
 
 def m_rel_entropy_quad(
@@ -244,9 +247,9 @@ def m_rel_entropy_quad(
 
     which share no cancellation pattern and therefore cross-check each
     other.  The polar rule is centred at f's mean (inside both supports
-    when supp f lies inside supp g) and whitened by g's scale matrix.  For
-    m < 1 this is the honest integral even when the supports are not
-    nested (the closed form then differs).
+    when supp f lies inside supp g) and whitened by the average of f's and
+    g's scale matrices.  For m < 1 this is the honest integral even when
+    the supports are not nested (the closed form then differs).
     """
     cfg = cfg or QuadratureConfig()
     if f_biv.m != g_biv.m:
@@ -264,38 +267,41 @@ def m_rel_entropy_quad(
             t = _xlogm(fv, fv, m) + (1.0 - m) * glg - (2.0 - m) * _xlogm(fv, gv, m)
         return t / (2.0 - m)
 
-    return _polar_quad(integrand, f_biv.mean, np.linalg.cholesky(g_biv.cov), [f_biv, g_biv], cfg)
+    return _polar_quad(integrand, [f_biv, g_biv], cfg)
 
 
 class ThetaMin(NamedTuple):
+    """Minimizer and minimum; converged is False when any quadrature the
+    search evaluated did not converge."""
+
     theta: float
     value: float
+    converged: bool
 
 
-def minimize_theta(
-    p_biv: MBivariate,
-    nu1: float,
-    xi1: float,
-    nu2: float,
-    xi2: float,
-    cfg: QuadratureConfig | None = None,
-) -> ThetaMin:
+def minimize_theta(p_biv: MBivariate, nu1: float, xi1: float, nu2: float, xi2: float) -> ThetaMin:
     """Minimize theta -> H_m(N_m(nu1, xi1^2, nu2, xi2^2, theta) || P) by
-    grid search and golden section.
+    grid search and bounded Brent.
 
     The search runs in t = atanh(theta): minimizers cluster near |theta|
     = 1 (the reference coupling's own correlation approaches 1 as the step
-    size shrinks), where a uniform theta grid has no resolution.  The
-    objective is the polar quadrature, whose noise sits near rounding
-    level, so golden section alone brackets the vertex to 1e-5 in t (and
-    therefore in theta).  Raises DomainError when the objective is flat
-    over the coarse grid (degenerate family).
+    size shrinks), where a uniform theta grid has no resolution.  A 17-point
+    grid on |theta| <= 0.9995 brackets the argmin; when it sits at a grid
+    end, that side alone is extended a grid step at a time until the
+    objective turns up again.  scipy's bounded Brent then resolves the
+    vertex to 1e-5 in t (and therefore in theta) within one grid step of
+    the best point.  Raises DomainError when the objective is flat over the
+    grid (degenerate family) or the walk reaches a correlation that rounds
+    to +-1.
     """
-    cfg = cfg or QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
+    converged = True
 
     def obj(t: float) -> float:
+        nonlocal converged
         qv = MBivariate(nu1, nu2, xi1, xi2, math.tanh(t), p_biv.mparams)
-        return m_rel_entropy_quad(qv, p_biv, cfg).value
+        res = m_rel_entropy_quad(qv, p_biv)
+        converged = converged and res.converged
+        return res.value
 
     t_max = math.atanh(0.9995)
     grid = np.linspace(-t_max, t_max, 17)
@@ -303,23 +309,14 @@ def minimize_theta(
     if max(vals) - min(vals) < 1e-13:
         raise DomainError("flat objective over the correlation grid")
     i = int(np.argmin(vals))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > 1e-5:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj(d)
-    t_star = 0.5 * (a + b)
-    return ThetaMin(theta=math.tanh(t_star), value=obj(t_star))
+    t, f, dt = float(grid[i]), vals[i], float(grid[1] - grid[0])
+    step = dt if i else -dt
+    # an argmin at a grid end walks outward on that side alone until the
+    # objective turns up; MBivariate raises DomainError once tanh rounds to 1
+    while i in (0, len(grid) - 1) and (f_out := obj(t + step)) < f:
+        t, f = t + step, f_out
+    res = minimize_scalar(obj, bounds=(t - dt, t + dt), method="bounded", options={"xatol": 1e-5})
+    return ThetaMin(theta=math.tanh(res.x), value=float(res.fun), converged=converged)
 
 
 def theta_family_minimizer(p_biv: MBivariate, xi1: float, xi2: float) -> float:

@@ -45,6 +45,25 @@ def _g(q, mu=0.0, sigma=1.0):
     return QGaussian1D(mu=mu, sigma=sigma, params=make_params(q, 1))
 
 
+@pytest.fixture
+def polar_results(monkeypatch):
+    """Every result of the 2D polar rule computed during the test."""
+    results = []
+    polar = oracle._polar_quad
+
+    def record(*args):
+        res = polar(*args)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(oracle, "_polar_quad", record)
+    return results
+
+
+def _converged_detail(results):
+    return f"{sum(r.converged for r in results)}/{len(results)} polar calls converged"
+
+
 def _slope(hs, errs):
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
@@ -94,7 +113,7 @@ def _draw_m(rng):
     return 0.05 + u if u < 0.9 else 1.05 + (u - 0.9)
 
 
-def test_criterion_03_closed_entropies_vs_quadrature():
+def test_criterion_03_closed_entropies_vs_quadrature(polar_results):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250303)
     # tighter than the default config, so the 1e-6 check below sits far
@@ -152,13 +171,14 @@ def test_criterion_03_closed_entropies_vs_quadrature():
             quad = oracle.entropy_quad_2d(nu_a).value - oracle.entropy_quad_2d(nu_b).value
             worst_ent = max(worst_ent, abs(quad / closed - 1.0))
     dt = time.perf_counter() - t0
-    ok = worst_mrel <= 1e-6 and worst_ent <= 1e-6 and dt < 120.0
+    converged = all(r.converged for r in polar_results)
+    ok = worst_mrel <= 1e-6 and worst_ent <= 1e-6 and converged and dt < 120.0
     _report(3, ok, f"50 instances, m in (0.05,0.95)u(1.05,1.45): max rel dev "
                    f"m-rel {worst_mrel:.2e}, entropy-diff {worst_ent:.2e} (tol 1e-6); "
-                   f"{dt:.1f}s (budget 120s)")
+                   f"{_converged_detail(polar_results)}; {dt:.1f}s (budget 120s)")
 
 
-def test_criterion_04_theta_minimization_and_pythagoras():
+def test_criterion_04_theta_minimization_and_pythagoras(polar_results):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250404)
     member_cfg = oracle.QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
@@ -181,10 +201,12 @@ def test_criterion_04_theta_minimization_and_pythagoras():
             gap = oracle.pythagorean_gap(member, qstar_biv, p_biv, member_cfg, h_qstar_p)
             worst_gap = max(worst_gap, abs(gap.gap))
     dt = time.perf_counter() - t0
-    ok = worst_theta <= 1e-5 and worst_gap <= 1e-6 and dt < 120.0
+    converged = all(r.converged for r in polar_results)
+    ok = worst_theta <= 1e-5 and worst_gap <= 1e-6 and converged and dt < 120.0
     _report(4, ok, f"2 instances (m=1.15, 4/3): max |theta*-analytic| {worst_theta:.2e} "
                    f"(tol 1e-5), max Pythagorean gap {worst_gap:.2e} (tol 1e-6) over "
-                   f"20 members each; {dt:.1f}s (budget 120s)")
+                   f"20 members each; {_converged_detail(polar_results)}; "
+                   f"{dt:.1f}s (budget 120s)")
 
 
 def test_criterion_05_rate_functional_vanishes_on_flow():

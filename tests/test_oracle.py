@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow import oracle
-from qflow.functionals import entropy_diff, jko_step, q0h
+from qflow.functionals import StepPair, entropy_diff, jh, jko_step, q0h
 from qflow.qgaussian import (
     QGaussian1D,
     entropy_diff_closed,
@@ -197,6 +197,62 @@ def test_minimize_theta_matches_analytic():
     eta = oracle.theta_family_minimizer(p_biv, xi1, xi2)
     assert res.theta == pytest.approx(eta, abs=1e-5)
     assert res.value > 0.0
+    assert res.converged
+
+
+def test_minimize_theta_extends_past_the_grid_at_small_step():
+    # the flow coupling's correlation lies beyond the grid's |theta| <= 0.9995
+    p = make_params(1.2, 1)
+    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
+    g = QGaussian1D(mu=0.0, sigma=1.3, params=p)
+    h = 1e-3
+    root_c = math.sqrt(p.C)
+    res = oracle.minimize_theta(q0h(g0, h), 0.0, root_c, 0.0, 1.3 * root_c)
+    assert res.converged
+    assert res.theta == pytest.approx(1.0 - StepPair(g, g0, h).delta, abs=1e-6)
+    assert res.value == pytest.approx(jh(g, g0, h), rel=1e-9)
+
+
+def _theta_objective(monkeypatch, value_of_t, converged_at=lambda t: True):
+    """Replace the search's quadrature by value_of_t(atanh(theta)); return
+    the reference coupling and the list of t at which the search evaluates
+    the objective."""
+    p_biv = q0h(QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.2, 1)), 0.05)
+    seen = []
+
+    def fake(qv, _ref):
+        t = math.atanh(qv.theta)
+        seen.append(t)
+        return oracle.QuadResult(value_of_t(t), 0.0, converged_at(t), "")
+
+    monkeypatch.setattr(oracle, "m_rel_entropy_quad", fake)
+    return p_biv, seen
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_minimize_theta_extends_only_the_argmin_side(monkeypatch, side):
+    t_max = math.atanh(0.9995)
+    p_biv, seen = _theta_objective(monkeypatch, lambda t: (t - side * 5.0) ** 2)
+    res = oracle.minimize_theta(p_biv, 0.0, 1.0, 0.0, 1.0)
+    assert math.atanh(res.theta) == pytest.approx(side * 5.0, abs=1e-5)
+    assert res.converged
+    assert min(side * t for t in seen) >= -t_max * (1.0 + 1e-12)
+
+
+def test_minimize_theta_reports_any_unconverged_evaluation(monkeypatch):
+    # only the grid's first point fails, far from the minimizer
+    p_biv, _ = _theta_objective(monkeypatch, lambda t: (t - 1.0) ** 2, lambda t: t > -3.0)
+    res = oracle.minimize_theta(p_biv, 0.0, 1.0, 0.0, 1.0)
+    assert math.atanh(res.theta) == pytest.approx(1.0, abs=1e-5)
+    assert not res.converged
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_minimize_theta_raises_when_the_minimizer_rounds_to_one(monkeypatch, side):
+    p_biv, seen = _theta_objective(monkeypatch, lambda t: -side * t)
+    with pytest.raises(DomainError):
+        oracle.minimize_theta(p_biv, 0.0, 1.0, 0.0, 1.0)
+    assert min(side * t for t in seen) >= -math.atanh(0.9995) * (1.0 + 1e-12)
 
 
 def test_pythagorean_identity_spot():

@@ -182,8 +182,7 @@ def test_bivariate_mass():
     cfg = oracle.QuadratureConfig()
     for m in (0.5, 1.3, 1.45):
         nu = make_bivariate(0.1, -0.2, 0.9, 1.4, 0.35, m)
-        chol = np.linalg.cholesky(nu.cov)
-        res = oracle._polar_quad(nu.density, nu.mean, chol, [nu], cfg)
+        res = oracle._polar_quad(nu.density, [nu], cfg)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
