@@ -122,18 +122,36 @@ def render_csv(table: ConvergenceTable) -> str:
         lines.append(f"# {k}={v!r}" if isinstance(v, float) else f"# {k}={v}")
     lines.append(",".join(table.columns))
     for row in table.rows:
-        lines.append(",".join(repr(x) for x in row))
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
+# a row cell sits at depth 3 of the document, so json.dumps(indent=2) puts
+# it after a newline and six spaces
+_encode_rows = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def render_json(table: ConvergenceTable) -> str:
+    """json.dumps(doc, indent=2) + "\\n", byte for byte.
+
+    Rows hold at least one cell.
+    """
     doc = {
         "schema": table.schema,
         "metadata": table.metadata,
         "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
+        "rows": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2)
+    if table.rows:
+        # any indent sends every cell through json's pure-Python encoder,
+        # which dominates a long table.  The rows go through the C encoder
+        # instead, with the cell break as item separator; only the breaks
+        # between rows need their brackets re-indented.  Cells are numbers,
+        # so "],\n      [" occurs nowhere else.
+        rows = _encode_rows(table.rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        text = text[: -len("[]\n}")] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
+    return text + "\n"
 
 
 def render(table: ConvergenceTable, fmt: str) -> str:

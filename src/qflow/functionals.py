@@ -13,9 +13,12 @@ functional is
 
     K_h(N | N_0) = W2^2 / (4h) + (E_q(N) - E_q(N_0)) / 2,
 
-minimized in closed form by jko_step.  The rate-like functional J_h is the
-relative m-entropy (m = 3 - 2/q) of the optimal pair coupling Q* against
-the flow coupling Q_{0->h}; its value reduces to the scalar root eta_h of
+minimized by jko_step: one Newton descent onto the root of its
+stationarity equation, written in the logarithm of the relative scale
+increment, where it is increasing and convex.  The rate-like functional
+J_h is the relative m-entropy (m = 3 - 2/q) of the optimal pair coupling
+Q* against the flow coupling Q_{0->h}; its value reduces to the scalar
+root eta_h of
 
     eta^q / (1 - eta^2) = sigma0^q sigma^(2-q) / (sigma_h^2 - sigma0^2),
 
@@ -78,6 +81,8 @@ __all__ = [
 
 # scipy.optimize.brentq accepts rtol >= 4 * machine epsilon
 _BRENTQ_RTOL = 8.881784197001252e-16
+# jko_step's Newton descent needs at most 9 evaluations; the cap stops a defect
+_NEWTON_MAXITER = 64
 
 
 @dataclass(frozen=True)
@@ -309,10 +314,15 @@ class StepPair:
     def jh(self) -> float:
         p = self.g.params
         m = p.m
-        pref = 0.5 * c1_const(m, 2) * math.exp(
-            (1.0 - m)
-            * (math.log(c0_const(m, 2)) - math.log(p.C * self.g0.sigma) - 0.5 * math.log(self.gap))
+        log_scale = (1.0 - m) * (
+            math.log(c0_const(m, 2)) - math.log(p.C * self.g0.sigma) - 0.5 * math.log(self.gap)
         )
+        try:
+            pref = 0.5 * c1_const(m, 2) * math.exp(log_scale)
+        except OverflowError:
+            raise DomainError(
+                f"J_h prefactor exceeds the double range for q={p.q!r}, gap={self.gap!r}"
+            ) from None
         return pref * (wasserstein2_sq(self.g, self.g0) / (p.C * self.gap) + self.f_h("m"))
 
     def qstar(self) -> MBivariate:
@@ -349,7 +359,9 @@ def jh(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
 
     D = sigma_h^2 - sigma0^2; the last three terms are F_h in its m-form.
     Vanishes exactly at the time-h evolution of g0 (where eta =
-    sigma0/sigma_h) and is positive elsewhere.
+    sigma0/sigma_h) and is positive elsewhere.  Raises DomainError for
+    q >= 4/3 (m >= 3/2) and where the prefactor exceeds the double range
+    (q near 0 at small h, where 1 - m = 2/q - 2 is large).
     """
     return StepPair(g, g0, h).jh()
 
@@ -400,13 +412,21 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
 
         u (1 + u)^(2-q) = r,    r = h / sigma0^(3-q) / (3-q).
 
-    One brentq solves t + (2-q) log1p(e^t) = log r for t = log u: the left
-    side increases strictly, and r (1+r)^(q-2) < u < r gives the bracket
-    [log r - (2-q) log1p(r), log r].  log r is formed in logs where
-    h / sigma0^(3-q) underflows; such an increment, far below sigma0's
-    resolution, rounds the step to sigma0.  u is resolved to about
-    |log u| eps, so sigma is within 2 ulps for u <= 1 and 1e-12 relative
-    above.  Scales that evolve_sigma rejects raise the same DomainError.
+    Newton's method solves f(t) = t + (2-q) log1p(e^t) - log r = 0 for
+    t = log u.  f increases strictly, with f' = 1 + (2-q)/(1+e^-t) in
+    (1, 3-q); it is convex; and f(log r) = (2-q) log1p(r) >= 0.  So the
+    iterates started at t = log r fall monotonically onto the root, each
+    shrinking the distance to it by at least the factor (2-q)/(3-q) and
+    quadratically near it.  The descent stops at the first iterate that
+    does not decrease, where roundoff has taken over, and returns the last
+    one that did: at most 9 evaluations on a dense sweep of log r over its
+    whole range [-1500, 710], and at most 8 over 400k random draws of the
+    documented domain.  Reaching _NEWTON_MAXITER raises RuntimeError.
+    log r is formed in logs where h / sigma0^(3-q) underflows; such an
+    increment, far below sigma0's resolution, rounds the step to sigma0.
+    u is resolved to about |log u| eps, so sigma is within 2 ulps for
+    u <= 1 and 1e-12 relative above.  Scales that evolve_sigma rejects
+    raise the same DomainError.
     """
     _require_h(h)
     q = g0.params.q
@@ -415,10 +435,12 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     v0 = sigma0 ** (3.0 - q)
     x = h / v0
     log_r = (math.log(x) if x > 0.0 else math.log(h) - math.log(v0)) - math.log(3.0 - q)
-    # xtol is absolute in t, that is, relative in u
-    t = brentq(
-        lambda t: t + (2.0 - q) * math.log1p(math.exp(t)) - log_r,
-        log_r - (2.0 - q) * math.log1p(math.exp(log_r)), log_r,
-        xtol=1e-17, rtol=_BRENTQ_RTOL, maxiter=300,
-    )
-    return QGaussian1D(mu=g0.mu, sigma=sigma0 + sigma0 * math.exp(t), params=g0.params)
+    # t <= log r < log(DBL_MAX) once _log_growth has passed, so e^t is finite
+    t = log_r
+    for _ in range(_NEWTON_MAXITER):
+        e = math.exp(t)
+        t_next = t - (t + (2.0 - q) * math.log1p(e) - log_r) / (1.0 + (2.0 - q) * e / (1.0 + e))
+        if not t_next < t:
+            return QGaussian1D(mu=g0.mu, sigma=sigma0 + sigma0 * math.exp(t), params=g0.params)
+        t = t_next
+    raise RuntimeError(f"jko_step: no Newton convergence for q={q!r}, sigma0={sigma0!r}, h={h!r}")

@@ -353,6 +353,7 @@ class PythagoreanGap(NamedTuple):
     h_q_p: float
     h_q_qstar: float
     h_qstar_p: float
+    converged: bool
 
 
 def pythagorean_gap(
@@ -365,17 +366,21 @@ def pythagorean_gap(
     """H(Q||P) - H(Q||Q*) - H(Q*||P), each term by quadrature.
 
     h_qstar_p caches the member-independent term across a family sweep.
+    converged is the AND of the flags of the quadratures run here, so a
+    cached term's own flag is the caller's to check.
     """
     cfg = cfg or QuadratureConfig()
-    h_q_p = m_rel_entropy_quad(q_biv, p_biv, cfg).value
-    h_q_qstar = m_rel_entropy_quad(q_biv, qstar_biv, cfg).value
+    runs = [m_rel_entropy_quad(q_biv, p_biv, cfg), m_rel_entropy_quad(q_biv, qstar_biv, cfg)]
     if h_qstar_p is None:
-        h_qstar_p = m_rel_entropy_quad(qstar_biv, p_biv, cfg).value
+        runs.append(m_rel_entropy_quad(qstar_biv, p_biv, cfg))
+        h_qstar_p = runs[2].value
+    h_q_p, h_q_qstar = runs[0].value, runs[1].value
     return PythagoreanGap(
         gap=h_q_p - h_q_qstar - h_qstar_p,
         h_q_p=h_q_p,
         h_q_qstar=h_q_qstar,
         h_qstar_p=h_qstar_p,
+        converged=all(r.converged for r in runs),
     )
 
 

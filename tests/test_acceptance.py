@@ -184,6 +184,7 @@ def test_criterion_04_theta_minimization_and_pythagoras(polar_results):
     member_cfg = oracle.QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     worst_theta = 0.0
     worst_gap = 0.0
+    gaps_converged = True
     for m in (1.15, 4.0 / 3.0):
         q = 2.0 / (3.0 - m)
         p_biv = q0h(_g(q), 0.05)
@@ -194,14 +195,16 @@ def test_criterion_04_theta_minimization_and_pythagoras(polar_results):
         eta = oracle.theta_family_minimizer(p_biv, xi1, xi2)
         worst_theta = max(worst_theta, abs(res.theta - eta))
         qstar_biv = make_bivariate(0.0, 0.0, xi1, xi2, eta, m_p)
-        h_qstar_p = oracle.m_rel_entropy_quad(qstar_biv, p_biv, member_cfg).value
+        h_qstar_p = oracle.m_rel_entropy_quad(qstar_biv, p_biv, member_cfg)
+        gaps_converged = gaps_converged and h_qstar_p.converged
         for _ in range(20):
             theta = float(rng.uniform(-0.9, 0.9))
             member = make_bivariate(0.0, 0.0, xi1, xi2, theta, m_p)
-            gap = oracle.pythagorean_gap(member, qstar_biv, p_biv, member_cfg, h_qstar_p)
+            gap = oracle.pythagorean_gap(member, qstar_biv, p_biv, member_cfg, h_qstar_p.value)
             worst_gap = max(worst_gap, abs(gap.gap))
+            gaps_converged = gaps_converged and gap.converged
     dt = time.perf_counter() - t0
-    converged = all(r.converged for r in polar_results)
+    converged = gaps_converged and all(r.converged for r in polar_results)
     ok = worst_theta <= 1e-5 and worst_gap <= 1e-6 and converged and dt < 120.0
     _report(4, ok, f"2 instances (m=1.15, 4/3): max |theta*-analytic| {worst_theta:.2e} "
                    f"(tol 1e-5), max Pythagorean gap {worst_gap:.2e} (tol 1e-6) over "

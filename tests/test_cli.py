@@ -5,6 +5,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow import cli, oracle
 from qflow.functionals import entropy_diff, wasserstein2_sq
@@ -188,6 +190,41 @@ def test_jko_rejects_bad_inputs():
                      "--h", "0.01", "--steps", "0"]) == 2
     assert cli.main(["jko", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0.0",
                      "--h", "-0.01", "--steps", "2"]) == 2
+
+
+_CELLS = st.one_of(
+    st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * width), max_size=12))
+    metadata = {"q": 0.8, "steps": 3, "input_sha256": "0f"}
+    columns = tuple(f"c{i}" for i in range(width))
+    return cli.ConvergenceTable(schema="qflow.t.v1", metadata=metadata, columns=columns, rows=rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(table=_tables())
+def test_renderers_match_reference_formulas(table):
+    doc = {
+        "schema": table.schema,
+        "metadata": table.metadata,
+        "columns": list(table.columns),
+        "rows": [list(row) for row in table.rows],
+    }
+    assert cli.render_json(table) == json.dumps(doc, indent=2) + "\n"
+    lines = [f"# schema={table.schema}"]
+    for k, v in table.metadata.items():
+        lines.append(f"# {k}={v!r}" if isinstance(v, float) else f"# {k}={v}")
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(repr(x) for x in row))
+    assert cli.render_csv(table) == "\n".join(lines) + "\n"
 
 
 def test_const_dump(capsys):

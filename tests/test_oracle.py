@@ -270,6 +270,26 @@ def test_pythagorean_identity_spot():
     assert again.gap == pytest.approx(res.gap, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad_call", [0, 1, 2])
+def test_pythagorean_gap_reports_any_unconverged_quadrature(monkeypatch, bad_call):
+    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.2, 1))
+    p_biv = q0h(g0, 0.05)
+    qstar_biv = make_bivariate(0.0, 0.0, 1.4, 1.6, 0.5, p_biv.m)
+    member = make_bivariate(0.0, 0.0, 1.4, 1.6, 0.3, p_biv.m)
+    assert oracle.pythagorean_gap(member, qstar_biv, p_biv).converged
+    calls = []
+    quad = oracle.m_rel_entropy_quad
+
+    def one_unconverged(*args):
+        res = quad(*args)
+        calls.append(res)
+        return res._replace(converged=False) if len(calls) - 1 == bad_call else res
+
+    monkeypatch.setattr(oracle, "m_rel_entropy_quad", one_unconverged)
+    res = oracle.pythagorean_gap(member, qstar_biv, p_biv)
+    assert len(calls) == 3 and not res.converged
+
+
 def test_minimize_kh_grid_matches_implicit_step():
     g0 = QGaussian1D(mu=0.5, sigma=1.0, params=make_params(0.8, 1))
     h = 0.05
