@@ -1,11 +1,14 @@
 """Byte-for-byte comparison of CLI tables against stored golden files.
 
 The files under tests/data/golden were written by the same cli.main calls
-and pin every float the gamma and jko tables print: a refactor of the
-functionals must reproduce them bit for bit.  To regenerate after an
-intended numerical change, run this module as a script.
+and pin every float the gamma and jko tables and the const documents
+print: a refactor of the functionals or the constants pipeline must
+reproduce them bit for bit.  To regenerate after an intended numerical
+change, run this module as a script.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -45,6 +48,19 @@ CASES = {
 }
 CASES.update({f"jko-q{q}.csv": _jko(q) for q in ("0.3", "0.8", "1.2", "1.6")})
 CASES["jko-q1.2.json"] = _jko("1.2") + ["--format", "json"]
+# const has no --out; its document is captured from stdout
+CONST_CASES = {
+    f"const-q{q}-d{d}.json": ["const", "--q", q, "--d", d]
+    for q, d in [("0.35", "1"), ("0.8", "1"), ("1.2", "1"), ("1.45", "1"), ("1.5", "1"),
+                 ("0.5", "2"), ("1.2", "2"), ("1.3333333333333333", "2")]
+}
+
+
+def _const_bytes(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue().encode("ascii")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -54,8 +70,18 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CONST_CASES))
+def test_const_output_matches_golden(name):
+    assert _const_bytes(CONST_CASES[name]) == (0, (GOLDEN_DIR / name).read_bytes())
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, argv in CASES.items():
         if cli.main(argv + ["--out", str(GOLDEN_DIR / name)]) != 0:
             sys.exit(f"{name}: cli.main failed")
+    for name, argv in CONST_CASES.items():
+        code, text = _const_bytes(argv)
+        if code != 0:
+            sys.exit(f"{name}: cli.main failed")
+        (GOLDEN_DIR / name).write_bytes(text)
