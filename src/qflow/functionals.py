@@ -122,10 +122,19 @@ def _require_h(h: float) -> None:
 
 
 def wasserstein2_sq(g1: QGaussian1D, g2: QGaussian1D) -> float:
-    """Squared 2-Wasserstein distance C (sigma1-sigma2)^2 + (mu1-mu2)^2."""
+    """Squared 2-Wasserstein distance C (sigma1-sigma2)^2 + (mu1-mu2)^2.
+
+    Raises DomainError where it exceeds the double range.
+    """
     _require_same_family(g1, g2)
     c = g1.params.C
-    return c * (g1.sigma - g2.sigma) ** 2 + (g1.mu - g2.mu) ** 2
+    try:
+        w2 = c * (g1.sigma - g2.sigma) ** 2 + (g1.mu - g2.mu) ** 2
+    except OverflowError:
+        w2 = math.inf
+    if w2 == math.inf:
+        raise DomainError(f"W2^2 exceeds the double range for sigma={g1.sigma!r}, mu={g1.mu!r}")
+    return w2
 
 
 def _entropy_b(p: QParams, sigma0: float) -> float:
@@ -183,7 +192,8 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> EtaSolv
     G(delta) = (1-delta)^q - delta (2-delta) rhs is strictly decreasing
     with G(0) = 1 and G(1) = -rhs, so the bracket [0, 1] always holds the
     unique root.  A root that rounds to delta = 1 (eta below double
-    resolution) raises DomainError.
+    resolution) and a right-hand side outside the double range raise
+    DomainError.
     """
     if not (sigma > 0.0 and sigma0 > 0.0):
         raise DomainError("sigma and sigma0 must be positive")
@@ -191,7 +201,12 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> EtaSolv
         raise DomainError(f"variance gap must be positive, got {gap!r}")
     if not q > 0.0:
         raise DomainError(f"q must be positive, got {q!r}")
-    rhs = sigma0**q * sigma ** (2.0 - q) / gap
+    try:
+        rhs = sigma0**q * sigma ** (2.0 - q) / gap
+    except OverflowError:
+        rhs = math.inf
+    if not rhs < math.inf:
+        raise DomainError(f"coupling equation overflows for sigma={sigma!r}, gap={gap!r}")
 
     def g_of_delta(delta: float) -> float:
         eta_pow_q = 0.0 if delta >= 1.0 else math.exp(q * math.log1p(-delta))
@@ -271,12 +286,16 @@ def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) ->
     the difference is sigma0^2 (eps x - expm1(eps log1p(x))), nonnegative
     for q < 1 by Bernoulli's inequality; a final term corrects for the
     printed-pipeline b differing from sigma0^(q-1)/(3-q) by roundoff.
+    Raises DomainError where 2 h D underflows to 0.
     """
     eps = 2.0 / (3.0 - q)
     x = h / sigma0 ** (3.0 - q)
     b_exact = sigma0 ** (q - 1.0) / (3.0 - q)
     num = sigma0 * sigma0 * (eps * x - math.expm1(eps * math.log1p(x))) + 2.0 * h * (b - b_exact)
-    return num / (2.0 * h * gap)
+    den = 2.0 * h * gap
+    if not den > 0.0:
+        raise DomainError(f"2 h D underflows to 0 for h={h!r}, gap={gap!r}")
+    return num / den
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,16 @@ def sigma_sq_gap(sigma0: float, h: float, q: float) -> float:
 
     Computed as sigma0^2 * expm1((2/(3-q)) log1p(h / sigma0^(3-q))), which
     keeps full relative precision down to h ~ 1e-300; squaring and
-    subtracting evolve_sigma would keep ~6 digits at h = 1e-10.
+    subtracting evolve_sigma would keep ~6 digits at h = 1e-10.  Raises
+    DomainError where the gap exceeds the double range.
     """
-    return sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * _log_growth(sigma0, h, q))
+    try:
+        gap = sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * _log_growth(sigma0, h, q))
+    except OverflowError:
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise DomainError(f"sigma_h^2 - sigma0^2 overflows for sigma0={sigma0!r}, h={h!r}")
+    return gap
 
 
 def theta_map_1d(v: float, q: float) -> float:

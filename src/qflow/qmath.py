@@ -27,10 +27,8 @@ with C0 the normalization of the unit-scale q-Gaussian (a Gamma-function
 ratio).  Parameters are valid on Q_d = (0, 1) u (1, (d+4)/(d+2)), where
 the solution has finite mass and second moments.
 
-Gamma functions are evaluated with the 13-term rational Lanczos
-approximation (g = 6.0246800407767296, the coefficient set used by Boost
-and CPython), through log-gamma so that arguments of order 1e4 (q near 1)
-stay representable.
+Gamma-function ratios are evaluated with log-gamma from the standard
+library (``math.lgamma``).
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ __all__ = [
     "q_exp",
     "q_log",
     "q_log_pow",
-    "lgamma_pos",
-    "gamma_pos",
     "gamma_ratio",
     "c1_const",
     "c0_const",
@@ -60,99 +56,15 @@ class DomainError(ValueError):
     """Raised when an argument leaves the domain a formula is valid on."""
 
 
-# Lanczos approximation, g = 6.024680040776729583740234375, in the rational
-# form num(x)/den(x) with both polynomials of degree 12 (coefficients in
-# ascending powers).  The square root of 2 pi is folded into the numerator,
-# and den(x) = x (x+1) ... (x+11).  Relative error of the resulting Gamma is
-# a few ulp over the arguments used here (all >= 0.5).
-_LANCZOS_G = 6.024680040776729583740234375
-
-_LANCZOS_NUM = (
-    23531376880.410759688572007674451636754734846804940,
-    42919803642.649098768957899047001988850926355848959,
-    35711959237.355668049440185451547166705960488635843,
-    17921034426.037209699919755754458931112671403265390,
-    6039542586.3520280050642916443072979210699388420708,
-    1439720407.3117216736632230727949123939715485786772,
-    248874557.86205415651146038641322942321632125127801,
-    31426415.585400194380614231628318205362874684987640,
-    2876370.6289353724412254090516208496135991145378768,
-    186056.26539522349504029498971604569928220784236328,
-    8071.6720023658162106380029022722506138218516325024,
-    210.82427775157934587250973392071336271166969580291,
-    2.5066282746310002701649081771338373386264310793408,
-)
-
-_LANCZOS_DEN = (
-    0.0,
-    39916800.0,
-    120543840.0,
-    150917976.0,
-    105258076.0,
-    45995730.0,
-    13339535.0,
-    2637558.0,
-    357423.0,
-    32670.0,
-    1925.0,
-    66.0,
-    1.0,
-)
-
-
-def _lanczos_sum(x: float) -> float:
-    num = 0.0
-    den = 0.0
-    if x < 5.0:
-        for i in range(len(_LANCZOS_NUM) - 1, -1, -1):
-            num = num * x + _LANCZOS_NUM[i]
-            den = den * x + _LANCZOS_DEN[i]
-    else:
-        # Horner in 1/x: rescales num and den by x^(1-n) so large x cannot
-        # overflow the partial sums.
-        for i in range(len(_LANCZOS_NUM)):
-            num = num / x + _LANCZOS_NUM[i]
-            den = den / x + _LANCZOS_DEN[i]
-    return num / den
-
-
-def lgamma_pos(x: float) -> float:
-    """ln Gamma(x) for x > 0 via the Lanczos sum.
-
-    For 0 < x < 0.5 one recurrence step ln Gamma(x) = ln Gamma(x+1) - ln x
-    keeps the approximation on its accurate range.
-    """
-    if not x > 0.0:
-        raise DomainError(f"lgamma_pos requires x > 0, got {x!r}")
-    if x < 0.5:
-        return lgamma_pos(x + 1.0) - math.log(x)
-    y = x + _LANCZOS_G - 0.5
-    return math.log(_lanczos_sum(x)) - _LANCZOS_G + (x - 0.5) * (math.log(y) - 1.0)
-
-
-def gamma_pos(x: float) -> float:
-    """Gamma(x) for x > 0, +inf once past the double-precision range."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_pos requires x > 0, got {x!r}")
-    if x > 171.63:
-        return math.inf
-    if x < 0.5:
-        return gamma_pos(x + 1.0) / x
-    y = x + _LANCZOS_G - 0.5
-    r = _lanczos_sum(x) / math.exp(y)
-    if x < 140.0:
-        r *= y ** (x - 0.5)
-    else:
-        # split the power so the intermediate stays finite up to x ~ 171.6
-        half = y ** (x / 2.0 - 0.25)
-        r *= half
-        r *= half
-    return r
-
-
 def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) for a, b > 0, stable for large arguments."""
-    return math.exp(lgamma_pos(a) - lgamma_pos(b))
+    """Gamma(a)/Gamma(b) for a, b > 0, stable for large arguments.
+
+    Goes through log-gamma so that arguments of order 1e4 (q near 1) stay
+    representable.
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"gamma_ratio requires a, b > 0, got {a!r}, {b!r}")
+    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 def q_domain_upper(d: int) -> float:

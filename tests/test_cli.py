@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -143,16 +145,93 @@ def test_gamma_non_finite_member_exits_2(flag, value, capsys):
         ["jko", "--q", "1.2", "--sigma0", "1e-300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
         ["jko", "--q", "1.2", "--sigma0", "1e300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
         ["jko", "--q", "1.6", "--sigma0", "1e300", "--mu0", "0", "--h", "0.1", "--steps", "2"],
+        # (sigma - sigma0)^2 overflows in W2^2
+        ["gamma", "--statement", "1", "--q", "1.0878824971138987", "--sigma0", "4.058076962445592e-65",
+         "--mu0", "1167831400647.7031", "--mu", "1e-16", "--sigma", "1.0064392324088238e+287",
+         "--h-grid", "2.7420359758233935e-104:1.0848316970594007e-115:5"],
+        # the right-hand side of the coupling equation overflows
+        ["gamma", "--statement", "3", "--q", "0.9999999999999999", "--sigma0", "1e+16",
+         "--mu0", "3.6707169444052744e+155", "--mu", "1.2392305211829324e-157",
+         "--sigma", "2.6525231134091333e+300",
+         "--h-grid", "6.646959661914827e-50:7.790860813864592e-66:3"],
+        # 2 h D underflows to 0 in the third rescaling
+        ["gamma", "--statement", "3", "--q", "0.9999999999999999", "--sigma0", "2.0", "--mu0", "0.0",
+         "--mu", "6.857263727928515e+301", "--sigma", "439005277093006.75",
+         "--h-grid", "8.324108752819563e-280:2.6550457588522826e-291:2"],
+        # the variance gap overflows in expm1
+        ["gamma", "--statement", "2", "--q", "1.6543315976418111", "--sigma0", "2.1492358407748533e-232",
+         "--mu0", "5.5270832042003905e+205", "--mu", "3.9815607996271274e-107",
+         "--sigma", "4.8441542084402344e-210",
+         "--h-grid", "4.319173739008966e-99:1.7620555818752094e-108:2"],
     ],
     ids=["gamma-sigma0-1e300", "gamma-sigma0-1e-300", "jko-sigma0-1e300", "gamma-sigma-1e-300",
          "jko-q0.8-sigma0-1e-300", "jko-q1.2-sigma0-1e-300", "jko-q1.2-sigma0-1e300",
-         "jko-q1.6-sigma0-1e300"],
+         "jko-q1.6-sigma0-1e300", "gamma-w2-overflow", "gamma-eta-rhs-overflow",
+         "gamma-third-den-underflow", "gamma-gap-overflow"],
 )
 def test_extreme_finite_scales_exit_2(args, capsys):
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+_DBL_MAX = 1.7976931348623157e308
+
+# q at the edges of Q_1 (1 +- 1 ulp, 5/3 - 1 ulp) and far outside it
+_Q = st.one_of(
+    st.sampled_from([5e-324, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                     math.nextafter(5.0 / 3.0, 0.0), math.nan]),
+    st.floats(min_value=5e-324, max_value=2.0),
+)
+_MAGNITUDE = st.one_of(
+    st.sampled_from([5e-324, _DBL_MAX, math.inf, math.nan]),
+    st.floats(min_value=5e-324, max_value=_DBL_MAX),
+)
+_SIGNED = st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda x: -x), st.just(0.0))
+_H = st.floats(min_value=1e-320, max_value=_DBL_MAX)
+
+
+def _opt(name, value):
+    # --name=value keeps a negative number from reading as an option
+    return f"--{name}={value!r}"
+
+
+@st.composite
+def _h_grids(draw):
+    stop, start = sorted([draw(_H), draw(_H)])
+    return f"{start!r}:{stop!r}:{draw(st.integers(min_value=2, max_value=5))}"
+
+
+_GAMMA_ARGV = st.builds(
+    lambda statement, q, sigma0, mu0, mu, sigma, grid: [
+        "gamma", _opt("statement", statement), _opt("q", q), _opt("sigma0", sigma0),
+        _opt("mu0", mu0), _opt("mu", mu), _opt("sigma", sigma), f"--h-grid={grid}",
+    ],
+    st.integers(min_value=1, max_value=3), _Q, _SIGNED, _SIGNED, _SIGNED, _SIGNED, _h_grids(),
+)
+_JKO_ARGV = st.builds(
+    lambda q, sigma0, mu0, h, steps: [
+        "jko", _opt("q", q), _opt("sigma0", sigma0), _opt("mu0", mu0), _opt("h", h),
+        _opt("steps", steps),
+    ],
+    _Q, _SIGNED, _SIGNED, _H, st.integers(min_value=0, max_value=4),
+)
+_CONST_ARGV = st.builds(
+    lambda q, d: ["const", _opt("q", q), _opt("d", d)], _Q, st.integers(min_value=0, max_value=3)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(argv=st.one_of(_GAMMA_ARGV, _JKO_ARGV, _CONST_ARGV))
+def test_cli_exit_codes(argv):
+    # a table (0) or a domain error (2), never a traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
 
 
 def test_jko_table(tmp_path, capsys):
@@ -323,8 +402,6 @@ def test_run_config_validation():
         cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_start=1e-6, h_stop=1e-1)
     with pytest.raises(DomainError):
         cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=1)
-    with pytest.raises(DomainError):
-        cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, fmt="yaml")
     grid = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4).h_grid()
     assert len(grid) == 11
     assert grid[0] == pytest.approx(1e-1) and grid[-1] == pytest.approx(1e-6)

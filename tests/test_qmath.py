@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,10 +9,8 @@ from qflow.qmath import (
     alpha_const,
     c0_const,
     c1_const,
-    gamma_pos,
     gamma_ratio,
     in_q_domain,
-    lgamma_pos,
     make_params,
     q_domain_upper,
     q_exp,
@@ -20,7 +19,7 @@ from qflow.qmath import (
 )
 
 # Reference values computed with 50-digit arithmetic (mpmath), independent
-# of the Lanczos evaluation under test.
+# of the log-gamma evaluation under test.
 FROZEN_C0 = {
     (0.8, 1): 0.3753976913907068,
     (1.2, 1): 0.4399902295225912,
@@ -51,36 +50,68 @@ def test_big_b_frozen():
     assert make_params(1.2, 1).B == pytest.approx(FROZEN_B_12_1, rel=1e-14)
 
 
-def test_lanczos_matches_stdlib():
-    xs = np.concatenate([
-        np.linspace(0.05, 0.45, 9),
-        np.linspace(0.5, 10.0, 39),
-        np.geomspace(10.0, 170.0, 25),
-    ])
-    for x in xs:
-        x = float(x)
-        assert gamma_pos(x) == pytest.approx(math.gamma(x), rel=1e-13)
-        assert lgamma_pos(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
+def _mp_c0(q, d):
+    """C0(q, d) from 50-digit Gamma functions, same formula as c0_const."""
+    with mpmath.workdps(50):
+        q, half_d = mpmath.mpf(q), mpmath.mpf(d) / 2
+        c1 = 2 / (2 + (d + 2) * (1 - q))
+        if q < 1:
+            z = (2 - q) / (1 - q)
+            return mpmath.gamma(z + half_d) / mpmath.gamma(z) * ((1 - q) * c1 / (2 * mpmath.pi)) ** half_d
+        z = 1 / (q - 1)
+        return mpmath.gamma(z) / mpmath.gamma(z - half_d) * ((q - 1) * c1 / (2 * mpmath.pi)) ** half_d
 
 
-def test_gamma_pos_overflow_saturates():
-    assert gamma_pos(172.0) == math.inf
-    assert gamma_pos(171.6) != math.inf
+def _mp_rel_err(value, ref):
+    with mpmath.workdps(50):
+        return float(abs((mpmath.mpf(value) - ref) / ref))
+
+
+# q on a 0.05 grid over Q_d, at least 0.05 away from the q = 1 pole
+_C0_GRID = [
+    (q, d)
+    for d in (1, 2)
+    for q in (round(0.05 * k, 2) for k in range(1, 34))
+    if in_q_domain(q, d) and abs(q - 1.0) >= 0.05
+]
+
+# Next to q = 1 the Gamma arguments are of order 1/|1-q| and the ratio is
+# the exponential of a difference of two large log-gammas, which cancels
+# (the FOUND line on qmath.c0_const in CHANGES.md).  These cases miss the
+# grid's bound until that is mended; strict, so a fix shows up as XPASS.
+_NEAR_POLE = pytest.mark.xfail(strict=True, reason="c0_const cancels next to q = 1")
+
+
+@pytest.mark.parametrize(
+    "q,d",
+    _C0_GRID + [pytest.param(q, d, marks=_NEAR_POLE) for q, d in [(0.999, 1), (1.001, 1), (1.0001, 2)]],
+)
+def test_c0_matches_mpmath(q, d):
+    assert _mp_rel_err(c0_const(q, d), _mp_c0(q, d)) <= 2e-14
+
+
+@_NEAR_POLE
+def test_gamma_ratio_large_arguments_full_precision():
+    with mpmath.workdps(50):
+        ref = mpmath.gamma(mpmath.mpf(1e4 + 0.5)) / mpmath.gamma(mpmath.mpf(1e4))
+    assert _mp_rel_err(gamma_ratio(1e4 + 0.5, 1e4), ref) <= 2e-14
 
 
 def test_gamma_ratio_large_arguments():
-    # direct Gamma would overflow; the log route must survive q -> 1
-    assert gamma_ratio(1e4 + 0.5, 1e4) == pytest.approx(
-        math.exp(math.lgamma(1e4 + 0.5) - math.lgamma(1e4)), rel=1e-12
-    )
+    # Gamma(1e4) overflows; the log route survives q -> 1, within the error
+    # of rounding log Gamma(1e4 + 0.5) ~ 8.2e4 to a double
+    a, b = 1e4 + 0.5, 1e4
+    with mpmath.workdps(50):
+        ref = mpmath.gamma(mpmath.mpf(a)) / mpmath.gamma(mpmath.mpf(b))
+    assert _mp_rel_err(gamma_ratio(a, b), ref) <= 2.0 * math.lgamma(a) * 2.0**-52
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_gamma_domain_errors(bad):
     with pytest.raises(DomainError):
-        gamma_pos(bad)
+        gamma_ratio(bad, 1.5)
     with pytest.raises(DomainError):
-        lgamma_pos(bad)
+        gamma_ratio(1.5, bad)
 
 
 def test_q_exp_exact_rational_point():
