@@ -12,7 +12,8 @@ Subcommands:
 * ``verify``: runs the named invariant checks (closed forms against the
   quadrature oracle, constant identities, convergence orders) and emits a
   machine-readable report; exit code 0 only if every check passes.  A
-  check is one measure function plus one row of the check table; a nan
+  check is one measure function plus one row of the check table in
+  ``qflow.checks``, which is imported only when verify runs; a nan
   measurement fails its check.
 * ``const``: dumps the constants pipeline for one (q, d) as JSON.
 
@@ -33,23 +34,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from . import oracle
-from .functionals import (
-    StepPair,
-    entropy_diff,
-    f_h,
-    jh,
-    jko_step,
-    rescaled_first,
-    rescaled_second,
-    solve_eta,
-    wasserstein2_sq,
-)
-from .pme_flow import barenblatt_density, evolve_sigma, pde_residual, theta_map_1d
-from .qgaussian import QGaussian1D, m_rel_entropy_closed, make_bivariate
-from .qmath import DomainError, QParams, make_params, q_exp, q_log
+from .functionals import StepPair, entropy_diff, jko_step, wasserstein2_sq
+from .pme_flow import evolve_sigma
+from .qgaussian import QGaussian1D
+from .qmath import DomainError, QParams, make_params
 
 GAMMA_SCHEMA = "qflow.gamma.v1"
 JKO_SCHEMA = "qflow.jko.v1"
@@ -264,7 +252,7 @@ class CheckResult:
 Check = Callable[[str, Sequence[QParams] | None], CheckResult]
 
 
-def _check(
+def make_check(
     name: str, tolerance: float, detail: str, measure: Callable, target: float | None = None
 ) -> Check:
     """One row of the check table as a (scope, params) -> CheckResult callable.
@@ -295,198 +283,9 @@ def _check(
     return run
 
 
-def _loglog_slope(hs: Sequence[float], errs: Sequence[float]) -> float:
-    lh = np.log(np.asarray(hs))
-    le = np.log(np.asarray(errs))
-    return float(np.polyfit(lh, le, 1)[0])
-
-
-def _roundtrip_errors():
-    rng = np.random.default_rng(20240817)
-    for _ in range(200):
-        q = float(rng.uniform(0.05, 1.6))
-        if abs(q - 1.0) < 1e-3:
-            continue
-        t = float(rng.uniform(0.05, 20.0))
-        yield abs(q_exp(q_log(t, q), q) / t - 1.0)
-
-
-def _product_rule_errors():
-    rng = np.random.default_rng(20240818)
-    for _ in range(200):
-        q = float(rng.uniform(0.05, 1.6))
-        x = float(rng.uniform(0.1, 5.0))
-        y = float(rng.uniform(0.1, 5.0))
-        lhs = q_log(x * y, q)
-        rhs = q_log(x, q) + x ** (1.0 - q) * q_log(y, q)
-        yield abs(lhs - rhs) / max(1.0, abs(lhs))
-
-
-def _constant_identity_errors(params: Sequence[QParams] | None = None):
-    qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
-    for p in params if params is not None else [make_params(q, 1) for q in qs]:
-        q = p.q
-        lhs = p.C ** ((3.0 - q) / 2.0)
-        rhs = (3.0 - q) * (2.0 - q) * p.c1_q_d * p.c0_q_d ** (1.0 - q)
-        yield abs(lhs / rhs - 1.0)
-
-
-_MOMENT_INSTANCES = [(0.3, 0.8), (0.8, 1.3), (1.2, 0.7), (1.5, 1.1)]
-
-
-def _mass_errors():
-    for q, sigma in _MOMENT_INSTANCES:
-        g = QGaussian1D(mu=0.4, sigma=sigma, params=make_params(q, 1))
-        yield abs(oracle.mass_quad(g).value - 1.0)
-
-
-def _variance_errors():
-    for q, sigma in _MOMENT_INSTANCES:
-        g = QGaussian1D(mu=-0.2, sigma=sigma, params=make_params(q, 1))
-        yield abs(oracle.moment2_quad(g).value / g.variance - 1.0)
-
-
-def _entropy_closed_errors():
-    for q, s0, s1 in [(0.8, 1.0, 1.5), (1.2, 0.7, 1.1), (0.5, 0.6, 0.9)]:
-        p = make_params(q, 1)
-        g0 = QGaussian1D(mu=0.3, sigma=s0, params=p)
-        g1 = QGaussian1D(mu=0.3, sigma=s1, params=p)
-        quad = oracle.entropy_quad(g1).value - oracle.entropy_quad(g0).value
-        yield abs(quad - entropy_diff(g1, g0))
-
-
-def _mrel_closed_errors():
-    pairs = [
-        (make_bivariate(0.0, 0.0, 0.6, 0.5, 0.2, 0.5), make_bivariate(0.1, -0.05, 1.0, 0.9, -0.1, 0.5)),
-        (make_bivariate(0.3, 0.1, 0.9, 1.1, 0.25, 4.0 / 3.0), make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 4.0 / 3.0)),
-    ]
-    for f, g in pairs:
-        closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
-        yield abs(oracle.m_rel_entropy_quad(f, g).value / closed - 1.0)
-
-
-def _eta_residual_errors():
-    for q in (0.5, 0.8, 1.2):
-        for h in (1e-1, 1e-4, 1e-8):
-            yield abs(solve_eta(1.3, 1.0, evolve_sigma(1.0, h, q), q).residual)
-
-
-def _jh_zero_errors():
-    for q in (0.8, 1.2):
-        p = make_params(q, 1)
-        for h in (1e-1, 1e-3, 1e-5):
-            g0 = QGaussian1D(mu=0.2, sigma=1.0, params=p)
-            g = QGaussian1D(mu=0.2, sigma=evolve_sigma(1.0, h, q), params=p)
-            yield abs(jh(g, g0, h))
-
-
-def _fh_forms_errors():
-    for q in (0.5, 0.8, 1.2):
-        p = make_params(q, 1)
-        g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
-        g = QGaussian1D(mu=0.3, sigma=1.4, params=p)
-        for h in (1e-1, 1e-4, 1e-7):
-            yield abs(f_h(g, g0, h, form="q") - f_h(g, g0, h, form="m"))
-
-
-def _rescaled_slope(which: Callable[[QGaussian1D, QGaussian1D, float], float], limit_fn) -> float:
-    p = make_params(0.8, 1)
-    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
-    g = QGaussian1D(mu=0.3, sigma=1.4, params=p)
-    limit = limit_fn(g, g0)
-    hs = [1e-2, 1e-3, 1e-4, 1e-5]
-    errs = [abs(which(g, g0, h) - limit) for h in hs]
-    return _loglog_slope(hs, errs)
-
-
-def _jko_grid_errors():
-    g0 = QGaussian1D(mu=0.5, sigma=1.0, params=make_params(0.8, 1))
-    stepped = jko_step(g0, 0.05)
-    yield abs(oracle.minimize_kh_grid(g0, 0.05).sigma - stepped.sigma)
-
-
-def _semigroup_errors():
-    for q in (0.5, 0.8, 1.2, 1.5):
-        one = evolve_sigma(0.9, 0.7, q)
-        two = evolve_sigma(evolve_sigma(0.9, 0.3, q), 0.4, q)
-        yield abs(one / two - 1.0)
-
-
-def _self_similar_errors():
-    for q in (0.8, 1.2):
-        p = make_params(q, 1)
-        t = 0.7
-        g = QGaussian1D(mu=0.0, sigma=math.sqrt(theta_map_1d(t, q)), params=p)
-        for x in np.linspace(-2.0, 2.0, 41):
-            yield abs(barenblatt_density(t, float(x), p) - g.density(float(x)))
-
-
-def _residual_slope() -> float:
-    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=make_params(0.8, 1))
-    dxs = [0.04, 0.02, 0.01]
-    return _loglog_slope(dxs, [pde_residual(g0, 0.5, dx, dx * dx) for dx in dxs])
-
-
-def _flow_mass_errors():
-    for q in (0.8, 1.2):
-        g = QGaussian1D(mu=0.0, sigma=evolve_sigma(1.0, 0.5, q), params=make_params(q, 1))
-        yield abs(oracle.mass_quad(g).value - 1.0)
-
-
-_SLOPE_DETAIL = "log-log slope of |value - limit| in h, target 1"
-
-_check_constant_identity = _check(
-    "constant-identity", 1e-10,
-    "C^((3-q)/2) = (3-q)(2-q) C1 C0^(1-q) over {n} parameter sets", _constant_identity_errors,
-)
-
-# The check table: scope -> rows of (name, tolerance, detail, measure[, target]).
-_CHECKS: dict[str, tuple[Check, ...]] = {
-    "qmath": (
-        _check("qexp-qlog-roundtrip", 1e-12,
-               "exp_q(log_q(t)) over 200 seeded draws", _roundtrip_errors),
-        _check("qlog-product-rule", 1e-12,
-               "log_q(xy) = log_q x + x^(1-q) log_q y over 200 seeded draws", _product_rule_errors),
-        _check_constant_identity,
-    ),
-    "qgaussian": (
-        _check("mass-quadrature", 1e-9,
-               "density mass over 4 (q, sigma) instances", _mass_errors),
-        _check("variance-quadrature", 1e-7,
-               "second moment = C sigma^2 over 4 (q, sigma) instances", _variance_errors),
-        _check("entropy-closed-vs-quad", 1e-8,
-               "1d entropy difference, closed form vs quadrature, 3 instances", _entropy_closed_errors),
-        _check("mrel-closed-vs-quad", 1e-6,
-               "relative m-entropy closed form vs quadrature, compact and heavy-tailed",
-               _mrel_closed_errors),
-    ),
-    "functionals": (
-        _check("eta-equation-residual", 1e-12,
-               "coupling correlation equation over 9 (q, h) instances", _eta_residual_errors),
-        _check("jh-zero-at-flow", 1e-10,
-               "step functional vanishes on the exact evolution, 6 instances", _jh_zero_errors),
-        _check("fh-two-forms", 1e-12,
-               "q-form and m-form of the correction agree, 9 instances", _fh_forms_errors),
-        _check("rescaled-first-order", 0.1, _SLOPE_DETAIL,
-               lambda: _rescaled_slope(rescaled_first, wasserstein2_sq), target=1.0),
-        _check("rescaled-second-order", 0.1, _SLOPE_DETAIL,
-               lambda: _rescaled_slope(rescaled_second, entropy_diff), target=1.0),
-        _check("jko-vs-grid", 1e-5,
-               "implicit step agrees with brute-force grid minimizer", _jko_grid_errors),
-    ),
-    "pme_flow": (
-        _check("semigroup-composition", 1e-12,
-               "evolving 0.3 then 0.4 equals evolving 0.7, 4 exponents", _semigroup_errors),
-        _check("self-similar-family-match", 1e-12,
-               "source solution equals the evolving family member pointwise", _self_similar_errors),
-        _check("pde-residual-order", 0.2,
-               "residual refinement slope in dx, target 2", _residual_slope, target=2.0),
-        _check("flow-mass-conservation", 1e-9,
-               "evolved density still integrates to 1", _flow_mass_errors),
-    ),
-}
-
-VERIFY_SCOPES = ("all", *_CHECKS)
+# the scopes of checks.CHECKS; a literal, so that parsing verify's options
+# does not load the check table
+VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals", "pme_flow")
 
 
 def run_checks(
@@ -501,9 +300,11 @@ def run_checks(
     """
     if scope not in VERIFY_SCOPES:
         raise DomainError(f"scope must be one of {VERIFY_SCOPES}, got {scope!r}")
+    from . import checks
+
     return [
-        fn(check_scope, constant_params if fn is _check_constant_identity else None)
-        for check_scope, fns in _CHECKS.items()
+        fn(check_scope, constant_params if fn is checks.CONSTANT_IDENTITY else None)
+        for check_scope, fns in checks.CHECKS.items()
         if scope in ("all", check_scope)
         for fn in fns
     ]

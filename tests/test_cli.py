@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow import cli, oracle
+from qflow import checks, cli, functionals, oracle
 from qflow.functionals import entropy_diff, wasserstein2_sq
 from qflow.pme_flow import evolve_sigma
 from qflow.qgaussian import QGaussian1D
@@ -176,6 +179,55 @@ def test_extreme_finite_scales_exit_2(args, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_gamma_where_a_power_of_the_coupling_equation_overflows_exits_0(capsys):
+    # sigma^(2-q) = 1e450 overflows; the right-hand side 1.35e300 does not
+    args = ["gamma", "--statement", "2", "--q", "0.5", "--sigma0", "1e100", "--mu0", "0",
+            "--mu", "0", "--sigma", "1e300", "--h-grid", "1e250:1e249:2"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
+    calls = {"_f_h_from_delta": 0, "_entropy_b": 0}
+    for name in calls:
+        orig = getattr(functionals, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(functionals, name, counted)
+    cfg = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=4)
+    cli.cmd_gamma(3, cfg)
+    # entropy_diff's limit reads b once more
+    assert calls == {"_f_h_from_delta": 4, "_entropy_b": 5}
+
+
+def test_table_commands_do_not_import_scipy(tmp_path):
+    # scipy serves the quadrature oracle only, which verify alone loads
+    code = textwrap.dedent("""
+        import sys
+        import qflow, qflow.cli
+        assert "scipy" not in sys.modules
+        out = sys.argv[1]
+        assert qflow.cli.main(["gamma", "--statement", "3", "--q", "0.8", "--sigma0", "1",
+                               "--mu0", "0", "--mu", "0.3", "--sigma", "1.4", "--out", out]) == 0
+        assert qflow.cli.main(["jko", "--q", "1.2", "--sigma0", "1", "--mu0", "0",
+                               "--h", "0.01", "--steps", "3", "--out", out]) == 0
+        assert qflow.cli.main(["const", "--q", "0.8", "--d", "1"]) == 0
+        assert "scipy" not in sys.modules
+    """)
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "table")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_verify_scopes_match_check_table():
+    assert cli.VERIFY_SCOPES == ("all", *checks.CHECKS)
+
+
 _DBL_MAX = 1.7976931348623157e308
 
 # q at the edges of Q_1 (1 +- 1 ulp, 5/3 - 1 ulp) and far outside it
@@ -323,7 +375,7 @@ def test_verify_all_passes(tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, _schema("verify.v1.schema.json"))
     assert doc["all_passed"] is True
-    assert len(doc["checks"]) == sum(len(fns) for fns in cli._CHECKS.values())
+    assert len(doc["checks"]) == sum(len(fns) for fns in checks.CHECKS.values())
     names = [c["name"] for c in doc["checks"]]
     assert len(names) == len(set(names))
     for c in doc["checks"]:
@@ -372,10 +424,10 @@ def test_run_checks_runs_only_the_requested_scope(monkeypatch):
     def broken(scope, params):
         raise AssertionError("a qgaussian check ran")
 
-    patched = (broken,) + cli._CHECKS["qgaussian"][1:]
-    monkeypatch.setitem(cli._CHECKS, "qgaussian", patched)
+    patched = (broken,) + checks.CHECKS["qgaussian"][1:]
+    monkeypatch.setitem(checks.CHECKS, "qgaussian", patched)
     results = cli.run_checks("qmath")
-    assert [r.scope for r in results] == ["qmath"] * len(cli._CHECKS["qmath"])
+    assert [r.scope for r in results] == ["qmath"] * len(checks.CHECKS["qmath"])
     assert all(r.passed for r in results)
     with pytest.raises(AssertionError, match="a qgaussian check ran"):
         cli.run_checks("all")

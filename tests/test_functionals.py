@@ -127,6 +127,103 @@ def test_solve_eta_residual_and_flow_point():
         solve_eta(1.3, 1.0, 1.0, 0.8)
 
 
+def _eta_root_mp(rhs, q):
+    """50-digit root delta of (1-delta)^q = delta (2-delta) rhs, by Newton in
+    t = logit(delta) from the better asymptote, with log(1 - delta) formed
+    as -log1p(e^t) so that no digit is lost next to delta = 1."""
+    with mpmath.workdps(50):
+        log_rhs, q = mpmath.log(rhs), mpmath.mpf(q)
+
+        def f(t):
+            return (-mpmath.log1p(mpmath.exp(-t)) + mpmath.log1p(1 / (1 + mpmath.exp(t)))
+                    + q * mpmath.log1p(mpmath.exp(t)) + log_rhs)
+
+        t0 = min(-mpmath.log(2) - log_rhs, -log_rhs / q, key=lambda t: abs(f(t)))
+        t = mpmath.findroot(f, t0)
+        return 1 / (1 + mpmath.exp(-t)), 1 / (1 + mpmath.exp(t))
+
+
+def test_eta_solve_matches_mpmath_root():
+    # sigma0 in [1e-3, 1e3], sigma/sigma0 in [0.1, 10], h/sigma0^(3-q) in
+    # [1e-12, 1e2], q on both branches.  The reference solves for the rhs
+    # the library forms (its exponent 2 - q is rounded), so the bound is the
+    # solve's own error; the sweep reads at most 2.8e-16.
+    rng = np.random.default_rng(20130719)
+    solved = 0
+    for i in range(400):
+        q = rng.uniform(0.02, 0.999) if i % 2 else rng.uniform(1.001, 5.0 / 3.0 - 1e-3)
+        sigma0 = 10.0 ** rng.uniform(-3.0, 3.0)
+        sigma = sigma0 * 10.0 ** rng.uniform(-1.0, 1.0)
+        gap = sigma_sq_gap(sigma0, 10.0 ** rng.uniform(-12.0, 2.0) * sigma0 ** (3.0 - q), q)
+        delta_ref, eta_ref = _eta_root_mp(sigma0**q * sigma ** (2.0 - q) / gap, q)
+        try:
+            delta, _, evals = functionals._solve_eta_gap(sigma, sigma0, gap, q)
+        except DomainError:
+            # the root rounds to delta = 1
+            assert eta_ref < 2.0**-53
+            continue
+        solved += 1
+        assert abs(delta / delta_ref - 1) <= 1e-15
+        # the docstring's bound
+        assert evals <= 9
+    assert solved > 350
+
+
+@pytest.mark.parametrize("q", [1e-3, 1e-30, 5e-324])
+def test_eta_solve_small_q(q):
+    # F' ~ q as delta -> 1: Newton crawls there and the bisections take
+    # over.  The reference bisects F(t) in 50 digits over t in [-800, 60].
+    def f(t, log_rhs):
+        return (-mpmath.log1p(mpmath.exp(-t)) + mpmath.log1p(1 / (1 + mpmath.exp(t)))
+                + q * mpmath.log1p(mpmath.exp(t)) + log_rhs)
+
+    with mpmath.workdps(50):
+        for log_rhs in (-20.0, -0.5, 0.0, 0.01, 0.5, 3.0, 30.0):
+            lo, hi = mpmath.mpf(-800), mpmath.mpf(60)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid, mpmath.mpf(log_rhs)) < 0 else (lo, mid)
+            try:
+                delta, _, evals = functionals._solve_eta_gap(1.0, 1.0, math.exp(-log_rhs), q)
+            except DomainError:
+                # the root rounds to delta = 1
+                assert 1 / (1 + mpmath.exp(lo)) < 2.0**-53
+                continue
+            assert abs(delta / (1 / (1 + mpmath.exp(-lo))) - 1) <= 1e-15
+            assert evals <= 17
+
+
+def test_eta_solve_log_path_where_a_power_overflows():
+    # sigma^(2-q) = 1e450 overflows while rhs = 1.35e300 does not; the
+    # 50-digit root is 3.7055056329612407e-301
+    p = make_params(0.5, 1)
+    g0 = QGaussian1D(mu=0.0, sigma=1e100, params=p)
+    g = QGaussian1D(mu=0.0, sigma=1e300, params=p)
+    delta = functionals.StepPair(g, g0, 1e250).delta
+    assert delta == pytest.approx(3.7055056329612407e-301, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma, sigma0, sigma_h",
+    [
+        (1e300, 1.0, 1.0 + 1e-10),  # rhs ~ e^851 is beyond the double range
+        (1e-300, 1.0, 2.0),  # rhs ~ 1e-360 is below it
+        (1e-50, 1.0, 2.0),  # 1 - delta ~ 1e-76 rounds to delta = 1
+    ],
+)
+def test_eta_solve_outside_double_range_raises(sigma, sigma0, sigma_h):
+    with pytest.raises(DomainError):
+        solve_eta(sigma, sigma0, sigma_h, 0.8)
+
+
+def test_eta_solve_newton_cap_raises(monkeypatch):
+    # at rhs ~ 1 neither asymptote is within 2^-27 of the root
+    assert solve_eta(1.3, 1.0, 1.5, 0.8).iterations > 3
+    monkeypatch.setattr(functionals, "_NEWTON_MAXITER", 1)
+    with pytest.raises(RuntimeError):
+        solve_eta(1.3, 1.0, 1.5, 0.8)
+
+
 def test_q0h_and_qstar_geometry():
     q = 1.2
     g0 = _g(q, mu=0.5, sigma=1.0)
