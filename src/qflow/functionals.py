@@ -23,10 +23,11 @@ root eta_h of
     eta^q / (1 - eta^2) = sigma0^q sigma^(2-q) / (sigma_h^2 - sigma0^2),
 
 solved here for delta = 1 - eta (the root sits near 1 as h -> 0, where eta
-itself cannot hold relative precision): a bracketed Newton iteration in
-t = logit(delta), started from the better of the two asymptotic roots,
-with one final step on the direct form for delta < 1/2 (at most 9
-evaluations for q >= 0.01; see _solve_eta_gap).  The closed forms need
+itself cannot hold relative precision): the same kind of Newton descent,
+in w = log eta, where the equation is also increasing and convex, started
+at the least of three closed-form upper bounds on the root and read out
+as delta = -expm1(w), with one final step on the direct form for delta <
+1/2 (at most 8 evaluations; see _solve_eta_gap).  The closed forms need
 no scipy.  The three rescalings of J_h obey exact algebraic reductions
 
     a D^(1/q) J_h                    = W2^2 + C D F_h,
@@ -83,14 +84,13 @@ __all__ = [
 ]
 
 # jko_step and the eta solve need at most 9 evaluations over the documented
-# domain (17 for q below 0.01); the cap stops a defect
+# domain; the cap stops a defect
 _NEWTON_MAXITER = 64
-# a Newton step below 2^-27 leaves an error below 2^-54 in t
-_T_STEP = 2.0**-27
-# past t = 54 log 2, delta = 1/(1 + e^-t) rounds to 1; a root beyond is rejected
-_T_MAX = 54.0 * math.log(2.0)
-_LOG2 = math.log(2.0)
-_LOG_4_3 = math.log(4.0 / 3.0)
+# a Newton step below 2^-27 |w| leaves an error of the order of its square, 2^-54 w^2
+_W_STEP = 2.0**-27
+# below w = -53 log 2, eta < 2^-53 and delta = 1 - eta no longer resolves eta; such a
+# root is rejected
+_W_MIN = -53.0 * math.log(2.0)
 _DBL_MIN = sys.float_info.min
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
@@ -196,60 +196,47 @@ def kh(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
     return wasserstein2_sq(g, g0) / (4.0 * h) + 0.5 * entropy_diff(g, g0)
 
 
-def _coupling_log(t: float, q: float, log_rhs: float) -> tuple[float, float, float]:
-    """F(t), F'(t) and delta of the coupling equation at t = logit(delta).
-
-    F = log delta + log(2-delta) - q log(1-delta) + log rhs, formed from
-    e = e^-|t| so that neither tail overflows.  For t >= 0 it reads
-    q (t + log1p(e)) - log1p(e^2/(1+2e)) + log rhs, which keeps the
-    relative precision of its O(e^2) part as q -> 0.
-    """
-    e = math.exp(-abs(t))
-    if t >= 0.0:
-        delta = 1.0 / (1.0 + e)
-        om = e * delta
-        f = q * (t + math.log1p(e)) - math.log1p(e * e / (1.0 + 2.0 * e)) + log_rhs
-    else:
-        delta = e / (1.0 + e)
-        om = 1.0 - delta
-        f = t + (q - 1.0) * math.log1p(e) + math.log1p(om) + log_rhs
-    return f, 2.0 * om * om / (1.0 + om) + q * delta, delta
-
-
 def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[float, float, int]:
     """Root delta = 1 - eta of eta^q/(1-eta^2) = rhs = sigma0^q sigma^(2-q)/gap.
 
     Returns delta, rhs and the number of evaluations.  Newton's method
-    solves F(t) = log delta + log(2-delta) - q log(1-delta) + log rhs = 0
-    for t = logit(delta).  F increases strictly, with F'(t) =
-    2(1-delta)^2/(2-delta) + q delta in (0, max(1, q)], and it is nearly
-    linear in both tails: F ~ t + log 2 + log rhs as delta -> 0 and
-    F ~ q t + log rhs as delta -> 1.  Both asymptotic roots, t = -log 2 -
-    log rhs and t = -(log rhs)/q, are evaluated; Newton starts from the one
-    with the smaller |F| and stays inside the bracket that the signs of F
-    give, with F >= q t - log(4/3) + log rhs (t >= 0) as the upper end
-    where neither sign is positive.  A step that leaves the bracket, or
-    that is not below half the step before the last, is replaced by
-    bisection (rtsafe).  Past t = _T_MAX delta rounds to 1, so no iterate
-    goes beyond it.  The iteration stops at a step below 2^-27, whose
-    square is below the resolution of t.  For delta < 1/2 the rounding of
-    log delta (about |log delta| eps) would show in delta, so one Newton
-    step on the direct form rhs delta (2-delta)/(1-delta)^q = 1, which
-    carries only relative roundings, polishes it.
+    solves H(w) = q w - log(1 - e^(2w)) - log rhs = 0 for w = log eta < 0.
+    H increases strictly, with H' = q + 2e^(2w)/(1 - e^(2w)) > 0, and it is
+    convex, with H'' = 4e^(2w)/(1 - e^(2w))^2 > 0.  So the iterates started
+    at or above the root fall monotonically onto it.  The start is the
+    least of three closed-form upper bounds on the root:
 
-    The solve takes at most 9 evaluations, the polishing one included,
+    - max(-1/2, -e^(-q/2)/(2 rhs)), always, because 1 - e^(2w) <= -2w
+      (above q = 2, -min(s, e^(-q s/2)/rhs)/2 with s = 2/q, which stays
+      off w = 0 for large q);
+    - (log rhs)/q when rhs < 1, because -log(1 - e^(2w)) >= 0;
+    - log(x)/2 with x = log rhs + 53 q log 2 when x lies in (0, 1),
+      because -log(1 - x) >= x.
+
+    log(1 - e^(2w)) is formed as log1p(-e^(2w)) where e^(2w) < 1/2, which
+    keeps the relative precision of its small values as q -> 0, and as
+    log(-expm1(2w)) next to w = 0.  The descent stops at a step below
+    2^-27 |w|, which it applies (its square is below the resolution of w),
+    at the first iterate that does not decrease, where roundoff has taken
+    over, or below w = -53 log 2; delta = -expm1(w).  For delta < 1/2 the
+    rounding of log rhs and of log(1 - e^(2w)) (about |log delta| eps)
+    would show in delta, so one Newton step on the direct form
+    rhs delta (2-delta) / (1-delta)^q = 1, which carries only relative
+    roundings, polishes it.
+
+    The solve takes at most 7 evaluations, the polishing one included,
     over 200k random draws of sigma0 in [1e-3, 1e3], sigma/sigma0 in
-    [0.1, 10] and h/sigma0^(3-q) in [1e-12, 1e2] over Q_1, and at most 8
-    on a dense sweep of log rhs over [-700, 700] for q from 0.01 to 5/3.
-    Below q = 0.01 F flattens (F' ~ q as delta -> 1) and the bisections
-    take over: at most 17 evaluations for any q down to 5e-324.  Against
-    the 50-digit root for the same rhs, delta is within 4e-16 relative.
-    Reaching _NEWTON_MAXITER raises RuntimeError.
+    [0.1, 10] and h/sigma0^(3-q) in [1e-12, 1e2] over Q_1, at most 8 on
+    a dense sweep of log rhs over [-700, 700] for q from 0.01 to 5/3, and
+    at most 7 on the same sweep for q from 1e-3 down to 5e-324.  Against
+    the 50-digit root for the same rhs, delta is within 3.4e-16 relative
+    over 3k random draws.  Reaching _NEWTON_MAXITER raises RuntimeError.
 
     rhs is formed directly where its powers and quotient are normal
     doubles, and in logs where one of them is not.  A right-hand side
-    outside the normal double range, and a root that rounds to delta = 1
-    or below the normal range, raise DomainError.
+    outside the normal double range, a root below w = -53 log 2 (eta <
+    2^-53, which delta = 1 - eta no longer resolves) and a delta below the
+    normal range raise DomainError.
     """
     if not (sigma > 0.0 and sigma0 > 0.0):
         raise DomainError("sigma and sigma0 must be positive")
@@ -273,42 +260,32 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[f
                 f"coupling equation leaves the double range for sigma={sigma!r}, gap={gap!r}"
             )
 
-    ta, tb = min(-_LOG2 - log_rhs, _T_MAX), min(-log_rhs / q, _T_MAX)
-    fa, fpa, da = _coupling_log(ta, q, log_rhs)
-    fb, fpb, db = _coupling_log(tb, q, log_rhs)
-    # F >= q t - log(4/3) + log rhs for t >= 0 bounds the root from above
-    lo, hi = -math.inf, max(0.0, (_LOG_4_3 - log_rhs) / q)
-    for t, f in ((ta, fa), (tb, fb)):
-        if f < 0.0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-    t, f, fp, delta = (ta, fa, fpa, da) if abs(fa) <= abs(fb) else (tb, fb, fpb, db)
-    evals, last, before_last = 2, math.inf, math.inf
-    while f != 0.0 and lo < _T_MAX:
-        step = -f / fp
-        if abs(step) <= _T_STEP:
-            # d delta/dt = delta (1 - delta); the dropped term is below 2^-55 delta
-            delta += delta * (1.0 - delta) * step
-            break
+    s = min(1.0, 2.0 / q)
+    w = -0.5 * min(s, math.exp(-0.5 * q * s) / rhs)
+    if rhs < 1.0:
+        w = min(w, log_rhs / q)
+    x = log_rhs - _W_MIN * q
+    if 0.0 < x < 1.0:
+        w = min(w, 0.5 * math.log(x))
+    evals = 0
+    while w >= _W_MIN:
         if evals >= _NEWTON_MAXITER:
             raise RuntimeError(f"eta solve: no Newton convergence for q={q!r}, rhs={rhs!r}")
-        t_next = t + step
-        if lo > -math.inf and not (lo < t_next < hi and abs(step) <= 0.5 * before_last):
-            # bisect a step that leaves the bracket or shrinks too slowly
-            t_next = 0.5 * (lo + hi)
-        t_next = min(t_next, _T_MAX)
-        last, before_last = abs(t_next - t), last
-        t = t_next
-        f, fp, delta = _coupling_log(t, q, log_rhs)
         evals += 1
-        if f < 0.0:
-            lo = t
-        else:
-            hi = t
+        e = math.exp(2.0 * w)
+        om = -math.expm1(2.0 * w)
+        step = (log_rhs - q * w + (math.log1p(-e) if e < 0.5 else math.log(om))) / (
+            q + 2.0 * e / om
+        )
+        if abs(step) <= -_W_STEP * w:
+            w += step
+            break
+        if not step < 0.0:
+            break
+        w += step
 
-    # past _T_MAX the root's delta rounds to 1
-    if lo >= _T_MAX or not _DBL_MIN <= delta < 1.0:
+    delta = -math.expm1(w)
+    if not (w >= _W_MIN and _DBL_MIN <= delta < 1.0):
         raise DomainError(
             f"eta or 1 - eta is below double resolution for sigma={sigma!r}, "
             f"sigma0={sigma0!r}, gap={gap!r}"

@@ -88,7 +88,10 @@ class QuadResult(NamedTuple):
 
 
 def _line_quad(
-    integrand: Callable[[float, float], float], g: QGaussian1D, cfg: QuadratureConfig | None
+    integrand: Callable[[float, float], float],
+    g: QGaussian1D,
+    cfg: QuadratureConfig | None,
+    magnitude: float = 1.0,
 ) -> QuadResult:
     """Integral over the real line of integrand(d, f), f = g's density at mu + d.
 
@@ -96,7 +99,9 @@ def _line_quad(
     support edge (q < 1) or to +inf untruncated (q > 1, QUADPACK's own
     infinite-interval map).  The density is read at the offset d from a
     centred copy of g, so a scale far below the resolution of mu stays
-    exact.  The absolute tolerance is rescaled to the u units.
+    exact.  The absolute tolerance is relative to magnitude, the size of
+    the integral (g.variance for the second moment), and rescaled to the u
+    units, so a tiny or huge integral keeps its relative accuracy.
     """
     cfg = cfg or QuadratureConfig()
     centred = replace(g, mu=0.0)
@@ -107,8 +112,8 @@ def _line_quad(
     converged = True
     for step in (g.scale, -g.scale):
         out = quad(lambda u: integrand(step * u, centred.density(step * u)), 0.0, edge,
-                   epsabs=cfg.abs_tol / g.scale, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-                   full_output=True)
+                   epsabs=cfg.abs_tol * magnitude / g.scale, epsrel=cfg.rel_tol,
+                   limit=cfg.max_subdivisions, full_output=True)
         value, err = value + out[0], err + out[1]
         if len(out) > 3:
             converged = False
@@ -123,7 +128,7 @@ def mass_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult
 
 def moment2_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Second moment about the mean by quadrature (should be C sigma^2)."""
-    return _line_quad(lambda d, f: d * d * f, g, cfg)
+    return _line_quad(lambda d, f: d * d * f, g, cfg, g.variance)
 
 
 def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:

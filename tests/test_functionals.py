@@ -169,10 +169,11 @@ def test_eta_solve_matches_mpmath_root():
     assert solved > 350
 
 
-@pytest.mark.parametrize("q", [1e-3, 1e-30, 5e-324])
+@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-12, 1e-30, 5e-324])
 def test_eta_solve_small_q(q):
-    # F' ~ q as delta -> 1: Newton crawls there and the bisections take
-    # over.  The reference bisects F(t) in 50 digits over t in [-800, 60].
+    # the slope of the equation in log eta falls to q as eta -> 0, and at
+    # log rhs = 0 the root sits where log(1 - eta^2) is as small as q log eta.
+    # The reference bisects F(t) in 50 digits over t in [-800, 60].
     def f(t, log_rhs):
         return (-mpmath.log1p(mpmath.exp(-t)) + mpmath.log1p(1 / (1 + mpmath.exp(t)))
                 + q * mpmath.log1p(mpmath.exp(t)) + log_rhs)
@@ -190,7 +191,31 @@ def test_eta_solve_small_q(q):
                 assert 1 / (1 + mpmath.exp(lo)) < 2.0**-53
                 continue
             assert abs(delta / (1 / (1 + mpmath.exp(-lo))) - 1) <= 1e-15
-            assert evals <= 17
+            assert evals <= 9
+
+
+@pytest.mark.parametrize("q", [3.0, 700.0, 1500.0])
+@pytest.mark.parametrize("rhs", [1e-3, 1.0, 1e3])
+def test_eta_solve_large_q(q, rhs):
+    # beyond Q_1, where e^(-q/2) in the first start bound would leave the
+    # start next to w = 0 (or at it, once it underflows)
+    delta, _, evals = functionals._solve_eta_gap(1.0, 1.0, 1.0 / rhs, q)
+    lhs = math.exp(q * math.log1p(-delta)) / (delta * (2.0 - delta))
+    assert lhs / rhs == pytest.approx(1.0, abs=1e-13)
+    assert evals <= 9
+
+
+@pytest.mark.parametrize("eta", [8e-17, 1.05e-16, 1.2e-16, 2e-16])
+def test_eta_solve_cut_off_at_eta_2_pow_minus_53(eta):
+    # below eta = 2^-53, delta = 1 - eta no longer resolves eta and the solve raises
+    q = 0.5
+    rhs = eta**q / (1.0 - eta * eta)
+    if eta < 2.0**-53:
+        with pytest.raises(DomainError):
+            functionals._solve_eta_gap(1.0, 1.0, 1.0 / rhs, q)
+    else:
+        delta, _, _ = functionals._solve_eta_gap(1.0, 1.0, 1.0 / rhs, q)
+        assert abs((1.0 - delta) - eta) <= 2.0**-53
 
 
 def test_eta_solve_log_path_where_a_power_overflows():

@@ -52,6 +52,16 @@ def test_line_quad_scale_below_resolution_of_mean(q):
     assert abs(res.value - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [0.5, 1.666])
+@pytest.mark.parametrize("sigma", [1e-100, 1e50])
+def test_moment2_quad_relative_accuracy_at_extreme_scales(q, sigma):
+    # the second moment C sigma^2 is far from 1: the tolerance must follow it
+    g = QGaussian1D(mu=0.0, sigma=sigma, params=make_params(q, 1))
+    res = oracle.moment2_quad(g)
+    assert res.converged
+    assert abs(res.value / g.variance - 1.0) <= 1e-9
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     q=st.one_of(
