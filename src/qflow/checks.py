@@ -1,20 +1,20 @@
 """The check table of ``qflow verify``: measure functions and their rows.
 
-Each row pairs one measure function with a name, a tolerance and a detail
-text through cli.make_check.  Most measures run the quadrature oracle, and
-so scipy; cli imports this module only when verify runs, so the table
-commands load neither.
+Each row is data: a name, a tolerance, a detail text, one measure function
+and, for an order check, the target slope.  cli.run_checks runs the rows
+and judges them; this module imports nothing from cli.  Most measures run
+the quadrature oracle, and so scipy; cli imports this module only when
+verify runs, so the table commands load neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import oracle
-from .cli import Check, make_check
 from .functionals import (
     entropy_diff,
     f_h,
@@ -28,6 +28,16 @@ from .functionals import (
 from .pme_flow import barenblatt_density, evolve_sigma, pde_residual, theta_map_1d
 from .qgaussian import QGaussian1D, m_rel_entropy_closed, make_bivariate
 from .qmath import QParams, make_params, q_exp, q_log
+
+
+class Check(NamedTuple):
+    """One row of the check table; cli.run_checks states the pass rule."""
+
+    name: str
+    tolerance: float
+    detail: str
+    measure: Callable
+    target: float | None = None
 
 
 def _loglog_slope(hs: Sequence[float], errs: Sequence[float]) -> float:
@@ -170,53 +180,51 @@ def _flow_mass_errors():
 
 _SLOPE_DETAIL = "log-log slope of |value - limit| in h, target 1"
 
-CONSTANT_IDENTITY = make_check(
-    "constant-identity", 1e-10,
-    "C^((3-q)/2) = (3-q)(2-q) C1 C0^(1-q) over {n} parameter sets", _constant_identity_errors,
-)
-
-# The check table: scope -> rows of (name, tolerance, detail, measure[, target]).
+# The check table: scope -> rows; cli.run_checks feeds constant_params to the
+# constant-identity row only.
 CHECKS: dict[str, tuple[Check, ...]] = {
     "qmath": (
-        make_check("qexp-qlog-roundtrip", 1e-12,
-                   "exp_q(log_q(t)) over 200 seeded draws", _roundtrip_errors),
-        make_check("qlog-product-rule", 1e-12,
-                   "log_q(xy) = log_q x + x^(1-q) log_q y over 200 seeded draws", _product_rule_errors),
-        CONSTANT_IDENTITY,
+        Check("qexp-qlog-roundtrip", 1e-12,
+              "exp_q(log_q(t)) over 200 seeded draws", _roundtrip_errors),
+        Check("qlog-product-rule", 1e-12,
+              "log_q(xy) = log_q x + x^(1-q) log_q y over 200 seeded draws", _product_rule_errors),
+        Check("constant-identity", 1e-10,
+              "C^((3-q)/2) = (3-q)(2-q) C1 C0^(1-q) over {n} parameter sets",
+              _constant_identity_errors),
     ),
     "qgaussian": (
-        make_check("mass-quadrature", 1e-9,
-                   "density mass over 4 (q, sigma) instances", _mass_errors),
-        make_check("variance-quadrature", 1e-7,
-                   "second moment = C sigma^2 over 4 (q, sigma) instances", _variance_errors),
-        make_check("entropy-closed-vs-quad", 1e-8,
-                   "1d entropy difference, closed form vs quadrature, 3 instances", _entropy_closed_errors),
-        make_check("mrel-closed-vs-quad", 1e-6,
-                   "relative m-entropy closed form vs quadrature, compact and heavy-tailed",
-                   _mrel_closed_errors),
+        Check("mass-quadrature", 1e-9,
+              "density mass over 4 (q, sigma) instances", _mass_errors),
+        Check("variance-quadrature", 1e-7,
+              "second moment = C sigma^2 over 4 (q, sigma) instances", _variance_errors),
+        Check("entropy-closed-vs-quad", 1e-8,
+              "1d entropy difference, closed form vs quadrature, 3 instances", _entropy_closed_errors),
+        Check("mrel-closed-vs-quad", 1e-6,
+              "relative m-entropy closed form vs quadrature, compact and heavy-tailed",
+              _mrel_closed_errors),
     ),
     "functionals": (
-        make_check("eta-equation-residual", 1e-12,
-                   "coupling correlation equation over 9 (q, h) instances", _eta_residual_errors),
-        make_check("jh-zero-at-flow", 1e-10,
-                   "step functional vanishes on the exact evolution, 6 instances", _jh_zero_errors),
-        make_check("fh-two-forms", 1e-12,
-                   "q-form and m-form of the correction agree, 9 instances", _fh_forms_errors),
-        make_check("rescaled-first-order", 0.1, _SLOPE_DETAIL,
-                   lambda: _rescaled_slope(rescaled_first, wasserstein2_sq), target=1.0),
-        make_check("rescaled-second-order", 0.1, _SLOPE_DETAIL,
-                   lambda: _rescaled_slope(rescaled_second, entropy_diff), target=1.0),
-        make_check("jko-vs-grid", 1e-5,
-                   "implicit step agrees with brute-force grid minimizer", _jko_grid_errors),
+        Check("eta-equation-residual", 1e-12,
+              "coupling correlation equation over 9 (q, h) instances", _eta_residual_errors),
+        Check("jh-zero-at-flow", 1e-10,
+              "step functional vanishes on the exact evolution, 6 instances", _jh_zero_errors),
+        Check("fh-two-forms", 1e-12,
+              "q-form and m-form of the correction agree, 9 instances", _fh_forms_errors),
+        Check("rescaled-first-order", 0.1, _SLOPE_DETAIL,
+              lambda: _rescaled_slope(rescaled_first, wasserstein2_sq), target=1.0),
+        Check("rescaled-second-order", 0.1, _SLOPE_DETAIL,
+              lambda: _rescaled_slope(rescaled_second, entropy_diff), target=1.0),
+        Check("jko-vs-grid", 1e-5,
+              "implicit step agrees with brute-force grid minimizer", _jko_grid_errors),
     ),
     "pme_flow": (
-        make_check("semigroup-composition", 1e-12,
-                   "evolving 0.3 then 0.4 equals evolving 0.7, 4 exponents", _semigroup_errors),
-        make_check("self-similar-family-match", 1e-12,
-                   "source solution equals the evolving family member pointwise", _self_similar_errors),
-        make_check("pde-residual-order", 0.2,
-                   "residual refinement slope in dx, target 2", _residual_slope, target=2.0),
-        make_check("flow-mass-conservation", 1e-9,
-                   "evolved density still integrates to 1", _flow_mass_errors),
+        Check("semigroup-composition", 1e-12,
+              "evolving 0.3 then 0.4 equals evolving 0.7, 4 exponents", _semigroup_errors),
+        Check("self-similar-family-match", 1e-12,
+              "source solution equals the evolving family member pointwise", _self_similar_errors),
+        Check("pde-residual-order", 0.2,
+              "residual refinement slope in dx, target 2", _residual_slope, target=2.0),
+        Check("flow-mass-conservation", 1e-9,
+              "evolved density still integrates to 1", _flow_mass_errors),
     ),
 }

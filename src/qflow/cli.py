@@ -11,17 +11,18 @@ Subcommands:
   against the exact scale evolution at the same times.
 * ``verify``: runs the named invariant checks (closed forms against the
   quadrature oracle, constant identities, convergence orders) and emits a
-  machine-readable report; exit code 0 only if every check passes.  A
-  check is one measure function plus one row of the check table in
-  ``qflow.checks``, which is imported only when verify runs; a nan
-  measurement fails its check.
+  machine-readable report; exit code 0 only if every check passes.  The
+  checks are the data rows of ``qflow.checks``, imported only when verify
+  runs; run_checks is the one runner that measures and judges them.
 * ``const``: dumps the constants pipeline for one (q, d) as JSON.
 
 Output is byte-deterministic: no timestamps, floats rendered by repr
 (shortest round-trip form, locale-independent), and a sha256 over the
-defining inputs embedded as metadata.  CSV carries its schema name on the
-first line; JSON documents validate against the schema files shipped in
-the repository's ``schemas/`` directory.
+defining inputs embedded as metadata.  Every document is built from the
+dataclass it reports.  CSV carries its schema name on the first line;
+JSON documents validate against the schema files shipped in the
+repository's ``schemas/`` directory.  Exit codes: 0 success, 1 a verify
+check failed, 2 an input outside the domain or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ class ConvergenceTable:
     rows: list[tuple]
 
 
-def _input_hash(parts: dict) -> str:
-    canon = "|".join(f"{k}={parts[k]!r}" for k in parts)
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+def _table(schema: str, inputs: dict, columns: tuple[str, ...], rows: list) -> ConvergenceTable:
+    """The table of one run; metadata is inputs less "command", plus their sha256."""
+    canon = "|".join(f"{k}={v!r}" for k, v in inputs.items())
+    metadata = {k: v for k, v in inputs.items() if k != "command"}
+    metadata["input_sha256"] = hashlib.sha256(canon.encode("ascii")).hexdigest()
+    return ConvergenceTable(schema=schema, metadata=metadata, columns=columns, rows=rows)
 
 
 def render_csv(table: ConvergenceTable) -> str:
@@ -170,21 +174,8 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
             row = row + (value - step.second(),)
         rows.append(row)
 
-    inputs = {
-        "command": "gamma",
-        "statement": statement,
-        "q": cfg.q,
-        "sigma0": cfg.sigma0,
-        "mu0": cfg.mu0,
-        "mu": cfg.mu,
-        "sigma": cfg.sigma,
-        "h_start": cfg.h_start,
-        "h_stop": cfg.h_stop,
-        "h_points": cfg.h_points,
-    }
-    metadata = {k: v for k, v in inputs.items() if k != "command"}
-    metadata["input_sha256"] = _input_hash(inputs)
-    return ConvergenceTable(schema=GAMMA_SCHEMA, metadata=metadata, columns=columns, rows=rows)
+    inputs = {"command": "gamma", "statement": statement, **vars(cfg)}
+    return _table(GAMMA_SCHEMA, inputs, columns, rows)
 
 
 def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> ConvergenceTable:
@@ -199,39 +190,13 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
         exact = evolve_sigma(sigma0, n * h, q)
         rows.append((n, g.mu, g.sigma, exact, abs(g.sigma - exact)))
 
-    inputs = {
-        "command": "jko",
-        "q": q,
-        "sigma0": sigma0,
-        "mu0": mu0,
-        "h": h,
-        "steps": steps,
-    }
-    metadata = {k: v for k, v in inputs.items() if k != "command"}
-    metadata["input_sha256"] = _input_hash(inputs)
-    return ConvergenceTable(
-        schema=JKO_SCHEMA,
-        metadata=metadata,
-        columns=("n", "mu", "sigma", "sigma_exact", "abs_error"),
-        rows=rows,
-    )
+    inputs = {"command": "jko", "q": q, "sigma0": sigma0, "mu0": mu0, "h": h, "steps": steps}
+    return _table(JKO_SCHEMA, inputs, ("n", "mu", "sigma", "sigma_exact", "abs_error"), rows)
 
 
 def cmd_const(q: float, d: int) -> dict:
     """All derived constants for one (q, d) as a JSON-ready document."""
-    p = make_params(q, d)
-    return {
-        "schema": CONST_SCHEMA,
-        "q": p.q,
-        "d": p.d,
-        "m": p.m,
-        "alpha": p.alpha,
-        "c1_q_d": p.c1_q_d,
-        "c0_q_d": p.c0_q_d,
-        "A": p.A,
-        "B": p.B,
-        "C": p.C,
-    }
+    return {"schema": CONST_SCHEMA, **vars(make_params(q, d))}
 
 
 # ---------------------------------------------------------------------------
@@ -249,40 +214,6 @@ class CheckResult:
     detail: str
 
 
-Check = Callable[[str, Sequence[QParams] | None], CheckResult]
-
-
-def make_check(
-    name: str, tolerance: float, detail: str, measure: Callable, target: float | None = None
-) -> Check:
-    """One row of the check table as a (scope, params) -> CheckResult callable.
-
-    Without a target, measure yields per-instance errors and the check
-    reports the worst one (nan if any error is nan) and passes when it is
-    at most the tolerance; ``{n}`` in detail becomes the instance count.
-    With a target, measure returns one slope, which must lie within the
-    tolerance of the target.  A nan measurement fails either way.  params
-    is handed to measure only when given (the constant-identity seam).
-    """
-
-    def run(scope: str, params: Sequence[QParams] | None) -> CheckResult:
-        values = measure() if params is None else measure(params)
-        if target is None:
-            errs = list(values)
-            measured = math.nan if any(map(math.isnan, errs)) else max(errs, default=0.0)
-            passed = measured <= tolerance
-            text = detail.format(n=len(errs))
-        else:
-            measured = values
-            passed = target - tolerance <= measured <= target + tolerance
-            text = detail
-        return CheckResult(
-            name=name, scope=scope, passed=passed, measured=measured, tolerance=tolerance, detail=text
-        )
-
-    return run
-
-
 # the scopes of checks.CHECKS; a literal, so that parsing verify's options
 # does not load the check table
 VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals", "pme_flow")
@@ -293,7 +224,12 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named invariant checks of one scope, or all of them.
 
-    Only the checks of the requested scope run.  constant_params
+    Only the checks of the requested scope run.  Without a target, a row's
+    measure yields per-instance errors and the check reports the worst one
+    (nan if any error is nan) and passes when it is at most the tolerance;
+    ``{n}`` in its detail becomes the instance count.  With a target,
+    measure returns one slope, which must lie within the tolerance of the
+    target.  A nan measurement fails either way.  constant_params
     substitutes the parameter sets fed to the constant-identity check; the
     fault-injection tests use it to confirm a perturbed normalization
     constant is caught.
@@ -302,12 +238,29 @@ def run_checks(
         raise DomainError(f"scope must be one of {VERIFY_SCOPES}, got {scope!r}")
     from . import checks
 
-    return [
-        fn(check_scope, constant_params if fn is checks.CONSTANT_IDENTITY else None)
-        for check_scope, fns in checks.CHECKS.items()
-        if scope in ("all", check_scope)
-        for fn in fns
-    ]
+    results = []
+    for check_scope, rows in checks.CHECKS.items():
+        if scope not in ("all", check_scope):
+            continue
+        for row in rows:
+            if row.name == "constant-identity":
+                values = row.measure(constant_params)
+            else:
+                values = row.measure()
+            if row.target is None:
+                errs = list(values)
+                measured = math.nan if any(map(math.isnan, errs)) else max(errs, default=0.0)
+                passed = measured <= row.tolerance
+                detail = row.detail.format(n=len(errs))
+            else:
+                measured = values
+                passed = row.target - row.tolerance <= measured <= row.target + row.tolerance
+                detail = row.detail
+            results.append(CheckResult(
+                name=row.name, scope=check_scope, passed=passed, measured=measured,
+                tolerance=row.tolerance, detail=detail,
+            ))
+    return results
 
 
 def cmd_verify(scope: str = "all") -> tuple[dict, bool]:
@@ -318,17 +271,7 @@ def cmd_verify(scope: str = "all") -> tuple[dict, bool]:
         "schema": VERIFY_SCHEMA,
         "scope": scope,
         "all_passed": ok,
-        "checks": [
-            {
-                "name": r.name,
-                "scope": r.scope,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [dict(vars(r)) for r in results],
     }
     return report, ok
 
@@ -435,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "const":
             _emit(json.dumps(cmd_const(args.q, args.d), indent=2) + "\n", None)
             return 0
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -198,7 +198,8 @@ class QParams:
 def make_params(q: float, d: int) -> QParams:
     """Validate q in Q_d and evaluate the constant pipeline.
 
-    Raises DomainError for q outside (0, 1) u (1, (d+4)/(d+2)) or d < 1.
+    Raises DomainError for q outside (0, 1) u (1, (d+4)/(d+2)) or d < 1,
+    and where C0, A or C is not a positive finite double (large d).
     """
     if not (isinstance(d, int) and d >= 1):
         raise DomainError(f"d must be a positive integer, got {d!r}")
@@ -209,9 +210,14 @@ def make_params(q: float, d: int) -> QParams:
     m = 3.0 - 2.0 / q
     alpha = alpha_const(q, d)
     c1 = c1_const(q, d)
-    c0 = c0_const(q, d)
     om = 1.0 - q
-    big_a = c0 ** (2.0 * alpha * om) * (alpha / ((2.0 - q) * c1)) ** (d * alpha * om)
+    try:
+        c0 = c0_const(q, d)
+        big_a = c0 ** (2.0 * alpha * om) * (alpha / ((2.0 - q) * c1)) ** (d * alpha * om)
+    except (OverflowError, ZeroDivisionError):
+        c0 = big_a = math.nan
     big_b = om * alpha / (2.0 * (2.0 - q))
     big_c = (2.0 - q) * c1 * big_a / alpha
+    if not (0.0 < c0 < math.inf and 0.0 < big_a < math.inf and 0.0 < big_c < math.inf):
+        raise DomainError(f"C0, A or C of q={q!r}, d={d!r} is not a positive finite double")
     return QParams(q=q, d=d, m=m, alpha=alpha, c1_q_d=c1, c0_q_d=c0, A=big_a, B=big_b, C=big_c)

@@ -228,6 +228,23 @@ def test_verify_scopes_match_check_table():
     assert cli.VERIFY_SCOPES == ("all", *checks.CHECKS)
 
 
+def test_check_table_does_not_import_cli():
+    code = "import sys, qflow.checks; assert 'qflow.cli' not in sys.modules"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [GAMMA_ARGS, ["jko", "--q", "0.8", "--sigma0", "1", "--mu0", "0", "--h", "0.1", "--steps", "2"],
+     ["verify", "--scope", "qmath"]],
+    ids=["gamma", "jko", "verify"],
+)
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "missing" / "t")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 _DBL_MAX = 1.7976931348623157e308
 
 # q at the edges of Q_1 (1 +- 1 ulp, 5/3 - 1 ulp) and far outside it
@@ -284,6 +301,19 @@ def test_cli_exit_codes(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(q=_Q, d=st.integers(min_value=1, max_value=10**6))
+def test_const_large_d_exit_codes(q, d):
+    # a document of positive finite constants (0) or a domain error (2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["const", _opt("q", q), _opt("d", d)])
+    assert code in (0, 2)
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        assert all(0.0 < doc[k] < math.inf for k in ("c0_q_d", "A", "C"))
 
 
 def test_jko_table(tmp_path, capsys):
@@ -421,10 +451,10 @@ def test_verify_catches_injected_constant_fault():
 
 
 def test_run_checks_runs_only_the_requested_scope(monkeypatch):
-    def broken(scope, params):
+    def broken():
         raise AssertionError("a qgaussian check ran")
 
-    patched = (broken,) + checks.CHECKS["qgaussian"][1:]
+    patched = (checks.Check("broken", 0.0, "", broken),) + checks.CHECKS["qgaussian"][1:]
     monkeypatch.setitem(checks.CHECKS, "qgaussian", patched)
     results = cli.run_checks("qmath")
     assert [r.scope for r in results] == ["qmath"] * len(checks.CHECKS["qmath"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -50,6 +51,13 @@ def test_wasserstein_formula():
     assert wasserstein2_sq(g1, g0) == wasserstein2_sq(g0, g1)
     with pytest.raises(DomainError):
         wasserstein2_sq(g0, _g(0.9))
+
+
+def test_wasserstein_squares_correctly_rounded():
+    # x * x is correctly rounded; x ** 2 goes through the C library pow, which may
+    # be an ulp off for this x
+    x = 0.18036881288066048
+    assert wasserstein2_sq(_g(0.8, mu=x), _g(0.8)) == float(Fraction(x) ** 2)
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN_A))

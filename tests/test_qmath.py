@@ -218,6 +218,21 @@ def test_make_params_domain_messages(q, d, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "q,d",
+    [
+        (1.000001, 150),  # the Gamma ratio overflows next to q = 1
+        (0.5, 400),  # the Gamma ratio overflows
+        (1.000001, 100),  # C0 underflows to 0, then meets a negative power
+        (0.999999, 100),  # C0, A and C underflow to 0.0
+        (0.5, 300),
+    ],
+)
+def test_make_params_large_d_raises_domain_error(q, d):
+    with pytest.raises(DomainError, match="not a positive finite double"):
+        make_params(q, d)
+
+
 def test_constant_pipeline_cross_relations():
     for q in (0.3, 0.8, 1.2, 1.6):
         p = make_params(q, 1)
