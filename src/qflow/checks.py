@@ -47,21 +47,16 @@ def _loglog_slope(hs: Sequence[float], errs: Sequence[float]) -> float:
 
 
 def _roundtrip_errors():
-    rng = np.random.default_rng(20240817)
-    for _ in range(200):
-        q = float(rng.uniform(0.05, 1.6))
-        if abs(q - 1.0) < 1e-3:
-            continue
-        t = float(rng.uniform(0.05, 20.0))
+    # columns q, t; rows with q next to 1 are dropped
+    draws = np.random.default_rng(20240817).uniform((0.05, 0.05), (1.6, 20.0), size=(200, 2))
+    for q, t in draws[np.abs(draws[:, 0] - 1.0) >= 1e-3].tolist():
         yield abs(q_exp(q_log(t, q), q) / t - 1.0)
 
 
 def _product_rule_errors():
-    rng = np.random.default_rng(20240818)
-    for _ in range(200):
-        q = float(rng.uniform(0.05, 1.6))
-        x = float(rng.uniform(0.1, 5.0))
-        y = float(rng.uniform(0.1, 5.0))
+    # columns q, x, y
+    draws = np.random.default_rng(20240818).uniform((0.05, 0.1, 0.1), (1.6, 5.0, 5.0), size=(200, 3))
+    for q, x, y in draws.tolist():
         lhs = q_log(x * y, q)
         rhs = q_log(x, q) + x ** (1.0 - q) * q_log(y, q)
         yield abs(lhs - rhs) / max(1.0, abs(lhs))
@@ -100,12 +95,16 @@ def _entropy_closed_errors():
         yield abs(quad - entropy_diff(g1, g0))
 
 
+# make_bivariate arguments of the relative-entropy pairs: nested compact, heavy-tailed
+MREL_PAIRS = (
+    ((0.0, 0.0, 0.6, 0.5, 0.2, 0.5), (0.1, -0.05, 1.0, 0.9, -0.1, 0.5)),
+    ((0.3, 0.1, 0.9, 1.1, 0.25, 4.0 / 3.0), (0.0, 0.0, 1.0, 1.0, 0.0, 4.0 / 3.0)),
+)
+
+
 def _mrel_closed_errors():
-    pairs = [
-        (make_bivariate(0.0, 0.0, 0.6, 0.5, 0.2, 0.5), make_bivariate(0.1, -0.05, 1.0, 0.9, -0.1, 0.5)),
-        (make_bivariate(0.3, 0.1, 0.9, 1.1, 0.25, 4.0 / 3.0), make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 4.0 / 3.0)),
-    ]
-    for f, g in pairs:
+    for f_args, g_args in MREL_PAIRS:
+        f, g = make_bivariate(*f_args), make_bivariate(*g_args)
         closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
         yield abs(oracle.m_rel_entropy_quad(f, g).value / closed - 1.0)
 
@@ -185,9 +184,9 @@ _SLOPE_DETAIL = "log-log slope of |value - limit| in h, target 1"
 CHECKS: dict[str, tuple[Check, ...]] = {
     "qmath": (
         Check("qexp-qlog-roundtrip", 1e-12,
-              "exp_q(log_q(t)) over 200 seeded draws", _roundtrip_errors),
+              "exp_q(log_q(t)) over {n} seeded draws", _roundtrip_errors),
         Check("qlog-product-rule", 1e-12,
-              "log_q(xy) = log_q x + x^(1-q) log_q y over 200 seeded draws", _product_rule_errors),
+              "log_q(xy) = log_q x + x^(1-q) log_q y over {n} seeded draws", _product_rule_errors),
         Check("constant-identity", 1e-10,
               "C^((3-q)/2) = (3-q)(2-q) C1 C0^(1-q) over {n} parameter sets",
               _constant_identity_errors),

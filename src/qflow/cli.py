@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .functionals import StepPair, entropy_diff, jko_step, wasserstein2_sq
+from .functionals import StepPair, _jko_sigma, entropy_diff, wasserstein2_sq
 from .pme_flow import evolve_sigma
 from .qgaussian import QGaussian1D
 from .qmath import DomainError, QParams, make_params
@@ -183,12 +183,14 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps!r}")
     p = make_params(q, 1)
-    g = QGaussian1D(mu=mu0, sigma=sigma0, params=p)
-    rows = [(0, g.mu, g.sigma, sigma0, 0.0)]
+    QGaussian1D(mu=mu0, sigma=sigma0, params=p)  # validates mu0 and sigma0
+    # each step is jko_step's, on the scale alone: the mean stays mu0
+    rows = [(0, mu0, sigma0, sigma0, 0.0)]
+    sigma = sigma0
     for n in range(1, steps + 1):
-        g = jko_step(g, h)
+        sigma = _jko_sigma(sigma, h, p.q)
         exact = evolve_sigma(sigma0, n * h, q)
-        rows.append((n, g.mu, g.sigma, exact, abs(g.sigma - exact)))
+        rows.append((n, mu0, sigma, exact, abs(sigma - exact)))
 
     inputs = {"command": "jko", "q": q, "sigma0": sigma0, "mu0": mu0, "h": h, "steps": steps}
     return _table(JKO_SCHEMA, inputs, ("n", "mu", "sigma", "sigma_exact", "abs_error"), rows)

@@ -502,9 +502,17 @@ def rescaled_third(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
 def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     """One minimizing-movement step: argmin of K_h(. | g0) over the family.
 
-    The minimizer keeps mu = mu0.  K_h is strictly convex along sigma, and
-    with b sigma0^(1-q) = 1/(3-q) its stationarity equation in the
-    relative increment u = sigma/sigma0 - 1 reads
+    The minimizer keeps mu = mu0; its scale is _jko_sigma(sigma0, h, q).
+    """
+    return QGaussian1D(mu=g0.mu, sigma=_jko_sigma(g0.sigma, h, g0.params.q), params=g0.params)
+
+
+def _jko_sigma(sigma0: float, h: float, q: float) -> float:
+    """Scale of the minimizing-movement step from sigma0: the float kernel of jko_step.
+
+    K_h is strictly convex along sigma, and with b sigma0^(1-q) = 1/(3-q)
+    its stationarity equation in the relative increment u = sigma/sigma0 - 1
+    reads
 
         u (1 + u)^(2-q) = r,    r = h / sigma0^(3-q) / (3-q).
 
@@ -521,12 +529,12 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     log r is formed in logs where h / sigma0^(3-q) underflows; such an
     increment, far below sigma0's resolution, rounds the step to sigma0.
     u is resolved to about |log u| eps, so sigma is within 2 ulps for
-    u <= 1 and 1e-12 relative above.  Scales that evolve_sigma rejects
-    raise the same DomainError.
+    u <= 1 and 1e-12 relative above.  h <= 0 raises DomainError, and
+    scales that evolve_sigma rejects raise its DomainError.  The result
+    is finite: u <= r^(1/(3-q)) once u >= 1, so sigma < 2 sigma0 or
+    sigma <= 2 (h/(3-q))^(1/(3-q)).
     """
     _require_h(h)
-    q = g0.params.q
-    sigma0 = g0.sigma
     _log_growth(sigma0, h, q)
     v0 = sigma0 ** (3.0 - q)
     x = h / v0
@@ -537,6 +545,6 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
         e = math.exp(t)
         t_next = t - (t + (2.0 - q) * math.log1p(e) - log_r) / (1.0 + (2.0 - q) * e / (1.0 + e))
         if not t_next < t:
-            return QGaussian1D(mu=g0.mu, sigma=sigma0 + sigma0 * math.exp(t), params=g0.params)
+            return sigma0 + sigma0 * math.exp(t)
         t = t_next
     raise RuntimeError(f"jko_step: no Newton convergence for q={q!r}, sigma0={sigma0!r}, h={h!r}")

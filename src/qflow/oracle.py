@@ -15,10 +15,14 @@ policy:
 * every bivariate integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
-  trapezoid in angle, tanh-sinh in radius.  Heavy tails (m > 1) run each
-  ray to infinity untruncated (near m = 3/2 an envelope radius for any
-  useful bound overflows); compact supports (m < 1) split each ray where
-  it crosses a support ellipse, so non-nested supports stay exact.
+  trapezoid in angle, tanh-sinh in radius: the radial nodes and weights
+  are the library's own tables (qflow._tanhsinh), run on
+  scipy.integrate.tanhsinh's schedule (levels 4 to 10, Bailey's error
+  estimate), all rays of a block of angles in one array.  Heavy tails
+  (m > 1) run each ray to infinity untruncated (near m = 3/2 an envelope
+  radius for any useful bound overflows); compact supports (m < 1) split
+  each ray where it crosses a support ellipse, so non-nested supports
+  stay exact.
 
 Each result records the policy applied in its note.
 
@@ -35,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 # scipy.optimize before scipy.integrate: scipy imports measurably faster in this order
 from scipy.optimize import brentq, minimize_scalar
-from scipy.integrate import quad, tanhsinh
+from scipy.integrate import quad
 
 from .functionals import coefficients
 from .qgaussian import MBivariate, QGaussian1D
@@ -136,13 +140,10 @@ def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadRes
     return _line_quad(lambda d, f: f * q_log(f, g.params.q) if f > 0.0 else 0.0, g, cfg)
 
 
-# Angles per tanhsinh call: bounds the size of the radial solver's arrays.
+# Angles per block of rays: bounds the size of the radial rule's arrays.
 _ANGLE_BLOCK = 64
 # Angle count of the coarsest periodic trapezoid rule.
 _MIN_ANGLES = 16
-# First tanh-sinh level allowed to stop: the error estimate of levels 2
-# and 3 can pass on rays whose mass sits off the whitened unit scale.
-_MIN_LEVEL = 4
 
 
 def _polar_quad(
@@ -160,10 +161,14 @@ def _polar_quad(
     (Trefethen and Weideman, SIAM Rev. 56, 2014), doubling on nested nodes
     until two totals agree within max(abs_tol, rel_tol |I|), up to
     max_subdivisions blocks of angles.  In r: tanh-sinh (Takahasi and Mori,
-    1974), one call per block of angles, each ray split where it crosses
-    the support ellipse of a compact member and ended at the last crossing;
-    heavy-tailed rays run to inf.
+    1974) on the library's own nodes with scipy.integrate.tanhsinh's
+    schedule (qflow._tanhsinh), one call per block of angles, each ray split
+    where it crosses the support ellipse of a compact member and ended at
+    the last crossing; heavy-tailed rays run to inf.
     """
+    # imported at the first polar integral; see that module's docstring
+    from . import _tanhsinh
+
     cx, cy = members[0].mean
     chol = np.linalg.cholesky(sum(nu.cov for nu in members) / len(members))
     det = chol[0, 0] * chol[1, 1]
@@ -178,9 +183,9 @@ def _polar_quad(
         ok = True
         for block in np.split(phis, range(_ANGLE_BLOCK, len(phis), _ANGLE_BLOCK)):
             vx, vy = chol @ np.stack([np.cos(block), np.sin(block)])
-            lo, hi = 0.0, math.inf
+            lo, hi = np.zeros_like(vx), np.full_like(vx, math.inf)
             if compact:
-                ends = [np.zeros_like(vx)]
+                ends = [lo]
                 for nu in compact:
                     # Q(c + r v) = a r^2 + 2 b r + q0 meets the support threshold
                     q0 = nu.quadratic_form(cx, cy)
@@ -190,11 +195,16 @@ def _polar_quad(
                     disc = np.sqrt(np.maximum(b * b - a * (q0 - nu.support_threshold()), 0.0))
                     ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
                 cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
-                lo, hi, vx, vy = cuts[:, :-1], cuts[:, 1:], vx[:, None], vy[:, None]
-            res = tanhsinh(ray, lo, hi, args=(vx, vy), rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                           minlevel=_MIN_LEVEL)
-            total, err = total + float(res.integral.sum()), err + float(res.error.sum())
-            ok = ok and bool(res.success.all())
+                lo, hi = cuts[:, :-1], cuts[:, 1:]
+            # only the pieces of positive length are integrated; the others hold 0,
+            # so a block sums the same array, in the same order, as scipy's tanhsinh
+            live = lo < hi
+            at = np.nonzero(live)[0]
+            integral, error = np.zeros(live.shape), np.zeros(live.shape)
+            integral[live], error[live], success = _tanhsinh.tanhsinh(
+                ray, lo[live], hi[live], (vx[at], vy[at]), cfg.rel_tol, cfg.abs_tol)
+            total, err = total + float(integral.sum()), err + float(error.sum())
+            ok = ok and bool(success.all())
         return total, err, ok
 
     n, step = _MIN_ANGLES, 2.0 * math.pi / _MIN_ANGLES

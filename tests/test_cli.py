@@ -353,6 +353,49 @@ def test_jko_rejects_bad_inputs():
                      "--h", "-0.01", "--steps", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "q, sigma0, h, steps",
+    [
+        (0.8, 1.0, 0.01, 300),
+        (1.2, 0.7, 0.1, 50),
+        (0.3, 1e-100, 1e-300, 5),  # the increment is far below sigma0's resolution
+        (1.2, 1.0, 5e-324, 5),
+        (0.34, 1.0, 2.7e182, 5),
+        (1.6, 3.0, 1e-10, 20),
+        (1.5, 1e150, 1e200, 4),
+    ],
+)
+def test_cmd_jko_equals_repeated_jko_step(q, sigma0, h, steps):
+    g = QGaussian1D(mu=0.5, sigma=sigma0, params=make_params(q, 1))
+    sigmas = [sigma0]
+    for _ in range(steps):
+        g = functionals.jko_step(g, h)
+        sigmas.append(g.sigma)
+    rows = cli.cmd_jko(q, sigma0, 0.5, h, steps).rows
+    assert [r[2].hex() for r in rows] == [s.hex() for s in sigmas]
+    assert [r[1] for r in rows] == [0.5] * (steps + 1)
+
+
+@pytest.mark.parametrize(
+    "q, sigma0, h, steps, raising_step",
+    [
+        (0.8, 1.0, 0.0, 2, 0),
+        (0.8, 1e300, 0.1, 3, 0),
+        (1.2, 1e-300, 0.1, 2, 0),
+        (0.5, 1.0, 1e307, 30, 20),  # sigma^(3-q) overflows at step 21
+        (1.6, 1.0, 1e307, 30, 19),
+    ],
+)
+def test_cmd_jko_raises_where_jko_step_raises(q, sigma0, h, steps, raising_step):
+    g = QGaussian1D(mu=0.5, sigma=sigma0, params=make_params(q, 1))
+    for _ in range(raising_step):
+        g = functionals.jko_step(g, h)
+    with pytest.raises(DomainError):
+        functionals.jko_step(g, h)
+    with pytest.raises(DomainError):
+        cli.cmd_jko(q, sigma0, 0.5, h, steps)
+
+
 _CELLS = st.one_of(
     st.integers(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow import oracle
+from qflow import _tanhsinh, checks, oracle
 from qflow.functionals import StepPair, entropy_diff, jh, jko_step, q0h
 from qflow.qgaussian import (
     QGaussian1D,
@@ -332,3 +332,97 @@ def test_quadrature_config_defaults():
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-13
     assert cfg.max_subdivisions == 200
+
+
+# The radial rule of the polar oracle: a tanh-sinh with scipy's nodes and schedule.
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, exact",
+    [
+        (lambda x: x**-0.5, 0.0, 1.0, 2.0),
+        (lambda x: x**-2.0, 1.0, math.inf, 1.0),
+        (lambda x: np.exp(-x), 0.0, math.inf, 1.0),
+    ],
+    ids=["endpoint-singularity", "power-tail", "exponential-tail"],
+)
+def test_tanhsinh_known_integrals(f, lo, hi, exact):
+    cfg = oracle.QuadratureConfig()
+    integral, error, converged = _tanhsinh.tanhsinh(
+        f, np.array([lo]), np.array([hi]), (), cfg.rel_tol, cfg.abs_tol)
+    assert converged[0]
+    assert abs(integral[0] / exact - 1.0) <= 1e-12
+    assert error[0] <= 1e-10
+
+
+# the verify pairs and a compact pair whose support ellipses cross
+_RAY_PAIRS = [*checks.MREL_PAIRS, ((0.1, 0.05, 1.2, 0.5, 0.3, 0.5), (-0.1, 0.0, 0.6, 1.1, -0.2, 0.5))]
+
+
+@pytest.mark.parametrize("pair", _RAY_PAIRS, ids=["compact", "heavy-tailed", "crossing"])
+def test_tanhsinh_matches_scipy_ray_by_ray(monkeypatch, pair):
+    from scipy.integrate import tanhsinh
+
+    f, g = (make_bivariate(*args) for args in pair)
+    calls = []
+    rule = _tanhsinh.tanhsinh
+
+    def record(*args):
+        out = rule(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    cfg = oracle.QuadratureConfig()
+    assert oracle.m_rel_entropy_quad(f, g, cfg).converged
+    assert calls
+    for (ray, lo, hi, args, rtol, atol), (integral, error, converged) in calls:
+        assert (hi == math.inf).all() == (f.m > 1.0)
+        ref = tanhsinh(ray, lo, hi, args=args, rtol=rtol, atol=atol, minlevel=4)
+        np.testing.assert_allclose(integral, ref.integral, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(converged, ref.success)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: np.sin(50.0 * x), [0.0, 1.0], [3.0, 9.0]),
+        (lambda x: (x > 0.3) * 1.0, [0.0], [1.0]),
+        (lambda x: 1.0 / (1.0 + x**1.01), [0.0], [math.inf]),
+    ],
+    ids=["oscillating", "step", "slow-tail"],
+)
+def test_tanhsinh_matches_scipy_past_the_first_level(f, lo, hi):
+    # levels 5 to 10: the oscillating integrals converge there, the other two run out
+    from scipy.integrate import tanhsinh
+
+    lo, hi = np.array(lo), np.array(hi)
+    cfg = oracle.QuadratureConfig()
+    integral, error, converged = _tanhsinh.tanhsinh(f, lo, hi, (), cfg.rel_tol, cfg.abs_tol)
+    ref = tanhsinh(f, lo, hi, rtol=cfg.rel_tol, atol=cfg.abs_tol, minlevel=4)
+    assert (ref.maxlevel > 4).all()
+    np.testing.assert_allclose(integral, ref.integral, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(error, ref.error, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(converged, ref.success)
+
+
+def test_nan_integrand_not_converged():
+    cfg = oracle.QuadratureConfig()
+    integral, _, converged = _tanhsinh.tanhsinh(
+        lambda x: np.full_like(x, np.nan), np.array([0.0, 0.0]), np.array([1.0, math.inf]), (),
+        cfg.rel_tol, cfg.abs_tol)
+    assert not converged.any()
+    assert np.isnan(integral).all()
+    for m in (0.5, 4.0 / 3.0):
+        nu = make_bivariate(0.1, -0.2, 0.9, 1.4, 0.35, m)
+        assert not oracle._polar_quad(lambda x, y: np.full_like(x, np.nan), [nu], cfg).converged
+
+
+@pytest.mark.parametrize("pair", checks.MREL_PAIRS, ids=["compact", "heavy-tailed"])
+def test_verify_pairs_converge_in_64_angles(pair):
+    f, g = (make_bivariate(*args) for args in pair)
+    res = oracle.m_rel_entropy_quad(f, g)
+    assert res.converged
+    assert ", 64 angles," in res.note
+    closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+    assert abs(res.value / closed - 1.0) <= 1e-12
