@@ -27,8 +27,12 @@ itself cannot hold relative precision): the same kind of Newton descent,
 in w = log eta, where the equation is also increasing and convex, started
 at the least of three closed-form upper bounds on the root and read out
 as delta = -expm1(w), with one final step on the direct form for delta <
-1/2 (at most 8 evaluations; see _solve_eta_gap).  The closed forms need
-no scipy.  The three rescalings of J_h obey exact algebraic reductions
+1/2 (at most 8 evaluations; see _solve_eta_gap).  That descent,
+_coupling_root, is the one solver of the coupling equation in the
+package: the oracle's analytic theta-family minimizer, whose stationarity
+equation is the same equation with q' = 2/(3-m), reads it too.  The
+closed forms need no scipy.  The three rescalings of J_h obey exact
+algebraic reductions
 
     a D^(1/q) J_h                    = W2^2 + C D F_h,
     a b D^((1-q)/q) J_h - b/D W2^2   = b C F_h,
@@ -150,10 +154,18 @@ def _entropy_b(p: QParams, sigma0: float) -> float:
 
     Computed from the printed constant formula (not from the algebraic
     shortcut b = sigma0^(q-1)/(3-q), which the identity tests compare
-    against).
+    against).  Raises DomainError where that formula does not give a
+    positive finite double: where C0/sigma0 or its power leaves the double
+    range, as for subnormal or huge sigma0.
     """
     q = p.q
-    return (2.0 - q) * p.c1_q_d / p.C ** ((3.0 - q) / 2.0) * (p.c0_q_d / sigma0) ** (1.0 - q)
+    try:
+        b = (2.0 - q) * p.c1_q_d / p.C ** ((3.0 - q) / 2.0) * (p.c0_q_d / sigma0) ** (1.0 - q)
+    except (OverflowError, ZeroDivisionError):
+        b = math.inf
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"entropy coefficient b leaves the double range for sigma0={sigma0!r}")
+    return b
 
 
 def coefficients(q: float, sigma0: float) -> GammaCoefficients:
@@ -163,16 +175,25 @@ def coefficients(q: float, sigma0: float) -> GammaCoefficients:
     behind a are evaluated at m = 3 - 2/q and exist for every m < 3/2
     (m <= 0 included); for q >= 4/3, where m reaches 3/2 and the bivariate
     normalization blows up, a is nan, while b (a purely one-dimensional
-    quantity) stays valid on all of Q_1.
+    quantity) stays valid on all of Q_1.  Raises DomainError for sigma0
+    that is not positive and finite, and where a or b is not a positive
+    finite double.
     """
     p = make_params(q, 1)
-    if not sigma0 > 0.0:
-        raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
+    if not 0.0 < sigma0 < math.inf:
+        raise DomainError(f"sigma0 must be positive and finite, got {sigma0!r}")
     m = p.m
     if m < 1.5:
         c1m = c1_const(m, 2)
         c0m = c0_const(m, 2)
-        a = 2.0 * p.C ** (2.0 - m) / c1m * (c0m / sigma0) ** (m - 1.0)
+        try:
+            a = 2.0 * p.C ** (2.0 - m) / c1m * (c0m / sigma0) ** (m - 1.0)
+        except (OverflowError, ZeroDivisionError):
+            a = math.inf
+        if not 0.0 < a < math.inf:
+            raise DomainError(
+                f"coefficient a leaves the double range for q={q!r}, sigma0={sigma0!r}"
+            )
     else:
         a = math.nan
     return GammaCoefficients(a=a, b=_entropy_b(p, sigma0), sigma0=sigma0, q=q)
@@ -182,6 +203,8 @@ def entropy_diff(g: QGaussian1D, g0: QGaussian1D) -> float:
     """Tsallis entropy difference E_q(g) - E_q(g0) = b C log_q(sigma0/sigma).
 
     Exactly 0.0 at sigma == sigma0 (log_q(1) evaluates to 0 exactly).
+    Raises DomainError where b is not a positive finite double (see
+    _entropy_b).
     """
     _require_same_family(g, g0)
     b = _entropy_b(g.params, g0.sigma)
@@ -194,33 +217,67 @@ def kh(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
     return wasserstein2_sq(g, g0) / (4.0 * h) + 0.5 * entropy_diff(g, g0)
 
 
-def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[float, float, int]:
-    """Root delta = 1 - eta of eta^q/(1-eta^2) = rhs = sigma0^q sigma^(2-q)/gap.
+def _coupling_root(log_rhs: float, rhs: float, q: float, w_min: float) -> tuple[float, int]:
+    """Root w = log eta < 0 of eta^q/(1 - eta^2) = rhs, and the number of evaluations.
 
-    Returns delta, rhs and the number of evaluations.  Newton's method
-    solves H(w) = q w - log(1 - e^(2w)) - log rhs = 0 for w = log eta < 0.
-    H increases strictly, with H' = q + 2e^(2w)/(1 - e^(2w)) > 0, and it is
-    convex, with H'' = 4e^(2w)/(1 - e^(2w))^2 > 0.  So the iterates started
-    at or above the root fall monotonically onto it.  The start is the
-    least of three closed-form upper bounds on the root:
+    rhs must be a normal double and log_rhs its logarithm.  Newton's
+    method solves H(w) = q w - log(1 - e^(2w)) - log rhs = 0.  H increases
+    strictly, with H' = q + 2e^(2w)/(1 - e^(2w)) > 0, and it is convex,
+    with H'' = 4e^(2w)/(1 - e^(2w))^2 > 0.  So the iterates started at or
+    above the root fall monotonically onto it.  The start is the least of
+    three closed-form upper bounds on the root:
 
     - max(-1/2, -e^(-q/2)/(2 rhs)), always, because 1 - e^(2w) <= -2w
       (above q = 2, -min(s, e^(-q s/2)/rhs)/2 with s = 2/q, which stays
       off w = 0 for large q);
     - (log rhs)/q when rhs < 1, because -log(1 - e^(2w)) >= 0;
-    - log(x)/2 with x = log rhs + 53 q log 2 when x lies in (0, 1),
-      because -log(1 - x) >= x.
+    - log(x)/2 with x = log rhs - q w_min when x lies in (0, 1), because
+      -log(1 - x) >= x; where log(x)/2 < w_min, the root is below w_min
+      too.
 
     log(1 - e^(2w)) is formed as log1p(-e^(2w)) where e^(2w) < 1/2, which
     keeps the relative precision of its small values as q -> 0, and as
     log(-expm1(2w)) next to w = 0.  The descent stops at a step below
     2^-27 |w|, which it applies (its square is below the resolution of w),
     at the first iterate that does not decrease, where roundoff has taken
-    over, or below w = -53 log 2; delta = -expm1(w).  For delta < 1/2 the
-    rounding of log rhs and of log(1 - e^(2w)) (about |log delta| eps)
-    would show in delta, so one Newton step on the direct form
-    rhs delta (2-delta) / (1-delta)^q = 1, which carries only relative
-    roundings, polishes it.
+    over, or below w_min, the caller's floor: a result below w_min means
+    that the root is below it.  Reaching _NEWTON_MAXITER raises
+    RuntimeError.
+    """
+    s = min(1.0, 2.0 / q)
+    w = -0.5 * min(s, math.exp(-0.5 * q * s) / rhs)
+    if rhs < 1.0:
+        w = min(w, log_rhs / q)
+    x = log_rhs - w_min * q
+    if 0.0 < x < 1.0:
+        w = min(w, 0.5 * math.log(x))
+    evals = 0
+    while w >= w_min:
+        if evals >= _NEWTON_MAXITER:
+            raise RuntimeError(f"coupling root: no Newton convergence for q={q!r}, rhs={rhs!r}")
+        evals += 1
+        e = math.exp(2.0 * w)
+        om = -math.expm1(2.0 * w)
+        step = (log_rhs - q * w + (math.log1p(-e) if e < 0.5 else math.log(om))) / (
+            q + 2.0 * e / om
+        )
+        if abs(step) <= -_W_STEP * w:
+            return w + step, evals
+        if not step < 0.0:
+            break
+        w += step
+    return w, evals
+
+
+def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[float, float, int]:
+    """Root delta = 1 - eta of eta^q/(1-eta^2) = rhs = sigma0^q sigma^(2-q)/gap.
+
+    Returns delta, rhs and the number of evaluations.  _coupling_root
+    solves for w = log eta, with this solve's floor w_min = -53 log 2;
+    delta = -expm1(w).  For delta < 1/2 the rounding of log rhs and of
+    log(1 - e^(2w)) (about |log delta| eps) would show in delta, so one
+    Newton step on the direct form rhs delta (2-delta) / (1-delta)^q = 1,
+    which carries only relative roundings, polishes it.
 
     The solve takes at most 7 evaluations, the polishing one included,
     over 200k random draws of sigma0 in [1e-3, 1e3], sigma/sigma0 in
@@ -228,7 +285,7 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[f
     a dense sweep of log rhs over [-700, 700] for q from 0.01 to 5/3, and
     at most 7 on the same sweep for q from 1e-3 down to 5e-324.  Against
     the 50-digit root for the same rhs, delta is within 3.4e-16 relative
-    over 3k random draws.  Reaching _NEWTON_MAXITER raises RuntimeError.
+    over 3k random draws.
 
     rhs is formed directly where its powers and quotient are normal
     doubles, and in logs where one of them is not.  A right-hand side
@@ -258,30 +315,7 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[f
                 f"coupling equation leaves the double range for sigma={sigma!r}, gap={gap!r}"
             )
 
-    s = min(1.0, 2.0 / q)
-    w = -0.5 * min(s, math.exp(-0.5 * q * s) / rhs)
-    if rhs < 1.0:
-        w = min(w, log_rhs / q)
-    x = log_rhs - _W_MIN * q
-    if 0.0 < x < 1.0:
-        w = min(w, 0.5 * math.log(x))
-    evals = 0
-    while w >= _W_MIN:
-        if evals >= _NEWTON_MAXITER:
-            raise RuntimeError(f"eta solve: no Newton convergence for q={q!r}, rhs={rhs!r}")
-        evals += 1
-        e = math.exp(2.0 * w)
-        om = -math.expm1(2.0 * w)
-        step = (log_rhs - q * w + (math.log1p(-e) if e < 0.5 else math.log(om))) / (
-            q + 2.0 * e / om
-        )
-        if abs(step) <= -_W_STEP * w:
-            w += step
-            break
-        if not step < 0.0:
-            break
-        w += step
-
+    w, evals = _coupling_root(log_rhs, rhs, q, _W_MIN)
     delta = -math.expm1(w)
     if not (w >= _W_MIN and _DBL_MIN <= delta < 1.0):
         raise DomainError(
@@ -331,11 +365,18 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
 
 
 def _f_h_from_delta(delta: float, sigma: float, sigma0: float, q: float) -> float:
-    """F_h in the q-form, given delta = 1 - eta_h."""
+    """F_h in the q-form, given delta = 1 - eta_h.
+
+    Raises DomainError where sigma0/sigma underflows to 0.
+    """
+    ratio = sigma0 / sigma
+    if ratio == 0.0:
+        raise DomainError(f"sigma0/sigma underflows for sigma0={sigma0!r}, sigma={sigma!r}")
+    log_ratio = math.log(ratio)
     eta_pow_q = math.exp(q * math.log1p(-delta))
-    ratio_pow = math.exp((1.0 - q) * math.log(sigma0 / sigma))
+    ratio_pow = math.exp((1.0 - q) * log_ratio)
     t1 = 2.0 * eta_pow_q / (2.0 - delta) * ratio_pow
-    ell = math.log(sigma0 / sigma) - math.log1p(-delta)
+    ell = log_ratio - math.log1p(-delta)
     t2 = q * math.expm1((1.0 - q) * ell) / (1.0 - q)
     return t1 + t2 - 1.0
 

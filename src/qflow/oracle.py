@@ -1,9 +1,12 @@
 """Quadrature and grid-search oracles, independent of the closed forms.
 
-Everything here evaluates densities pointwise and integrates or searches
-numerically, so the closed-form entropies, couplings and minimizers in the
-rest of the package can be cross-checked against a path that shares no
-algebra with them.
+The quadratures and searches here evaluate densities pointwise and
+integrate or search numerically, so the closed-form entropies, couplings
+and minimizers in the rest of the package can be cross-checked against a
+path that shares no algebra with them.  The one exception is the analytic
+theta-family minimizer: it solves its stationarity equation with the
+closed forms' own coupling root (functionals._coupling_root), and the
+checks compare it with minimize_theta, which never uses that equation.
 
 One-dimensional integrals use adaptive Gauss-Kronrod (scipy.integrate.quad)
 on two half-lines from the mean, in units of the member's scale.  Domain
@@ -38,10 +41,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 # scipy.optimize before scipy.integrate: scipy imports measurably faster in this order
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.integrate import quad
 
-from .functionals import coefficients
+from .functionals import _DBL_MIN, _LOG_DBL_MAX, _coupling_root, coefficients
 from .qgaussian import MBivariate, QGaussian1D
 from .qmath import DomainError, q_log
 
@@ -62,6 +65,9 @@ __all__ = [
     "minimize_kh_grid",
     "support_included",
 ]
+
+_LOG_DBL_MIN = math.log(_DBL_MIN)
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -338,30 +344,44 @@ def minimize_theta(p_biv: MBivariate, nu1: float, xi1: float, nu2: float, xi2: f
 def theta_family_minimizer(p_biv: MBivariate, xi1: float, xi2: float) -> float:
     """Analytic minimizer over the theta-family with scales xi1, xi2.
 
-    Solves s(eta) = s(theta_P) (xi1 xi2 / (s1 s2))^(2-m) with
+    Solves s(eta) = R = s(theta_P) (xi1 xi2 / (s1 s2))^(2-m) with
     s(e) = e (1 - e^2)^(-(3-m)/2), the stationarity condition of the
-    objective minimized by minimize_theta.
+    objective minimized by minimize_theta.  With q' = 2/(3-m) it reads
+    |eta|^q' / (1 - eta^2) = |R|^q', the coupling equation of the closed
+    forms, so its root comes from their own solver
+    (functionals._coupling_root, a Newton descent in w = log|eta|), with
+    log|R| formed in logs.  eta = sign(R) e^w; below |eta| = 1/2 the
+    rounding of log|theta_P| (about |w| eps) would show in eta, so one
+    Newton step on log(eta/theta_P) - (3-m)/2 log(1 - eta^2) = log|R| -
+    log|theta_P|, which carries only relative roundings, polishes it.  A
+    root within half an ulp of 1 rounds to +-1.0.  Raises DomainError
+    where xi1/s1, xi2/s2, |R|^q' or the root leaves the double range.
     """
-    m = p_biv.m
-    kappa = (3.0 - m) / 2.0
-
-    def s(e: float) -> float:
-        return e * (1.0 - e * e) ** (-kappa)
-
-    rhs = s(p_biv.theta) * (xi1 * xi2 / (p_biv.s1 * p_biv.s2)) ** (2.0 - m)
-    if rhs == 0.0:
+    theta = p_biv.theta
+    rho1, rho2 = xi1 / p_biv.s1, xi2 / p_biv.s2
+    if not (0.0 < rho1 < math.inf and 0.0 < rho2 < math.inf):
+        raise DomainError(f"scale ratios must be positive and finite, got {rho1!r}, {rho2!r}")
+    if theta == 0.0:
         return 0.0
-    sign = 1.0 if rhs > 0.0 else -1.0
-    target = math.log(abs(rhs))
-    root = brentq(
-        lambda e: math.log(s(e)) - target,
-        1e-15,
-        1.0 - 1e-15,
-        xtol=1e-300,
-        rtol=8.881784197001252e-16,
-        maxiter=300,
-    )
-    return sign * root
+    m = p_biv.m
+    q = 2.0 / (3.0 - m)
+    kappa = 0.5 * (3.0 - m)
+    t = abs(theta)
+    # log|R| - log t, free of the rounding of log t
+    c = (2.0 - m) * (math.log(rho1) + math.log(rho2)) - kappa * (math.log1p(-t) + math.log1p(t))
+    log_rhs = q * (math.log(t) + c)
+    if not _LOG_DBL_MIN <= log_rhs < _LOG_DBL_MAX:
+        raise DomainError(f"|R|^q' = exp({log_rhs!r}) leaves the normal double range")
+    w, _ = _coupling_root(log_rhs, math.exp(log_rhs), q, _LOG_DBL_MIN)
+    if w < _LOG_DBL_MIN:
+        raise DomainError(f"theta-family root below the normal double range for theta={theta!r}")
+    eta = math.exp(w)
+    # eta/t stays finite for a normal t
+    if eta < 0.5 and t >= _DBL_MIN:
+        e2 = eta * eta
+        phi = math.log(eta / t) - kappa * math.log1p(-e2) - c
+        eta -= eta * phi / (1.0 + 2.0 * kappa * e2 / (1.0 - e2))
+    return math.copysign(eta, theta)
 
 
 class PythagoreanGap(NamedTuple):

@@ -621,3 +621,56 @@ def test_rescaled_third_not_below_second_for_q_below_one(q, log_h, log2_ratio, d
     gap = sigma_sq_gap(1.0, h, q)
     allowance = 4.0 * _EPS * (2.0 / (3.0 - q)) * h / (2.0 * h * gap) * wasserstein2_sq(g, g0)
     assert rescaled_third(g, g0, h) - rescaled_second(g, g0, h) >= -allowance
+
+
+_CLOSED_FORMS = (
+    lambda g, g0, h: wasserstein2_sq(g, g0),
+    lambda g, g0, h: entropy_diff(g, g0),
+    kh,
+    lambda g, g0, h: coefficients(g.params.q, g0.sigma),
+    lambda g, g0, h: q0h(g0, h),
+    qstar,
+    jh,
+    f_h,
+    lambda g, g0, h: f_h(g, g0, h, form="m"),
+    lambda g, g0, h: f_limit(g, g0),
+    rescaled_first,
+    rescaled_second,
+    rescaled_third,
+    lambda g, g0, h: jko_step(g0, h),
+)
+_FINITE_SCALE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(q=_Q1, sigma=_FINITE_SCALE, sigma0=_FINITE_SCALE, mu=_FINITE, mu0=_FINITE, h=_FINITE_SCALE)
+# log(sigma0/sigma) of an underflowed ratio raised a raw math domain error
+@example(q=1.2, sigma=1.7e308, sigma0=1e-20, mu=0.0, mu0=0.0, h=1.0)
+# (C0(m,2)/sigma0)^(m-1) overflowed at m = 3 - 2/q just below 0
+@example(q=0.6666666676666666, sigma=1.0, sigma0=1.7e308, mu=0.0, mu0=0.0, h=1.0)
+# C0/sigma0 overflowed for a subnormal sigma0: b was inf (q < 1) or 0.0 (q > 1)
+@example(q=0.5, sigma=1e-310, sigma0=1e-310, mu=0.0, mu0=0.0, h=0.1)
+@example(q=1.5, sigma=1e-310, sigma0=1e-310, mu=0.0, mu0=0.0, h=0.1)
+def test_closed_forms_return_or_raise_domain_error(q, sigma, sigma0, mu, mu0, h):
+    # over every finite scale, mean and step a public closed form returns a
+    # value or raises DomainError, never another exception
+    p = make_params(q, 1)
+    g = QGaussian1D(mu=mu, sigma=sigma, params=p)
+    g0 = QGaussian1D(mu=mu0, sigma=sigma0, params=p)
+    for call in _CLOSED_FORMS:
+        try:
+            call(g, g0, h)
+        except DomainError:
+            pass
+    try:
+        assert entropy_diff(g0, g0) == 0.0
+        assert 0.0 < coefficients(q, sigma0).b < math.inf
+    except DomainError:
+        pass
+
+
+@pytest.mark.parametrize("q", [0.5, 1.2])
+def test_coefficients_reject_infinite_sigma0(q):
+    with pytest.raises(DomainError):
+        coefficients(q, math.inf)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qflow import _tanhsinh, checks, oracle
 from qflow.functionals import StepPair, entropy_diff, jh, jko_step, q0h
 from qflow.qgaussian import (
+    MBivariate,
     QGaussian1D,
     entropy_diff_closed,
     m_rel_entropy_closed,
@@ -197,6 +199,70 @@ def test_theta_family_minimizer_stationarity():
     # matching scales reproduce the reference correlation itself
     eta = oracle.theta_family_minimizer(p_biv, p_biv.s1, p_biv.s2)
     assert eta == pytest.approx(p_biv.theta, rel=1e-12)
+
+
+def _theta_family_root(p_biv, xi1, xi2):
+    """50-digit root of s(e) = s(theta_P) (xi1 xi2 / (s1 s2))^(2-m), s(e) =
+    e (1-e^2)^(-(3-m)/2), by bisection in u = log(-log|e|), over which log s
+    decreases."""
+    with mpmath.workdps(50):
+        theta, m = mpmath.mpf(p_biv.theta), mpmath.mpf(p_biv.m)
+        kappa = (3 - m) / 2
+        ratio = mpmath.mpf(xi1) * xi2 / (mpmath.mpf(p_biv.s1) * p_biv.s2)
+        log_r = (mpmath.log(abs(theta)) - kappa * mpmath.log(1 - theta * theta)
+                 + (2 - m) * mpmath.log(ratio))
+        # u from -800 to 8 spans every root |e| in [e^-2981, 1); 90 halvings
+        # leave a relative error below 1e-18 in e
+        lo, hi = mpmath.mpf(-800), mpmath.mpf(8)
+        for _ in range(90):
+            mid = (lo + hi) / 2
+            w = -mpmath.exp(mid)
+            if w - kappa * mpmath.log(-mpmath.expm1(2 * w)) > log_r:
+                lo = mid
+            else:
+                hi = mid
+        return mpmath.sign(theta) * mpmath.exp(-mpmath.exp((lo + hi) / 2))
+
+
+def _theta_family_draws(n, seed):
+    # m on both branches; theta_P uniform, within 1e-3 of +-1, or down to 1e-16
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m = float(rng.uniform(0.05, 0.95) if rng.random() < 0.5 else rng.uniform(1.05, 1.45))
+        kind = rng.integers(3)
+        if kind == 0:
+            theta = float(rng.uniform(-0.999, 0.999))
+        elif kind == 1:
+            theta = float(rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-15.9, -3.0)))
+        else:
+            theta = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -3.0))
+        s1, s2 = (float(s) for s in rng.uniform(0.5, 2.0, 2))
+        p_biv = MBivariate(0.0, 0.0, s1, s2, theta, make_params(m, 2))
+        yield p_biv, s1 * float(rng.uniform(0.8, 1.2)), s2 * float(rng.uniform(0.8, 1.2))
+
+
+def test_theta_family_minimizer_matches_mpmath_root():
+    # the first three once fell outside a fixed root bracket [1e-15, 1 - 1e-15]
+    p_flow = q0h(QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.2, 1)), 1e-15)
+    named = [
+        (MBivariate(0.0, 0.0, 1.0, 1.0, 0.9999999999999999, make_params(1.15, 2)), 1.0, 1.0),
+        (MBivariate(0.0, 0.0, 1.0, 1.0, 1e-16, make_params(1.15, 2)), 1.0, 1.0),
+        (p_flow, p_flow.s1, p_flow.s2),
+        (p_flow, 1.1 * p_flow.s1, 0.9 * p_flow.s2),
+    ]
+    worst = 0.0
+    for p_biv, xi1, xi2 in named + list(_theta_family_draws(60, 3)):
+        eta = oracle.theta_family_minimizer(p_biv, xi1, xi2)
+        worst = max(worst, float(abs(eta / _theta_family_root(p_biv, xi1, xi2) - 1)))
+    # 4000 such draws read at most 3.3e-16
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("theta, xi1", [(5e-324, 1.0), (1e-300, 1.0), (0.5, 0.0), (0.5, math.inf)])
+def test_theta_family_minimizer_outside_double_range_raises(theta, xi1):
+    p_biv = MBivariate(0.0, 0.0, 1.0, 1.0, theta, make_params(1.15, 2))
+    with pytest.raises(DomainError):
+        oracle.theta_family_minimizer(p_biv, xi1, 1.0)
 
 
 def test_minimize_theta_matches_analytic():
