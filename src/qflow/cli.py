@@ -33,6 +33,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .functionals import StepPair, _jko_sigma, entropy_diff, wasserstein2_sq
@@ -87,6 +88,15 @@ class ConvergenceTable:
     columns: tuple[str, ...]
     rows: list[tuple]
 
+    @cached_property
+    def row_text(self) -> tuple[str, ...]:
+        """Each row's cells by repr, comma-joined.
+
+        Formatted on the first render and kept, so the rows must not change
+        after it.
+        """
+        return tuple(",".join(map(repr, row)) for row in self.rows)
+
 
 def _table(schema: str, inputs: dict, columns: tuple[str, ...], rows: list) -> ConvergenceTable:
     """The table of one run; metadata is inputs less "command", plus their sha256."""
@@ -101,20 +111,17 @@ def render_csv(table: ConvergenceTable) -> str:
     for k, v in table.metadata.items():
         lines.append(f"# {k}={v!r}" if isinstance(v, float) else f"# {k}={v}")
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(map(repr, row)))
+    lines.extend(table.row_text)
     return "\n".join(lines) + "\n"
-
-
-# a row cell sits at depth 3 of the document, so json.dumps(indent=2) puts
-# it after a newline and six spaces
-_encode_rows = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def render_json(table: ConvergenceTable) -> str:
     """json.dumps(doc, indent=2) + "\\n", byte for byte.
 
-    Rows hold at least one cell.
+    The cells are the repr text that render_csv prints, formatted once per
+    table: json writes a finite float by the same shortest round-trip repr,
+    and nan, inf and -inf become NaN, Infinity and -Infinity.  Rows hold
+    at least one cell.
     """
     doc = {
         "schema": table.schema,
@@ -124,12 +131,12 @@ def render_json(table: ConvergenceTable) -> str:
     }
     text = json.dumps(doc, indent=2)
     if table.rows:
-        # any indent sends every cell through json's pure-Python encoder,
-        # which dominates a long table.  The rows go through the C encoder
-        # instead, with the cell break as item separator; only the breaks
-        # between rows need their brackets re-indented.  Cells are numbers,
-        # so "],\n      [" occurs nowhere else.
-        rows = _encode_rows(table.rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        # a cell sits at depth 3 of the document, after a newline and six
+        # spaces.  Cells are ints and floats, so an "n" appears only in
+        # repr's nan and inf.
+        rows = "\n    ],\n    [\n      ".join(row.replace(",", ",\n      ") for row in table.row_text)
+        if "n" in rows:
+            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
         text = text[: -len("[]\n}")] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
     return text + "\n"
 

@@ -154,13 +154,18 @@ def _entropy_b(p: QParams, sigma0: float) -> float:
 
     Computed from the printed constant formula (not from the algebraic
     shortcut b = sigma0^(q-1)/(3-q), which the identity tests compare
-    against).  Raises DomainError where that formula does not give a
-    positive finite double: where C0/sigma0 or its power leaves the double
-    range, as for subnormal or huge sigma0.
+    against).  Where C0/sigma0 is not a normal double, as for subnormal or
+    huge sigma0, its power is formed as C0^(1-q) sigma0^(q-1).  Raises
+    DomainError where b itself is not a positive finite double.
     """
     q = p.q
     try:
-        b = (2.0 - q) * p.c1_q_d / p.C ** ((3.0 - q) / 2.0) * (p.c0_q_d / sigma0) ** (1.0 - q)
+        ratio = p.c0_q_d / sigma0
+        if sys.float_info.min <= ratio < math.inf:
+            power = ratio ** (1.0 - q)
+        else:
+            power = p.c0_q_d ** (1.0 - q) * sigma0 ** (q - 1.0)
+        b = (2.0 - q) * p.c1_q_d / p.C ** ((3.0 - q) / 2.0) * power
     except (OverflowError, ZeroDivisionError):
         b = math.inf
     if not 0.0 < b < math.inf:

@@ -431,6 +431,37 @@ def test_renderers_match_reference_formulas(table):
     assert cli.render_csv(table) == "\n".join(lines) + "\n"
 
 
+class _CountedFloat(float):
+    """A float cell that counts the calls of its repr."""
+
+    def __repr__(self):
+        self.calls = getattr(self, "calls", 0) + 1
+        return float.__repr__(self)
+
+
+@pytest.mark.parametrize("order", [("csv", "json"), ("json", "csv")])
+def test_renderers_format_each_cell_once(order):
+    # both documents of a table, rendered twice each, read one repr per cell
+    values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 1e16, 2.5e-7]
+    plain = [(k, *values[k:], *values[:k]) for k in range(len(values))]
+    table = cli.ConvergenceTable(
+        schema="qflow.t.v1",
+        metadata={"q": 0.8, "input_sha256": "0f"},
+        columns=("k", *(f"c{i}" for i in range(len(values)))),
+        rows=[(k, *map(_CountedFloat, row)) for k, *row in plain],
+    )
+    expect = {
+        "csv": "\n".join(["# schema=qflow.t.v1", "# q=0.8", "# input_sha256=0f", ",".join(table.columns)]
+                         + [",".join(repr(x) for x in row) for row in plain]) + "\n",
+        "json": json.dumps({"schema": table.schema, "metadata": table.metadata,
+                            "columns": list(table.columns), "rows": [list(r) for r in plain]},
+                           indent=2) + "\n",
+    }
+    for fmt in order + order:
+        assert cli.render(table, fmt) == expect[fmt]
+    assert [cell.calls for row in table.rows for cell in row[1:]] == [1] * len(values) ** 2
+
+
 def test_const_dump(capsys):
     assert cli.main(["const", "--q", "0.8", "--d", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

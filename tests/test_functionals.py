@@ -670,6 +670,17 @@ def test_closed_forms_return_or_raise_domain_error(q, sigma, sigma0, mu, mu0, h)
         pass
 
 
+@pytest.mark.parametrize("q", [0.5, 1.5])
+@pytest.mark.parametrize("sigma0", [1e-310, 5e-324])
+def test_entropy_b_at_subnormal_sigma0_matches_mpmath(q, sigma0):
+    # C0/sigma0 overflows for a subnormal sigma0 while b = sigma0^(q-1)/(3-q)
+    # is an ordinary double (4e154 at q = 0.5, sigma0 = 1e-310)
+    b = functionals._entropy_b(make_params(q, 1), sigma0)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(sigma0) ** (mpmath.mpf(q) - 1) / (3 - mpmath.mpf(q))
+        assert abs(b / exact - 1) <= 1e-15
+
+
 @pytest.mark.parametrize("q", [0.5, 1.2])
 def test_coefficients_reject_infinite_sigma0(q):
     with pytest.raises(DomainError):
