@@ -34,6 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from .functionals import StepPair, _jko_sigma, entropy_diff, wasserstein2_sq
@@ -115,30 +116,57 @@ def render_csv(table: ConvergenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v: float) -> str:
+    text = float.__repr__(v)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# json's own C pieces for the scalars of a header
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+
+
+def _json_value(v) -> str:
+    """json.dumps(v, indent=2) for a value at depth 2 of a document.
+
+    A str, int or float is written by the C pieces json uses for it;
+    anything else goes through json.dumps, its lines indented to depth 2.
+    """
+    encode = _JSON_SCALAR.get(type(v))
+    return encode(v) if encode else json.dumps(v, indent=2).replace("\n", "\n    ")
+
+
 def render_json(table: ConvergenceTable) -> str:
     """json.dumps(doc, indent=2) + "\\n", byte for byte.
 
-    The cells are the repr text that render_csv prints, formatted once per
-    table: json writes a finite float by the same shortest round-trip repr,
-    and nan, inf and -inf become NaN, Infinity and -Infinity.  Rows hold
-    at least one cell.
+    The header (schema, flat metadata, columns) is built from json's C
+    pieces (json's pure-Python indenting encoder costs more than the header
+    and leaves its closures in reference cycles).  The cells are the repr
+    text that render_csv prints, formatted once per table: json writes a
+    finite float by the same shortest round-trip repr, and nan, inf and
+    -inf become NaN, Infinity and -Infinity.  Rows hold at least one cell.
     """
-    doc = {
-        "schema": table.schema,
-        "metadata": table.metadata,
-        "columns": list(table.columns),
-        "rows": [],
-    }
-    text = json.dumps(doc, indent=2)
-    if table.rows:
-        # a cell sits at depth 3 of the document, after a newline and six
-        # spaces.  Cells are ints and floats, so an "n" appears only in
-        # repr's nan and inf.
-        rows = "\n    ],\n    [\n      ".join(row.replace(",", ",\n      ") for row in table.row_text)
-        if "n" in rows:
-            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-        text = text[: -len("[]\n}")] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
-    return text + "\n"
+    key = encode_basestring_ascii
+    meta = ",\n    ".join(f"{key(k)}: {_json_value(v)}" for k, v in table.metadata.items())
+    cols = ",\n    ".join(map(key, table.columns))
+    text = (
+        f'{{\n  "schema": {key(table.schema)},\n  "metadata": '
+        + (f"{{\n    {meta}\n  }}" if meta else "{}")
+        + ',\n  "columns": '
+        + (f"[\n    {cols}\n  ]" if cols else "[]")
+        + ',\n  "rows": '
+    )
+    if not table.rows:
+        return text + "[]\n}\n"
+    # a cell sits at depth 3 of the document, after a newline and six
+    # spaces.  Cells are ints and floats, so an "n" appears only in repr's
+    # nan and inf.
+    rows = "\n    ],\n    [\n      ".join(row.replace(",", ",\n      ") for row in table.row_text)
+    if "n" in rows:
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return text + "[\n    [\n      " + rows + "\n    ]\n  ]\n}\n"
 
 
 def render(table: ConvergenceTable, fmt: str) -> str:

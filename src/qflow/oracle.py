@@ -9,8 +9,11 @@ closed forms' own coupling root (functionals._coupling_root), and the
 checks compare it with minimize_theta, which never uses that equation.
 
 One-dimensional integrals use adaptive Gauss-Kronrod (scipy.integrate.quad)
-on two half-lines from the mean, in units of the member's scale.  Domain
-policy:
+on two half-lines from the mean, in units of the member's scale.  The
+second half-line is the mirror of the first: the density is even about
+the mean bit for bit (IEEE rounding is sign-symmetric) and each integrand
+reads the offset only through its square, so one QUADPACK run gives both
+halves exactly.  Domain policy:
 
 * compact 1d supports (q < 1): each half-line ends at the support edge;
 * one-dimensional heavy tails (q > 1): each half-line runs to infinity
@@ -73,8 +76,9 @@ _LOG_DBL_MIN = math.log(_DBL_MIN)
 class QuadratureConfig:
     """Tolerances and budget for the quadrature oracle.
 
-    max_subdivisions caps the subintervals of quad on each 1d half-line and
-    the blocks of angles the polar rule may evaluate in 2d.
+    max_subdivisions caps the subintervals of quad on the 1d half-line (the
+    other half-line is its mirror and repeats it bit for bit) and the
+    blocks of angles the polar rule may evaluate in 2d.
     """
 
     rel_tol: float = 1e-10
@@ -103,7 +107,7 @@ def _line_quad(
     cfg: QuadratureConfig | None,
     magnitude: float = 1.0,
 ) -> QuadResult:
-    """Integral over the real line of integrand(d, f), f = g's density at mu + d.
+    """Integral over the real line of integrand(d*d, f), f = g's density at mu + d.
 
     Two half-lines from the mean, d = +-scale u, with u from 0 to the
     support edge (q < 1) or to +inf untruncated (q > 1, QUADPACK's own
@@ -112,38 +116,47 @@ def _line_quad(
     exact.  The absolute tolerance is relative to magnitude, the size of
     the integral (g.variance for the second moment), and rescaled to the u
     units, so a tiny or huge integral keeps its relative accuracy.
+
+    The second half-line is the mirror of the first, so it is integrated
+    once and counted twice.  This is exact, not an approximation: IEEE
+    rounding is sign-symmetric, (-s) u = -(s u), and the centred density
+    reads d only through c1 d d, so f(-d) and f(d) are the same bits; the
+    integrand sees d only through d*d, by construction.  QUADPACK on the
+    mirrored half-line therefore meets the same values at the same nodes
+    and returns the same value, error estimate and message.
     """
     cfg = cfg or QuadratureConfig()
-    centred = replace(g, mu=0.0)
-    edge = centred.support().hi / g.scale
+    centred, scale = replace(g, mu=0.0), g.scale
+    edge = centred.support().hi / scale
     policy = "to the support edge" if edge < math.inf else "untruncated"
     notes = [f"two half-lines from the mean, {policy}"]
-    value = err = 0.0
-    converged = True
-    for step in (g.scale, -g.scale):
-        out = quad(lambda u: integrand(step * u, centred.density(step * u)), 0.0, edge,
-                   epsabs=cfg.abs_tol * magnitude / g.scale, epsrel=cfg.rel_tol,
-                   limit=cfg.max_subdivisions, full_output=True)
-        value, err = value + out[0], err + out[1]
-        if len(out) > 3:
-            converged = False
-            notes.append(str(out[3]).strip().replace("\n", " "))
-    return QuadResult(g.scale * value, g.scale * err, converged, "; ".join(notes))
+
+    def half_line(u: float) -> float:
+        d = scale * u
+        return integrand(d * d, centred.density(d))
+
+    out = quad(half_line, 0.0, edge, epsabs=cfg.abs_tol * magnitude / scale,
+               epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=True)
+    if len(out) > 3:
+        notes.append(str(out[3]).strip().replace("\n", " "))
+    # both half-lines summed from 0.0, so a -0.0 half reads 0.0
+    value, err = 0.0 + out[0] + out[0], 0.0 + out[1] + out[1]
+    return QuadResult(scale * value, scale * err, len(out) <= 3, "; ".join(notes))
 
 
 def mass_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Total mass of the density by quadrature (should be 1)."""
-    return _line_quad(lambda d, f: f, g, cfg)
+    return _line_quad(lambda d2, f: f, g, cfg)
 
 
 def moment2_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Second moment about the mean by quadrature (should be C sigma^2)."""
-    return _line_quad(lambda d, f: d * d * f, g, cfg, g.variance)
+    return _line_quad(lambda d2, f: d2 * f, g, cfg, g.variance)
 
 
 def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Tsallis entropy integral f log_q f of a 1d member, by quadrature."""
-    return _line_quad(lambda d, f: f * q_log(f, g.params.q) if f > 0.0 else 0.0, g, cfg)
+    return _line_quad(lambda d2, f: f * q_log(f, g.params.q) if f > 0.0 else 0.0, g, cfg)
 
 
 # Angles per block of rays: bounds the size of the radial rule's arrays.
@@ -230,13 +243,27 @@ def _polar_quad(
     return QuadResult(value, angle_err + step * radial_err, converged, note)
 
 
-def _xlogm(a: np.ndarray, b: np.ndarray, m: float) -> np.ndarray:
-    """a log_m b elementwise, 0 where a = 0.  For m > 1 a density is 0 (or
-    nan) only where it underflowed far out in the tail, where the limit is 0.
-    """
+def _log_m_numerator(b: np.ndarray, m: float) -> np.ndarray:
+    """(1-m) log_m b = expm1((1-m) log b) elementwise, -1 or inf at b = 0,
+    in one new array."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = a * np.expm1((1.0 - m) * np.log(b)) / (1.0 - m)
-    return np.where((a > 0.0) & ((b > 0.0) | (m < 1.0)), val, 0.0)
+        e = np.log(b)
+        e *= 1.0 - m
+        return np.expm1(e, out=e)
+
+
+def _xlogm(a: np.ndarray, b: np.ndarray, e: np.ndarray, m: float) -> np.ndarray:
+    """a log_m b elementwise from e = _log_m_numerator(b, m), 0 where a = 0,
+    as (a e)/(1-m) in one new array.
+
+    For m > 1 a density is 0 (or nan) only where it underflowed far out in
+    the tail, where the limit is 0.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        val = a * e
+        val /= 1.0 - m
+    np.putmask(val, ~((a > 0.0) & ((b > 0.0) | (m < 1.0))), 0.0)
+    return val
 
 
 def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -248,7 +275,7 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
 
     def integrand(x, y):
         fv = nu.density(x, y)
-        return _xlogm(fv, fv, nu.m)
+        return _xlogm(fv, fv, _log_m_numerator(fv, nu.m), nu.m)
 
     return _polar_quad(integrand, [nu], cfg)
 
@@ -268,10 +295,12 @@ def m_rel_entropy_quad(
         (1/(2-m)) [f log_m f + (1-m) g log_m g - (2-m) f log_m g],
 
     which share no cancellation pattern and therefore cross-check each
-    other.  The polar rule is centred at f's mean (inside both supports
-    when supp f lies inside supp g) and whitened by the average of f's and
-    g's scale matrices.  For m < 1 this is the honest integral even when
-    the supports are not nested (the closed form then differs).
+    other.  Each deformed log is evaluated once per node: g log_m g and
+    f log_m g read the same log_m g.  The polar rule is centred at f's
+    mean (inside both supports when supp f lies inside supp g) and
+    whitened by the average of f's and g's scale matrices.  For m < 1 this
+    is the honest integral even when the supports are not nested (the
+    closed form then differs).
     """
     cfg = cfg or QuadratureConfig()
     if f_biv.m != g_biv.m:
@@ -282,12 +311,25 @@ def m_rel_entropy_quad(
 
     def integrand(x, y):
         fv, gv = f_biv.density(x, y), g_biv.density(x, y)
-        glg = _xlogm(gv, gv, m)
+        # the forms' operations in place, each in its order: holding one
+        # array more than three terms made the allocator return pages to
+        # the system and fault them in again on every call
+        eg = _log_m_numerator(gv, m)
+        glg, flg = _xlogm(gv, gv, eg, m), _xlogm(fv, gv, eg, m)
+        del eg
+        t = _xlogm(fv, fv, _log_m_numerator(fv, m), m)
         if form == "first":
-            t = _xlogm(fv, fv, m) - glg - (2.0 - m) * (_xlogm(fv, gv, m) - glg)
+            t -= glg
+            flg -= glg
+            flg *= 2.0 - m
+            t -= flg
         else:
-            t = _xlogm(fv, fv, m) + (1.0 - m) * glg - (2.0 - m) * _xlogm(fv, gv, m)
-        return t / (2.0 - m)
+            glg *= 1.0 - m
+            t += glg
+            flg *= 2.0 - m
+            t -= flg
+        t /= 2.0 - m
+        return t
 
     return _polar_quad(integrand, [f_biv, g_biv], cfg)
 

@@ -403,11 +403,24 @@ _CELLS = st.one_of(
 )
 
 
+# header text: quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\,\n\x00\x7fé€😀'), st.characters()), max_size=8)
+_META_VALUES = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+
+
 @st.composite
 def _tables(draw):
     width = draw(st.integers(min_value=1, max_value=6))
     rows = draw(st.lists(st.tuples(*[_CELLS] * width), max_size=12))
-    metadata = {"q": 0.8, "steps": 3, "input_sha256": "0f"}
+    metadata = {"q": 0.8, "steps": 3, "input_sha256": "0f", **draw(st.dictionaries(_TEXT, _META_VALUES, max_size=6))}
     columns = tuple(f"c{i}" for i in range(width))
     return cli.ConvergenceTable(schema="qflow.t.v1", metadata=metadata, columns=columns, rows=rows)
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.integrate
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflow import _tanhsinh, checks, oracle
@@ -15,7 +17,7 @@ from qflow.qgaussian import (
     m_rel_entropy_closed,
     make_bivariate,
 )
-from qflow.qmath import DomainError, make_params
+from qflow.qmath import DomainError, make_params, q_log
 
 
 def test_truncation_policy_recorded():
@@ -81,6 +83,68 @@ def test_line_quad_finite_or_domain_error(q, log_sigma, mu):
         except DomainError:
             continue
         assert math.isfinite(value)
+
+
+def _two_half_lines(integrand, g, cfg, magnitude=1.0):
+    """Reference: each half-line from the mean by its own QUADPACK run,
+    the integrand reading the signed offset d."""
+    centred = dataclasses.replace(g, mu=0.0)
+    edge = centred.support().hi / g.scale
+    value = err = 0.0
+    converged = True
+    for step in (g.scale, -g.scale):
+        out = scipy.integrate.quad(lambda u: integrand(step * u, centred.density(step * u)), 0.0, edge,
+                                   epsabs=cfg.abs_tol * magnitude / g.scale, epsrel=cfg.rel_tol,
+                                   limit=cfg.max_subdivisions, full_output=True)
+        value, err = value + out[0], err + out[1]
+        converged = converged and len(out) <= 3
+    return g.scale * value, g.scale * err, converged
+
+
+_ONE_D_REFERENCES = (
+    (oracle.mass_quad, lambda g: (lambda d, f: f, 1.0)),
+    (oracle.moment2_quad, lambda g: (lambda d, f: d * d * f, g.variance)),
+    (oracle.entropy_quad, lambda g: (lambda d, f: f * q_log(f, g.params.q) if f > 0.0 else 0.0, 1.0)),
+)
+
+
+def _bits(value, err, converged):
+    return value.hex(), err.hex(), converged
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    q=st.one_of(st.floats(min_value=0.02, max_value=0.999), st.floats(min_value=1.001, max_value=1.666)),
+    mu=st.floats(min_value=-1e3, max_value=1e3),
+    log_sigma=st.floats(min_value=-100.0, max_value=50.0),
+)
+@example(q=0.5, mu=10.0, log_sigma=-100.0)
+@example(q=1.666, mu=10.0, log_sigma=-100.0)
+@example(q=0.02, mu=0.0, log_sigma=50.0)
+def test_line_quad_matches_two_half_lines_bitwise(q, mu, log_sigma):
+    # one half-line counted twice equals two QUADPACK runs, signed zero,
+    # error estimate and unconverged budgets included
+    g = QGaussian1D(mu=mu, sigma=10.0**log_sigma, params=make_params(q, 1))
+    for cfg in (oracle.QuadratureConfig(), oracle.QuadratureConfig(max_subdivisions=2)):
+        for oracle_1d, reference in _ONE_D_REFERENCES:
+            integrand, magnitude = reference(g)
+            assert _bits(*oracle_1d(g, cfg)[:3]) == _bits(*_two_half_lines(integrand, g, cfg, magnitude))
+
+
+def test_line_quad_one_quad_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return scipy.integrate.quad(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "quad", counted)
+    for q in (0.8, 1.2):
+        g = QGaussian1D(mu=0.3, sigma=1.3, params=make_params(q, 1))
+        for oracle_1d in (oracle.mass_quad, oracle.moment2_quad, oracle.entropy_quad):
+            calls.clear()
+            assert oracle_1d(g).converged
+            assert len(calls) == 1, (q, oracle_1d.__name__, calls)
 
 
 def test_mrel_two_integrand_forms_agree():
