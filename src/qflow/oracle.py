@@ -13,7 +13,13 @@ on two half-lines from the mean, in units of the member's scale.  The
 second half-line is the mirror of the first: the density is even about
 the mean bit for bit (IEEE rounding is sign-symmetric) and each integrand
 reads the offset only through its square, so one QUADPACK run gives both
-halves exactly.  Domain policy:
+halves exactly.  Its integrand is one closure per integral that computes
+the density and its weight (1, the squared offset, or log_q of the
+density) inline, in the same operations as QGaussian1D.density and
+q_log, so the nodes see the same bits without a library call per node.
+The 1d oracles raise DomainError where the variance C sigma^2 is not a
+normal double or twice it overflows, and where an integral is not
+finite.  Domain policy:
 
 * compact 1d supports (q < 1): each half-line ends at the support edge;
 * one-dimensional heavy tails (q > 1): each half-line runs to infinity
@@ -49,7 +55,7 @@ from scipy.integrate import quad
 
 from .functionals import _DBL_MIN, _LOG_DBL_MAX, _coupling_root, coefficients
 from .qgaussian import MBivariate, QGaussian1D
-from .qmath import DomainError, q_log
+from .qmath import DomainError
 
 __all__ = [
     "QuadratureConfig",
@@ -101,62 +107,91 @@ class QuadResult(NamedTuple):
     note: str
 
 
-def _line_quad(
-    integrand: Callable[[float, float], float],
-    g: QGaussian1D,
-    cfg: QuadratureConfig | None,
-    magnitude: float = 1.0,
-) -> QuadResult:
-    """Integral over the real line of integrand(d*d, f), f = g's density at mu + d.
+def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> QuadResult:
+    """Integral over the real line of w(d) f(mu + d), f = g's density.
 
+    weight names w: "mass" (1), "moment" (d*d) or "entropy" (log_q f).
     Two half-lines from the mean, d = +-scale u, with u from 0 to the
     support edge (q < 1) or to +inf untruncated (q > 1, QUADPACK's own
-    infinite-interval map).  The density is read at the offset d from a
-    centred copy of g, so a scale far below the resolution of mu stays
-    exact.  The absolute tolerance is relative to magnitude, the size of
-    the integral (g.variance for the second moment), and rescaled to the u
-    units, so a tiny or huge integral keeps its relative accuracy.
+    infinite-interval map).  The density is read at the offset d, not at
+    mu + d, so a scale far below the resolution of mu stays exact.  The
+    absolute tolerance is relative to the size of the integral (the
+    variance v for the moment, 1 otherwise) and rescaled to the u units,
+    so a tiny or huge integral keeps its relative accuracy.
+
+    The integrand is one closure over four constants: norm = C0/sqrt(v),
+    C1, 2v and 1 - q.  At each node it computes the density and its weight
+    inline, with the operations of QGaussian1D.density, q_exp and q_log in
+    their order, so QUADPACK meets the same bits at the same nodes as
+    through those functions.  The branches it leaves out are unreachable:
+    the argument t = -(C1 d d / 2v) of exp_q is never positive, so for
+    q > 1 the bracket 1 + (1-q) t is at least 1 (no pole), and for any q
+    the exponent log1p((1-q) t)/(1-q) is never positive (no overflow).
+    The one branch left is the support edge (q < 1), where the density is
+    0.0, as norm * 0.0 is.  The entropy weight keeps the f > 0 guard (a
+    heavy tail's f underflows far out), and expm1((1-q) log f) cannot
+    overflow: where (1-q) log f is positive it stays below 709, because
+    f <= C0/sqrt(v) < 6.8e153 C0 for q < 1, and f >= 5e-324 with
+    q - 1 < 2/3 for q > 1.  make_params never yields q = 1, so dividing
+    by 1 - q is safe.
 
     The second half-line is the mirror of the first, so it is integrated
     once and counted twice.  This is exact, not an approximation: IEEE
-    rounding is sign-symmetric, (-s) u = -(s u), and the centred density
-    reads d only through c1 d d, so f(-d) and f(d) are the same bits; the
-    integrand sees d only through d*d, by construction.  QUADPACK on the
-    mirrored half-line therefore meets the same values at the same nodes
-    and returns the same value, error estimate and message.
+    rounding is sign-symmetric, (-s) u = -(s u), and the integrand reads
+    d only through d*d, so f(-d) and f(d) are the same bits.  QUADPACK on
+    the mirrored half-line therefore meets the same values at the same
+    nodes and returns the same value, error estimate and message.
+
+    Raises DomainError where v is not a normal double or 2v overflows (at
+    q = 0.5, sigma outside [1.4e-154, 8.6e153]), and where the integral is
+    not finite.
     """
     cfg = cfg or QuadratureConfig()
-    centred, scale = replace(g, mu=0.0), g.scale
-    edge = centred.support().hi / scale
+    v = g.variance
+    two_v = 2.0 * v
+    if not (_DBL_MIN <= v and two_v < math.inf):
+        raise DomainError(f"1d oracle needs a normal variance with 2v finite, got v={v!r}")
+    scale = math.sqrt(v)
+    edge = replace(g, mu=0.0).support().hi / scale
+    norm, c1, om = g.params.c0_q_d / scale, g.params.c1_q_d, 1.0 - g.params.q
     policy = "to the support edge" if edge < math.inf else "untruncated"
     notes = [f"two half-lines from the mean, {policy}"]
 
     def half_line(u: float) -> float:
         d = scale * u
-        return integrand(d * d, centred.density(d))
+        t = -(c1 * d * d / two_v)
+        f = 0.0 if 1.0 + om * t <= 0.0 else norm * math.exp(math.log1p(om * t) / om)
+        if weight == "mass":
+            return f
+        if weight == "moment":
+            return d * d * f
+        return f * (math.expm1(om * math.log(f)) / om) if f > 0.0 else 0.0
 
+    magnitude = v if weight == "moment" else 1.0
     out = quad(half_line, 0.0, edge, epsabs=cfg.abs_tol * magnitude / scale,
                epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=True)
     if len(out) > 3:
         notes.append(str(out[3]).strip().replace("\n", " "))
     # both half-lines summed from 0.0, so a -0.0 half reads 0.0
-    value, err = 0.0 + out[0] + out[0], 0.0 + out[1] + out[1]
-    return QuadResult(scale * value, scale * err, len(out) <= 3, "; ".join(notes))
+    value, err = scale * (0.0 + out[0] + out[0]), scale * (0.0 + out[1] + out[1])
+    if not math.isfinite(value):
+        raise DomainError(f"1d {weight} integral is not finite: {value!r}")
+    return QuadResult(value, err, len(out) <= 3, "; ".join(notes))
 
 
 def mass_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Total mass of the density by quadrature (should be 1)."""
-    return _line_quad(lambda d2, f: f, g, cfg)
+    return _line_quad("mass", g, cfg)
 
 
 def moment2_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Second moment about the mean by quadrature (should be C sigma^2)."""
-    return _line_quad(lambda d2, f: d2 * f, g, cfg, g.variance)
+    return _line_quad("moment", g, cfg)
 
 
 def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Tsallis entropy integral f log_q f of a 1d member, by quadrature."""
-    return _line_quad(lambda d2, f: f * q_log(f, g.params.q) if f > 0.0 else 0.0, g, cfg)
+    return _line_quad("entropy", g, cfg)
 
 
 # Angles per block of rays: bounds the size of the radial rule's arrays.

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -8,7 +10,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflow import _tanhsinh, checks, oracle
+from qflow import _tanhsinh, checks, oracle, qmath
 from qflow.functionals import StepPair, entropy_diff, jh, jko_step, q0h
 from qflow.qgaussian import (
     MBivariate,
@@ -72,7 +74,8 @@ def test_moment2_quad_relative_accuracy_at_extreme_scales(q, sigma):
         st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
         st.floats(min_value=1.0, max_value=5.0 / 3.0, exclude_min=True, exclude_max=True),
     ),
-    log_sigma=st.floats(min_value=-3.0, max_value=3.0),
+    # every finite positive sigma, 5e-324 to 1.8e308
+    log_sigma=st.floats(min_value=-323.3, max_value=308.25),
     mu=st.floats(min_value=-1e3, max_value=1e3),
 )
 def test_line_quad_finite_or_domain_error(q, log_sigma, mu):
@@ -116,35 +119,60 @@ def _bits(value, err, converged):
 @given(
     q=st.one_of(st.floats(min_value=0.02, max_value=0.999), st.floats(min_value=1.001, max_value=1.666)),
     mu=st.floats(min_value=-1e3, max_value=1e3),
-    log_sigma=st.floats(min_value=-100.0, max_value=50.0),
+    # past both edges of the domain: C sigma^2 normal with 2 C sigma^2 finite
+    log_sigma=st.floats(min_value=-156.0, max_value=155.0),
 )
 @example(q=0.5, mu=10.0, log_sigma=-100.0)
 @example(q=1.666, mu=10.0, log_sigma=-100.0)
 @example(q=0.02, mu=0.0, log_sigma=50.0)
+# (1-q) log f is largest at small q and q near 1, at the edges of the domain;
+# the last two are just outside it
+@example(q=0.02, mu=0.0, log_sigma=-153.797)
+@example(q=0.02, mu=0.0, log_sigma=154.005)
+@example(q=0.999999, mu=0.0, log_sigma=-153.976)
+@example(q=0.999999, mu=0.0, log_sigma=153.826)
+@example(q=0.02, mu=0.0, log_sigma=-153.798)
+@example(q=0.02, mu=0.0, log_sigma=154.006)
 def test_line_quad_matches_two_half_lines_bitwise(q, mu, log_sigma):
     # one half-line counted twice equals two QUADPACK runs, signed zero,
-    # error estimate and unconverged budgets included
+    # error estimate and unconverged budgets included; DomainError exactly
+    # where the variance leaves the domain or the reference is not finite
     g = QGaussian1D(mu=mu, sigma=10.0**log_sigma, params=make_params(q, 1))
+    in_domain = sys.float_info.min <= g.variance and 2.0 * g.variance < math.inf
     for cfg in (oracle.QuadratureConfig(), oracle.QuadratureConfig(max_subdivisions=2)):
         for oracle_1d, reference in _ONE_D_REFERENCES:
             integrand, magnitude = reference(g)
-            assert _bits(*oracle_1d(g, cfg)[:3]) == _bits(*_two_half_lines(integrand, g, cfg, magnitude))
+            expected = _two_half_lines(integrand, g, cfg, magnitude) if in_domain else (math.nan,)
+            if not math.isfinite(expected[0]):
+                with pytest.raises(DomainError):
+                    oracle_1d(g, cfg)
+                continue
+            assert _bits(*oracle_1d(g, cfg)[:3]) == _bits(*expected)
 
 
 def test_line_quad_one_quad_call(monkeypatch):
-    calls = []
+    # one QUADPACK run per integral, whose integrand calls none of the
+    # scalar density and deformed-log functions at its nodes
+    calls = collections.Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return scipy.integrate.quad(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(oracle, "quad", counted)
+    monkeypatch.setattr(oracle, "quad", counted("quad", scipy.integrate.quad))
+    monkeypatch.setattr(QGaussian1D, "density", counted("density", QGaussian1D.density))
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qflow"]:
+        for name in ("q_exp", "q_log"):
+            if getattr(module, name, None) is getattr(qmath, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(qmath, name)))
     for q in (0.8, 1.2):
         g = QGaussian1D(mu=0.3, sigma=1.3, params=make_params(q, 1))
         for oracle_1d in (oracle.mass_quad, oracle.moment2_quad, oracle.entropy_quad):
             calls.clear()
             assert oracle_1d(g).converged
-            assert len(calls) == 1, (q, oracle_1d.__name__, calls)
+            assert calls == {"quad": 1}, (q, oracle_1d.__name__, calls)
 
 
 def test_mrel_two_integrand_forms_agree():
