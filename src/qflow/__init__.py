@@ -21,7 +21,6 @@ from .qgaussian import (
 )
 from .pme_flow import FlowState, barenblatt_density, evolve_sigma, theta_map_1d
 from .functionals import (
-    EtaSolve,
     GammaCoefficients,
     coefficients,
     entropy_diff,
@@ -35,7 +34,6 @@ from .functionals import (
     rescaled_first,
     rescaled_second,
     rescaled_third,
-    solve_eta,
     wasserstein2_sq,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "barenblatt_density",
     "evolve_sigma",
     "theta_map_1d",
-    "EtaSolve",
     "GammaCoefficients",
     "coefficients",
     "entropy_diff",
@@ -69,7 +66,6 @@ __all__ = [
     "rescaled_first",
     "rescaled_second",
     "rescaled_third",
-    "solve_eta",
     "wasserstein2_sq",
     "__version__",
 ]

@@ -16,13 +16,12 @@ import numpy as np
 
 from . import oracle
 from .functionals import (
+    StepPair,
     entropy_diff,
-    f_h,
     jh,
     jko_step,
     rescaled_first,
     rescaled_second,
-    solve_eta,
     wasserstein2_sq,
 )
 from .pme_flow import barenblatt_density, evolve_sigma, pde_residual, theta_map_1d
@@ -110,9 +109,17 @@ def _mrel_closed_errors():
 
 
 def _eta_residual_errors():
+    # StepPair's root in eta^q / (1 - eta^2) = sigma0^q sigma^(2-q) / D,
+    # with 1 - eta^2 = delta (2 - delta)
     for q in (0.5, 0.8, 1.2):
+        p = make_params(q, 1)
+        g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
+        g = QGaussian1D(mu=0.0, sigma=1.3, params=p)
         for h in (1e-1, 1e-4, 1e-8):
-            yield abs(solve_eta(1.3, 1.0, evolve_sigma(1.0, h, q), q).residual)
+            step = StepPair(g, g0, h)
+            delta = step.delta
+            lhs = math.exp(q * math.log1p(-delta)) / (delta * (2.0 - delta))
+            yield abs(lhs / (g0.sigma**q * g.sigma ** (2.0 - q) / step.gap) - 1.0)
 
 
 def _jh_zero_errors():
@@ -130,7 +137,8 @@ def _fh_forms_errors():
         g0 = QGaussian1D(mu=0.0, sigma=1.0, params=p)
         g = QGaussian1D(mu=0.3, sigma=1.4, params=p)
         for h in (1e-1, 1e-4, 1e-7):
-            yield abs(f_h(g, g0, h, form="q") - f_h(g, g0, h, form="m"))
+            step = StepPair(g, g0, h)
+            yield abs(step.f_h("q") - step.f_h("m"))
 
 
 def _rescaled_slope(which: Callable[[QGaussian1D, QGaussian1D, float], float], limit_fn) -> float:
@@ -179,8 +187,7 @@ def _flow_mass_errors():
 
 _SLOPE_DETAIL = "log-log slope of |value - limit| in h, target 1"
 
-# The check table: scope -> rows; cli.run_checks feeds constant_params to the
-# constant-identity row only.
+# The check table: scope -> rows.
 CHECKS: dict[str, tuple[Check, ...]] = {
     "qmath": (
         Check("qexp-qlog-roundtrip", 1e-12,

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 from .functionals import StepPair, _jko_sigma, entropy_diff, wasserstein2_sq
 from .pme_flow import evolve_sigma
 from .qgaussian import QGaussian1D
-from .qmath import DomainError, QParams, make_params
+from .qmath import DomainError, make_params
 
 GAMMA_SCHEMA = "qflow.gamma.v1"
 JKO_SCHEMA = "qflow.jko.v1"
@@ -256,9 +256,7 @@ class CheckResult:
 VERIFY_SCOPES = ("all", "qmath", "qgaussian", "functionals", "pme_flow")
 
 
-def run_checks(
-    scope: str = "all", constant_params: Sequence[QParams] | None = None
-) -> list[CheckResult]:
+def run_checks(scope: str = "all") -> list[CheckResult]:
     """Run the named invariant checks of one scope, or all of them.
 
     Only the checks of the requested scope run.  Without a target, a row's
@@ -266,10 +264,7 @@ def run_checks(
     (nan if any error is nan) and passes when it is at most the tolerance;
     ``{n}`` in its detail becomes the instance count.  With a target,
     measure returns one slope, which must lie within the tolerance of the
-    target.  A nan measurement fails either way.  constant_params
-    substitutes the parameter sets fed to the constant-identity check; the
-    fault-injection tests use it to confirm a perturbed normalization
-    constant is caught.
+    target.  A nan measurement fails either way.
     """
     if scope not in VERIFY_SCOPES:
         raise DomainError(f"scope must be one of {VERIFY_SCOPES}, got {scope!r}")
@@ -280,10 +275,7 @@ def run_checks(
         if scope not in ("all", check_scope):
             continue
         for row in rows:
-            if row.name == "constant-identity":
-                values = row.measure(constant_params)
-            else:
-                values = row.measure()
+            values = row.measure()
             if row.target is None:
                 errs = list(values)
                 measured = math.nan if any(map(math.isnan, errs)) else max(errs, default=0.0)

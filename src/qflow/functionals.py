@@ -45,9 +45,9 @@ with D = sigma_h^2 - sigma0^2 and F_h the bounded correction
 
 used as the computation paths: they stay conditioned uniformly in h while
 the defining expressions lose all digits below h ~ 1e-8.  StepPair(g, g0,
-h) computes D, delta, the q-form of F_h and b once; J_h, F_h, the
-optimal coupling and the three rescalings all read those numbers from
-it.  The coefficients
+h) computes D, delta, the q-form of F_h and b once, and it is the only
+entry to eta_h: J_h, F_h, the optimal coupling and the three rescalings
+all read those numbers from it.  The coefficients
 
     a = 2 C^(2-m) / C1(m,2) * (C0(m,2)/sigma0)^(m-1),
     b = (2-q) C1(q,1) / C^((3-q)/2) * (C0(q,1)/sigma0)^(1-q)
@@ -63,18 +63,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .pme_flow import _log_growth, evolve_sigma, sigma_sq_gap
+from .pme_flow import _relative_growth, evolve_sigma, sigma_sq_gap
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
-from .qmath import DomainError, QParams, c0_const, c1_const, make_params, q_log
+from .qmath import DomainError, QParams, c0_const, c1_const, make_params
 
 __all__ = [
-    "EtaSolve",
     "GammaCoefficients",
     "StepPair",
     "wasserstein2_sq",
     "entropy_diff",
     "kh",
-    "solve_eta",
     "q0h",
     "qstar",
     "jh",
@@ -100,22 +98,6 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
-class EtaSolve:
-    """Root of the correlation equation.
-
-    one_minus_eta carries the full relative precision of the solve (eta is
-    provided for convenience but flattens to 1.0 - one_minus_eta);
-    residual is the relative residual of the defining equation at the
-    root; iterations counts the evaluations of the solve.
-    """
-
-    eta: float
-    one_minus_eta: float
-    residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class GammaCoefficients:
     """Rescaling coefficients a, b for a given base scale sigma0."""
 
@@ -133,6 +115,33 @@ def _require_same_family(g: QGaussian1D, g0: QGaussian1D) -> None:
 def _require_h(h: float) -> None:
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h!r}")
+
+
+def _finite(value: float, name: str) -> float:
+    """value, or DomainError where it is not a finite double."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} leaves the double range: {value!r}")
+    return value
+
+
+def _q_log_ratio(sigma0: float, sigma: float, q: float) -> float:
+    """log_q(sigma0/sigma) = expm1((1-q) L)/(1-q) with L = log(sigma0/sigma).
+
+    Where the quotient is a normal double this is q_log's evaluation, bit
+    for bit; where it is not, L is formed as log sigma0 - log sigma.
+    Raises DomainError where the value exceeds the double range.
+    """
+    ratio = sigma0 / sigma
+    if _DBL_MIN <= ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = math.log(sigma0) - math.log(sigma)
+    om = 1.0 - q
+    try:
+        value = math.expm1(om * log_ratio) / om
+    except OverflowError:
+        value = math.inf
+    return _finite(value, "log_q(sigma0/sigma)")
 
 
 def wasserstein2_sq(g1: QGaussian1D, g2: QGaussian1D) -> float:
@@ -209,17 +218,21 @@ def entropy_diff(g: QGaussian1D, g0: QGaussian1D) -> float:
 
     Exactly 0.0 at sigma == sigma0 (log_q(1) evaluates to 0 exactly).
     Raises DomainError where b is not a positive finite double (see
-    _entropy_b).
+    _entropy_b) and where the difference exceeds the double range.
     """
     _require_same_family(g, g0)
     b = _entropy_b(g.params, g0.sigma)
-    return b * g.params.C * q_log(g0.sigma / g.sigma, g.params.q)
+    value = b * g.params.C * _q_log_ratio(g0.sigma, g.sigma, g.params.q)
+    return _finite(value, "E_q(g) - E_q(g0)")
 
 
 def kh(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
-    """Implicit-step functional W2^2/(4h) + (E_q(g) - E_q(g0))/2."""
+    """Implicit-step functional W2^2/(4h) + (E_q(g) - E_q(g0))/2.
+
+    Raises DomainError where it exceeds the double range.
+    """
     _require_h(h)
-    return wasserstein2_sq(g, g0) / (4.0 * h) + 0.5 * entropy_diff(g, g0)
+    return _finite(wasserstein2_sq(g, g0) / (4.0 * h) + 0.5 * entropy_diff(g, g0), "K_h")
 
 
 def _coupling_root(log_rhs: float, rhs: float, q: float, w_min: float) -> tuple[float, int]:
@@ -298,12 +311,9 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[f
     2^-53, which delta = 1 - eta no longer resolves) and a delta below the
     normal range raise DomainError.
     """
-    if not (sigma > 0.0 and sigma0 > 0.0):
-        raise DomainError("sigma and sigma0 must be positive")
+    # sigma_sq_gap underflows to 0 where sigma0^2 or the step leaves the double range
     if not gap > 0.0:
         raise DomainError(f"variance gap must be positive, got {gap!r}")
-    if not q > 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
     try:
         pow0, pow1 = sigma0**q, sigma ** (2.0 - q)
     except OverflowError:
@@ -333,24 +343,6 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[f
         delta -= delta * (ratio - 1.0) / slope
         evals += 1
     return delta, rhs, evals
-
-
-def solve_eta(sigma: float, sigma0: float, sigma_h: float, q: float) -> EtaSolve:
-    """Correlation of the optimal pair coupling, from an explicit sigma_h.
-
-    Requires sigma_h > sigma0 > 0.  The variance gap is formed as the
-    product (sigma_h - sigma0)(sigma_h + sigma0); when sigma_h comes from a
-    step size h, prefer StepPair, whose expm1 gap does not lose digits to
-    the subtraction.
-    """
-    if not sigma_h > sigma0:
-        raise DomainError(f"need sigma_h > sigma0, got {sigma_h!r} <= {sigma0!r}")
-    gap = (sigma_h - sigma0) * (sigma_h + sigma0)
-    delta, rhs, evals = _solve_eta_gap(sigma, sigma0, gap, q)
-    lhs = math.exp(q * math.log1p(-delta)) / (delta * (2.0 - delta))
-    return EtaSolve(
-        eta=1.0 - delta, one_minus_eta=delta, residual=lhs / rhs - 1.0, iterations=evals
-    )
 
 
 def q0h(g0: QGaussian1D, h: float) -> MBivariate:
@@ -407,7 +399,7 @@ def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) ->
     Raises DomainError where 2 h D underflows to 0.
     """
     eps = 2.0 / (3.0 - q)
-    x = h / sigma0 ** (3.0 - q)
+    x = _relative_growth(sigma0, h, q)
     b_exact = sigma0 ** (q - 1.0) / (3.0 - q)
     num = sigma0 * sigma0 * (eps * x - math.expm1(eps * math.log1p(x))) + 2.0 * h * (b - b_exact)
     den = 2.0 * h * gap
@@ -448,10 +440,13 @@ class StepPair:
 
     def f_h(self, form: str = "q") -> float:
         if form == "q":
-            return self.fh_q
+            return _finite(self.fh_q, "F_h in the q-form")
         if form == "m":
             g, g0 = self.g, self.g0
-            return _f_h_from_delta_mform(self.delta, g.sigma, g0.sigma, self.gap, g.params.m)
+            return _finite(
+                _f_h_from_delta_mform(self.delta, g.sigma, g0.sigma, self.gap, g.params.m),
+                "F_h in the m-form",
+            )
         raise ValueError(f"form must be 'q' or 'm', got {form!r}")
 
     def jh(self) -> float:
@@ -466,7 +461,9 @@ class StepPair:
             raise DomainError(
                 f"J_h prefactor exceeds the double range for q={p.q!r}, gap={self.gap!r}"
             ) from None
-        return pref * (wasserstein2_sq(self.g, self.g0) / (p.C * self.gap) + self.f_h("m"))
+        return _finite(
+            pref * (wasserstein2_sq(self.g, self.g0) / (p.C * self.gap) + self.f_h("m")), "J_h"
+        )
 
     def qstar(self) -> MBivariate:
         g, g0 = self.g, self.g0
@@ -476,14 +473,19 @@ class StepPair:
         )
 
     def first(self) -> float:
-        return wasserstein2_sq(self.g, self.g0) + self.g.params.C * self.gap * self.fh_q
+        return _finite(
+            wasserstein2_sq(self.g, self.g0) + self.g.params.C * self.gap * self.fh_q,
+            "the first rescaling",
+        )
 
     def second(self) -> float:
-        return self.b * self.g.params.C * self.fh_q
+        return _finite(self.b * self.g.params.C * self.fh_q, "the second rescaling")
 
     def third(self) -> float:
         coeff = _third_gap_coeff(self.g0.sigma, self.h, self.g.params.q, self.b, self.gap)
-        return self.second() + coeff * wasserstein2_sq(self.g, self.g0)
+        return _finite(
+            self.second() + coeff * wasserstein2_sq(self.g, self.g0), "the third rescaling"
+        )
 
 
 def qstar(g: QGaussian1D, g0: QGaussian1D, h: float) -> MBivariate:
@@ -520,9 +522,12 @@ def f_h(g: QGaussian1D, g0: QGaussian1D, h: float, form: str = "q") -> float:
 
 
 def f_limit(g: QGaussian1D, g0: QGaussian1D) -> float:
-    """Limit of F_h as h -> 0: log_q(sigma0/sigma)."""
+    """Limit of F_h as h -> 0: log_q(sigma0/sigma).
+
+    Raises DomainError where it exceeds the double range.
+    """
     _require_same_family(g, g0)
-    return q_log(g0.sigma / g.sigma, g.params.q)
+    return _q_log_ratio(g0.sigma, g.sigma, g.params.q)
 
 
 def rescaled_first(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
@@ -572,20 +577,20 @@ def _jko_sigma(sigma0: float, h: float, q: float) -> float:
     one that did: at most 9 evaluations on a dense sweep of log r over its
     whole range [-1500, 710], and at most 8 over 400k random draws of the
     documented domain.  Reaching _NEWTON_MAXITER raises RuntimeError.
-    log r is formed in logs where h / sigma0^(3-q) underflows; such an
-    increment, far below sigma0's resolution, rounds the step to sigma0.
+    x = h / sigma0^(3-q) comes from _relative_growth; log r is formed in
+    logs where x underflows, an increment so far below sigma0's resolution
+    that the step rounds to sigma0.
     u is resolved to about |log u| eps, so sigma is within 2 ulps for
     u <= 1 and 1e-12 relative above.  h <= 0 raises DomainError, and
-    scales that evolve_sigma rejects raise its DomainError.  The result
+    scales that _relative_growth rejects raise its DomainError.  The result
     is finite: u <= r^(1/(3-q)) once u >= 1, so sigma < 2 sigma0 or
     sigma <= 2 (h/(3-q))^(1/(3-q)).
     """
     _require_h(h)
-    _log_growth(sigma0, h, q)
-    v0 = sigma0 ** (3.0 - q)
-    x = h / v0
-    log_r = (math.log(x) if x > 0.0 else math.log(h) - math.log(v0)) - math.log(3.0 - q)
-    # t <= log r < log(DBL_MAX) once _log_growth has passed, so e^t is finite
+    x = _relative_growth(sigma0, h, q)
+    log_x = math.log(x) if x > 0.0 else math.log(h) - math.log(sigma0 ** (3.0 - q))
+    log_r = log_x - math.log(3.0 - q)
+    # t <= log r < log x and _relative_growth has checked that x is finite, so e^t is finite
     t = log_r
     for _ in range(_NEWTON_MAXITER):
         e = math.exp(t)

@@ -41,12 +41,12 @@ __all__ = [
 ]
 
 
-def _log_growth(sigma0: float, h: float, q: float) -> float:
-    """log(sigma_h^(3-q) / sigma0^(3-q)) = log1p(h / sigma0^(3-q)), validated.
+def _relative_growth(sigma0: float, h: float, q: float) -> float:
+    """x = h / sigma0^(3-q), validated: sigma_h^(3-q) = sigma0^(3-q) (1 + x).
 
-    Raises DomainError for sigma0 <= 0, for h at or past extinction, and
-    when sigma0^(3-q) or h / sigma0^(3-q) is not representable as a
-    positive finite double.
+    The one source of x for the flow and the step kernels.  Raises
+    DomainError for sigma0 <= 0, for h at or past extinction, and when
+    sigma0^(3-q) is not a positive finite double or x is not finite.
     """
     if not sigma0 > 0.0:
         raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
@@ -61,7 +61,7 @@ def _log_growth(sigma0: float, h: float, q: float) -> float:
     x = h / v0
     if not math.isfinite(x):
         raise DomainError(f"h / sigma0^(3-q) is not finite for h={h!r}, sigma0={sigma0!r}")
-    return math.log1p(x)
+    return x
 
 
 def evolve_sigma(sigma0: float, h: float, q: float) -> float:
@@ -70,7 +70,7 @@ def evolve_sigma(sigma0: float, h: float, q: float) -> float:
     h = 0 returns sigma0 (up to roundoff); h may not be negative past
     extinction, so h > -sigma0^(3-q) is required.
     """
-    return math.exp(_log_growth(sigma0, h, q) / (3.0 - q)) * sigma0
+    return math.exp(math.log1p(_relative_growth(sigma0, h, q)) / (3.0 - q)) * sigma0
 
 
 def sigma_sq_gap(sigma0: float, h: float, q: float) -> float:
@@ -81,8 +81,9 @@ def sigma_sq_gap(sigma0: float, h: float, q: float) -> float:
     subtracting evolve_sigma would keep ~6 digits at h = 1e-10.  Raises
     DomainError where the gap exceeds the double range.
     """
+    log_growth = math.log1p(_relative_growth(sigma0, h, q))
     try:
-        gap = sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * _log_growth(sigma0, h, q))
+        gap = sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * log_growth)
     except OverflowError:
         gap = math.inf
     if not math.isfinite(gap):

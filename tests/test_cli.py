@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -166,11 +167,15 @@ def test_gamma_non_finite_member_exits_2(flag, value, capsys):
          "--mu0", "5.5270832042003905e+205", "--mu", "3.9815607996271274e-107",
          "--sigma", "4.8441542084402344e-210",
          "--h-grid", "4.319173739008966e-99:1.7620555818752094e-108:2"],
+        # the third rescaling overflows
+        ["gamma", "--statement", "3", "--q", "0.3212572260215228", "--sigma0", "1.9516205546973847e-95",
+         "--mu0", "0", "--mu", "0.3117896046709327", "--sigma", "1.1525989043119636e+107",
+         "--h-grid", "4.830490341381342e-122:4.8e-122:2"],
     ],
     ids=["gamma-sigma0-1e300", "gamma-sigma0-1e-300", "jko-sigma0-1e300", "gamma-sigma-1e-300",
          "jko-q0.8-sigma0-1e-300", "jko-q1.2-sigma0-1e-300", "jko-q1.2-sigma0-1e300",
          "jko-q1.6-sigma0-1e300", "gamma-w2-overflow", "gamma-eta-rhs-overflow",
-         "gamma-third-den-underflow", "gamma-gap-overflow"],
+         "gamma-third-den-underflow", "gamma-gap-overflow", "gamma-third-overflow"],
 )
 def test_extreme_finite_scales_exit_2(args, capsys):
     assert cli.main(args) == 2
@@ -524,17 +529,42 @@ def test_verify_pme_flow_scope(capsys):
     assert all(c["scope"] == "pme_flow" for c in doc["checks"])
 
 
-def test_verify_catches_injected_constant_fault():
+def test_verify_catches_injected_constant_fault(monkeypatch):
     p = make_params(0.8, 1)
     bad = dataclasses.replace(p, c0_q_d=p.c0_q_d * (1.0 + 1e-3))
-    results = cli.run_checks(scope="qmath", constant_params=[bad])
-    by_name = {r.name: r for r in results}
-    fault = by_name["constant-identity"]
+    rows = checks.CHECKS["qmath"]
+
+    def constant_identity(params):
+        # the qmath rows, with constant-identity measured on params
+        measure = functools.partial(checks._constant_identity_errors, params)
+        monkeypatch.setitem(checks.CHECKS, "qmath", tuple(
+            row._replace(measure=measure) if row.name == "constant-identity" else row
+            for row in rows
+        ))
+        return {r.name: r for r in cli.run_checks("qmath")}["constant-identity"]
+
+    fault = constant_identity([bad])
     assert not fault.passed
     assert fault.measured > fault.tolerance
     # the untampered pipeline passes the same check
-    clean = cli.run_checks(scope="qmath", constant_params=[p])
-    assert {r.name: r for r in clean}["constant-identity"].passed
+    assert constant_identity([p]).passed
+
+
+def test_verify_catches_a_wrong_coupling_root(monkeypatch):
+    def eta_residual():
+        return {r.name: r for r in cli.run_checks("functionals")}["eta-equation-residual"]
+
+    assert eta_residual().passed
+    solve = functionals._solve_eta_gap
+
+    def off_root(sigma, sigma0, gap, q):
+        delta, rhs, evals = solve(sigma, sigma0, gap, q)
+        return delta * (1.0 + 1e-9), rhs, evals
+
+    monkeypatch.setattr(functionals, "_solve_eta_gap", off_root)
+    fault = eta_residual()
+    assert not fault.passed
+    assert fault.measured > fault.tolerance
 
 
 def test_run_checks_runs_only_the_requested_scope(monkeypatch):

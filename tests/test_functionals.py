@@ -22,7 +22,6 @@ from qflow.functionals import (
     rescaled_first,
     rescaled_second,
     rescaled_third,
-    solve_eta,
     wasserstein2_sq,
 )
 from qflow.pme_flow import evolve_sigma, sigma_sq_gap
@@ -122,17 +121,22 @@ def test_kh_composition():
 
 
 def test_solve_eta_residual_and_flow_point():
+    # StepPair(g, g0, h).delta is the one entry to the root delta = 1 - eta of
+    # eta^q / (1 - eta^2) = sigma0^q sigma^(2-q) / D, here with sigma0 = 1
     for q in (0.5, 0.8, 1.2, 1.5):
+        g0 = _g(q)
         for h in (1e-1, 1e-4, 1e-8, 1e-10):
-            sigma_h = evolve_sigma(1.0, h, q)
-            sol = solve_eta(1.3, 1.0, sigma_h, q)
-            assert abs(sol.residual) <= 1e-12
-            assert 0.0 < sol.eta < 1.0
+            step = functionals.StepPair(_g(q, sigma=1.3), g0, h)
+            delta = step.delta
+            lhs = math.exp(q * math.log1p(-delta)) / (delta * (2.0 - delta))
+            assert abs(lhs / (1.3 ** (2.0 - q) / step.gap) - 1.0) <= 1e-12
+            assert 0.0 < 1.0 - delta < 1.0
             # the coupling of g0 with its own evolution has eta = sigma0/sigma_h
-            at_flow = solve_eta(sigma_h, 1.0, sigma_h, q)
-            assert at_flow.eta == pytest.approx(1.0 / sigma_h, rel=1e-12)
+            sigma_h = evolve_sigma(1.0, h, q)
+            at_flow = functionals.StepPair(_g(q, sigma=sigma_h), g0, h)
+            assert 1.0 - at_flow.delta == pytest.approx(1.0 / sigma_h, rel=1e-12)
     with pytest.raises(DomainError):
-        solve_eta(1.3, 1.0, 1.0, 0.8)
+        functionals.StepPair(_g(0.8, sigma=1.3), _g(0.8), 0.0)
 
 
 def _eta_root_mp(rhs, q):
@@ -245,16 +249,18 @@ def test_eta_solve_log_path_where_a_power_overflows():
     ],
 )
 def test_eta_solve_outside_double_range_raises(sigma, sigma0, sigma_h):
+    gap = (sigma_h - sigma0) * (sigma_h + sigma0)
     with pytest.raises(DomainError):
-        solve_eta(sigma, sigma0, sigma_h, 0.8)
+        functionals._solve_eta_gap(sigma, sigma0, gap, 0.8)
 
 
 def test_eta_solve_newton_cap_raises(monkeypatch):
     # at rhs ~ 1 neither asymptote is within 2^-27 of the root
-    assert solve_eta(1.3, 1.0, 1.5, 0.8).iterations > 3
+    gap = (1.5 - 1.0) * (1.5 + 1.0)
+    assert functionals._solve_eta_gap(1.3, 1.0, gap, 0.8)[2] > 3
     monkeypatch.setattr(functionals, "_NEWTON_MAXITER", 1)
     with pytest.raises(RuntimeError):
-        solve_eta(1.3, 1.0, 1.5, 0.8)
+        functionals._solve_eta_gap(1.3, 1.0, gap, 0.8)
 
 
 def test_q0h_and_qstar_geometry():
@@ -652,22 +658,46 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # C0/sigma0 overflowed for a subnormal sigma0: b was inf (q < 1) or 0.0 (q > 1)
 @example(q=0.5, sigma=1e-310, sigma0=1e-310, mu=0.0, mu0=0.0, h=0.1)
 @example(q=1.5, sigma=1e-310, sigma0=1e-310, mu=0.0, mu0=0.0, h=0.1)
+# sigma0/sigma overflowed: entropy_diff, f_limit and kh returned inf
+@example(q=0.5, sigma=1e-20, sigma0=1.7e308, mu=0.0, mu0=0.0, h=1.0)
+# sigma0/sigma overflowed: F_h in the q-form returned inf
+@example(q=0.9557432470229523, sigma=1.389718251696264e-282, sigma0=1.271699804723392e34,
+         mu=0.0, mu0=0.0, h=3.2254689089615906e-249)
+# the third rescaling returned inf
+@example(q=0.3212572260215228, sigma=1.1525989043119636e107, sigma0=1.9516205546973847e-95,
+         mu=0.3117896046709327, mu0=0.0, h=4.830490341381342e-122)
 def test_closed_forms_return_or_raise_domain_error(q, sigma, sigma0, mu, mu0, h):
     # over every finite scale, mean and step a public closed form returns a
-    # value or raises DomainError, never another exception
+    # finite value or raises DomainError, never another exception
     p = make_params(q, 1)
     g = QGaussian1D(mu=mu, sigma=sigma, params=p)
     g0 = QGaussian1D(mu=mu0, sigma=sigma0, params=p)
     for call in _CLOSED_FORMS:
         try:
-            call(g, g0, h)
+            value = call(g, g0, h)
         except DomainError:
-            pass
+            continue
+        if isinstance(value, float):
+            assert math.isfinite(value)
     try:
         assert entropy_diff(g0, g0) == 0.0
         assert 0.0 < coefficients(q, sigma0).b < math.inf
     except DomainError:
         pass
+
+
+def test_entropy_diff_and_f_limit_where_sigma0_over_sigma_overflows_match_mpmath():
+    # sigma0/sigma = 1.7e328 overflows; log(sigma0/sigma) = log sigma0 - log sigma does not
+    q, sigma0, sigma = 0.5, 1.7e308, 1e-20
+    p = make_params(q, 1)
+    g, g0 = _g(q, sigma=sigma), _g(q, sigma=sigma0)
+    with mpmath.workdps(50):
+        mq, ratio = mpmath.mpf(q), mpmath.mpf(sigma0) / mpmath.mpf(sigma)
+        limit = (ratio ** (1 - mq) - 1) / (1 - mq)
+        # b = sigma0^(q-1)/(3-q) exactly; the library's b is its printed-pipeline twin
+        diff = mpmath.mpf(sigma0) ** (mq - 1) / (3 - mq) * mpmath.mpf(p.C) * limit
+        assert abs(f_limit(g, g0) / limit - 1) <= 1e-14  # 2.60768e164
+        assert abs(entropy_diff(g, g0) / diff - 1) <= 1e-14  # 9.71971e9
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5])
