@@ -5,10 +5,14 @@ scipy.integrate.tanhsinh (Takahasi and Mori, 1974; Bailey's error
 estimate), so each integral, error estimate and convergence flag is
 scipy's; the nodes and weights are this module's own tables, built at
 import, and a whole block of intervals runs as one array instead of
-scipy's per-call elementwise machinery.  The oracle imports this module
-at its first polar integral, so importers that never integrate in 2D do
-not compile it or touch numpy's cosh, sinh and exp (about 1 MB of
-resident memory).
+scipy's per-call elementwise machinery.  Half-line intervals [a, inf)
+all map to [0, 1], so their abscissae, weights, 1/t - 1 and t^-2 are
+tabulated at import too, with the operations a row of its own would
+use: such a row costs one add and one multiply per node before f.  The
+oracle imports this module at its first polar integral, so importers
+that never integrate in 2D do not compile it or touch numpy's cosh,
+sinh and exp (about 1.1 MB of resident memory, 0.5 MB of it the
+half-line tables).
 """
 
 from __future__ import annotations
@@ -47,11 +51,29 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return xjc, wj
 
 
+def _half_line(xjc: np.ndarray, wj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Abscissae t (side, node), weights, 1/t - 1 and t^-2 of a [lo, inf) row.
+
+    Every such row is [0, 1] in t (alpha = 1/2), so it shares these with
+    the others; each is formed with the operations of a row of its own.
+    """
+    t = np.stack([1.0 - 0.5 * xjc, 0.5 * xjc + 0.0])
+    w = np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5)
+    return t, w, 1.0 / t - 1.0, t**-2.0
+
+
 _LEVELS = [_level(k) for k in range(MAX_LEVEL + 1)]
-# levels 0..MIN_LEVEL are evaluated together, in level order; the nodes of
-# levels 0..k are the first _NODES[k] of each side
-_FIRST = tuple(np.concatenate(part) for part in zip(*_LEVELS[: MIN_LEVEL + 1]))
+# the nodes of each call of f: levels 0..MIN_LEVEL together, in level order
+# (the nodes of levels 0..k are the first _NODES[k] of each side), then
+# each further level k as stage k - MIN_LEVEL
+_STAGES = [tuple(np.concatenate(part) for part in zip(*_LEVELS[: MIN_LEVEL + 1])),
+           *_LEVELS[MIN_LEVEL + 1 :]]
 _NODES = np.cumsum([len(x) for x, _ in _LEVELS])
+# t = 0 at the far end maps to x = inf, with weight 0
+with np.errstate(divide="ignore", over="ignore"):
+    _HALF_LINE = [_half_line(*stage) for stage in _STAGES]
+_SIDES = np.array([0, 1])
+_OUTSIDE = np.array([[-np.inf], [np.inf]])
 
 
 def tanhsinh(
@@ -66,47 +88,60 @@ def tanhsinh(
 
     lo < hi elementwise, hi finite or inf.  f(x, *args) is elementwise,
     with one row of x per interval and args as column arrays.  [a, inf)
-    maps to [0, 1] by x = a + 1/t - 1 with weight 1/t^2.  Levels
-    0..MIN_LEVEL are evaluated in one call of f, and each further level,
-    up to MAX_LEVEL, only on the intervals not yet converged.  At level k
-    the estimate S_k stops when its error estimate (Bailey's, from
-    S_k - S_(k-1), S_k - S_(k-2), the largest term and the outermost valid
-    term at each end) is below atol or rtol |S_k|.  A non-finite term is
-    replaced by the value at the outermost valid node of its side; a
-    non-finite S_k ends its interval unconverged.  Returns the integrals,
-    their error estimates and the convergence flags.
+    maps to [0, 1] by x = a + 1/t - 1 with weight 1/t^2, on nodes built
+    at import.  Levels 0..MIN_LEVEL are evaluated in one call of f, and
+    each further level, up to MAX_LEVEL, only on the intervals not yet
+    converged.  At level k the estimate S_k stops when its error estimate
+    (Bailey's, from S_k - S_(k-1), S_k - S_(k-2), the largest term and the
+    outermost valid term at each end) is below atol or rtol |S_k|.  A
+    non-finite term is replaced by the value at the outermost valid node
+    of its side; a non-finite S_k ends its interval unconverged.  Returns
+    the integrals, their error estimates and the convergence flags.
+
+    Each interval's results depend on its own row alone, so a block of
+    intervals gives the same bits as each interval run alone; a block
+    mixing finite and half-line intervals runs as one block of each.
     """
-    binf = np.isinf(hi)
-    any_inf = bool(binf.any())
-    a, b = np.where(binf, 0.0, lo), np.where(binf, 1.0, hi)
-    alpha = (b - a) / 2
     n = len(lo)
+    half_line = np.isinf(hi)
+    if 0 < half_line.sum() < n:
+        out = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        for part in (~half_line, half_line):
+            for o, v in zip(out, tanhsinh(f, lo[part], hi[part], tuple(v[part] for v in args),
+                                          rtol, atol)):
+                o[part] = v
+        return out
+    half_line = bool(half_line.any())
+    alpha = (hi - lo) / 2
     # abscissa t, value and weight of the outermost valid node of each side
     # (the right side's is its largest t, the left side's its least)
     ext_t = np.tile([-np.inf, np.inf], (n, 1))
     ext_f = np.full((n, 2), np.nan)
     ext_w = np.zeros((n, 2))
 
-    def terms(rows, xjc, wj):
-        """Weighted terms (row, side, node) of some levels and the largest end term."""
-        al, col = alpha[rows, None], (rows, None, None)
-        t = np.stack([b[rows, None] - al * xjc, al * xjc + a[rows, None]], axis=1)
-        w = np.where((t <= a[col]) | (t >= b[col]), 0.0, (wj * al)[:, None])
+    def terms(rows, stage):
+        """Weighted terms (row, side, node) of a stage and the largest end term."""
+        col = (rows, None, None)
         arg = tuple(v[col] for v in args)
-        if any_inf:
-            fj = f(np.where(binf[col], 1.0 / t - 1.0 + lo[col], t), *arg)
-            fj = np.where(binf[col], fj * t**-2.0, fj)
+        if half_line:
+            t, w, u, jac = _HALF_LINE[stage]
+            fj = f(u + lo[col], *arg) * jac
         else:
+            xjc, wj = _STAGES[stage]
+            al = alpha[rows, None]
+            t = np.stack([hi[rows, None] - al * xjc, al * xjc + lo[rows, None]], axis=1)
+            w = np.where((t <= lo[col]) | (t >= hi[col]), 0.0, (wj * al)[:, None])
             fj = f(t, *arg)
         valid = np.isfinite(fj) & (w != 0.0)
-        out = np.where(valid, t, np.array([-np.inf, np.inf])[:, None])
-        i = np.stack([out[:, 0].argmax(-1), out[:, 1].argmin(-1)], axis=-1)[..., None]
-        t_i = np.take_along_axis(out, i, -1)[..., 0]
+        out = np.where(valid, t, _OUTSIDE)
+        r = np.arange(len(rows))[:, None]
+        i = np.stack([out[:, 0].argmax(-1), out[:, 1].argmin(-1)], axis=-1)
+        t_i = out[r, _SIDES, i]
         new = np.stack([t_i[:, 0] > ext_t[rows, 0], t_i[:, 1] < ext_t[rows, 1]], axis=-1)
-        r, side = np.nonzero(new)
-        ext_t[rows[r], side] = t_i[new]
-        ext_f[rows[r], side] = np.take_along_axis(fj, i, -1)[..., 0][new]
-        ext_w[rows[r], side] = np.take_along_axis(w, i, -1)[..., 0][new]
+        r_new, side = np.nonzero(new)
+        ext_t[rows[r_new], side] = t_i[new]
+        ext_f[rows[r_new], side] = fj[r, _SIDES, i][new]
+        ext_w[rows[r_new], side] = np.broadcast_to(w, fj.shape)[r, _SIDES, i][new]
         fw = np.where(valid, fj, ext_f[rows, :, None]) * w
         return fw, np.abs(ext_f[rows] * ext_w[rows]).max(axis=-1)
 
@@ -125,7 +160,7 @@ def tanhsinh(
     # log(0), 0 * inf and overflow past the ends are expected here (and in f
     # far out on a ray): such terms are masked, as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fw, d4 = terms(rows, *_FIRST)
+        fw, d4 = terms(rows, 0)
         # S_k = h_k (sum of the terms of levels 0..k), for k = MIN_LEVEL - 2..MIN_LEVEL,
         # each summed in scipy's order
         s2, prev, integral = (fw[:, :, : _NODES[k]].reshape(n, -1).sum(-1) * (_H0 / 2**k)
@@ -134,7 +169,7 @@ def tanhsinh(
         for k in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
             if not len(rows):
                 break
-            fw, d4 = terms(rows, *_LEVELS[k])
+            fw, d4 = terms(rows, k - MIN_LEVEL)
             s2, s1 = prev[rows], integral[rows]
             s = 0.5 * s1 + fw.reshape(len(rows), -1).sum(-1) * (_H0 / 2**k)
             prev[rows], integral[rows] = s1, s

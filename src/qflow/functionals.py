@@ -124,21 +124,28 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-def _q_log_ratio(sigma0: float, sigma: float, q: float) -> float:
-    """log_q(sigma0/sigma) = expm1((1-q) L)/(1-q) with L = log(sigma0/sigma).
+def _log_ratio(sigma0: float, sigma: float) -> float:
+    """L = log(sigma0/sigma) of two positive finite doubles.
 
-    Where the quotient is a normal double this is q_log's evaluation, bit
-    for bit; where it is not, L is formed as log sigma0 - log sigma.
-    Raises DomainError where the value exceeds the double range.
+    Where the quotient is a normal double, L is the log of the quotient;
+    where it overflows, underflows or is subnormal, L is formed as
+    log sigma0 - log sigma, which is finite for any such pair.
     """
     ratio = sigma0 / sigma
     if _DBL_MIN <= ratio < math.inf:
-        log_ratio = math.log(ratio)
-    else:
-        log_ratio = math.log(sigma0) - math.log(sigma)
+        return math.log(ratio)
+    return math.log(sigma0) - math.log(sigma)
+
+
+def _q_log_ratio(sigma0: float, sigma: float, q: float) -> float:
+    """log_q(sigma0/sigma) = expm1((1-q) L)/(1-q) with L = _log_ratio(sigma0, sigma).
+
+    Where the quotient is a normal double this is q_log's evaluation, bit
+    for bit.  Raises DomainError where the value exceeds the double range.
+    """
     om = 1.0 - q
     try:
-        value = math.expm1(om * log_ratio) / om
+        value = math.expm1(om * _log_ratio(sigma0, sigma)) / om
     except OverflowError:
         value = math.inf
     return _finite(value, "log_q(sigma0/sigma)")
@@ -362,29 +369,31 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
 
 
 def _f_h_from_delta(delta: float, sigma: float, sigma0: float, q: float) -> float:
-    """F_h in the q-form, given delta = 1 - eta_h.
-
-    Raises DomainError where sigma0/sigma underflows to 0.
-    """
-    ratio = sigma0 / sigma
-    if ratio == 0.0:
-        raise DomainError(f"sigma0/sigma underflows for sigma0={sigma0!r}, sigma={sigma!r}")
-    log_ratio = math.log(ratio)
-    eta_pow_q = math.exp(q * math.log1p(-delta))
-    ratio_pow = math.exp((1.0 - q) * log_ratio)
-    t1 = 2.0 * eta_pow_q / (2.0 - delta) * ratio_pow
-    ell = log_ratio - math.log1p(-delta)
-    t2 = q * math.expm1((1.0 - q) * ell) / (1.0 - q)
+    """F_h in the q-form, given delta = 1 - eta_h; inf where a power of
+    sigma0/sigma overflows."""
+    log_ratio = _log_ratio(sigma0, sigma)
+    try:
+        eta_pow_q = math.exp(q * math.log1p(-delta))
+        ratio_pow = math.exp((1.0 - q) * log_ratio)
+        t1 = 2.0 * eta_pow_q / (2.0 - delta) * ratio_pow
+        ell = log_ratio - math.log1p(-delta)
+        t2 = q * math.expm1((1.0 - q) * ell) / (1.0 - q)
+    except OverflowError:
+        return math.inf
     return t1 + t2 - 1.0
 
 
 def _f_h_from_delta_mform(
     delta: float, sigma: float, sigma0: float, gap: float, m: float
 ) -> float:
-    """F_h in the raw m-form: 2 sigma0 sigma (1-eta)/D + 2 log_m(.) - 1."""
+    """F_h in the raw m-form: 2 sigma0 sigma (1-eta)/D + 2 log_m(.) - 1;
+    inf where the power of sigma0/sigma overflows."""
     t1 = 2.0 * sigma0 * sigma * delta / gap
-    ell = math.log(sigma0 / sigma) - math.log1p(-delta)
-    t2 = 2.0 * math.expm1((1.0 - m) * ell / (3.0 - m)) / (1.0 - m)
+    ell = _log_ratio(sigma0, sigma) - math.log1p(-delta)
+    try:
+        t2 = 2.0 * math.expm1((1.0 - m) * ell / (3.0 - m)) / (1.0 - m)
+    except OverflowError:
+        return math.inf
     return t1 + t2 - 1.0
 
 

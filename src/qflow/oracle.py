@@ -30,7 +30,9 @@ finite.  Domain policy:
   trapezoid in angle, tanh-sinh in radius: the radial nodes and weights
   are the library's own tables (qflow._tanhsinh), run on
   scipy.integrate.tanhsinh's schedule (levels 4 to 10, Bailey's error
-  estimate), all rays of a block of angles in one array.  Heavy tails
+  estimate), all rays of a block of angles in one array; the coarsest
+  16 angles and the 16 midpoints of the first refinement form one block
+  of 32 rays, so a 32-angle result takes one radial call.  Heavy tails
   (m > 1) run each ray to infinity untruncated (near m = 3/2 an envelope
   radius for any useful bound overflows); compact supports (m < 1) split
   each ray where it crosses a support ellipse, so non-nested supports
@@ -218,7 +220,13 @@ def _polar_quad(
     1974) on the library's own nodes with scipy.integrate.tanhsinh's
     schedule (qflow._tanhsinh), one call per block of angles, each ray split
     where it crosses the support ellipse of a compact member and ended at
-    the last crossing; heavy-tailed rays run to inf.
+    the last crossing; heavy-tailed rays run to inf.  Unless
+    max_subdivisions is 0, the rule always reaches 32 angles, so the 16
+    coarsest angles and their 16 midpoints share the first call; each
+    half is then summed on its own, in the order of a call of its own.
+    The radial rule's rows are independent, so this fusion gives the
+    same bits as one call per half: a 32-angle result takes one call, a
+    64-angle result two and a 128-angle result three.
     """
     # imported at the first polar integral; see that module's docstring
     from . import _tanhsinh
@@ -231,42 +239,67 @@ def _polar_quad(
     def ray(r, vx, vy):
         return integrand(cx + r * vx, cy + r * vy) * (det * r)
 
-    def sweep(phis: np.ndarray) -> tuple[float, float, bool]:
-        """Sums of the radial integrals and their errors over the rays at phis."""
-        total = err = 0.0
-        ok = True
-        for block in np.split(phis, range(_ANGLE_BLOCK, len(phis), _ANGLE_BLOCK)):
-            vx, vy = chol @ np.stack([np.cos(block), np.sin(block)])
-            lo, hi = np.zeros_like(vx), np.full_like(vx, math.inf)
-            if compact:
-                ends = [lo]
-                for nu in compact:
-                    # Q(c + r v) = a r^2 + 2 b r + q0 meets the support threshold
-                    q0 = nu.quadratic_form(cx, cy)
-                    qp = nu.quadratic_form(cx + vx, cy + vy)
-                    qm = nu.quadratic_form(cx - vx, cy - vy)
-                    a, b = 0.5 * (qp + qm) - q0, 0.25 * (qp - qm)
-                    disc = np.sqrt(np.maximum(b * b - a * (q0 - nu.support_threshold()), 0.0))
-                    ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
-                cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
-                lo, hi = cuts[:, :-1], cuts[:, 1:]
+    def pieces(phis: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Radial pieces [lo, hi) of the rays at phis: the mask of those of
+        positive length, and their lo, hi and ray directions (vx, vy)."""
+        vx, vy = chol @ np.stack([np.cos(phis), np.sin(phis)])
+        lo, hi = np.zeros_like(vx), np.full_like(vx, math.inf)
+        if compact:
+            ends = [lo]
+            for nu in compact:
+                # Q(c + r v) = a r^2 + 2 b r + q0 meets the support threshold
+                q0 = nu.quadratic_form(cx, cy)
+                qp = nu.quadratic_form(cx + vx, cy + vy)
+                qm = nu.quadratic_form(cx - vx, cy - vy)
+                a, b = 0.5 * (qp + qm) - q0, 0.25 * (qp - qm)
+                disc = np.sqrt(np.maximum(b * b - a * (q0 - nu.support_threshold()), 0.0))
+                ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
+            cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
+            lo, hi = cuts[:, :-1], cuts[:, 1:]
+        live = lo < hi
+        at = np.nonzero(live)[0]
+        return live, (lo[live], hi[live], vx[at], vy[at])
+
+    def radial(blocks: list[np.ndarray]) -> list[tuple[float, float, bool]]:
+        """One tanhsinh call over the rays at every block of angles; per
+        block, the sums of the radial integrals and of their errors, and
+        whether all converged."""
+        lives, parts = zip(*(pieces(phis) for phis in blocks))
+        lo, hi, vx, vy = (np.concatenate(part) for part in zip(*parts))
+        out = _tanhsinh.tanhsinh(ray, lo, hi, (vx, vy), cfg.rel_tol, cfg.abs_tol)
+        bounds = np.cumsum([len(part[0]) for part in parts])[:-1]
+        sums = []
+        for live, integral, error, success in zip(lives, *(np.split(v, bounds) for v in out)):
             # only the pieces of positive length are integrated; the others hold 0,
             # so a block sums the same array, in the same order, as scipy's tanhsinh
-            live = lo < hi
-            at = np.nonzero(live)[0]
-            integral, error = np.zeros(live.shape), np.zeros(live.shape)
-            integral[live], error[live], success = _tanhsinh.tanhsinh(
-                ray, lo[live], hi[live], (vx[at], vy[at]), cfg.rel_tol, cfg.abs_tol)
-            total, err = total + float(integral.sum()), err + float(error.sum())
-            ok = ok and bool(success.all())
+            block_integral, block_error = np.zeros(live.shape), np.zeros(live.shape)
+            block_integral[live], block_error[live] = integral, error
+            sums.append((float(block_integral.sum()), float(block_error.sum()),
+                         bool(success.all())))
+        return sums
+
+    def sweep(sums: list[tuple[float, float, bool]]) -> tuple[float, float, bool]:
+        """Totals over the blocks of one set of angles, in block order."""
+        total = err = 0.0
+        ok = True
+        for block_total, block_err, block_ok in sums:
+            total, err, ok = total + block_total, err + block_err, ok and block_ok
         return total, err, ok
 
     n, step = _MIN_ANGLES, 2.0 * math.pi / _MIN_ANGLES
-    total, radial_err, converged = sweep(step * np.arange(n))
+    cap = _ANGLE_BLOCK * cfg.max_subdivisions
+    phis = step * np.arange(n)
+    # the coarsest rule and the midpoints of its first refinement share one radial call
+    first, *mids = radial([phis, step * (np.arange(n) + 0.5)] if 2 * n <= cap else [phis])
+    total, radial_err, converged = sweep([first])
     value, angle_err = step * total, math.inf
-    while 2 * n <= _ANGLE_BLOCK * cfg.max_subdivisions:
+    while 2 * n <= cap:
         # the refined rule adds the midpoints and keeps every earlier node
-        more, more_err, ok = sweep(step * (np.arange(n) + 0.5))
+        if n > _MIN_ANGLES:
+            phis = step * (np.arange(n) + 0.5)
+            mids = [radial([block])[0]
+                    for block in np.split(phis, range(_ANGLE_BLOCK, n, _ANGLE_BLOCK))]
+        more, more_err, ok = sweep(mids)
         total, radial_err, converged = total + more, radial_err + more_err, converged and ok
         n, step = 2 * n, 0.5 * step
         angle_err, value = abs(step * total - value), step * total
@@ -278,13 +311,16 @@ def _polar_quad(
     return QuadResult(value, angle_err + step * radial_err, converged, note)
 
 
+# The two helpers below run only in integrands, so inside the radial rule,
+# whose np.errstate masks the log(0), 0 * inf and overflow they meet.
+
+
 def _log_m_numerator(b: np.ndarray, m: float) -> np.ndarray:
     """(1-m) log_m b = expm1((1-m) log b) elementwise, -1 or inf at b = 0,
     in one new array."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.log(b)
-        e *= 1.0 - m
-        return np.expm1(e, out=e)
+    e = np.log(b)
+    e *= 1.0 - m
+    return np.expm1(e, out=e)
 
 
 def _xlogm(a: np.ndarray, b: np.ndarray, e: np.ndarray, m: float) -> np.ndarray:
@@ -294,9 +330,8 @@ def _xlogm(a: np.ndarray, b: np.ndarray, e: np.ndarray, m: float) -> np.ndarray:
     For m > 1 a density is 0 (or nan) only where it underflowed far out in
     the tail, where the limit is 0.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        val = a * e
-        val /= 1.0 - m
+    val = a * e
+    val /= 1.0 - m
     np.putmask(val, ~((a > 0.0) & ((b > 0.0) | (m < 1.0))), 0.0)
     return val
 

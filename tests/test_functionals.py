@@ -663,6 +663,9 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # sigma0/sigma overflowed: F_h in the q-form returned inf
 @example(q=0.9557432470229523, sigma=1.389718251696264e-282, sigma0=1.271699804723392e34,
          mu=0.0, mu0=0.0, h=3.2254689089615906e-249)
+# sigma0/sigma underflowed and (sigma0/sigma)^(1-q) = exp(710.1) overflows inside F_h
+@example(q=1.665558014128859, sigma=1.880844584491682e305, sigma0=1.8673144766077192e-160,
+         mu=0.0, mu0=0.0, h=5.483588907334475e-193)
 # the third rescaling returned inf
 @example(q=0.3212572260215228, sigma=1.1525989043119636e107, sigma0=1.9516205546973847e-95,
          mu=0.3117896046709327, mu0=0.0, h=4.830490341381342e-122)
@@ -698,6 +701,31 @@ def test_entropy_diff_and_f_limit_where_sigma0_over_sigma_overflows_match_mpmath
         diff = mpmath.mpf(sigma0) ** (mq - 1) / (3 - mq) * mpmath.mpf(p.C) * limit
         assert abs(f_limit(g, g0) / limit - 1) <= 1e-14  # 2.60768e164
         assert abs(entropy_diff(g, g0) / diff - 1) <= 1e-14  # 9.71971e9
+
+
+def test_f_h_where_sigma0_over_sigma_overflows_matches_mpmath():
+    # sigma0/sigma = 9.2e315 overflows; F_h, about log_q(sigma0/sigma), does not
+    q, sigma, sigma0, h = 0.9557432470229523, 1.389718251696264e-282, 1.271699804723392e34, \
+        3.2254689089615906e-249
+    p = make_params(q, 1)
+    step = functionals.StepPair(_g(q, sigma=sigma), _g(q, sigma=sigma0), h)
+    with mpmath.workdps(50):
+        mq, delta = mpmath.mpf(q), mpmath.mpf(step.delta)
+        eta, ratio = 1 - delta, mpmath.mpf(sigma0) / mpmath.mpf(sigma)
+
+        def m_form(m):
+            t1 = 2 * mpmath.mpf(sigma0) * mpmath.mpf(sigma) * delta / mpmath.mpf(step.gap)
+            return t1 + 2 * ((ratio / eta) ** ((1 - m) / (3 - m)) - 1) / (1 - m) - 1
+
+        # at the solved delta
+        exact = (2 * eta**mq / (2 - delta) * ratio ** (1 - mq)
+                 + mq * ((ratio / eta) ** (1 - mq) - 1) / (1 - mq) - 1)
+        # the forms agree up to the root's rounding (1.5e-18)
+        assert abs(m_form(3 - 2 / mq) / exact - 1) <= 1e-16
+        assert abs(step.f_h() / exact - 1) <= 1e-14  # 7.2572027638363008e15
+        # the m-form reads the rounded m = 3 - 2/q, which the exponent
+        # (1-m) L/(3-m) = 33 amplifies to 6.2e-14 of F_h; held to its own m
+        assert abs(step.f_h("m") / m_form(mpmath.mpf(p.m)) - 1) <= 1e-14
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5])

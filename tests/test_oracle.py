@@ -564,6 +564,71 @@ def test_tanhsinh_matches_scipy_past_the_first_level(f, lo, hi):
     np.testing.assert_array_equal(converged, ref.success)
 
 
+def test_tanhsinh_rows_are_independent_bit_for_bit():
+    # a block of intervals gives each interval's integral, error and flag
+    # bits as a call on that interval alone: the fused polar sweep and the
+    # half-line tables rely on it.  The rows stop at level 4, past it (the
+    # oscillating ones) or never (the slow tail and the divergent one).
+    def f(x, c, p):
+        return np.cos(c * x) * np.abs(x) ** -p
+
+    finite = [(0.0, 1.0, 0.0, 0.5), (0.0, 3.0, 50.0, 0.0), (1.0, 9.0, 1.0, 1.0)]
+    half_line = [(1.0, math.inf, 0.0, 2.0), (0.5, math.inf, 0.0, 1.01),
+                 (2.0, math.inf, 3.0, 2.0), (0.0, math.inf, 0.0, 0.5)]
+    cfg = oracle.QuadratureConfig()
+    for rows in (finite, half_line, finite[:2] + half_line + finite[2:]):
+        lo, hi, c, p = (np.array(col) for col in zip(*rows))
+        block = _tanhsinh.tanhsinh(f, lo, hi, (c, p), cfg.rel_tol, cfg.abs_tol)
+        for j in range(len(rows)):
+            one = slice(j, j + 1)
+            alone = _tanhsinh.tanhsinh(f, lo[one], hi[one], (c[one], p[one]),
+                                       cfg.rel_tol, cfg.abs_tol)
+            for out_block, out_alone in zip(block, alone):
+                assert out_block[one].tobytes() == out_alone.tobytes()
+    assert block[2].any() and not block[2].all()
+
+
+_HEAVY = (0.1, -0.1, 0.8, 1.2, 0.3, 1.15)
+
+
+@pytest.mark.parametrize(
+    "members, cfg, angles, n_calls",
+    [
+        ([_HEAVY], oracle.QuadratureConfig(), 32, 1),
+        ([_HEAVY], oracle.QuadratureConfig(max_subdivisions=0), 16, 1),
+        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 64, 2),
+        (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), 64, 2),
+        ((_HEAVY, (-0.1, 0.05, 1.0, 0.9, -0.2, 1.15)),
+         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), 128, 3),
+        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(max_subdivisions=0), 16, 1),
+    ],
+    ids=["entropy-32", "entropy-no-refinement", "verify-compact", "verify-heavy-tailed",
+         "mrel-heavy-tailed-128", "mrel-no-refinement"],
+)
+def test_polar_radial_calls(monkeypatch, members, cfg, angles, n_calls):
+    # the 16 coarsest angles and their 16 midpoints share one radial call;
+    # each further refinement takes one call per block of midpoints
+    calls = []
+    rule = _tanhsinh.tanhsinh
+
+    def record(*args):
+        calls.append(len(args[1]))
+        return rule(*args)
+
+    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    nus = [make_bivariate(*args) for args in members]
+    if len(nus) == 1:
+        res = oracle.entropy_quad_2d(nus[0], cfg)
+    else:
+        res = oracle.m_rel_entropy_quad(*nus, cfg)
+    assert f", {angles} angles," in res.note
+    assert len(calls) == n_calls
+    assert res.converged == (angles > 16)
+    if nus[0].m > 1.0:
+        # one ray per angle on a heavy tail
+        assert calls == ([16] if angles == 16 else [32, 32, 64][:n_calls])
+
+
 def test_nan_integrand_not_converged():
     cfg = oracle.QuadratureConfig()
     integral, _, converged = _tanhsinh.tanhsinh(
