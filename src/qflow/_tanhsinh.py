@@ -7,18 +7,18 @@ scipy's; the nodes and weights are this module's own tables, built at
 import, and a whole block of intervals runs as one array instead of
 scipy's per-call elementwise machinery.  Half-line intervals [a, inf)
 all map to [0, 1], so their abscissae, weights, 1/t - 1 and t^-2 are
-tabulated at import too, with the operations a row of its own would
-use: such a row costs one add and one multiply per node before f.  The
-oracle imports this module at its first polar integral, so importers
-that never integrate in 2D do not compile it or touch numpy's cosh,
-sinh and exp (about 1.1 MB of resident memory, 0.5 MB of it the
-half-line tables).
+tabulated too, each stage's at its first use, with the operations a row
+of its own would use: such a row costs one add and one multiply per
+node before f.  The oracle imports this module at its first polar
+integral, so importers that never integrate in 2D do not compile it or
+touch numpy's cosh, sinh and exp.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,17 +51,6 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return xjc, wj
 
 
-def _half_line(xjc: np.ndarray, wj: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Abscissae t (side, node), weights, 1/t - 1 and t^-2 of a [lo, inf) row.
-
-    Every such row is [0, 1] in t (alpha = 1/2), so it shares these with
-    the others; each is formed with the operations of a row of its own.
-    """
-    t = np.stack([1.0 - 0.5 * xjc, 0.5 * xjc + 0.0])
-    w = np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5)
-    return t, w, 1.0 / t - 1.0, t**-2.0
-
-
 _LEVELS = [_level(k) for k in range(MAX_LEVEL + 1)]
 # the nodes of each call of f: levels 0..MIN_LEVEL together, in level order
 # (the nodes of levels 0..k are the first _NODES[k] of each side), then
@@ -69,9 +58,26 @@ _LEVELS = [_level(k) for k in range(MAX_LEVEL + 1)]
 _STAGES = [tuple(np.concatenate(part) for part in zip(*_LEVELS[: MIN_LEVEL + 1])),
            *_LEVELS[MIN_LEVEL + 1 :]]
 _NODES = np.cumsum([len(x) for x, _ in _LEVELS])
-# t = 0 at the far end maps to x = inf, with weight 0
-with np.errstate(divide="ignore", over="ignore"):
-    _HALF_LINE = [_half_line(*stage) for stage in _STAGES]
+
+
+@lru_cache(maxsize=None)
+def _half_line(stage: int) -> tuple[np.ndarray, ...]:
+    """Abscissae t (side, node), weights, 1/t - 1 and t^-2 of a [lo, inf)
+    row at a stage, built at the stage's first use.
+
+    Every such row is [0, 1] in t (alpha = 1/2), so it shares these with
+    the others; each is formed with the operations of a row of its own.
+    Stages past the first are rarely read, and the last ones hold most
+    of the nodes.
+    """
+    xjc, wj = _STAGES[stage]
+    t = np.stack([1.0 - 0.5 * xjc, 0.5 * xjc + 0.0])
+    w = np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5)
+    # t = 0 at the far end maps to x = inf, with weight 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return t, w, 1.0 / t - 1.0, t**-2.0
+
+
 _SIDES = np.array([0, 1])
 _OUTSIDE = np.array([[-np.inf], [np.inf]])
 
@@ -88,10 +94,10 @@ def tanhsinh(
 
     lo < hi elementwise, hi finite or inf.  f(x, *args) is elementwise,
     with one row of x per interval and args as column arrays.  [a, inf)
-    maps to [0, 1] by x = a + 1/t - 1 with weight 1/t^2, on nodes built
-    at import.  Levels 0..MIN_LEVEL are evaluated in one call of f, and
-    each further level, up to MAX_LEVEL, only on the intervals not yet
-    converged.  At level k the estimate S_k stops when its error estimate
+    maps to [0, 1] by x = a + 1/t - 1 with weight 1/t^2, on tables built
+    at each stage's first use.  Levels 0..MIN_LEVEL are evaluated in one
+    call of f, and each further level, up to MAX_LEVEL, only on the
+    intervals not yet converged.  At level k the estimate S_k stops when its error estimate
     (Bailey's, from S_k - S_(k-1), S_k - S_(k-2), the largest term and the
     outermost valid term at each end) is below atol or rtol |S_k|.  A
     non-finite term is replaced by the value at the outermost valid node
@@ -124,7 +130,7 @@ def tanhsinh(
         col = (rows, None, None)
         arg = tuple(v[col] for v in args)
         if half_line:
-            t, w, u, jac = _HALF_LINE[stage]
+            t, w, u, jac = _half_line(stage)
             fj = f(u + lo[col], *arg) * jac
         else:
             xjc, wj = _STAGES[stage]

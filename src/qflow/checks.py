@@ -3,8 +3,8 @@
 Each row is data: a name, a tolerance, a detail text, one measure function
 and, for an order check, the target slope.  cli.run_checks runs the rows
 and judges them; this module imports nothing from cli.  Most measures run
-the quadrature oracle, and so scipy; cli imports this module only when
-verify runs, so the table commands load neither.
+the quadrature oracle; cli imports this module only when verify runs, so
+the table commands load neither.
 """
 
 from __future__ import annotations

@@ -8,22 +8,25 @@ theta-family minimizer: it solves its stationarity equation with the
 closed forms' own coupling root (functionals._coupling_root), and the
 checks compare it with minimize_theta, which never uses that equation.
 
-One-dimensional integrals use adaptive Gauss-Kronrod (scipy.integrate.quad)
-on two half-lines from the mean, in units of the member's scale.  The
-second half-line is the mirror of the first: the density is even about
-the mean bit for bit (IEEE rounding is sign-symmetric) and each integrand
-reads the offset only through its square, so one QUADPACK run gives both
-halves exactly.  Its integrand is one closure per integral that computes
-the density and its weight (1, the squared offset, or log_q of the
-density) inline, in the same operations as QGaussian1D.density and
-q_log, so the nodes see the same bits without a library call per node.
+One-dimensional integrals use the library's own adaptive Gauss-Kronrod
+rule (qflow._kronrod: QUADPACK's qk21 and its error estimate, every
+subinterval of a call in one array) on two half-lines from the mean, in
+units of the member's scale, where the integrand reads only the bracket
+b = 1 + (1-q) t of exp_q.  The second half-line is the mirror of the
+first: each integrand reads the offset only through its square, so one
+run gives both halves.  Its integrand is one array expression per
+integral that computes the density and its weight (1, the squared
+offset, or log_q of the density) from b, with no library call per node.
 The 1d oracles raise DomainError where the variance C sigma^2 is not a
 normal double or twice it overflows, and where an integral is not
 finite.  Domain policy:
 
-* compact 1d supports (q < 1): each half-line ends at the support edge;
+* compact 1d supports (q < 1): each half-line ends at the support edge,
+  sqrt(2/((1-q) C1)) in scale units, which a map makes smooth;
 * one-dimensional heavy tails (q > 1): each half-line runs to infinity
-  untruncated, through QUADPACK's own infinite-interval map;
+  untruncated, mapped onto (0, 1] and cut into dyadic pieces whose
+  slowly shrinking partial sums near q = 5/3 are extrapolated by Wynn's
+  epsilon algorithm;
 * every bivariate integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
@@ -41,20 +44,20 @@ finite.  Domain policy:
 Each result records the policy applied in its note.
 
 The grid searches are deterministic (no randomness): minimize_kh_grid uses
-nested refinement, minimize_theta uses a coarse grid + bounded Brent.
+nested refinement, minimize_theta uses a coarse grid + the library's own
+bounded Brent search.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-# scipy.optimize before scipy.integrate: scipy imports measurably faster in this order
-from scipy.optimize import minimize_scalar
-from scipy.integrate import quad
 
+from . import _kronrod
 from .functionals import _DBL_MIN, _LOG_DBL_MAX, _coupling_root, coefficients
 from .qgaussian import MBivariate, QGaussian1D
 from .qmath import DomainError
@@ -78,15 +81,16 @@ __all__ = [
 ]
 
 _LOG_DBL_MIN = math.log(_DBL_MIN)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and budget for the quadrature oracle.
 
-    max_subdivisions caps the subintervals of quad on the 1d half-line (the
-    other half-line is its mirror and repeats it bit for bit) and the
-    blocks of angles the polar rule may evaluate in 2d.
+    max_subdivisions caps the subintervals of the 1d rule on a half-line
+    (the other half-line is its mirror and repeats it) and the blocks of
+    angles the polar rule may evaluate in 2d.
     """
 
     rel_tol: float = 1e-10
@@ -113,36 +117,26 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     """Integral over the real line of w(d) f(mu + d), f = g's density.
 
     weight names w: "mass" (1), "moment" (d*d) or "entropy" (log_q f).
-    Two half-lines from the mean, d = +-scale u, with u from 0 to the
-    support edge (q < 1) or to +inf untruncated (q > 1, QUADPACK's own
-    infinite-interval map).  The density is read at the offset d, not at
-    mu + d, so a scale far below the resolution of mu stays exact.  The
-    absolute tolerance is relative to the size of the integral (the
-    variance v for the moment, 1 otherwise) and rescaled to the u units,
-    so a tiny or huge integral keeps its relative accuracy.
+    Two half-lines from the mean, each integrated in scale units u = d/scale
+    by qflow._kronrod's rule, from 0 to the support edge sqrt(2/((1-q) C1))
+    (q < 1) or to +inf untruncated (q > 1).  With t = -C1 u^2/2 the density
+    is norm exp_q(t), norm = C0/scale, and its bracket b = 1 + (1-q) t is
+    the rule's own variable, so no offset d is formed: a scale far below
+    the resolution of mu stays exact, and a huge one cannot overflow d*d.
+    The integrand is one array expression per weight: exp_q(t) =
+    exp(log b/(1-q)), d*d = v u^2 and, for the entropy, (1-q) log f =
+    (1-q) log norm + log b, so log_q f = expm1((1-q) log f)/(1-q) keeps its
+    relative accuracy next to q = 1.  The integral in scale units is
+    about 1 for every weight (the moment is v times it), and the absolute
+    tolerance is relative to that, so a tiny or huge integral keeps its
+    relative accuracy.  expm1 cannot overflow: (1-q) log f is at most
+    (1-q) log norm < 355 for q < 1; for q > 1, (q-1) log(1/norm) < 237,
+    and log b < 53 at the nodes of the initial pieces (z < 2^37), or
+    < 330 after the 199 bisections the default budget allows.
 
-    The integrand is one closure over four constants: norm = C0/sqrt(v),
-    C1, 2v and 1 - q.  At each node it computes the density and its weight
-    inline, with the operations of QGaussian1D.density, q_exp and q_log in
-    their order, so QUADPACK meets the same bits at the same nodes as
-    through those functions.  The branches it leaves out are unreachable:
-    the argument t = -(C1 d d / 2v) of exp_q is never positive, so for
-    q > 1 the bracket 1 + (1-q) t is at least 1 (no pole), and for any q
-    the exponent log1p((1-q) t)/(1-q) is never positive (no overflow).
-    The one branch left is the support edge (q < 1), where the density is
-    0.0, as norm * 0.0 is.  The entropy weight keeps the f > 0 guard (a
-    heavy tail's f underflows far out), and expm1((1-q) log f) cannot
-    overflow: where (1-q) log f is positive it stays below 709, because
-    f <= C0/sqrt(v) < 6.8e153 C0 for q < 1, and f >= 5e-324 with
-    q - 1 < 2/3 for q > 1.  make_params never yields q = 1, so dividing
-    by 1 - q is safe.
-
-    The second half-line is the mirror of the first, so it is integrated
-    once and counted twice.  This is exact, not an approximation: IEEE
-    rounding is sign-symmetric, (-s) u = -(s u), and the integrand reads
-    d only through d*d, so f(-d) and f(d) are the same bits.  QUADPACK on
-    the mirrored half-line therefore meets the same values at the same
-    nodes and returns the same value, error estimate and message.
+    The second half-line is the mirror of the first (the integrand reads
+    the offset only through u^2), so it is integrated once and counted
+    twice.
 
     Raises DomainError where v is not a normal double or 2v overflows (at
     q = 0.5, sigma outside [1.4e-154, 8.6e153]), and where the integral is
@@ -150,35 +144,38 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     """
     cfg = cfg or QuadratureConfig()
     v = g.variance
-    two_v = 2.0 * v
-    if not (_DBL_MIN <= v and two_v < math.inf):
+    if not (_DBL_MIN <= v and 2.0 * v < math.inf):
         raise DomainError(f"1d oracle needs a normal variance with 2v finite, got v={v!r}")
-    scale = math.sqrt(v)
-    edge = replace(g, mu=0.0).support().hi / scale
-    norm, c1, om = g.params.c0_q_d / scale, g.params.c1_q_d, 1.0 - g.params.q
-    policy = "to the support edge" if edge < math.inf else "untruncated"
-    notes = [f"two half-lines from the mean, {policy}"]
+    c0, c1, om = g.params.c0_q_d, g.params.c1_q_d, 1.0 - g.params.q
+    # the rule's unit offset in scale units: the support edge (q < 1) or sqrt(2/C1)
+    unit = math.sqrt(2.0 / (om * c1)) if om > 0.0 else math.sqrt(2.0 / c1)
+    inv_om, shift = 1.0 / om, om * (math.log(c0) - 0.5 * math.log(v))
 
-    def half_line(u: float) -> float:
-        d = scale * u
-        t = -(c1 * d * d / two_v)
-        f = 0.0 if 1.0 + om * t <= 0.0 else norm * math.exp(math.log1p(om * t) / om)
-        if weight == "mass":
-            return f
+    def integrand(log_b, s2, jh):
+        fh = np.exp(log_b * inv_om)
         if weight == "moment":
-            return d * d * f
-        return f * (math.expm1(om * math.log(f)) / om) if f > 0.0 else 0.0
+            fh *= s2
+        elif weight == "entropy":
+            fh *= np.expm1(log_b + shift)
+            fh *= inv_om
+        fh *= jh
+        return fh
 
-    magnitude = v if weight == "moment" else 1.0
-    out = quad(half_line, 0.0, edge, epsabs=cfg.abs_tol * magnitude / scale,
-               epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=True)
-    if len(out) > 3:
-        notes.append(str(out[3]).strip().replace("\n", " "))
-    # both half-lines summed from 0.0, so a -0.0 half reads 0.0
-    value, err = scale * (0.0 + out[0] + out[0]), scale * (0.0 + out[1] + out[1])
+    # one half-line in final units, but for the moment's factor v
+    pref = c0 * unit * (unit * unit if weight == "moment" else 1.0)
+    value, err, message = _kronrod.half_line(integrand, om, int(weight != "mass"),
+                                             cfg.abs_tol / pref, cfg.rel_tol, cfg.max_subdivisions)
+    policy = "to the support edge" if om > 0.0 else "untruncated"
+    notes = [f"two half-lines from the mean, {policy}", *([message] if message else [])]
+    value, err = 2.0 * pref * value, 2.0 * pref * err
+    if weight == "entropy":
+        # (1-q) log norm is rounded: its error moves every node's log_q f alike
+        err += 4.0 * _EPS * abs(shift * value)
+    if weight == "moment":
+        value, err = value * v, err * v
     if not math.isfinite(value):
         raise DomainError(f"1d {weight} integral is not finite: {value!r}")
-    return QuadResult(value, err, len(out) <= 3, "; ".join(notes))
+    return QuadResult(value, err, message is None, "; ".join(notes))
 
 
 def mass_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -422,11 +419,12 @@ def minimize_theta(p_biv: MBivariate, nu1: float, xi1: float, nu2: float, xi2: f
     size shrinks), where a uniform theta grid has no resolution.  A 17-point
     grid on |theta| <= 0.9995 brackets the argmin; when it sits at a grid
     end, that side alone is extended a grid step at a time until the
-    objective turns up again.  scipy's bounded Brent then resolves the
-    vertex to 1e-5 in t (and therefore in theta) within one grid step of
-    the best point.  Raises DomainError when the objective is flat over the
-    grid (degenerate family) or the walk reaches a correlation that rounds
-    to +-1.
+    objective turns up again.  A bounded Brent search (_bounded_brent,
+    scipy.optimize.fminbound's steps) then resolves the vertex to 1e-5 in
+    t (and therefore in theta) within one grid step of the best point.
+    Raises DomainError when the objective is flat over the grid
+    (degenerate family) or the walk reaches a correlation that rounds to
+    +-1.
     """
     converged = True
 
@@ -449,8 +447,76 @@ def minimize_theta(p_biv: MBivariate, nu1: float, xi1: float, nu2: float, xi2: f
     # objective turns up; MBivariate raises DomainError once tanh rounds to 1
     while i in (0, len(grid) - 1) and (f_out := obj(t + step)) < f:
         t, f = t + step, f_out
-    res = minimize_scalar(obj, bounds=(t - dt, t + dt), method="bounded", options={"xatol": 1e-5})
-    return ThetaMin(theta=math.tanh(res.x), value=float(res.fun), converged=converged)
+    t, f = _bounded_brent(obj, t - dt, t + dt, 1e-5)
+    return ThetaMin(theta=math.tanh(t), value=f, converged=converged)
+
+
+def _bounded_brent(func: Callable[[float], float], a: float, b: float,
+                   xatol: float) -> tuple[float, float]:
+    """Minimizer of func on [a, b] and its value, by Brent's bounded search
+    (Brent 1973, ch. 5): golden-section steps, and parabolic steps through
+    the three best points where they shrink.  Step for step the search of
+    scipy.optimize.fminbound, whose variable names it keeps (xf is the best
+    point, nfc and fulc the second and third best) and whose cap of 500
+    evaluations it keeps.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
 
 
 def theta_family_minimizer(p_biv: MBivariate, xi1: float, xi2: float) -> float:
@@ -568,9 +634,9 @@ def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
     for _ in range(3):
         mus = np.linspace(mu_lo, mu_hi, 101)
         sigs = np.linspace(sig_lo, sig_hi, 101)
-        mm, ss = np.meshgrid(mus, sigs, indexing="ij")
-        w2 = big_c * (ss - sigma0) ** 2 + (mm - mu0) ** 2
-        ent = bc * ((sigma0 / ss) ** (1.0 - q) - 1.0) / (1.0 - q)
+        # rows are mu, columns sigma; the sigma terms are formed once per column
+        w2 = big_c * (sigs - sigma0) ** 2 + (mus[:, None] - mu0) ** 2
+        ent = bc * ((sigma0 / sigs) ** (1.0 - q) - 1.0) / (1.0 - q)
         vals = w2 / (4.0 * h) + 0.5 * ent
         i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
         dmu = mus[1] - mus[0]

@@ -209,7 +209,6 @@ def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
 
 
 def test_table_commands_do_not_import_scipy(tmp_path):
-    # scipy serves the quadrature oracle only, which verify alone loads
     code = textwrap.dedent("""
         import sys
         import qflow, qflow.cli
@@ -226,6 +225,21 @@ def test_table_commands_do_not_import_scipy(tmp_path):
         [sys.executable, "-c", code, str(tmp_path / "table")],
         capture_output=True, text=True, timeout=120,
     )
+    assert run.returncode == 0, run.stderr
+
+
+def test_verify_does_not_import_scipy():
+    # the oracles integrate and minimize with the library's own rules
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import qflow.checks
+        assert "scipy" not in sys.modules
+        from qflow import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--scope", "all"]) == 0
+        assert "scipy" not in sys.modules
+    """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
 
 
