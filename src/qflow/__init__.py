@@ -19,7 +19,7 @@ from .qgaussian import (
     QGaussian1D,
     SupportInterval,
 )
-from .pme_flow import FlowState, barenblatt_density, evolve_sigma, theta_map_1d
+from .pme_flow import barenblatt_density, evolve_sigma, theta_map_1d
 from .functionals import (
     GammaCoefficients,
     coefficients,
@@ -49,7 +49,6 @@ __all__ = [
     "OutsideVerifiedRangeError",
     "QGaussian1D",
     "SupportInterval",
-    "FlowState",
     "barenblatt_density",
     "evolve_sigma",
     "theta_map_1d",

@@ -104,20 +104,12 @@ def tanhsinh(
     of its side; a non-finite S_k ends its interval unconverged.  Returns
     the integrals, their error estimates and the convergence flags.
 
-    Each interval's results depend on its own row alone, so a block of
-    intervals gives the same bits as each interval run alone; a block
-    mixing finite and half-line intervals runs as one block of each.
+    A call takes one kind of row: every hi finite, or every hi inf.  Each
+    interval's results depend on its own row alone, so a block of
+    intervals gives the same bits as each interval run alone.
     """
     n = len(lo)
-    half_line = np.isinf(hi)
-    if 0 < half_line.sum() < n:
-        out = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-        for part in (~half_line, half_line):
-            for o, v in zip(out, tanhsinh(f, lo[part], hi[part], tuple(v[part] for v in args),
-                                          rtol, atol)):
-                o[part] = v
-        return out
-    half_line = bool(half_line.any())
+    half_line = bool(np.isinf(hi).any())
     alpha = (hi - lo) / 2
     # abscissa t, value and weight of the outermost valid node of each side
     # (the right side's is its largest t, the left side's its least)

@@ -26,7 +26,7 @@ from .functionals import (
 )
 from .pme_flow import barenblatt_density, evolve_sigma, pde_residual, theta_map_1d
 from .qgaussian import QGaussian1D, m_rel_entropy_closed, make_bivariate
-from .qmath import QParams, make_params, q_exp, q_log
+from .qmath import make_params, q_exp, q_log
 
 
 class Check(NamedTuple):
@@ -61,10 +61,9 @@ def _product_rule_errors():
         yield abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
-def _constant_identity_errors(params: Sequence[QParams] | None = None):
-    qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
-    for p in params if params is not None else [make_params(q, 1) for q in qs]:
-        q = p.q
+def _constant_identity_errors():
+    for q in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6):
+        p = make_params(q, 1)
         lhs = p.C ** ((3.0 - q) / 2.0)
         rhs = (3.0 - q) * (2.0 - q) * p.c1_q_d * p.c0_q_d ** (1.0 - q)
         yield abs(lhs / rhs - 1.0)

@@ -44,10 +44,17 @@ with D = sigma_h^2 - sigma0^2 and F_h the bounded correction
           + q log_q(sigma0 / (sigma eta)) - 1   -->   log_q(sigma0/sigma),
 
 used as the computation paths: they stay conditioned uniformly in h while
-the defining expressions lose all digits below h ~ 1e-8.  StepPair(g, g0,
-h) computes D, delta, the q-form of F_h and b once, and it is the only
-entry to eta_h: J_h, F_h, the optimal coupling and the three rescalings
-all read those numbers from it.  The coefficients
+the defining expressions lose all digits below h ~ 1e-8.  J_h reads F_h
+in its m-form,
+
+    F_h = 2 sigma0 sigma (1 - eta)/D + q log_q(sigma0 / (sigma eta)) - 1,
+
+whose log term is the q-form's, since 2 log_m(x^(1/(3-m))) = q log_q x
+at m = 3 - 2/q; the two forms differ only in their first terms, which
+agree at the solved eta alone.  StepPair(g, g0, h) computes D, delta, the
+shared log term, the q-form of F_h and b once, and it is the only entry
+to eta_h: J_h, F_h, the optimal coupling and the three rescalings all
+read those numbers from it.  The coefficients
 
     a = 2 C^(2-m) / C1(m,2) * (C0(m,2)/sigma0)^(m-1),
     b = (2-q) C1(q,1) / C^((3-q)/2) * (C0(q,1)/sigma0)^(1-q)
@@ -60,12 +67,20 @@ set.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .pme_flow import _relative_growth, evolve_sigma, sigma_sq_gap
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
-from .qmath import DomainError, QParams, c0_const, c1_const, make_params
+from .qmath import (
+    _DBL_MIN,
+    _LOG_DBL_MAX,
+    DomainError,
+    QParams,
+    _finite,
+    c0_const,
+    c1_const,
+    make_params,
+)
 
 __all__ = [
     "GammaCoefficients",
@@ -93,8 +108,6 @@ _W_STEP = 2.0**-27
 # below w = -53 log 2, eta < 2^-53 and delta = 1 - eta no longer resolves eta; such a
 # root is rejected
 _W_MIN = -53.0 * math.log(2.0)
-_DBL_MIN = sys.float_info.min
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,6 @@ def _require_same_family(g: QGaussian1D, g0: QGaussian1D) -> None:
 def _require_h(h: float) -> None:
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h!r}")
-
-
-def _finite(value: float, name: str) -> float:
-    """value, or DomainError where it is not a finite double."""
-    if not math.isfinite(value):
-        raise DomainError(f"{name} leaves the double range: {value!r}")
-    return value
 
 
 def _log_ratio(sigma0: float, sigma: float) -> float:
@@ -177,7 +183,7 @@ def _entropy_b(p: QParams, sigma0: float) -> float:
     q = p.q
     try:
         ratio = p.c0_q_d / sigma0
-        if sys.float_info.min <= ratio < math.inf:
+        if _DBL_MIN <= ratio < math.inf:
             power = ratio ** (1.0 - q)
         else:
             power = p.c0_q_d ** (1.0 - q) * sigma0 ** (q - 1.0)
@@ -368,33 +374,22 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
     )
 
 
-def _f_h_from_delta(delta: float, sigma: float, sigma0: float, q: float) -> float:
-    """F_h in the q-form, given delta = 1 - eta_h; inf where a power of
-    sigma0/sigma overflows."""
+def _f_h_terms(delta: float, sigma: float, sigma0: float, q: float) -> tuple[float, float]:
+    """The q-form's first term 2 eta^q/(2-delta) (sigma0/sigma)^(1-q) of F_h
+    and the log term q log_q(sigma0/(sigma eta)) that both forms share,
+    given delta = 1 - eta_h; each is inf where its power overflows."""
     log_ratio = _log_ratio(sigma0, sigma)
     try:
         eta_pow_q = math.exp(q * math.log1p(-delta))
-        ratio_pow = math.exp((1.0 - q) * log_ratio)
-        t1 = 2.0 * eta_pow_q / (2.0 - delta) * ratio_pow
-        ell = log_ratio - math.log1p(-delta)
-        t2 = q * math.expm1((1.0 - q) * ell) / (1.0 - q)
+        first = 2.0 * eta_pow_q / (2.0 - delta) * math.exp((1.0 - q) * log_ratio)
     except OverflowError:
-        return math.inf
-    return t1 + t2 - 1.0
-
-
-def _f_h_from_delta_mform(
-    delta: float, sigma: float, sigma0: float, gap: float, m: float
-) -> float:
-    """F_h in the raw m-form: 2 sigma0 sigma (1-eta)/D + 2 log_m(.) - 1;
-    inf where the power of sigma0/sigma overflows."""
-    t1 = 2.0 * sigma0 * sigma * delta / gap
-    ell = _log_ratio(sigma0, sigma) - math.log1p(-delta)
+        first = math.inf
+    ell = log_ratio - math.log1p(-delta)
     try:
-        t2 = 2.0 * math.expm1((1.0 - m) * ell / (3.0 - m)) / (1.0 - m)
+        shared = q * math.expm1((1.0 - q) * ell) / (1.0 - q)
     except OverflowError:
-        return math.inf
-    return t1 + t2 - 1.0
+        shared = math.inf
+    return first, shared
 
 
 def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) -> float:
@@ -420,11 +415,15 @@ def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) ->
 @dataclass(frozen=True)
 class StepPair:
     """One step (g | g0, h): the variance gap D = sigma_h^2 - sigma0^2, the
-    coupling root delta = 1 - eta_h, the q-form of F_h and the entropy
-    coefficient b(sigma0, q), each computed once.
+    coupling root delta = 1 - eta_h, the log term fh_log = q
+    log_q(sigma0/(sigma eta_h)) that both forms of F_h share, the q-form
+    fh_q of F_h and the entropy coefficient b(sigma0, q), each computed
+    once.
 
-    J_h, F_h, the optimal coupling and the three rescalings are readers
-    of these numbers.
+    The two forms of F_h differ only in their first terms, 2 eta^q/(2 -
+    delta) (sigma0/sigma)^(1-q) and 2 sigma0 sigma delta/D, which agree at
+    the solved root alone.  J_h, F_h, the optimal coupling and the three
+    rescalings are readers of these numbers.
     """
 
     g: QGaussian1D
@@ -432,6 +431,7 @@ class StepPair:
     h: float
     gap: float = field(init=False)
     delta: float = field(init=False)
+    fh_log: float = field(init=False)
     fh_q: float = field(init=False)
     b: float = field(init=False)
 
@@ -442,20 +442,19 @@ class StepPair:
         sigma, sigma0 = self.g.sigma, self.g0.sigma
         gap = sigma_sq_gap(sigma0, self.h, p.q)
         delta = _solve_eta_gap(sigma, sigma0, gap, p.q)[0]
+        first, shared = _f_h_terms(delta, sigma, sigma0, p.q)
         object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "fh_q", _f_h_from_delta(delta, sigma, sigma0, p.q))
+        object.__setattr__(self, "fh_log", shared)
+        object.__setattr__(self, "fh_q", first + shared - 1.0)
         object.__setattr__(self, "b", _entropy_b(p, sigma0))
 
     def f_h(self, form: str = "q") -> float:
         if form == "q":
             return _finite(self.fh_q, "F_h in the q-form")
         if form == "m":
-            g, g0 = self.g, self.g0
-            return _finite(
-                _f_h_from_delta_mform(self.delta, g.sigma, g0.sigma, self.gap, g.params.m),
-                "F_h in the m-form",
-            )
+            first = 2.0 * self.g0.sigma * self.g.sigma * self.delta / self.gap
+            return _finite(first + self.fh_log - 1.0, "F_h in the m-form")
         raise ValueError(f"form must be 'q' or 'm', got {form!r}")
 
     def jh(self) -> float:
@@ -524,8 +523,9 @@ def f_h(g: QGaussian1D, g0: QGaussian1D, h: float, form: str = "q") -> float:
 
     form="q" evaluates 2 eta^q/(1+eta) (sigma0/sigma)^(1-q)
     + q log_q(sigma0/(sigma eta)) - 1; form="m" evaluates the equivalent
-    2 sigma0 sigma (1-eta)/D + 2 log_m (sigma0/(sigma eta))^(1/(3-m)) - 1.
-    Both agree to roundoff at the solved eta.
+    2 sigma0 sigma (1-eta)/D + 2 log_m (sigma0/(sigma eta))^(1/(3-m)) - 1,
+    whose log term is the q-form's, read from StepPair.  The first terms
+    agree at the solved eta, so both forms agree to roundoff.
     """
     return StepPair(g, g0, h).f_h(form)
 

@@ -19,7 +19,9 @@ integral that computes the density and its weight (1, the squared
 offset, or log_q of the density) from b, with no library call per node.
 The 1d oracles raise DomainError where the variance C sigma^2 is not a
 normal double or twice it overflows, and where an integral is not
-finite.  Domain policy:
+finite; the 2d oracles where a diagonal entry of a member's scale matrix
+is not a normal double, and where an integral is not finite.  Domain
+policy:
 
 * compact 1d supports (q < 1): each half-line ends at the support edge,
   sqrt(2/((1-q) C1)) in scale units, which a map makes smooth;
@@ -58,9 +60,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kronrod
-from .functionals import _DBL_MIN, _LOG_DBL_MAX, _coupling_root, coefficients
+from .functionals import _coupling_root, _entropy_b
 from .qgaussian import MBivariate, QGaussian1D
-from .qmath import DomainError
+from .qmath import _DBL_MIN, _LOG_DBL_MAX, DomainError, _finite
 
 __all__ = [
     "QuadratureConfig",
@@ -229,7 +231,8 @@ def _polar_quad(
     from . import _tanhsinh
 
     cx, cy = members[0].mean
-    chol = np.linalg.cholesky(sum(nu.cov for nu in members) / len(members))
+    # each term is divided before the sum, which then cannot overflow
+    chol = np.linalg.cholesky(sum(nu.cov / len(members) for nu in members))
     det = chol[0, 0] * chol[1, 1]
     compact = [nu for nu in members if math.isfinite(nu.support_threshold())]
 
@@ -337,6 +340,8 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
     """Entropy integral f log_m f of a bivariate member, by quadrature.
 
     The polar rule's frame is the member's own, so the integrand is radial.
+    Raises DomainError where s1^2 or s2^2 is not a normal double and where
+    the integral is not finite.
     """
     cfg = cfg or QuadratureConfig()
 
@@ -344,7 +349,9 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
         fv = nu.density(x, y)
         return _xlogm(fv, fv, _log_m_numerator(fv, nu.m), nu.m)
 
-    return _polar_quad(integrand, [nu], cfg)
+    res = _polar_quad(integrand, [nu], cfg)
+    _finite(res.value, "the 2d entropy integral")
+    return res
 
 
 def m_rel_entropy_quad(
@@ -367,7 +374,9 @@ def m_rel_entropy_quad(
     mean (inside both supports when supp f lies inside supp g) and
     whitened by the average of f's and g's scale matrices.  For m < 1 this
     is the honest integral even when the supports are not nested (the
-    closed form then differs).
+    closed form then differs).  Raises DomainError where a diagonal entry
+    of either scale matrix is not a normal double and where the integral
+    is not finite.
     """
     cfg = cfg or QuadratureConfig()
     if f_biv.m != g_biv.m:
@@ -398,7 +407,9 @@ def m_rel_entropy_quad(
         t /= 2.0 - m
         return t
 
-    return _polar_quad(integrand, [f_biv, g_biv], cfg)
+    res = _polar_quad(integrand, [f_biv, g_biv], cfg)
+    _finite(res.value, "the relative m-entropy integral")
+    return res
 
 
 class ThetaMin(NamedTuple):
@@ -620,7 +631,7 @@ def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
     big_c = p.C
     sigma0 = g0.sigma
     mu0 = g0.mu
-    b = coefficients(q, sigma0).b
+    b = _entropy_b(p, sigma0)
     bc = b * big_c
 
     step = h * b / sigma0

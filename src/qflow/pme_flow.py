@@ -24,7 +24,6 @@ excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .qgaussian import QGaussian1D
 from .qmath import DomainError, QParams, q_log
 
 __all__ = [
-    "FlowState",
     "evolve_sigma",
     "sigma_sq_gap",
     "theta_map_1d",
@@ -99,25 +97,6 @@ def theta_map_1d(v: float, q: float) -> float:
     if not v > 0.0:
         raise DomainError(f"theta_map_1d requires v > 0, got {v!r}")
     return v ** (2.0 / (3.0 - q))
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A q-Gaussian together with the elapsed flow time."""
-
-    g: QGaussian1D
-    t: float
-
-    def __post_init__(self) -> None:
-        if not self.t >= 0.0:
-            raise DomainError(f"t must be nonnegative, got {self.t!r}")
-
-    def evolve(self, dt: float) -> "FlowState":
-        q = self.g.params.q
-        return FlowState(g=replace(self.g, sigma=evolve_sigma(self.g.sigma, dt, q)), t=self.t + dt)
-
-    def density(self, x: float) -> float:
-        return self.g.density(x)
 
 
 def barenblatt_density(t: float, x: float, p: QParams) -> float:

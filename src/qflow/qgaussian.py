@@ -25,7 +25,10 @@ means, and the relative m-entropy
 both reduced to determinants, traces and a single deformed logarithm.
 For m < 1 the closed relative entropy represents the integral only when
 supp f lies inside supp g; callers on the compact branch must ensure
-inclusion (the quadrature oracle checks it geometrically).
+inclusion (the quadrature oracle checks it geometrically).  The bivariate
+functions raise DomainError where a diagonal entry of a scale matrix or a
+determinant is not a normal double, and the closed forms where their value
+is not finite.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import (
+    _DBL_MIN,
+    _LOG_DBL_MAX,
     DomainError,
     QParams,
+    _finite,
     in_q_domain,
     q_domain_upper,
     q_exp,
@@ -154,12 +160,23 @@ class MBivariate:
 
     @property
     def cov(self) -> np.ndarray:
+        """Sigma; DomainError where s1^2 or s2^2 is not a normal double."""
+        v1, v2 = self.s1 * self.s1, self.s2 * self.s2
+        if not (_DBL_MIN <= v1 < math.inf and _DBL_MIN <= v2 < math.inf):
+            raise DomainError(f"s1^2 = {v1!r} or s2^2 = {v2!r} is not a normal double")
         off = self.theta * self.s1 * self.s2
-        return np.array([[self.s1 * self.s1, off], [off, self.s2 * self.s2]])
+        return np.array([[v1, off], [off, v2]])
 
     @property
     def det_cov(self) -> float:
-        return (self.s1 * self.s2) ** 2 * (1.0 - self.theta * self.theta)
+        """det Sigma; DomainError where it is not a normal double."""
+        try:
+            det = (self.s1 * self.s2) ** 2 * (1.0 - self.theta * self.theta)
+        except OverflowError:
+            det = math.inf
+        if not _DBL_MIN <= det < math.inf:
+            raise DomainError(f"det Sigma = {det!r} is not a normal double")
+        return det
 
     def support_threshold(self) -> float:
         """Bound R^2 with support = {<z-mean, Sigma^(-1)(z-mean)> < R^2}.
@@ -214,13 +231,25 @@ def make_bivariate(
     return MBivariate(mu1=mu1, mu2=mu2, s1=s1, s2=s2, theta=theta, mparams=make_params(m, 2))
 
 
-def _check_spd(mat: np.ndarray, d: int, name: str) -> None:
+def _spd_det(mat: np.ndarray, d: int, name: str) -> float:
+    """det mat of a symmetric positive definite scale matrix.
+
+    Raises DomainError where mat is not one, where an entry is not finite
+    or a diagonal entry not a normal double, and where the determinant is
+    not a normal double; slogdet rules out the overflow before det runs.
+    """
     if mat.shape != (d, d):
         raise DomainError(f"{name} must have shape ({d}, {d}), got {mat.shape}")
+    if not (np.isfinite(mat).all() and (np.diagonal(mat) >= _DBL_MIN).all()):
+        raise DomainError(f"{name} needs finite entries and normal diagonal entries")
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
         raise DomainError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(mat).min() <= 0.0:
         raise DomainError(f"{name} must be positive definite")
+    det = float(np.linalg.det(mat)) if np.linalg.slogdet(mat)[1] < _LOG_DBL_MAX else math.inf
+    if not _DBL_MIN <= det < math.inf:
+        raise DomainError(f"det {name} = {det!r} is not a normal double")
+    return det
 
 
 def entropy_diff_closed(mp: QParams, det_sigma: float, det_v: float) -> float:
@@ -229,13 +258,15 @@ def entropy_diff_closed(mp: QParams, det_sigma: float, det_v: float) -> float:
         (2-m) C1(m,d) (C0(m,d) / det(V)^(1/2))^(1-m)
             * log_m(det(V)^(1/2) / det(Sigma)^(1/2)).
 
-    The mean drops out of the difference.
+    The mean drops out of the difference.  Raises DomainError where a
+    determinant is not a normal double or the difference is not finite.
     """
-    if not (det_sigma > 0.0 and det_v > 0.0):
-        raise DomainError("determinants must be positive")
+    if not (_DBL_MIN <= det_sigma < math.inf and _DBL_MIN <= det_v < math.inf):
+        raise DomainError("determinants must be normal doubles")
     m = mp.q
     pref = math.exp((1.0 - m) * (math.log(mp.c0_q_d) - 0.5 * math.log(det_v)))
-    return (2.0 - m) * mp.c1_q_d * pref * q_log_pow(det_v / det_sigma, 0.5, m)
+    return _finite((2.0 - m) * mp.c1_q_d * pref * q_log_pow(det_v / det_sigma, 0.5, m),
+                   "the m-entropy difference")
 
 
 def m_rel_entropy_closed(mp, mu_a, sigma_a, mu_b, sigma_b) -> float:
@@ -247,7 +278,10 @@ def m_rel_entropy_closed(mp, mu_a, sigma_a, mu_b, sigma_b) -> float:
 
     Scalars are accepted for d = 1.  Nonnegative, and 0 exactly at equal
     arguments.  For m < 1 it agrees with the defining integral only when
-    supp of the first argument is contained in supp of the second.
+    supp of the first argument is contained in supp of the second.  Raises
+    DomainError where a scale matrix is not symmetric positive definite, an
+    entry of one is not finite or a diagonal entry not a normal double, a
+    determinant is not a normal double, or the value is not finite.
     """
     d = mp.d
     m = mp.q
@@ -257,15 +291,12 @@ def m_rel_entropy_closed(mp, mu_a, sigma_a, mu_b, sigma_b) -> float:
     sig_b = np.atleast_2d(np.asarray(sigma_b, dtype=float))
     if mu_a.shape != (d,) or mu_b.shape != (d,):
         raise DomainError(f"means must have shape ({d},)")
-    _check_spd(sig_a, d, "sigma_a")
-    _check_spd(sig_b, d, "sigma_b")
-
-    det_a = float(np.linalg.det(sig_a))
-    det_b = float(np.linalg.det(sig_b))
+    det_a = _spd_det(sig_a, d, "sigma_a")
+    det_b = _spd_det(sig_b, d, "sigma_b")
     inv_b = np.linalg.inv(sig_b)
     tr = float(np.trace(inv_b @ sig_a))
     dmu = mu_a - mu_b
     quad = float(dmu @ inv_b @ dmu)
     pref = math.exp((1.0 - m) * (math.log(mp.c0_q_d) - 0.5 * math.log(det_b)))
     bracket = tr + quad + 2.0 * q_log_pow(det_b / det_a, 0.5, m) - d
-    return 0.5 * mp.c1_q_d * pref * bracket
+    return _finite(0.5 * mp.c1_q_d * pref * bracket, "the relative m-entropy")

@@ -34,6 +34,7 @@ library (``math.lgamma``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -47,13 +48,23 @@ __all__ = [
     "gamma_ratio",
     "c1_const",
     "c0_const",
-    "alpha_const",
     "make_params",
 ]
 
 
 class DomainError(ValueError):
     """Raised when an argument leaves the domain a formula is valid on."""
+
+
+_DBL_MIN = sys.float_info.min
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _finite(value: float, name: str) -> float:
+    """value, or DomainError where it is not a finite double."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} leaves the double range: {value!r}")
+    return value
 
 
 def gamma_ratio(a: float, b: float) -> float:
@@ -166,14 +177,6 @@ def c0_const(q: float, d: int) -> float:
     return gamma_ratio(z, z - d / 2.0) * ((q - 1.0) * c1 / (2.0 * math.pi)) ** (d / 2.0)
 
 
-def alpha_const(q: float, d: int) -> float:
-    """Self-similar scaling exponent alpha = 1 / (d (1-q) + 2)."""
-    den = d * (1.0 - q) + 2.0
-    if not den > 0.0:
-        raise DomainError(f"alpha_const requires q < 1 + 2/d, got q={q!r}")
-    return 1.0 / den
-
-
 @dataclass(frozen=True)
 class QParams:
     """Exponent q, dimension d, and the derived profile constants.
@@ -208,7 +211,8 @@ def make_params(q: float, d: int) -> QParams:
             f"q={q!r} outside Q_{d} = (0, 1) u (1, {q_domain_upper(d)!r})"
         )
     m = 3.0 - 2.0 / q
-    alpha = alpha_const(q, d)
+    # the self-similar scaling exponent; positive on Q_d
+    alpha = 1.0 / (d * (1.0 - q) + 2.0)
     c1 = c1_const(q, d)
     om = 1.0 - q
     try:

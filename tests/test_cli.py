@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -193,7 +192,7 @@ def test_gamma_where_a_power_of_the_coupling_equation_overflows_exits_0(capsys):
 
 
 def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
-    calls = {"_f_h_from_delta": 0, "_entropy_b": 0}
+    calls = {"_f_h_terms": 0, "_entropy_b": 0}
     for name in calls:
         orig = getattr(functionals, name)
 
@@ -205,21 +204,23 @@ def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
     cfg = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=4)
     cli.cmd_gamma(3, cfg)
     # entropy_diff's limit reads b once more
-    assert calls == {"_f_h_from_delta": 4, "_entropy_b": 5}
+    assert calls == {"_f_h_terms": 4, "_entropy_b": 5}
 
 
 def test_table_commands_do_not_import_scipy(tmp_path):
+    # nor the oracle, its two rules or the check table
     code = textwrap.dedent("""
         import sys
         import qflow, qflow.cli
-        assert "scipy" not in sys.modules
+        unloaded = ["scipy", "qflow.oracle", "qflow._kronrod", "qflow._tanhsinh", "qflow.checks"]
+        assert not set(unloaded) & sys.modules.keys()
         out = sys.argv[1]
         assert qflow.cli.main(["gamma", "--statement", "3", "--q", "0.8", "--sigma0", "1",
                                "--mu0", "0", "--mu", "0.3", "--sigma", "1.4", "--out", out]) == 0
         assert qflow.cli.main(["jko", "--q", "1.2", "--sigma0", "1", "--mu0", "0",
                                "--h", "0.01", "--steps", "3", "--out", out]) == 0
         assert qflow.cli.main(["const", "--q", "0.8", "--d", "1"]) == 0
-        assert "scipy" not in sys.modules
+        assert not set(unloaded) & sys.modules.keys()
     """)
     run = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "table")],
@@ -546,22 +547,18 @@ def test_verify_pme_flow_scope(capsys):
 def test_verify_catches_injected_constant_fault(monkeypatch):
     p = make_params(0.8, 1)
     bad = dataclasses.replace(p, c0_q_d=p.c0_q_d * (1.0 + 1e-3))
-    rows = checks.CHECKS["qmath"]
 
-    def constant_identity(params):
-        # the qmath rows, with constant-identity measured on params
-        measure = functools.partial(checks._constant_identity_errors, params)
-        monkeypatch.setitem(checks.CHECKS, "qmath", tuple(
-            row._replace(measure=measure) if row.name == "constant-identity" else row
-            for row in rows
-        ))
+    def constant_identity():
         return {r.name: r for r in cli.run_checks("qmath")}["constant-identity"]
 
-    fault = constant_identity([bad])
+    # constant-identity measured with the constants of one q tampered
+    monkeypatch.setattr(checks, "make_params", lambda q, d: bad if q == p.q else make_params(q, d))
+    fault = constant_identity()
     assert not fault.passed
     assert fault.measured > fault.tolerance
     # the untampered pipeline passes the same check
-    assert constant_identity([p]).passed
+    monkeypatch.undo()
+    assert constant_identity().passed
 
 
 def test_verify_catches_a_wrong_coupling_root(monkeypatch):

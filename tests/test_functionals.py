@@ -707,25 +707,22 @@ def test_f_h_where_sigma0_over_sigma_overflows_matches_mpmath():
     # sigma0/sigma = 9.2e315 overflows; F_h, about log_q(sigma0/sigma), does not
     q, sigma, sigma0, h = 0.9557432470229523, 1.389718251696264e-282, 1.271699804723392e34, \
         3.2254689089615906e-249
-    p = make_params(q, 1)
     step = functionals.StepPair(_g(q, sigma=sigma), _g(q, sigma=sigma0), h)
     with mpmath.workdps(50):
         mq, delta = mpmath.mpf(q), mpmath.mpf(step.delta)
         eta, ratio = 1 - delta, mpmath.mpf(sigma0) / mpmath.mpf(sigma)
-
-        def m_form(m):
-            t1 = 2 * mpmath.mpf(sigma0) * mpmath.mpf(sigma) * delta / mpmath.mpf(step.gap)
-            return t1 + 2 * ((ratio / eta) ** ((1 - m) / (3 - m)) - 1) / (1 - m) - 1
-
+        m = 3 - 2 / mq
+        m_form = (2 * mpmath.mpf(sigma0) * mpmath.mpf(sigma) * delta / mpmath.mpf(step.gap)
+                  + 2 * ((ratio / eta) ** ((1 - m) / (3 - m)) - 1) / (1 - m) - 1)
         # at the solved delta
         exact = (2 * eta**mq / (2 - delta) * ratio ** (1 - mq)
                  + mq * ((ratio / eta) ** (1 - mq) - 1) / (1 - mq) - 1)
         # the forms agree up to the root's rounding (1.5e-18)
-        assert abs(m_form(3 - 2 / mq) / exact - 1) <= 1e-16
+        assert abs(m_form / exact - 1) <= 1e-16
         assert abs(step.f_h() / exact - 1) <= 1e-14  # 7.2572027638363008e15
-        # the m-form reads the rounded m = 3 - 2/q, which the exponent
-        # (1-m) L/(3-m) = 33 amplifies to 6.2e-14 of F_h; held to its own m
-        assert abs(step.f_h("m") / m_form(mpmath.mpf(p.m)) - 1) <= 1e-14
+        # the m-form's log term is the q-form's, with the exponent (1-q) L = 33
+        # formed from q, not from the rounded m = 3 - 2/q: 2.9e-15 of F_h
+        assert abs(step.f_h("m") / exact - 1) <= 3e-15
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5])

@@ -5,7 +5,6 @@ import pytest
 
 from qflow import oracle
 from qflow.pme_flow import (
-    FlowState,
     barenblatt_density,
     evolve_sigma,
     pde_residual,
@@ -66,17 +65,6 @@ def test_theta_map_consistency():
         assert theta_map_1d(v, q) == pytest.approx(evolve_sigma(s0, t, q) ** 2, rel=1e-14)
     with pytest.raises(DomainError):
         theta_map_1d(0.0, 0.8)
-
-
-def test_flow_state_evolution():
-    g0 = QGaussian1D(mu=0.3, sigma=1.0, params=make_params(0.8, 1))
-    st = FlowState(g=g0, t=0.0).evolve(0.2).evolve(0.3)
-    assert st.t == pytest.approx(0.5)
-    assert st.g.sigma == pytest.approx(evolve_sigma(1.0, 0.5, 0.8), rel=1e-14)
-    assert st.g.mu == 0.3
-    assert st.density(0.3) == st.g.density(0.3)
-    with pytest.raises(DomainError):
-        FlowState(g=g0, t=-1.0)
 
 
 @pytest.mark.parametrize("q", [0.8, 1.2])

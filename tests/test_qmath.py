@@ -6,7 +6,6 @@ import pytest
 
 from qflow.qmath import (
     DomainError,
-    alpha_const,
     c0_const,
     c1_const,
     gamma_ratio,
@@ -237,7 +236,7 @@ def test_constant_pipeline_cross_relations():
     for q in (0.3, 0.8, 1.2, 1.6):
         p = make_params(q, 1)
         assert p.m == pytest.approx(3.0 - 2.0 / q, rel=1e-15)
-        assert p.alpha == pytest.approx(alpha_const(q, 1), rel=1e-15)
+        assert p.alpha == pytest.approx(1.0 / (3.0 - q), rel=1e-15)
         assert p.c1_q_d == pytest.approx(c1_const(q, 1), rel=1e-15)
         assert p.c0_q_d == pytest.approx(c0_const(q, 1), rel=1e-15)
         assert p.B == pytest.approx((1.0 - q) * p.alpha / (2.0 * (2.0 - q)), rel=1e-15)
