@@ -5,8 +5,8 @@ The rule of the 1D oracle.  Each subinterval gets QUADPACK's qk21: the
 error estimate from the two (Piessens et al., 1983).  The integrands
 are functions of the member's bracket b = 1 + (1-q) t, t = -c1 u^2/2
 in scale units u, so the half-line is mapped once per branch, every
-subinterval of a call is one array, and the initial partitions'
-nodes are tabulated at their first use:
+subinterval of a call is one array, and the partitions' nodes are
+tabulated at their first use:
 
 * compact members (q < 1) run over y = u/edge in [0, 1], edge =
   sqrt(2/((1-q) c1)), where b = 1 - y^2 vanishes like (1-y)^(1/(1-q)).
@@ -23,13 +23,11 @@ nodes are tabulated at their first use:
   takes the rest.  Nearer q = 5/3 the pieces shrink too slowly
   (2^-0.006 per piece for the second moment at q = 1.666), so Wynn's
   epsilon algorithm (Wynn, 1956) extrapolates their partial sums, as
-  QUADPACK's qagi does; with fewer subintervals allowed than it reads,
-  such a tail is reported unconverged.
+  QUADPACK's qagi does.
 
-Then, as QUADPACK's qags without extrapolation, the subintervals with
-the largest error estimates are bisected, all of one round in one array,
-until the summed estimate meets the tolerance or max_subdivisions
-subintervals are in use.
+The partition is fixed by q and the weight before anything is
+evaluated, so a call is one qk21 sweep; where it misses the tolerance,
+the result is reported unconverged.
 """
 
 from __future__ import annotations
@@ -102,14 +100,6 @@ def _edge_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     return log_b, y * y, (math.pi * w * cos_phi) * h
 
 
-def _tail_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z^2 and dz/dtau times the half width at the nodes of [lo, hi] in
-    tau, with z = (1 - tau)/tau."""
-    tau, h = _nodes(lo, hi)
-    z = (1.0 - tau) / tau
-    return z * z, h / (tau * tau)
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, locked: every call shares a cached partition's."""
     for a in arrays:
@@ -119,20 +109,23 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _edge_partition(j: int) -> tuple[np.ndarray, ...]:
-    """[0, 2^-j], [2^-j, 2^-(j-1)], ..., [1/2, 1] in x, and their nodes."""
+    """Nodes of [0, 2^-j], [2^-j, 2^-(j-1)], ..., [1/2, 1] in x."""
     ends = np.concatenate([[0.0], 2.0 ** -np.arange(j, -1, -1.0)])
-    return _read_only(ends[:-1], ends[1:], *_edge_nodes(ends[:-1], ends[1:]))
+    return _read_only(*_edge_nodes(ends[:-1], ends[1:]))
 
 
 @lru_cache(maxsize=None)
 def _tail_partition(k: int, rest: bool) -> tuple[np.ndarray, ...]:
-    """The dyadic pieces [2^-(i+1), 2^-i] in tau, i < k, and their nodes;
-    with rest, the last piece is (0, 2^-(k-1)] instead."""
+    """z^2 and dz/dtau times the half width, z = (1 - tau)/tau, at the
+    nodes of the dyadic pieces [2^-(i+1), 2^-i] in tau, i < k; with rest,
+    the last piece is (0, 2^-(k-1)] instead."""
     hi = 2.0 ** -np.arange(k, dtype=float)
     lo = 0.5 * hi
     if rest:
         lo[-1] = 0.0
-    return _read_only(lo, hi, *_tail_nodes(lo, hi))
+    tau, h = _nodes(lo, hi)
+    z = (1.0 - tau) / tau
+    return _read_only(z * z, h / (tau * tau))
 
 
 def _qk21(fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,71 +177,40 @@ def half_line(
     power: int,
     atol: float,
     rtol: float,
-    limit: int,
 ) -> tuple[float, float, str | None]:
     """Integral over the half-line of a member with 1 - q = om.
 
     integrand(log_b, s2, jh) returns the weighted integrand jh f at node
     arrays, where s2 is y^2 (compact) or z^2 (heavy tail), b = 1 - om s2
     and jh the map's Jacobian times the half width; f may grow like
-    s2^power, which sets the decay of the tail pieces.  The answer stops
-    at max(atol, rtol |I|) or at limit subintervals.  Returns the
-    integral over y or z, its error estimate and None, or a message
+    s2^power, which sets the decay of the tail pieces.  The answer
+    converges where its estimate is at most max(atol, rtol |I|).  Returns
+    the integral over y or z, its error estimate and None, or a message
     when it did not converge.
     """
-    limit = max(limit, 1)
-    sums, short = 0, None
+    sums = 0
     if om > 0.0:
-        j = max(1, math.ceil(math.log2(_CORE / math.sqrt(om))))
-        lo, hi, *init = _edge_partition(min(j, limit - 1))
-        nodes = _edge_nodes
+        log_b, s2, jh = _edge_partition(max(1, math.ceil(math.log2(_CORE / math.sqrt(om)))))
     else:
         gamma = -2.0 / om - 1.0 - 2.0 * power
         if gamma >= _DIRECT_GAMMA:
-            k = min(limit, 4 * math.ceil((5.0 + _TAIL_BITS / gamma) / 4.0))
-        elif limit >= _WYNN_PIECES:
+            k = 4 * math.ceil((5.0 + _TAIL_BITS / gamma) / 4.0)
+        else:
             k, sums = _WYNN_PIECES, _WYNN_SUMS
-        else:
-            # the last subinterval then holds a slow tail, whose qk21 error
-            # estimate cannot be trusted: the result is reported unconverged
-            k, short = limit, f"the limit of {limit} subintervals is below the tail's {_WYNN_PIECES} pieces"
-        lo, hi, s2, jh = _tail_partition(k, not sums)
-        init = np.log1p(-om * s2), s2, jh
-
-        def nodes(lo, hi):
-            s2, jh = _tail_nodes(lo, hi)
-            return np.log1p(-om * s2), s2, jh
-
-    values, errors = _qk21(integrand(*init))
-    piece = np.arange(len(lo))
-    while True:
-        if sums:
-            # the partial sums restart at the first one the table reads,
-            # so their differences keep the relative accuracy of the pieces
-            pieces = np.bincount(piece, values)
-            value, x_err = _wynn(np.cumsum(pieces[-sums:]).tolist())
-            value += float(pieces[:-sums].sum())
-        else:
-            value, x_err = float(values.sum()), 0.0
-        err = x_err + float(errors.sum())
-        tol = max(atol, rtol * abs(value))
-        if err <= tol:
-            return value, err, short
-        if sums and x_err >= tol:
-            return value, err, "the tail extrapolation did not reach the tolerance"
-        room = limit - len(lo)
-        if room <= 0:
-            return value, err, f"the limit of {limit} subintervals was reached"
-        # bisect the fewest worst subintervals whose errors leave at most
-        # half of what the tolerance allows beside the extrapolation
-        order = np.argsort(-errors)
-        left = errors.sum() - np.cumsum(errors[order])
-        pick = order[: min(room, int(np.count_nonzero(left > 0.5 * (tol - x_err))) + 1)]
-        mid = 0.5 * (lo[pick] + hi[pick])
-        new_lo, new_hi = np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]])
-        more = _qk21(integrand(*nodes(new_lo, new_hi)))
-        keep = np.ones(len(lo), dtype=bool)
-        keep[pick] = False
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        values, errors = (np.concatenate([a[keep], b]) for a, b in zip((values, errors), more))
-        piece = np.concatenate([piece[keep], piece[pick], piece[pick]])
+        s2, jh = _tail_partition(k, not sums)
+        log_b = np.log1p(-om * s2)
+    values, errors = _qk21(integrand(log_b, s2, jh))
+    if sums:
+        # the partial sums restart at the first one the table reads, so
+        # their differences keep the relative accuracy of the pieces
+        value, x_err = _wynn(np.cumsum(values[-sums:]).tolist())
+        value += float(values[:-sums].sum())
+    else:
+        value, x_err = float(values.sum()), 0.0
+    err = x_err + float(errors.sum())
+    tol = max(atol, rtol * abs(value))
+    if err <= tol:
+        return value, err, None
+    if sums and x_err >= tol:
+        return value, err, "the tail extrapolation did not reach the tolerance"
+    return value, err, "the partition's error estimate did not reach the tolerance"

@@ -232,8 +232,15 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
 
 
 def cmd_const(q: float, d: int) -> dict:
-    """All derived constants for one (q, d) as a JSON-ready document."""
-    return {"schema": CONST_SCHEMA, **vars(make_params(q, d))}
+    """All derived constants for one (q, d) as a JSON-ready document.
+
+    Raises DomainError where a constant is not finite, which strict JSON
+    cannot hold: m = 3 - 2/q below q = 1.1e-308.
+    """
+    consts = vars(make_params(q, d))
+    if not all(math.isfinite(v) for v in consts.values()):
+        raise DomainError(f"the constants of q={q!r}, d={d!r} are not all finite")
+    return {"schema": CONST_SCHEMA, **consts}
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,9 @@ _EPS = sys.float_info.epsilon
 class QuadratureConfig:
     """Tolerances and budget for the quadrature oracle.
 
-    max_subdivisions caps the subintervals of the 1d rule on a half-line
-    (the other half-line is its mirror and repeats it) and the blocks of
-    angles the polar rule may evaluate in 2d.
+    max_subdivisions caps the blocks of angles the polar rule may
+    evaluate in 2d.  The 1d rule's partition is fixed by q and the
+    weight, so it has no budget.
     """
 
     rel_tol: float = 1e-10
@@ -103,10 +103,10 @@ class QuadratureConfig:
 class QuadResult(NamedTuple):
     """Integral value with the adaptive error estimate.
 
-    converged is False when the budget ran out before the requested
-    tolerance or a radial solve failed; note carries the domain policy
-    applied (the 1d half-lines, or the polar rule with its final angle
-    count and centre) and any quadrature message.
+    converged is False when the 1d partition or the 2d budget of angles
+    missed the requested tolerance or a radial solve failed; note carries
+    the domain policy applied (the 1d half-lines, or the polar rule with
+    its final angle count and centre) and any quadrature message.
     """
 
     value: float
@@ -133,8 +133,7 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     tolerance is relative to that, so a tiny or huge integral keeps its
     relative accuracy.  expm1 cannot overflow: (1-q) log f is at most
     (1-q) log norm < 355 for q < 1; for q > 1, (q-1) log(1/norm) < 237,
-    and log b < 53 at the nodes of the initial pieces (z < 2^37), or
-    < 330 after the 199 bisections the default budget allows.
+    and log b < 53 at the nodes of the tail pieces (z < 2^37).
 
     The second half-line is the mirror of the first (the integrand reads
     the offset only through u^2), so it is integrated once and counted
@@ -166,7 +165,7 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     # one half-line in final units, but for the moment's factor v
     pref = c0 * unit * (unit * unit if weight == "moment" else 1.0)
     value, err, message = _kronrod.half_line(integrand, om, int(weight != "mass"),
-                                             cfg.abs_tol / pref, cfg.rel_tol, cfg.max_subdivisions)
+                                             cfg.abs_tol / pref, cfg.rel_tol)
     policy = "to the support edge" if om > 0.0 else "untruncated"
     notes = [f"two half-lines from the mean, {policy}", *([message] if message else [])]
     value, err = 2.0 * pref * value, 2.0 * pref * err
@@ -622,7 +621,9 @@ def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
 
     Deterministic: each of 3 rounds re-grids a window of +-2 cells (101
     points per axis) around the running argmin.  The returned resolutions
-    are the final grid steps.
+    are the final grid steps, at least the spacing of doubles at the
+    returned coordinates: where the window is below it, every grid point
+    rounds to one double.
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h!r}")
@@ -659,8 +660,8 @@ def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
         mu=best[0],
         sigma=best[1],
         value=best[2],
-        mu_resolution=dmu,
-        sigma_resolution=dsig,
+        mu_resolution=max(float(dmu), math.ulp(best[0])),
+        sigma_resolution=max(float(dsig), math.ulp(best[1])),
     )
 
 

@@ -40,7 +40,6 @@ import numpy as np
 
 from .qmath import (
     _DBL_MIN,
-    _LOG_DBL_MAX,
     DomainError,
     QParams,
     _finite,
@@ -232,23 +231,27 @@ def make_bivariate(
 
 
 def _spd_det(mat: np.ndarray, d: int, name: str) -> float:
-    """det mat of a symmetric positive definite scale matrix.
+    """det mat of a symmetric positive definite scale matrix, d <= 2.
 
-    Raises DomainError where mat is not one, where an entry is not finite
-    or a diagonal entry not a normal double, and where the determinant is
-    not a normal double; slogdet rules out the overflow before det runs.
+    Formed from the entries on Python floats, a for d = 1 and ae - bc for
+    d = 2, so it carries a few eps of error at any scale.  At d <= 2 a
+    symmetric matrix with a positive diagonal and a positive determinant
+    is positive definite.  Raises DomainError for d > 2, where mat is not
+    symmetric, an entry is not finite or a diagonal entry not a normal
+    double, and where the determinant is not a normal double.
     """
+    if d > 2:
+        raise DomainError(f"{name}: the closed form takes d <= 2, got d={d}")
     if mat.shape != (d, d):
         raise DomainError(f"{name} must have shape ({d}, {d}), got {mat.shape}")
     if not (np.isfinite(mat).all() and (np.diagonal(mat) >= _DBL_MIN).all()):
         raise DomainError(f"{name} needs finite entries and normal diagonal entries")
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
         raise DomainError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() <= 0.0:
-        raise DomainError(f"{name} must be positive definite")
-    det = float(np.linalg.det(mat)) if np.linalg.slogdet(mat)[1] < _LOG_DBL_MAX else math.inf
+    rows = mat.tolist()
+    det = rows[0][0] if d == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if not _DBL_MIN <= det < math.inf:
-        raise DomainError(f"det {name} = {det!r} is not a normal double")
+        raise DomainError(f"{name} needs a positive normal determinant, got {det!r}")
     return det
 
 
@@ -279,9 +282,10 @@ def m_rel_entropy_closed(mp, mu_a, sigma_a, mu_b, sigma_b) -> float:
     Scalars are accepted for d = 1.  Nonnegative, and 0 exactly at equal
     arguments.  For m < 1 it agrees with the defining integral only when
     supp of the first argument is contained in supp of the second.  Raises
-    DomainError where a scale matrix is not symmetric positive definite, an
-    entry of one is not finite or a diagonal entry not a normal double, a
-    determinant is not a normal double, or the value is not finite.
+    DomainError for d > 2, where a scale matrix is not symmetric positive
+    definite, an entry of one is not finite or a diagonal entry not a
+    normal double, a determinant is not a normal double, or the value is
+    not finite.
     """
     d = mp.d
     m = mp.q

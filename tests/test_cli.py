@@ -323,6 +323,10 @@ def test_cli_exit_codes(argv):
     assert code in (0, 2)
 
 
+def _reject_constant(token):
+    raise AssertionError(f"{token} is not strict JSON")
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(q=_Q, d=st.integers(min_value=1, max_value=10**6))
 def test_const_large_d_exit_codes(q, d):
@@ -332,7 +336,7 @@ def test_const_large_d_exit_codes(q, d):
         code = cli.main(["const", _opt("q", q), _opt("d", d)])
     assert code in (0, 2)
     if code == 0:
-        doc = json.loads(out.getvalue())
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert all(0.0 < doc[k] < math.inf for k in ("c0_q_d", "A", "C"))
 
 

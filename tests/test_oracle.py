@@ -31,8 +31,9 @@ def test_truncation_policy_recorded():
     assert oracle.mass_quad(compact).note == "two half-lines from the mean, to the support edge"
     for res in (oracle.mass_quad(heavy), oracle.moment2_quad(heavy), oracle.entropy_quad(heavy)):
         assert res.note == "two half-lines from the mean, untruncated"
-    # a quad message rides along after the policy
-    tight = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=2)
+    # a quad message rides along after the policy: qk21's estimate is at
+    # least 50 eps of the integral, so this tolerance is out of its reach
+    tight = oracle.QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
     res = oracle.entropy_quad(QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.66, 1)), tight)
     assert not res.converged
     assert res.note.startswith("two half-lines from the mean, untruncated; ")
@@ -187,10 +188,6 @@ def test_line_quad_matches_mpmath_near_five_thirds(q, sigma):
         assert res.converged
         assert abs(res.value - exact) <= res.error_estimate
         assert abs(res.value - exact) <= max(2.0 * cfg.abs_tol * magnitude, cfg.rel_tol * abs(exact))
-        # two subintervals cannot hold the tail pieces
-        tight = oracle_1d(g, oracle.QuadratureConfig(max_subdivisions=2))
-        assert not tight.converged
-        assert tight.note.startswith("two half-lines from the mean, untruncated; ")
 
 
 @pytest.mark.parametrize("q, sigma", [(1.666, 1e150), (1.666, 1e152), (1.2643, 5.09e153), (1.5, 1e153)])
@@ -213,6 +210,40 @@ def test_compact_edge_at_huge_scales(q, sigma):
         res = oracle_1d(g)
         assert res.converged and res.note == "two half-lines from the mean, to the support edge"
         assert abs(res.value - _mp_line(weight, g)) <= res.error_estimate
+
+
+def test_line_quad_tail_extrapolation_miss_reported():
+    # at q = 1.6666 the entropy's 28 tail pieces shrink too slowly for
+    # Wynn's epsilon to reach the default tolerance
+    g = QGaussian1D(mu=0.0, sigma=0.1, params=make_params(1.6666, 1))
+    res = oracle.entropy_quad(g)
+    assert not res.converged
+    assert res.note.endswith("the tail extrapolation did not reach the tolerance")
+
+
+def test_line_quad_partition_miss_keeps_its_value():
+    # the partition is fixed by q and the weight: below what it reaches,
+    # the result reads unconverged with the default config's value and estimate
+    g = QGaussian1D(mu=0.0, sigma=1e-150, params=make_params(0.85, 1))
+    tight = oracle.moment2_quad(g, oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15))
+    default = oracle.moment2_quad(g)
+    assert default.converged and not tight.converged
+    assert tight.note == ("two half-lines from the mean, to the support edge; "
+                          "the partition's error estimate did not reach the tolerance")
+    assert (tight.value, tight.error_estimate) == (default.value, default.error_estimate)
+
+
+def test_line_quad_one_sweep_whatever_the_tolerance(monkeypatch):
+    # one qk21 sweep over the fixed partition, converged or not
+    sweeps, sweep = [], _kronrod._qk21
+    monkeypatch.setattr(_kronrod, "_qk21", lambda fh: sweeps.append(fh.shape) or sweep(fh))
+    for cfg in (None, oracle.QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)):
+        for q in (0.01, 0.85, 0.9999, 1.2, 1.5, 1.6666):
+            g = QGaussian1D(mu=0.0, sigma=1e-150, params=make_params(q, 1))
+            for _, oracle_1d in _ONE_D:
+                sweeps.clear()
+                oracle_1d(g, cfg)
+                assert len(sweeps) == 1, (q, oracle_1d.__name__, cfg)
 
 
 def test_line_quad_one_rule_call(monkeypatch):
@@ -627,6 +658,18 @@ def test_minimize_kh_grid_where_coefficient_a_overflows(q, sigma0, h_rel):
     h = h_rel * sigma0 ** (3.0 - q)
     grid = oracle.minimize_kh_grid(g0, h)
     assert abs(grid.sigma - jko_step(g0, h).sigma) <= grid.sigma_resolution
+
+
+def test_minimize_kh_grid_resolutions_where_the_window_is_below_the_mean():
+    # the mu window +-max(0.05 sigma0, 5hb/sigma0) is below the spacing of
+    # doubles at mu0 = 0.5: every grid mu rounds to 0.5
+    sigma0 = 1e-20
+    g0 = QGaussian1D(mu=0.5, sigma=sigma0, params=make_params(0.1, 1))
+    grid = oracle.minimize_kh_grid(g0, 0.05 * sigma0**2.9)
+    assert grid.mu == 0.5
+    assert type(grid.mu_resolution) is float and type(grid.sigma_resolution) is float
+    assert grid.mu_resolution == math.ulp(0.5)
+    assert grid.sigma_resolution >= math.ulp(grid.sigma)
 
 
 def test_support_included_geometry():

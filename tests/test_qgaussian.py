@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -139,6 +140,32 @@ def test_m_rel_closed_rejects_bad_inputs():
         m_rel_entropy_closed(mp, [0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]), [0.0, 0.0], good)
     with pytest.raises(DomainError):
         m_rel_entropy_closed(mp, [0.0], good, [0.0, 0.0], good)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.15])
+@pytest.mark.parametrize("s", [1.0, 1e30, 1e-30, 1e60, 1e-60])
+def test_m_rel_closed_matches_mpmath_at_every_scale(m, s):
+    # the determinants come from the entries, not from exp(log|det|),
+    # so the closed form keeps a few eps of error far from unit scale
+    f = make_bivariate(0.0, 0.0, s, s, 0.2, m)
+    g = make_bivariate(0.1 * s, 0.0, 1.2 * s, 1.1 * s, 0.0, m)
+    value = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+    with mpmath.workdps(50):
+        sig_a, sig_b = (mpmath.matrix(nu.cov.tolist()) for nu in (f, g))
+        inv_b = sig_b**-1
+        dmu = mpmath.matrix((f.mean - g.mean).tolist())
+        det_a, det_b, mq = mpmath.det(sig_a), mpmath.det(sig_b), mpmath.mpf(m)
+        bracket = (sum((inv_b * sig_a)[i, i] for i in range(2)) + (dmu.T * inv_b * dmu)[0]
+                   + 2 * (mpmath.sqrt(det_b / det_a) ** (1 - mq) - 1) / (1 - mq) - 2)
+        exact = (mpmath.mpf(f.mparams.c1_q_d) / 2
+                 * (mpmath.mpf(f.mparams.c0_q_d) / mpmath.sqrt(det_b)) ** (1 - mq) * bracket)
+        assert abs(value / exact - 1) <= 2e-14
+
+
+def test_m_rel_closed_takes_d_up_to_two():
+    mp = make_params(0.8, 3)
+    with pytest.raises(DomainError):
+        m_rel_entropy_closed(mp, np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
 
 
 def test_make_bivariate_domain():
