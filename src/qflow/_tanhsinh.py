@@ -1,17 +1,28 @@
 """Tanh-sinh quadrature over many intervals at once, as arrays.
 
-The radial rule of the 2D polar oracle.  Rule and schedule are those of
-scipy.integrate.tanhsinh (Takahasi and Mori, 1974; Bailey's error
-estimate), so each integral, error estimate and convergence flag is
-scipy's; the nodes and weights are this module's own tables, built at
-import, and a whole block of intervals runs as one array instead of
-scipy's per-call elementwise machinery.  Half-line intervals [a, inf)
-all map to [0, 1], so their abscissae, weights, 1/t - 1 and t^-2 are
-tabulated too, each stage's at its first use, with the operations a row
-of its own would use: such a row costs one add and one multiply per
-node before f.  The oracle imports this module at its first polar
-integral, so importers that never integrate in 2D do not compile it or
-touch numpy's cosh, sinh and exp.
+The radial rule of the 2D polar oracle.  Its schedule and error estimate
+are scipy.integrate.tanhsinh's (Takahasi and Mori, 1974; Bailey's error
+estimate), on this module's own node tables, and a whole block of
+intervals runs as one array instead of scipy's per-call elementwise
+machinery.  Both tables come from the same levels, with one step and one
+first level to stop:
+
+* half-line intervals [a, inf) all map to [0, 1], so their abscissae,
+  weights, 1/t - 1 and t^-2 are tabulated, each stage's at its first
+  use, with the operations a row of its own would use: such a row costs
+  one add and one multiply per node before f.  These are scipy's nodes,
+  and each integral, error estimate and flag is scipy's bit for bit.  f
+  runs only on the nodes with weight (62 of the first stage's 258 have t
+  rounded onto 1), and its values go back into the table's layout, so
+  every sum keeps its bits.
+* finite intervals keep only the nodes whose complement 1 - x is at
+  least 2^-53, about half of them: the others round onto the upper end,
+  with weight 0, or lie within 2^-53 alpha of the lower one.  Their
+  integrals agree with scipy's within 1e-14 relative, not bit for bit.
+
+The oracle imports this module at its first polar integral, so
+importers that never integrate in 2D do not compile it or touch numpy's
+cosh, sinh and exp.
 """
 
 from __future__ import annotations
@@ -51,13 +62,22 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return xjc, wj
 
 
+def _stages(levels: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list, np.ndarray]:
+    """The nodes of each call of f, and the count nodes[k] of levels 0..k
+    per side.  Stage 0 holds levels 0..MIN_LEVEL in level order, so levels
+    0..k are its first nodes[k] nodes; each further level k is stage
+    k - MIN_LEVEL."""
+    stages = [tuple(np.concatenate(part) for part in zip(*levels[: MIN_LEVEL + 1])),
+              *levels[MIN_LEVEL + 1 :]]
+    return stages, np.cumsum([len(x) for x, _ in levels])
+
+
 _LEVELS = [_level(k) for k in range(MAX_LEVEL + 1)]
-# the nodes of each call of f: levels 0..MIN_LEVEL together, in level order
-# (the nodes of levels 0..k are the first _NODES[k] of each side), then
-# each further level k as stage k - MIN_LEVEL
-_STAGES = [tuple(np.concatenate(part) for part in zip(*_LEVELS[: MIN_LEVEL + 1])),
-           *_LEVELS[MIN_LEVEL + 1 :]]
-_NODES = np.cumsum([len(x) for x, _ in _LEVELS])
+# half-line rows: every node
+_STAGES, _NODES = _stages(_LEVELS)
+# finite rows: the nodes at least 2^-53 alpha from both ends, a prefix of each level
+_FINITE_STAGES, _FINITE_NODES = _stages(
+    [(xjc[xjc >= 2.0**-53], wj[xjc >= 2.0**-53]) for xjc, wj in _LEVELS])
 
 
 @lru_cache(maxsize=None)
@@ -78,6 +98,12 @@ def _half_line(stage: int) -> tuple[np.ndarray, ...]:
         return t, w, 1.0 / t - 1.0, t**-2.0
 
 
+def _weighted(w: np.ndarray) -> np.ndarray:
+    """Flat indices of the nodes of a half-line table that carry weight,
+    the only ones f is evaluated on."""
+    return np.flatnonzero(w)
+
+
 _SIDES = np.array([0, 1])
 _OUTSIDE = np.array([[-np.inf], [np.inf]])
 
@@ -95,10 +121,17 @@ def tanhsinh(
     lo < hi elementwise, hi finite or inf.  f(x, *args) is elementwise,
     with one row of x per interval and args as column arrays.  [a, inf)
     maps to [0, 1] by x = a + 1/t - 1 with weight 1/t^2, on tables built
-    at each stage's first use.  Levels 0..MIN_LEVEL are evaluated in one
-    call of f, and each further level, up to MAX_LEVEL, only on the
-    intervals not yet converged.  At level k the estimate S_k stops when its error estimate
-    (Bailey's, from S_k - S_(k-1), S_k - S_(k-2), the largest term and the
+    at each stage's first use; f sees only its nodes of nonzero weight.
+    A finite row's nodes lie at least 2^-53 (hi - lo)/2 from both ends,
+    so f must be bounded near the ends: an integrable singularity there
+    is cut at that distance (x^-1/2 on [0, 1] reads 2 - 1.5e-8), as a
+    half-line's is at its lower end by scipy's nodes (x^-1/2 e^-x on
+    [0, inf) reads sqrt(pi) (1 - 9.9e-9)), each reported converged.
+
+    Levels 0..MIN_LEVEL are evaluated in one call of f, and each further
+    level, up to MAX_LEVEL, only on the intervals not yet converged.  At
+    level k the estimate S_k stops when its error estimate (Bailey's,
+    from S_k - S_(k-1), S_k - S_(k-2), the largest term and the
     outermost valid term at each end) is below atol or rtol |S_k|.  A
     non-finite term is replaced by the value at the outermost valid node
     of its side; a non-finite S_k ends its interval unconverged.  Returns
@@ -120,16 +153,20 @@ def tanhsinh(
     def terms(rows, stage):
         """Weighted terms (row, side, node) of a stage and the largest end term."""
         col = (rows, None, None)
-        arg = tuple(v[col] for v in args)
         if half_line:
             t, w, u, jac = _half_line(stage)
-            fj = f(u + lo[col], *arg) * jac
+            # f's values at the other nodes are masked below, so they stay 0
+            live = _weighted(w)
+            fj = np.zeros((len(rows), *t.shape))
+            fj.reshape(len(rows), -1)[:, live] = f(
+                u.reshape(-1)[live] + lo[rows, None], *(v[rows, None] for v in args)
+            ) * jac.reshape(-1)[live]
         else:
-            xjc, wj = _STAGES[stage]
+            xjc, wj = _FINITE_STAGES[stage]
             al = alpha[rows, None]
             t = np.stack([hi[rows, None] - al * xjc, al * xjc + lo[rows, None]], axis=1)
             w = np.where((t <= lo[col]) | (t >= hi[col]), 0.0, (wj * al)[:, None])
-            fj = f(t, *arg)
+            fj = f(t, *(v[col] for v in args))
         valid = np.isfinite(fj) & (w != 0.0)
         out = np.where(valid, t, _OUTSIDE)
         r = np.arange(len(rows))[:, None]
@@ -161,7 +198,8 @@ def tanhsinh(
         fw, d4 = terms(rows, 0)
         # S_k = h_k (sum of the terms of levels 0..k), for k = MIN_LEVEL - 2..MIN_LEVEL,
         # each summed in scipy's order
-        s2, prev, integral = (fw[:, :, : _NODES[k]].reshape(n, -1).sum(-1) * (_H0 / 2**k)
+        nodes = _NODES if half_line else _FINITE_NODES
+        s2, prev, integral = (fw[:, :, : nodes[k]].reshape(n, -1).sum(-1) * (_H0 / 2**k)
                               for k in range(MIN_LEVEL - 2, MIN_LEVEL + 1))
         rows = judge(rows, integral, prev, s2, fw, d4)
         for k in range(MIN_LEVEL + 1, MAX_LEVEL + 1):

@@ -32,10 +32,11 @@ policy:
 * every bivariate integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
-  trapezoid in angle, tanh-sinh in radius: the radial nodes and weights
-  are the library's own tables (qflow._tanhsinh), run on
-  scipy.integrate.tanhsinh's schedule (levels 4 to 10, Bailey's error
-  estimate), all rays of a block of angles in one array; the coarsest
+  trapezoid in angle, tanh-sinh in radius: the library's own rule
+  (qflow._tanhsinh) on scipy.integrate.tanhsinh's schedule (levels 4 to
+  10, Bailey's error estimate), with scipy's nodes on rays to infinity
+  and only those at least 2^-53 of the piece's half-length from its ends
+  on finite pieces, all rays of a block of angles in one array; the coarsest
   16 angles and the 16 midpoints of the first refinement form one block
   of 32 rays, so a 32-angle result takes one radial call.  Heavy tails
   (m > 1) run each ray to infinity untruncated (near m = 3/2 an envelope
@@ -215,10 +216,13 @@ def _polar_quad(
     (Trefethen and Weideman, SIAM Rev. 56, 2014), doubling on nested nodes
     until two totals agree within max(abs_tol, rel_tol |I|), up to
     max_subdivisions blocks of angles.  In r: tanh-sinh (Takahasi and Mori,
-    1974) on the library's own nodes with scipy.integrate.tanhsinh's
-    schedule (qflow._tanhsinh), one call per block of angles, each ray split
-    where it crosses the support ellipse of a compact member and ended at
-    the last crossing; heavy-tailed rays run to inf.  Unless
+    1974) with scipy.integrate.tanhsinh's schedule (qflow._tanhsinh), one
+    call per block of angles, each ray split where it crosses the support
+    ellipse of a compact member and ended at the last crossing; heavy-tailed
+    rays run to inf.  The finite pieces' nodes stay 2^-53 of their
+    half-length from both ends, where the integrand is bounded: it is r
+    times a bounded function at the centre, and a density goes to 0 at an
+    ellipse crossing, where log_m of it is -1/(1-m).  Unless
     max_subdivisions is 0, the rule always reaches 32 angles, so the 16
     coarsest angles and their 16 midpoints share the first call; each
     half is then summed on its own, in the order of a call of its own.

@@ -234,7 +234,10 @@ def _spd_det(mat: np.ndarray, d: int, name: str) -> float:
     """det mat of a symmetric positive definite scale matrix, d <= 2.
 
     Formed from the entries on Python floats, a for d = 1 and ae - bc for
-    d = 2, so it carries a few eps of error at any scale.  At d <= 2 a
+    d = 2, so it carries a few eps of error at any scale; where ae
+    overflows, as a(e - b(c/a)), so a nearly singular matrix with a normal
+    determinant keeps it.  Either form's relative error is at most about
+    ae/det eps.  At d <= 2 a
     symmetric matrix with a positive diagonal and a positive determinant
     is positive definite.  Raises DomainError for d > 2, where mat is not
     symmetric, an entry is not finite or a diagonal entry not a normal
@@ -248,8 +251,11 @@ def _spd_det(mat: np.ndarray, d: int, name: str) -> float:
         raise DomainError(f"{name} needs finite entries and normal diagonal entries")
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
         raise DomainError(f"{name} must be symmetric")
-    rows = mat.tolist()
-    det = rows[0][0] if d == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if d == 1:
+        det = float(mat[0, 0])
+    else:
+        (a, b), (c, e) = mat.tolist()
+        det = a * e - b * c if math.isfinite(a * e) else a * (e - b * (c / a))
     if not _DBL_MIN <= det < math.inf:
         raise DomainError(f"{name} needs a positive normal determinant, got {det!r}")
     return det

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from qflow import oracle
 from qflow.qgaussian import (
     OutsideVerifiedRangeError,
     QGaussian1D,
+    _spd_det,
     entropy_diff_closed,
     m_rel_entropy_closed,
     make_bivariate,
@@ -160,6 +162,28 @@ def test_m_rel_closed_matches_mpmath_at_every_scale(m, s):
         exact = (mpmath.mpf(f.mparams.c1_q_d) / 2
                  * (mpmath.mpf(f.mparams.c0_q_d) / mpmath.sqrt(det_b)) ** (1 - mq) * bracket)
         assert abs(value / exact - 1) <= 2e-14
+
+
+def test_m_rel_closed_where_the_diagonal_product_overflows():
+    # det Sigma is a normal double although a e overflows: the determinant
+    # is then a (e - b (c / a)); the second matrix's a e / det is 5e12, and
+    # its determinant reads 5e-14 off
+    near_singular = 1e160 * (1.0 - 1e-13)
+    cases = [(np.array([[1e200, 3e154], [3e154, 1e109]]), 4 * sys.float_info.epsilon),
+             (np.array([[1e160, near_singular], [near_singular, 1e160]]), 1e-13)]
+    mp = make_params(0.5, 2)
+    for sigma, rel in cases:
+        with mpmath.workdps(50):
+            (a, b), (c, e) = (map(mpmath.mpf, row) for row in sigma.tolist())
+            exact = a * e - b * c
+            assert abs(_spd_det(sigma, 2, "sigma") / exact - 1) <= rel
+        assert 0.0 < m_rel_entropy_closed(mp, [0.0, 0.0], 0.5 * sigma, [0.0, 0.0], sigma) < math.inf
+    # the first is well conditioned: it agrees with a diagonal matrix of its determinant
+    sigma = cases[0][0]
+    diag = np.eye(2) * math.sqrt(_spd_det(sigma, 2, "sigma"))
+    assert (m_rel_entropy_closed(mp, [0.0, 0.0], 0.5 * sigma, [0.0, 0.0], sigma)
+            == pytest.approx(m_rel_entropy_closed(mp, [0.0, 0.0], 0.5 * diag, [0.0, 0.0], diag),
+                             rel=1e-14))
 
 
 def test_m_rel_closed_takes_d_up_to_two():
