@@ -38,11 +38,16 @@ policy:
   and only those at least 2^-53 of the piece's half-length from its ends
   on finite pieces, all rays of a block of angles in one array; the coarsest
   16 angles and the 16 midpoints of the first refinement form one block
-  of 32 rays, so a 32-angle result takes one radial call.  Heavy tails
+  of 32 rays, so a 32-angle result takes one radial call.  Each member is
+  evaluated along a ray through its own quadratic in r, from the centre's
+  whitened offset and the ray's whitened slope, formed once per radial
+  call: the rule hands the integrand each member's log-bracket per node,
+  and the integrand forms one rounded log-density per member, from which
+  it takes both the density and its deformed log.  Heavy tails
   (m > 1) run each ray to infinity untruncated (near m = 3/2 an envelope
   radius for any useful bound overflows); compact supports (m < 1) split
-  each ray where it crosses a support ellipse, so non-nested supports
-  stay exact.
+  each ray where it crosses a support ellipse, at the exact roots of the
+  member's quadratic, so non-nested supports stay exact.
 
 Each result records the policy applied in its note.
 
@@ -202,26 +207,37 @@ _MIN_ANGLES = 16
 
 
 def _polar_quad(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    integrand: Callable[..., np.ndarray],
     members: Sequence[MBivariate],
     cfg: QuadratureConfig,
 ) -> QuadResult:
-    """Integral of a vectorized integrand over the plane, in polar form.
+    """Integral over the plane of integrand(L_1, ..., L_n), in polar form,
+    where L_k is the log-bracket of member k at each node.
 
     The frame comes from the members alone: z = c + r L (cos phi, sin phi),
     Jacobian det(L) r, with c the first member's mean and L the Cholesky
     factor of the members' average scale matrix.  Balancing the frame keeps
     every member near isotropic in it, which keeps the angular integrand's
-    strip of analyticity wide.  In phi: the periodic trapezoid rule
-    (Trefethen and Weideman, SIAM Rev. 56, 2014), doubling on nested nodes
-    until two totals agree within max(abs_tol, rel_tol |I|), up to
-    max_subdivisions blocks of angles.  In r: tanh-sinh (Takahasi and Mori,
-    1974) with scipy.integrate.tanhsinh's schedule (qflow._tanhsinh), one
-    call per block of angles, each ray split where it crosses the support
-    ellipse of a compact member and ended at the last crossing; heavy-tailed
-    rays run to inf.  The finite pieces' nodes stay 2^-53 of their
-    half-length from both ends, where the integrand is bounded: it is r
-    times a bounded function at the centre, and a density goes to 0 at an
+    strip of analyticity wide.  The members share one m.  Member k is
+    evaluated along each ray through its own quadratic Q_k(r) =
+    (u0 + r du)^2 + (w0 + r dw)^2: (u0, w0) is c's offset from the member's
+    mean and (du, dw) the ray's direction, both in the member's whitened
+    coordinates scaled by sqrt(|1-m| C1/2), so that the bracket of exp_m is
+    1 - Q_k (m < 1) or 1 + Q_k (m > 1).  The integrand reads L_k =
+    log1p(-Q_k), -inf off the support, or log1p(Q_k); no node's x or y is
+    formed.
+    In phi: the periodic trapezoid rule (Trefethen and Weideman, SIAM Rev.
+    56, 2014), doubling on nested nodes until two totals agree within
+    max(abs_tol, rel_tol |I|), up to max_subdivisions blocks of angles.  In
+    r: tanh-sinh (Takahasi and Mori, 1974) with scipy.integrate.tanhsinh's
+    schedule (qflow._tanhsinh), one call per set of blocks of angles, whose
+    ray geometry is formed once.  Each ray is split where it crosses the
+    support ellipse Q_k = 1 of a compact member, at the roots of
+    a r^2 + 2 b r + q0 = 1 with the exact coefficients a = du^2 + dw^2,
+    b = u0 du + w0 dw and q0 = u0^2 + w0^2, and ended at the last crossing;
+    heavy-tailed rays run to inf.  The finite pieces' nodes stay 2^-53 of
+    their half-length from both ends, where the integrand is bounded: it is
+    r times a bounded function at the centre, and a density goes to 0 at an
     ellipse crossing, where log_m of it is -1/(1-m).  Unless
     max_subdivisions is 0, the rule always reaches 32 angles, so the 16
     coarsest angles and their 16 midpoints share the first call; each
@@ -233,61 +249,64 @@ def _polar_quad(
     # imported at the first polar integral; see that module's docstring
     from . import _tanhsinh
 
-    cx, cy = members[0].mean
+    cx, cy = centre = members[0].mean
     # each term is divided before the sum, which then cannot overflow
     chol = np.linalg.cholesky(sum(nu.cov / len(members) for nu in members))
     det = chol[0, 0] * chol[1, 1]
-    compact = [nu for nu in members if math.isfinite(nu.support_threshold())]
+    # per member: the centre's offset (u0, w0) and the frame's columns in the
+    # member's whitened coordinates, scaled by sqrt(|1-m| C1/2)
+    frames = []
+    for nu in members:
+        root = math.sqrt(1.0 - nu.theta * nu.theta)
+        white = math.sqrt(0.5 * abs(1.0 - nu.m) * nu.mparams.c1_q_d) * np.array(
+            [[1.0 / nu.s1, 0.0], [-nu.theta / (root * nu.s1), 1.0 / (root * nu.s2)]])
+        frames.append((white @ (centre - nu.mean), white @ chol))
+    # the members share m; compact supports split each ray where it crosses them
+    compact = members[0].m < 1.0
 
-    def ray(r, vx, vy):
-        return integrand(cx + r * vx, cy + r * vy) * (det * r)
-
-    def pieces(phis: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Radial pieces [lo, hi) of the rays at phis: the mask of those of
-        positive length, and their lo, hi and ray directions (vx, vy)."""
-        vx, vy = chol @ np.stack([np.cos(phis), np.sin(phis)])
-        lo, hi = np.zeros_like(vx), np.full_like(vx, math.inf)
-        if compact:
-            ends = [lo]
-            for nu in compact:
-                # Q(c + r v) = a r^2 + 2 b r + q0 meets the support threshold
-                q0 = nu.quadratic_form(cx, cy)
-                qp = nu.quadratic_form(cx + vx, cy + vy)
-                qm = nu.quadratic_form(cx - vx, cy - vy)
-                a, b = 0.5 * (qp + qm) - q0, 0.25 * (qp - qm)
-                disc = np.sqrt(np.maximum(b * b - a * (q0 - nu.support_threshold()), 0.0))
-                ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
-            cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
-            lo, hi = cuts[:, :-1], cuts[:, 1:]
-        live = lo < hi
-        at = np.nonzero(live)[0]
-        return live, (lo[live], hi[live], vx[at], vy[at])
+    def ray(r, *slopes):
+        logs = []
+        for ((u0, w0), _), du, dw in zip(frames, slopes[::2], slopes[1::2]):
+            q = np.square(du * r + u0)
+            q += np.square(dw * r + w0)
+            # L = log1p(-Q), with the bracket clipped to 0 off a compact support, or log1p(Q)
+            logs.append(np.log1p(np.maximum(-q, -1.0, out=q) if compact else q, out=q))
+        return integrand(*logs) * (det * r)
 
     def radial(blocks: list[np.ndarray]) -> list[tuple[float, float, bool]]:
         """One tanhsinh call over the rays at every block of angles; per
         block, the sums of the radial integrals and of their errors, and
         whether all converged."""
-        lives, parts = zip(*(pieces(phis) for phis in blocks))
-        lo, hi, vx, vy = (np.concatenate(part) for part in zip(*parts))
-        out = _tanhsinh.tanhsinh(ray, lo, hi, (vx, vy), cfg.rel_tol, cfg.abs_tol)
-        bounds = np.cumsum([len(part[0]) for part in parts])[:-1]
-        sums = []
-        for live, integral, error, success in zip(lives, *(np.split(v, bounds) for v in out)):
-            # only the pieces of positive length are integrated; the others hold 0,
-            # so a block sums the same array, in the same order, as scipy's tanhsinh
-            block_integral, block_error = np.zeros(live.shape), np.zeros(live.shape)
-            block_integral[live], block_error[live] = integral, error
-            sums.append((float(block_integral.sum()), float(block_error.sum()),
-                         bool(success.all())))
-        return sums
+        phis = np.concatenate(blocks)
+        slopes = [mat @ np.stack([np.cos(phis), np.sin(phis)]) for _, mat in frames]
+        if compact:
+            ends = [np.zeros_like(phis)]
+            for ((u0, w0), _), (du, dw) in zip(frames, slopes):
+                # Q(r) = a r^2 + 2 b r + q0 meets the support edge Q = 1
+                a, b = du * du + dw * dw, u0 * du + w0 * dw
+                disc = np.sqrt(np.maximum(b * b - a * (u0 * u0 + w0 * w0 - 1.0), 0.0))
+                ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
+        else:
+            # heavy tails: one piece per ray, to inf
+            ends = [np.zeros_like(phis), np.full_like(phis, math.inf)]
+        cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        live = lo < hi
+        at = np.nonzero(live)[0]
+        out = _tanhsinh.tanhsinh(ray, lo[live], hi[live], tuple(v[at] for s in slopes for v in s),
+                                 cfg.rel_tol, cfg.abs_tol)
+        # only the pieces of positive length are integrated; the others hold 0,
+        # so a block sums the same array, in the same order, as scipy's tanhsinh
+        integral, error, success = np.zeros(live.shape), np.zeros(live.shape), np.ones_like(live)
+        integral[live], error[live], success[live] = out
+        bounds = np.cumsum([len(block) for block in blocks])[:-1]
+        return [(float(i.sum()), float(e.sum()), bool(ok.all()))
+                for i, e, ok in zip(*(np.split(v, bounds) for v in (integral, error, success)))]
 
     def sweep(sums: list[tuple[float, float, bool]]) -> tuple[float, float, bool]:
         """Totals over the blocks of one set of angles, in block order."""
-        total = err = 0.0
-        ok = True
-        for block_total, block_err, block_ok in sums:
-            total, err, ok = total + block_total, err + block_err, ok and block_ok
-        return total, err, ok
+        totals, errs, oks = zip(*sums)
+        return sum(totals), sum(errs), all(oks)
 
     n, step = _MIN_ANGLES, 2.0 * math.pi / _MIN_ANGLES
     cap = _ANGLE_BLOCK * cfg.max_subdivisions
@@ -314,43 +333,44 @@ def _polar_quad(
     return QuadResult(value, angle_err + step * radial_err, converged, note)
 
 
-# The two helpers below run only in integrands, so inside the radial rule,
-# whose np.errstate masks the log(0), 0 * inf and overflow they meet.
+def _log_density(log_b: np.ndarray, nu: MBivariate) -> tuple[np.ndarray, np.ndarray]:
+    """The density f of nu and (1-m) log_m f at the nodes of a polar
+    integrand, from nu's log-bracket log_b there.
 
-
-def _log_m_numerator(b: np.ndarray, m: float) -> np.ndarray:
-    """(1-m) log_m b = expm1((1-m) log b) elementwise, -1 or inf at b = 0,
-    in one new array."""
-    e = np.log(b)
-    e *= 1.0 - m
-    return np.expm1(e, out=e)
-
-
-def _xlogm(a: np.ndarray, b: np.ndarray, e: np.ndarray, m: float) -> np.ndarray:
-    """a log_m b elementwise from e = _log_m_numerator(b, m), 0 where a = 0,
-    as (a e)/(1-m) in one new array.
-
-    For m > 1 a density is 0 (or nan) only where it underflowed far out in
-    the tail, where the limit is 0.
+    Both read one rounded log-density l = log_b/(1-m) + log norm, with
+    log norm = log C0 - log s1 - log s2 - log1p(-theta^2)/2: f = exp(l)
+    and (1-m) log_m f = expm1((1-m) l).  Reading the same l keeps the
+    cancellation between the terms of H_m.  The second array is log_b's,
+    overwritten.  For m > 1 it reads 0 where f underflows, so a product
+    x log_m y is 0 where either density is 0, never 0 * inf.  Runs only in
+    integrands, so inside the radial rule, whose np.errstate masks the
+    overflow it meets.
     """
-    val = a * e
-    val /= 1.0 - m
-    np.putmask(val, ~((a > 0.0) & ((b > 0.0) | (m < 1.0))), 0.0)
-    return val
+    om = 1.0 - nu.m
+    log_norm = (math.log(nu.mparams.c0_q_d) - math.log(nu.s1) - math.log(nu.s2)
+                - 0.5 * math.log1p(-nu.theta * nu.theta))
+    ell = np.add(np.divide(log_b, om, out=log_b), log_norm, out=log_b)
+    dens = np.exp(ell)
+    lm = np.expm1(np.multiply(ell, om, out=ell), out=ell)
+    if om < 0.0:
+        np.putmask(lm, dens == 0.0, 0.0)
+    return dens, lm
 
 
 def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Entropy integral f log_m f of a bivariate member, by quadrature.
 
-    The polar rule's frame is the member's own, so the integrand is radial.
+    The polar rule's frame is the member's own, so the integrand is radial;
+    it is f (1-m) log_m f / (1-m) from _log_density.
     Raises DomainError where s1^2 or s2^2 is not a normal double and where
     the integral is not finite.
     """
     cfg = cfg or QuadratureConfig()
 
-    def integrand(x, y):
-        fv = nu.density(x, y)
-        return _xlogm(fv, fv, _log_m_numerator(fv, nu.m), nu.m)
+    def integrand(log_b):
+        fv, lm = _log_density(log_b, nu)
+        fv *= lm
+        return np.divide(fv, 1.0 - nu.m, out=fv)
 
     res = _polar_quad(integrand, [nu], cfg)
     _finite(res.value, "the 2d entropy integral")
@@ -372,7 +392,8 @@ def m_rel_entropy_quad(
         (1/(2-m)) [f log_m f + (1-m) g log_m g - (2-m) f log_m g],
 
     which share no cancellation pattern and therefore cross-check each
-    other.  Each deformed log is evaluated once per node: g log_m g and
+    other.  Each member's density and deformed log come once per node
+    from its one rounded log-density (_log_density): g log_m g and
     f log_m g read the same log_m g.  The polar rule is centred at f's
     mean (inside both supports when supp f lies inside supp g) and
     whitened by the average of f's and g's scale matrices.  For m < 1 this
@@ -388,27 +409,23 @@ def m_rel_entropy_quad(
         raise ValueError(f"form must be 'first' or 'second', got {form!r}")
     m = f_biv.m
 
-    def integrand(x, y):
-        fv, gv = f_biv.density(x, y), g_biv.density(x, y)
-        # the forms' operations in place, each in its order: holding one
-        # array more than three terms made the allocator return pages to
-        # the system and fault them in again on every call
-        eg = _log_m_numerator(gv, m)
-        glg, flg = _xlogm(gv, gv, eg, m), _xlogm(fv, gv, eg, m)
-        del eg
-        t = _xlogm(fv, fv, _log_m_numerator(fv, m), m)
+    def integrand(log_bf, log_bg):
+        fv, lf = _log_density(log_bf, f_biv)
+        gv, lg = _log_density(log_bg, g_biv)
+        # x log_m y = x (1-m) log_m y / (1-m); the forms' operations in
+        # place, each in its order, on the four arrays of the two densities
+        lf *= fv
+        fv *= lg
+        gv *= lg
         if form == "first":
-            t -= glg
-            flg -= glg
-            flg *= 2.0 - m
-            t -= flg
+            lf -= gv
+            fv -= gv
         else:
-            glg *= 1.0 - m
-            t += glg
-            flg *= 2.0 - m
-            t -= flg
-        t /= 2.0 - m
-        return t
+            lf += np.multiply(gv, 1.0 - m, out=gv)
+        fv *= 2.0 - m
+        lf -= fv
+        lf /= (1.0 - m) * (2.0 - m)
+        return lf
 
     res = _polar_quad(integrand, [f_biv, g_biv], cfg)
     _finite(res.value, "the relative m-entropy integral")

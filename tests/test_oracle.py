@@ -895,6 +895,89 @@ def test_half_line_skip_moves_no_bit(monkeypatch, pair):
     assert results() == skipped
 
 
+@pytest.mark.parametrize("pair", [*_RAY_PAIRS, _M145_PAIR],
+                         ids=["compact", "heavy-tailed", "crossing", "m-1.45"])
+def test_ray_log_density_matches_public_density(monkeypatch, pair):
+    # at every node of the first radial call, exp(l) of each member, from the
+    # rule's per-ray quadratic, is MBivariate.density at the node's (x, y)
+    f, g = (make_bivariate(*args) for args in pair)
+    rule, log_density = _tanhsinh.tanhsinh, oracle._log_density
+    nodes, dens = [], []
+
+    def first_call(ray, *rest):
+        def record(r, *slopes):
+            nodes.append((r, slopes[:2]))
+            return ray(r, *slopes)
+
+        out = rule(record, *rest)
+        monkeypatch.setattr(_tanhsinh, "tanhsinh", rule)
+        monkeypatch.setattr(oracle, "_log_density", log_density)
+        return out
+
+    def record_density(log_b, nu):
+        fv, lm = log_density(log_b, nu)
+        dens.append(fv.copy())
+        return fv, lm
+
+    monkeypatch.setattr(_tanhsinh, "tanhsinh", first_call)
+    monkeypatch.setattr(oracle, "_log_density", record_density)
+    assert oracle.m_rel_entropy_quad(f, g).converged
+    assert len(dens) == 2 * len(nodes) > 0
+    # the node in f's whitened coordinates, scaled by k: the rule centres at f's mean
+    k = math.sqrt(0.5 * abs(1.0 - f.m) * f.mparams.c1_q_d)
+    eps = sys.float_info.epsilon
+    for j, (r, (du, dw)) in enumerate(nodes):
+        u, w = r * du / k, r * dw / k
+        x = f.mu1 + f.s1 * u
+        y = f.mu2 + f.s2 * (f.theta * u + math.sqrt(1.0 - f.theta**2) * w)
+        for nu, ray_dens in zip((f, g), dens[2 * j: 2 * j + 2]):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                public = np.broadcast_to(nu.density(x, y), ray_dens.shape)
+                big = np.maximum(ray_dens, public)
+                # l = L/(1-m) + log norm: its sum rounds by eps (1 + |l|), and L
+                # carries the bracket b's rounding, eps Q/|b|, over |1-m|
+                kq = 0.5 * abs(1.0 - nu.m) * nu.mparams.c1_q_d * nu.quadratic_form(x, y)
+                bracket = 1.0 - kq if nu.m < 1.0 else 1.0 + kq
+                tol = 8.0 * eps * (1.0 + np.abs(np.log(big)) + kq / np.abs(bracket) / abs(1.0 - nu.m))
+                # a subnormal density keeps only a few 2^-1074 of absolute accuracy
+                close = np.abs(ray_dens - public) <= tol * big + 8.0 * math.ulp(0.0)
+                assert ((ray_dens == public) | close).all()
+            if nu.m > 1.0:
+                # heavy tails: b >= 1, so the bound is about eps (1 + |l|)
+                assert (bracket >= 1.0).all()
+
+
+# an m = 1.05 pair: its tail falls as r^-40, so its densities underflow early on a ray
+_M105_PAIR = ((0.3, 0.1, 0.9, 1.1, 0.25, 1.05), (0.0, 0.0, 1.0, 1.0, 0.0, 1.05))
+
+
+@pytest.mark.parametrize("pair", [_M145_PAIR, _M105_PAIR], ids=["m-1.45", "m-1.05"])
+def test_far_tail_reads_zero_not_nan(monkeypatch, pair):
+    # both 2d oracles converge to finite values with every RuntimeWarning an
+    # error, and the H_m integrand reads 0, not nan, at the outermost nodes
+    # of the half-lines, where both densities underflow
+    f, g = (make_bivariate(*args) for args in pair)
+    calls = []
+    rule = _tanhsinh.tanhsinh
+
+    def record(ray, lo, hi, args, *rest):
+        calls.append((ray, lo, args))
+        return rule(ray, lo, hi, args, *rest)
+
+    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for res in (oracle.m_rel_entropy_quad(f, g), oracle.m_rel_entropy_quad(f, g, form="first"),
+                    oracle.entropy_quad_2d(f), oracle.entropy_quad_2d(g)):
+            assert res.converged and math.isfinite(res.value)
+    ray, lo, args = calls[0]
+    for stage in range(_tanhsinh.MAX_LEVEL - _tanhsinh.MIN_LEVEL + 1):
+        _, w, u, _ = _tanhsinh._half_line(stage)
+        outermost = u[w != 0.0].max()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert (ray(lo[:, None] + outermost, *(v[:, None] for v in args)) == 0.0).all()
+
+
 def test_half_line_f_never_sees_a_weight_zero_node():
     # a node of weight 0 has t = 1, so x = lo = 0; the slow tail reads every
     # stage, the fast one stops at level 4
@@ -926,7 +1009,7 @@ def test_nan_integrand_not_converged():
         assert np.isnan(integral).all()
     for m in (0.5, 4.0 / 3.0):
         nu = make_bivariate(0.1, -0.2, 0.9, 1.4, 0.35, m)
-        assert not oracle._polar_quad(lambda x, y: np.full_like(x, np.nan), [nu], cfg).converged
+        assert not oracle._polar_quad(lambda log_b: np.full_like(log_b, np.nan), [nu], cfg).converged
 
 
 @pytest.mark.parametrize("pair", checks.MREL_PAIRS, ids=["compact", "heavy-tailed"])
