@@ -1,4 +1,5 @@
-"""Gauss-Kronrod quadrature over one half-line of a 1D q-Gaussian.
+"""Gauss-Kronrod quadrature over one half-line of a 1D q-Gaussian, and
+the algebraic-weight rule for heavy tails.
 
 The rule of the 1D oracle.  Each subinterval gets QUADPACK's qk21: the
 21-point Kronrod extension of the 10-point Gauss rule, with QUADPACK's
@@ -15,19 +16,23 @@ tabulated at their first use:
   The core, of width about sqrt(1-q) in y, gets dyadic subintervals
   [2^-j, 2^-(j-1)] of x down to one about as wide as it;
 * heavy tails (q > 1) run over z = u sqrt(c1/2), where b = 1 + (q-1)
-  z^2, mapped by z = 1/tau - 1 onto tau in (0, 1] and cut into the
-  dyadic pieces [2^-(k+1), 2^-k].  A weight growing like z^(2p) then
-  decays like tau^(gamma-1) at tau = 0, gamma = 2/(q-1) - 1 - 2p, so
-  each piece is about 2^-gamma times the last.  Where gamma >= 2.5 the
-  pieces reach 2^-56 of the first, and one last subinterval (0, 2^-k]
-  takes the rest.  Nearer q = 5/3 the pieces shrink too slowly
-  (2^-0.006 per piece for the second moment at q = 1.666), so Wynn's
-  epsilon algorithm (Wynn, 1956) extrapolates their partial sums, as
-  QUADPACK's qagi does.
+  z^2, mapped by z = 1/tau - 1 onto tau in (0, 1].  The four dyadic
+  pieces [2^-(k+1), 2^-k] of [1/16, 1] get qk21, and (0, 1/16] the tail
+  rule below: with b = P(tau)/tau^2, P = tau^2 + (q-1)(1-tau)^2 > 0, a
+  weight growing like z^(2p) makes the integrand tau^s times a function
+  analytic at 0, s = 2/(q-1) - 2 - 2p.
+
+The tail rule, tail(), integrates any F = tau^s A(tau) over (0, 1/16]
+whose A is analytic there: it also takes the 2D oracle's heavy-tailed
+rays past r = 15.  It interpolates A's integer-power part at 27
+first-kind Chebyshev nodes, none of them at tau = 0, and integrates the
+interpolant against the weight tau^sigma, sigma = s - max(0, floor(s))
+in (-1, 1), through the modified Chebyshev moments of QUADPACK's qmomo.
+The error estimate comes from the interpolant's last two coefficients.
 
 The partition is fixed by q and the weight before anything is
-evaluated, so a call is one qk21 sweep; where it misses the tolerance,
-the result is reported unconverged.
+evaluated, so a call is one qk21 sweep and one tail rule; where it
+misses the tolerance, the result is reported unconverged.
 """
 
 from __future__ import annotations
@@ -66,13 +71,18 @@ _W = np.stack([_WK, _WG21], axis=1)
 # Core subintervals of a compact member: the first, [0, 2^-j] in x, is at
 # most sqrt(1-q)/_CORE wide, about twice the core's width sqrt(1-q)/pi
 _CORE = 1.5
-# Tail pieces reach 2^-_TAIL_BITS of the first where gamma >= _DIRECT_GAMMA
-_TAIL_BITS = 56.0
-_DIRECT_GAMMA = 2.5
-# Wynn's epsilon runs on the last _WYNN_SUMS partial sums of _WYNN_PIECES
-# pieces (2^-28 of tau is z = 2.7e8): enough for the default tolerance up
-# to q = 1.666 at every scale, not always at q = 1.6666
-_WYNN_PIECES, _WYNN_SUMS = 28, 12
+# The tail rule's interval (0, TAIL_END] in tau and its nodes, tau_j =
+# TAIL_END cos(theta_j/2)^2 for the first-kind Chebyshev angles theta_j
+TAIL_END = 1.0 / 16.0
+_THETA = [(j + 0.5) * (math.pi / 27) for j in range(27)]
+TAIL_TAU = np.array([TAIL_END * math.cos(0.5 * t) ** 2 for t in _THETA])
+# log(TAIL_END/tau_j), and the matrix taking the values at the nodes to the
+# interpolant's Chebyshev coefficients in x = 2 tau/TAIL_END - 1 (built with
+# math: an importer that never integrates does not page in numpy's cos and log)
+_LOG_RATIO = np.array([-2.0 * math.log(math.cos(0.5 * t)) for t in _THETA])
+_CHEB = np.array([[math.cos(k * t) * (2.0 / 27) for t in _THETA] for k in range(27)])
+_CHEB[0] *= 0.5
+_LOG_END = math.log(1.0 / TAIL_END)
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,17 +125,15 @@ def _edge_partition(j: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tail_partition(k: int, rest: bool) -> tuple[np.ndarray, ...]:
-    """z^2 and dz/dtau times the half width, z = (1 - tau)/tau, at the
-    nodes of the dyadic pieces [2^-(i+1), 2^-i] in tau, i < k; with rest,
-    the last piece is (0, 2^-(k-1)] instead."""
-    hi = 2.0 ** -np.arange(k, dtype=float)
-    lo = 0.5 * hi
-    if rest:
-        lo[-1] = 0.0
-    tau, h = _nodes(lo, hi)
+def _tail_partition() -> tuple[np.ndarray, ...]:
+    """z^2 and dz/dtau, z = (1 - tau)/tau, at the nodes of the dyadic
+    pieces [2^-(i+1), 2^-i] in tau, i < 4, times the half width, and then
+    at the tail rule's nodes, flat."""
+    hi = 2.0 ** -np.arange(4.0)
+    tau, h = _nodes(0.5 * hi, hi)
+    tau = np.concatenate([tau.ravel(), TAIL_TAU])
     z = (1.0 - tau) / tau
-    return _read_only(z * z, h / (tau * tau))
+    return _read_only(z * z, np.concatenate([np.repeat(h.ravel(), 21), np.ones(27)]) / (tau * tau))
 
 
 def _qk21(fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,31 +152,45 @@ def _qk21(fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, np.maximum(asc * ratio**1.5, (50.0 * _EPS) * (np.abs(fh) @ _WK))
 
 
-def _spread(col: list[float]) -> float:
-    last = col[-1]
-    return abs(last - col[-2]) + abs(last - col[-3]) + abs(last - col[-4])
+@lru_cache(maxsize=64)
+def _tail_rows(sigma: float) -> tuple[np.ndarray, float]:
+    """The tail rule's weights on F for the weight tau^sigma and the rows
+    giving the interpolant's last two coefficients c_25 and c_26 from F,
+    each with TAIL_END^(sigma+1) / tau^sigma folded in, as a (3, node)
+    array, and r_0.  Cached: a 1D integral and every radial call of a 2D
+    one read the same sigma."""
+    r0 = 1.0 / (sigma + 1.0)
+    r = [r0, r0 * sigma / (sigma + 2.0)]
+    for k in range(2, 27):
+        r.append(-(1.0 + k * (k - sigma - 2.0) * r[-1]) / ((k - 1.0) * (k + sigma + 1.0)))
+    rows = np.concatenate([[np.dot(r, _CHEB)], _CHEB[-2:]])
+    rows *= TAIL_END * np.exp(sigma * _LOG_RATIO)
+    return _read_only(rows)[0], r0
 
 
-def _wynn(sums: list[float]) -> tuple[float, float]:
-    """Limit of the partial sums by Wynn's epsilon algorithm, and its error.
+def tail(fa: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over tau in (0, TAIL_END] of F = tau^s A(tau), s > -1,
+    with A analytic there, from F's values fa (row, node) at TAIL_TAU, and
+    their error estimates.
 
-    The even columns of the epsilon table hold the extrapolated sums; the
-    answer is the last entry of the column whose last four entries spread
-    least, and its error that spread.  The table stops at a zero
-    difference: the column before it has converged.  It does not stop at
-    a small spread, which a slow component of small weight (the entropy's
-    at tiny scales near q = 5/3) can show long before it has converged.
+    F/tau^sigma, sigma = s - max(0, floor(s)) in (-1, 1), is A times an
+    integer power of tau: its interpolant at the nodes is integrated
+    against tau^sigma by the modified moments r_k = int (1+x)^sigma T_k(x)
+    dx / 2^(sigma+1) on [-1, 1], from qmomo's recurrence (Piessens et al.,
+    1983) divided by 2^(sigma+1), which keeps them within [-1/(sigma+1),
+    1/(sigma+1)].  The estimate is 2 r_0 (|c_25| + |c_26|), from the
+    interpolant's last coefficients c_k, plus eps (|s| + 4)(1/(s+1) +
+    log 16) |I|, the change of I under the rounding of an exponent of
+    that size.  Where floor(s) is large the integer power is more than
+    the interpolant resolves (at s = 195 it reads 2e-3 off), and the
+    estimate says so; such a tail is 16^-s of F's scale.  Each row is
+    summed on its own, so a block of rows gives each row's bits.
     """
-    best, spread = sums[-1], _spread(sums)
-    prev, col = [0.0] * (len(sums) + 1), sums
-    for k in range(1, len(sums) - 3):
-        diffs = [b - a for a, b in zip(col, col[1:])]
-        if 0.0 in diffs:
-            break
-        prev, col = col, [p + 1.0 / d for p, d in zip(prev[1:], diffs)]
-        if k % 2 == 0 and (s := _spread(col)) < spread:
-            best, spread = col[-1], s
-    return best, spread
+    rows, r0 = _tail_rows(s - max(0.0, math.floor(s)))
+    value, c25, c26 = (fa[:, None, :] * rows).sum(-1).T
+    err = (2.0 * r0) * (np.abs(c25) + np.abs(c26))
+    err += _EPS * (abs(s) + 4.0) * (1.0 / (s + 1.0) + _LOG_END) * np.abs(value)
+    return value, err
 
 
 def half_line(
@@ -182,35 +204,23 @@ def half_line(
 
     integrand(log_b, s2, jh) returns the weighted integrand jh f at node
     arrays, where s2 is y^2 (compact) or z^2 (heavy tail), b = 1 - om s2
-    and jh the map's Jacobian times the half width; f may grow like
-    s2^power, which sets the decay of the tail pieces.  The answer
+    and jh the map's Jacobian, times the half width on a qk21 piece; f
+    may grow like s2^power, which sets the tail's exponent.  The answer
     converges where its estimate is at most max(atol, rtol |I|).  Returns
     the integral over y or z, its error estimate and None, or a message
     when it did not converge.
     """
-    sums = 0
     if om > 0.0:
         log_b, s2, jh = _edge_partition(max(1, math.ceil(math.log2(_CORE / math.sqrt(om)))))
+        values, errors = _qk21(integrand(log_b, s2, jh))
+        value, err = float(values.sum()), float(errors.sum())
     else:
-        gamma = -2.0 / om - 1.0 - 2.0 * power
-        if gamma >= _DIRECT_GAMMA:
-            k = 4 * math.ceil((5.0 + _TAIL_BITS / gamma) / 4.0)
-        else:
-            k, sums = _WYNN_PIECES, _WYNN_SUMS
-        s2, jh = _tail_partition(k, not sums)
-        log_b = np.log1p(-om * s2)
-    values, errors = _qk21(integrand(log_b, s2, jh))
-    if sums:
-        # the partial sums restart at the first one the table reads, so
-        # their differences keep the relative accuracy of the pieces
-        value, x_err = _wynn(np.cumsum(values[-sums:]).tolist())
-        value += float(values[:-sums].sum())
-    else:
-        value, x_err = float(values.sum()), 0.0
-    err = x_err + float(errors.sum())
-    tol = max(atol, rtol * abs(value))
-    if err <= tol:
+        s2, jh = _tail_partition()
+        fh = integrand(np.log1p(-om * s2), s2, jh)
+        n = len(TAIL_TAU)
+        values, errors = _qk21(fh[:-n].reshape(-1, 21))
+        rest, rest_err = tail(fh[None, -n:], -2.0 / om - 2.0 - 2.0 * power)
+        value, err = float(values.sum()) + float(rest[0]), float(errors.sum()) + float(rest_err[0])
+    if err <= max(atol, rtol * abs(value)):
         return value, err, None
-    if sums and x_err >= tol:
-        return value, err, "the tail extrapolation did not reach the tolerance"
     return value, err, "the partition's error estimate did not reach the tolerance"

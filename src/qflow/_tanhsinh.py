@@ -1,24 +1,15 @@
-"""Tanh-sinh quadrature over many intervals at once, as arrays.
+"""Tanh-sinh quadrature over many finite intervals at once, as arrays.
 
 The radial rule of the 2D polar oracle.  Its schedule and error estimate
 are scipy.integrate.tanhsinh's (Takahasi and Mori, 1974; Bailey's error
-estimate), on this module's own node tables, and a whole block of
+estimate), on this module's own node table, and a whole block of
 intervals runs as one array instead of scipy's per-call elementwise
-machinery.  Both tables come from the same levels, with one step and one
-first level to stop:
-
-* half-line intervals [a, inf) all map to [0, 1], so their abscissae,
-  weights, 1/t - 1 and t^-2 are tabulated, each stage's at its first
-  use, with the operations a row of its own would use: such a row costs
-  one add and one multiply per node before f.  These are scipy's nodes,
-  and each integral, error estimate and flag is scipy's bit for bit.  f
-  runs only on the nodes with weight (62 of the first stage's 258 have t
-  rounded onto 1), and its values go back into the table's layout, so
-  every sum keeps its bits.
-* finite intervals keep only the nodes whose complement 1 - x is at
-  least 2^-53, about half of them: the others round onto the upper end,
-  with weight 0, or lie within 2^-53 alpha of the lower one.  Their
-  integrals agree with scipy's within 1e-14 relative, not bit for bit.
+machinery.  The intervals are finite: the oracle hands heavy-tailed
+rays' tails to qflow._kronrod's tail rule.  A row keeps only the nodes
+whose complement 1 - x is at least 2^-53, about half of them: the others
+round onto the upper end, with weight 0, or lie within 2^-53 alpha of
+the lower one.  Its integrals agree with scipy's within 1e-14 relative,
+not bit for bit.
 
 The oracle imports this module at its first polar integral, so
 importers that never integrate in 2D do not compile it or touch numpy's
@@ -29,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -73,35 +63,8 @@ def _stages(levels: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list, np.ndarr
 
 
 _LEVELS = [_level(k) for k in range(MAX_LEVEL + 1)]
-# half-line rows: every node
-_STAGES, _NODES = _stages(_LEVELS)
-# finite rows: the nodes at least 2^-53 alpha from both ends, a prefix of each level
-_FINITE_STAGES, _FINITE_NODES = _stages(
-    [(xjc[xjc >= 2.0**-53], wj[xjc >= 2.0**-53]) for xjc, wj in _LEVELS])
-
-
-@lru_cache(maxsize=None)
-def _half_line(stage: int) -> tuple[np.ndarray, ...]:
-    """Abscissae t (side, node), weights, 1/t - 1 and t^-2 of a [lo, inf)
-    row at a stage, built at the stage's first use.
-
-    Every such row is [0, 1] in t (alpha = 1/2), so it shares these with
-    the others; each is formed with the operations of a row of its own.
-    Stages past the first are rarely read, and the last ones hold most
-    of the nodes.
-    """
-    xjc, wj = _STAGES[stage]
-    t = np.stack([1.0 - 0.5 * xjc, 0.5 * xjc + 0.0])
-    w = np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5)
-    # t = 0 at the far end maps to x = inf, with weight 0
-    with np.errstate(divide="ignore", over="ignore"):
-        return t, w, 1.0 / t - 1.0, t**-2.0
-
-
-def _weighted(w: np.ndarray) -> np.ndarray:
-    """Flat indices of the nodes of a half-line table that carry weight,
-    the only ones f is evaluated on."""
-    return np.flatnonzero(w)
+# the nodes at least 2^-53 alpha from both ends, a prefix of each level
+_STAGES, _NODES = _stages([(xjc[xjc >= 2.0**-53], wj[xjc >= 2.0**-53]) for xjc, wj in _LEVELS])
 
 
 _SIDES = np.array([0, 1])
@@ -116,17 +79,13 @@ def tanhsinh(
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrals of f over the intervals [lo, hi], per interval.
+    """Integrals of f over the finite intervals [lo, hi], per interval.
 
-    lo < hi elementwise, hi finite or inf.  f(x, *args) is elementwise,
-    with one row of x per interval and args as column arrays.  [a, inf)
-    maps to [0, 1] by x = a + 1/t - 1 with weight 1/t^2, on tables built
-    at each stage's first use; f sees only its nodes of nonzero weight.
-    A finite row's nodes lie at least 2^-53 (hi - lo)/2 from both ends,
-    so f must be bounded near the ends: an integrable singularity there
-    is cut at that distance (x^-1/2 on [0, 1] reads 2 - 1.5e-8), as a
-    half-line's is at its lower end by scipy's nodes (x^-1/2 e^-x on
-    [0, inf) reads sqrt(pi) (1 - 9.9e-9)), each reported converged.
+    lo < hi elementwise.  f(x, *args) is elementwise, with one row of x per
+    interval and args as column arrays.  A row's nodes lie at least 2^-53
+    (hi - lo)/2 from both ends, so f must be bounded near the ends: an
+    integrable singularity there is cut at that distance (x^-1/2 on [0, 1]
+    reads 2 - 1.5e-8), reported converged.
 
     Levels 0..MIN_LEVEL are evaluated in one call of f, and each further
     level, up to MAX_LEVEL, only on the intervals not yet converged.  At
@@ -137,12 +96,10 @@ def tanhsinh(
     of its side; a non-finite S_k ends its interval unconverged.  Returns
     the integrals, their error estimates and the convergence flags.
 
-    A call takes one kind of row: every hi finite, or every hi inf.  Each
-    interval's results depend on its own row alone, so a block of
+    Each interval's results depend on its own row alone, so a block of
     intervals gives the same bits as each interval run alone.
     """
     n = len(lo)
-    half_line = bool(np.isinf(hi).any())
     alpha = (hi - lo) / 2
     # abscissa t, value and weight of the outermost valid node of each side
     # (the right side's is its largest t, the left side's its least)
@@ -153,20 +110,11 @@ def tanhsinh(
     def terms(rows, stage):
         """Weighted terms (row, side, node) of a stage and the largest end term."""
         col = (rows, None, None)
-        if half_line:
-            t, w, u, jac = _half_line(stage)
-            # f's values at the other nodes are masked below, so they stay 0
-            live = _weighted(w)
-            fj = np.zeros((len(rows), *t.shape))
-            fj.reshape(len(rows), -1)[:, live] = f(
-                u.reshape(-1)[live] + lo[rows, None], *(v[rows, None] for v in args)
-            ) * jac.reshape(-1)[live]
-        else:
-            xjc, wj = _FINITE_STAGES[stage]
-            al = alpha[rows, None]
-            t = np.stack([hi[rows, None] - al * xjc, al * xjc + lo[rows, None]], axis=1)
-            w = np.where((t <= lo[col]) | (t >= hi[col]), 0.0, (wj * al)[:, None])
-            fj = f(t, *(v[col] for v in args))
+        xjc, wj = _STAGES[stage]
+        al = alpha[rows, None]
+        t = np.stack([hi[rows, None] - al * xjc, al * xjc + lo[rows, None]], axis=1)
+        w = np.where((t <= lo[col]) | (t >= hi[col]), 0.0, (wj * al)[:, None])
+        fj = f(t, *(v[col] for v in args))
         valid = np.isfinite(fj) & (w != 0.0)
         out = np.where(valid, t, _OUTSIDE)
         r = np.arange(len(rows))[:, None]
@@ -176,7 +124,7 @@ def tanhsinh(
         r_new, side = np.nonzero(new)
         ext_t[rows[r_new], side] = t_i[new]
         ext_f[rows[r_new], side] = fj[r, _SIDES, i][new]
-        ext_w[rows[r_new], side] = np.broadcast_to(w, fj.shape)[r, _SIDES, i][new]
+        ext_w[rows[r_new], side] = w[r, _SIDES, i][new]
         fw = np.where(valid, fj, ext_f[rows, :, None]) * w
         return fw, np.abs(ext_f[rows] * ext_w[rows]).max(axis=-1)
 
@@ -192,14 +140,13 @@ def tanhsinh(
 
     err, conv = np.full(n, np.nan), np.zeros(n, dtype=bool)
     rows = np.arange(n)
-    # log(0), 0 * inf and overflow past the ends are expected here (and in f
-    # far out on a ray): such terms are masked, as in scipy
+    # log(0), 0 * inf and overflow are expected in f (far out on a ray):
+    # such terms are masked, as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fw, d4 = terms(rows, 0)
         # S_k = h_k (sum of the terms of levels 0..k), for k = MIN_LEVEL - 2..MIN_LEVEL,
         # each summed in scipy's order
-        nodes = _NODES if half_line else _FINITE_NODES
-        s2, prev, integral = (fw[:, :, : nodes[k]].reshape(n, -1).sum(-1) * (_H0 / 2**k)
+        s2, prev, integral = (fw[:, :, : _NODES[k]].reshape(n, -1).sum(-1) * (_H0 / 2**k)
                               for k in range(MIN_LEVEL - 2, MIN_LEVEL + 1))
         rows = judge(rows, integral, prev, s2, fw, d4)
         for k in range(MIN_LEVEL + 1, MAX_LEVEL + 1):

@@ -8,46 +8,47 @@ theta-family minimizer: it solves its stationarity equation with the
 closed forms' own coupling root (functionals._coupling_root), and the
 checks compare it with minimize_theta, which never uses that equation.
 
-One-dimensional integrals use the library's own adaptive Gauss-Kronrod
-rule (qflow._kronrod: QUADPACK's qk21 and its error estimate, every
-subinterval of a call in one array) on two half-lines from the mean, in
-units of the member's scale, where the integrand reads only the bracket
-b = 1 + (1-q) t of exp_q.  The second half-line is the mirror of the
-first: each integrand reads the offset only through its square, so one
-run gives both halves.  Its integrand is one array expression per
-integral that computes the density and its weight (1, the squared
-offset, or log_q of the density) from b, with no library call per node.
-The 1d oracles raise DomainError where the variance C sigma^2 is not a
-normal double or twice it overflows, and where an integral is not
-finite; the 2d oracles where a diagonal entry of a member's scale matrix
-is not a normal double, and where an integral is not finite.  Domain
-policy:
+One-dimensional integrals use the library's own Gauss-Kronrod rule
+(qflow._kronrod: QUADPACK's qk21 and its error estimate over a partition
+fixed by q and the weight, every subinterval of a call in one array) on
+two half-lines from the mean, in units of the member's scale, where the
+integrand reads only the bracket b = 1 + (1-q) t of exp_q.  The second
+half-line is the mirror of the first: each integrand reads the offset
+only through its square, so one run gives both halves.  Its integrand is
+one array expression per integral that computes the density and its
+weight (1, the squared offset, or log_q of the density) from b, with no
+library call per node.  The 1d oracles raise DomainError where the
+variance C sigma^2 is not a normal double or twice it overflows, and
+where an integral is not finite; the 2d oracles where a diagonal entry
+of a member's scale matrix is not a normal double, and where an integral
+is not finite.  Domain policy:
 
 * compact 1d supports (q < 1): each half-line ends at the support edge,
   sqrt(2/((1-q) C1)) in scale units, which a map makes smooth;
-* one-dimensional heavy tails (q > 1): each half-line runs to infinity
-  untruncated, mapped onto (0, 1] and cut into dyadic pieces whose
-  slowly shrinking partial sums near q = 5/3 are extrapolated by Wynn's
-  epsilon algorithm;
+* heavy tails (q > 1 in 1d, m > 1 in 2d) run to infinity untruncated:
+  mapped onto tau in (0, 1], the integrand is tau^s times a function
+  analytic at tau = 0, and qflow._kronrod's tail rule, with the weight
+  tau^s built into its moments, integrates (0, 1/16];
 * every bivariate integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
   trapezoid in angle, tanh-sinh in radius: the library's own rule
   (qflow._tanhsinh) on scipy.integrate.tanhsinh's schedule (levels 4 to
-  10, Bailey's error estimate), with scipy's nodes on rays to infinity
-  and only those at least 2^-53 of the piece's half-length from its ends
-  on finite pieces, all rays of a block of angles in one array; the coarsest
-  16 angles and the 16 midpoints of the first refinement form one block
-  of 32 rays, so a 32-angle result takes one radial call.  Each member is
-  evaluated along a ray through its own quadratic in r, from the centre's
-  whitened offset and the ray's whitened slope, formed once per radial
-  call: the rule hands the integrand each member's log-bracket per node,
-  and the integrand forms one rounded log-density per member, from which
-  it takes both the density and its deformed log.  Heavy tails
-  (m > 1) run each ray to infinity untruncated (near m = 3/2 an envelope
-  radius for any useful bound overflows); compact supports (m < 1) split
-  each ray where it crosses a support ellipse, at the exact roots of the
-  member's quadratic, so non-nested supports stay exact.
+  10, Bailey's error estimate), on finite pieces only, with the nodes at
+  least 2^-53 of the piece's half-length from its ends, all rays of a
+  block of angles in one array; the coarsest 16 angles and the 16
+  midpoints of the first refinement form one block of 32 rays, so a
+  32-angle result takes one radial call.  Each member is evaluated along
+  a ray through its own quadratic in r, from the centre's whitened offset
+  and the ray's whitened slope, formed once per radial call: the rule
+  hands the integrand each member's log-bracket per node, and the
+  integrand forms one rounded log-density per member, from which it
+  takes both the density and its deformed log.  Heavy tails (m > 1) run
+  each ray to infinity untruncated: in tau = 1/(1 + r), tanh-sinh takes
+  r up to 15 (or past twice the distance of a far member's mean, where
+  the ray is also cut) and the tail rule the rest; compact supports
+  (m < 1) split each ray where it crosses a support ellipse, at the exact
+  roots of the member's quadratic, so non-nested supports stay exact.
 
 Each result records the policy applied in its note.
 
@@ -139,7 +140,7 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     tolerance is relative to that, so a tiny or huge integral keeps its
     relative accuracy.  expm1 cannot overflow: (1-q) log f is at most
     (1-q) log norm < 355 for q < 1; for q > 1, (q-1) log(1/norm) < 237,
-    and log b < 53 at the nodes of the tail pieces (z < 2^37).
+    and log b < 20 at the tail rule's nodes (z < 1.9e4).
 
     The second half-line is the mirror of the first (the integrand reads
     the offset only through u^2), so it is integrated once and counted
@@ -234,11 +235,26 @@ def _polar_quad(
     ray geometry is formed once.  Each ray is split where it crosses the
     support ellipse Q_k = 1 of a compact member, at the roots of
     a r^2 + 2 b r + q0 = 1 with the exact coefficients a = du^2 + dw^2,
-    b = u0 du + w0 dw and q0 = u0^2 + w0^2, and ended at the last crossing;
-    heavy-tailed rays run to inf.  The finite pieces' nodes stay 2^-53 of
-    their half-length from both ends, where the integrand is bounded: it is
-    r times a bounded function at the centre, and a density goes to 0 at an
-    ellipse crossing, where log_m of it is -1/(1-m).  Unless
+    b = u0 du + w0 dw and q0 = u0^2 + w0^2, and ended at the last crossing.
+    The pieces' nodes stay 2^-53 of their half-length from both ends, where
+    the integrand is bounded: it is r times a bounded function at the
+    centre, and a density goes to 0 at an ellipse crossing, where log_m of
+    it is -1/(1-m).  A heavy-tailed ray runs in tau = 1/(1 + r), with
+    Jacobian r/tau^2: qflow._kronrod's tail rule on (0, split] and
+    tanh-sinh on [split, 1], split = 1/16 (r = 15).  Where the ray passes
+    closest to a member's mean beyond r = 1, at tau*, the piece is cut
+    there (off the frame's unit scale the member's peak is narrow in tau,
+    and a cut puts it at a piece's end, where tanh-sinh's nodes crowd), and
+    split is at most tau*/2, so the peak, a near pole of the integrand,
+    stays out of the tail; the tail rule runs on lam F(lam t), lam =
+    16 split.  There 1 + Q_k = P_k(tau)/tau^2 with P_k a quadratic
+    positive on [0, 1], so f_k is tau^(2/(m-1)) times a function analytic
+    at 0, and every term of the integrands, times the Jacobian, is tau^s
+    times one, s = 2(2-m)/(m-1) - 3, as f^(2-m) r dr is; the terms'
+    exponents differ by integers.  The tail's estimate is judged
+    against the larger of the ray's two pieces: where H_m's terms cancel
+    far out, the tail's rounding is eps times the terms, not times the
+    tail.  Unless
     max_subdivisions is 0, the rule always reaches 32 angles, so the 16
     coarsest angles and their 16 midpoints share the first call; each
     half is then summed on its own, in the order of a call of its own.
@@ -262,16 +278,22 @@ def _polar_quad(
             [[1.0 / nu.s1, 0.0], [-nu.theta / (root * nu.s1), 1.0 / (root * nu.s2)]])
         frames.append((white @ (centre - nu.mean), white @ chol))
     # the members share m; compact supports split each ray where it crosses them
-    compact = members[0].m < 1.0
+    m = members[0].m
+    compact = m < 1.0
 
-    def ray(r, *slopes):
+    def ray(x, *slopes):
+        # x is r on compact rays, and tau = 1/(1 + r) on heavy-tailed ones
+        r = x if compact else 1.0 / x - 1.0
         logs = []
         for ((u0, w0), _), du, dw in zip(frames, slopes[::2], slopes[1::2]):
             q = np.square(du * r + u0)
             q += np.square(dw * r + w0)
             # L = log1p(-Q), with the bracket clipped to 0 off a compact support, or log1p(Q)
             logs.append(np.log1p(np.maximum(-q, -1.0, out=q) if compact else q, out=q))
-        return integrand(*logs) * (det * r)
+        if compact:
+            return integrand(*logs) * (det * r)
+        # det r/tau^2 overflows at large scales: det goes first
+        return integrand(*logs) * det * (r / (x * x))
 
     def radial(blocks: list[np.ndarray]) -> list[tuple[float, float, bool]]:
         """One tanhsinh call over the rays at every block of angles; per
@@ -281,14 +303,26 @@ def _polar_quad(
         slopes = [mat @ np.stack([np.cos(phis), np.sin(phis)]) for _, mat in frames]
         if compact:
             ends = [np.zeros_like(phis)]
-            for ((u0, w0), _), (du, dw) in zip(frames, slopes):
-                # Q(r) = a r^2 + 2 b r + q0 meets the support edge Q = 1
-                a, b = du * du + dw * dw, u0 * du + w0 * dw
+        else:
+            # in tau: the tail rule takes (0, split], split = 1/16 (r = 15)
+            # unless a member's peak lies beyond r = 7
+            ends, split = [np.ones_like(phis)], np.full_like(phis, _kronrod.TAIL_END)
+        for ((u0, w0), _), (du, dw) in zip(frames, slopes):
+            # Q(r) = a r^2 + 2 b r + q0
+            a, b = du * du + dw * dw, u0 * du + w0 * dw
+            if compact:
+                # the support edge Q = 1
                 disc = np.sqrt(np.maximum(b * b - a * (u0 * u0 + w0 * w0 - 1.0), 0.0))
                 ends += [np.maximum((-b - disc) / a, 0.0), np.maximum((-b + disc) / a, 0.0)]
-        else:
-            # heavy tails: one piece per ray, to inf
-            ends = [np.zeros_like(phis), np.full_like(phis, math.inf)]
+            elif u0 or w0:
+                # Q is least at r = -b/a, the member's peak along the ray: a cut
+                # where it lies off the frame's unit scale (r > 1), and the tail
+                # starts at half its tau, so the peak stays out of the tail
+                tau = a / (a - np.minimum(b, 0.0))
+                ends.append(np.where(tau < 0.5, tau, 1.0))
+                split = np.minimum(split, 0.5 * tau)
+        if not compact:
+            ends.append(split)
         cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
         lo, hi = cuts[:, :-1], cuts[:, 1:]
         live = lo < hi
@@ -299,6 +333,15 @@ def _polar_quad(
         # so a block sums the same array, in the same order, as scipy's tanhsinh
         integral, error, success = np.zeros(live.shape), np.zeros(live.shape), np.ones_like(live)
         integral[live], error[live], success[live] = out
+        if not compact:
+            # (0, split] as lam F(lam t) on t in (0, 1/16], lam = 16 split
+            lam = (split / _kronrod.TAIL_END)[:, None]
+            fa = ray(lam * _kronrod.TAIL_TAU, *(v[:, None] for s in slopes for v in s)) * lam
+            tail, tail_err = _kronrod.tail(fa, 2.0 * (2.0 - m) / (m - 1.0) - 3.0)
+            scale = np.maximum(np.abs(tail), np.abs(integral).max(axis=1))
+            success[:, 0] &= tail_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * scale)
+            integral[:, 0] += tail
+            error[:, 0] += tail_err
         bounds = np.cumsum([len(block) for block in blocks])[:-1]
         return [(float(i.sum()), float(e.sum()), bool(ok.all()))
                 for i, e, ok in zip(*(np.split(v, bounds) for v in (integral, error, success)))]

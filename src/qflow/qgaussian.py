@@ -131,7 +131,8 @@ class MBivariate:
 
     The scale matrix is Sigma = [[s1^2, th s1 s2], [th s1 s2, s2^2]]; for
     m < 3/2 second moments are finite (a multiple of Sigma).  mparams must
-    be a d=2 parameter set whose q is the exponent m.
+    be a d=2 parameter set whose q is the exponent m; the means and scales
+    must be finite.
     """
 
     mu1: float
@@ -144,8 +145,10 @@ class MBivariate:
     def __post_init__(self) -> None:
         if self.mparams.d != 2:
             raise DomainError(f"MBivariate needs d=2 params, got d={self.mparams.d}")
-        if not (self.s1 > 0.0 and self.s2 > 0.0):
-            raise DomainError("scales s1, s2 must be positive")
+        if not (0.0 < self.s1 < math.inf and 0.0 < self.s2 < math.inf):
+            raise DomainError(f"scales must be positive and finite, got {self.s1!r}, {self.s2!r}")
+        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
+            raise DomainError(f"means mu1, mu2 must be finite, got {self.mu1!r}, {self.mu2!r}")
         if not -1.0 < self.theta < 1.0:
             raise DomainError(f"theta must lie in (-1, 1), got {self.theta!r}")
 

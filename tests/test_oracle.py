@@ -178,8 +178,8 @@ def test_line_quad_within_its_error_of_quadpack(q, mu, log_sigma):
 @pytest.mark.parametrize("q", [1.6, 1.65, 1.666])
 @pytest.mark.parametrize("sigma", [1.3, 1e-18])
 def test_line_quad_matches_mpmath_near_five_thirds(q, sigma):
-    # the tails shrink like u^-1.003 at q = 1.666: the pieces' partial sums
-    # are extrapolated; at sigma = 1e-18 the entropy's slow part is 1e-9 of it
+    # the tails shrink like u^-1.003 at q = 1.666: the tail rule's weight
+    # takes them whole; at sigma = 1e-18 the entropy's slow part is 1e-9 of it
     g = QGaussian1D(mu=0.2, sigma=sigma, params=make_params(q, 1))
     cfg = oracle.QuadratureConfig()
     for weight, oracle_1d in _ONE_D:
@@ -212,13 +212,53 @@ def test_compact_edge_at_huge_scales(q, sigma):
         assert abs(res.value - _mp_line(weight, g)) <= res.error_estimate
 
 
-def test_line_quad_tail_extrapolation_miss_reported():
-    # at q = 1.6666 the entropy's 28 tail pieces shrink too slowly for
-    # Wynn's epsilon to reach the default tolerance
-    g = QGaussian1D(mu=0.0, sigma=0.1, params=make_params(1.6666, 1))
-    res = oracle.entropy_quad(g)
-    assert not res.converged
-    assert res.note.endswith("the tail extrapolation did not reach the tolerance")
+@pytest.mark.parametrize("q", [1.6666, 1.66666])
+@pytest.mark.parametrize("sigma", [0.1, 3.16])
+def test_line_quad_heavy_tail_next_to_five_thirds(q, sigma):
+    # the moment's and the entropy's tails fall like z^-1.0001 and z^-1.00001:
+    # the tail rule's weight tau^s takes them whole, at the default config
+    g = QGaussian1D(mu=0.0, sigma=sigma, params=make_params(q, 1))
+    for weight, oracle_1d in _ONE_D:
+        res = oracle_1d(g)
+        assert res.converged and res.note == "two half-lines from the mean, untruncated"
+        assert abs(res.value - _mp_line(weight, g)) <= res.error_estimate, (weight, res)
+
+
+_TAIL_S = [-0.999, -0.556, 0.0, 1.0 - 2e-16, 1.0 + 2e-16, 8.0 + 2e-15, 38.0, 195.0, 2e4]
+
+
+@pytest.mark.parametrize("s", _TAIL_S)
+def test_tail_rule_against_closed_form(s):
+    # int_0^a tau^s (1 + 3 tau - 2 tau^2) dtau, a = 1/16.  Next to an integer
+    # s the weight's exponent stays in (-1, 1); at s = 2e4 every term
+    # underflows.  The interpolant resolves the integer power tau^floor(s)
+    # up to about s = 27; past it the rule misses (3e-12 relative at s = 38,
+    # 2e-3 at s = 195, where the integral is 16^-196/196), inside its estimate
+    a = _kronrod.TAIL_END
+    tau = _kronrod.TAIL_TAU
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, err = _kronrod.tail((tau**s * (1.0 + 3.0 * tau - 2.0 * tau * tau))[None], s)
+    with mpmath.workdps(50):
+        am, sm = mpmath.mpf(a), mpmath.mpf(s)
+        exact = float(am ** (sm + 1) * (1 / (sm + 1) + 3 * am / (sm + 2) - 2 * am * am / (sm + 3)))
+    assert math.isfinite(value[0]) and math.isfinite(err[0])
+    assert abs(value[0] - exact) <= err[0]
+    if s < 27.0:
+        assert abs(value[0] - exact) <= 16 * sys.float_info.epsilon * exact
+        assert err[0] <= 1e-11 * exact
+    if s == 2e4:
+        assert value[0] == exact == 0.0
+
+
+def test_tail_rule_rows_are_independent():
+    # a block of rows gives each row's bits, as each row alone
+    tau = _kronrod.TAIL_TAU
+    fa = np.stack([tau**0.3 * np.cos(k * tau) for k in range(5)])
+    block = _kronrod.tail(fa, 0.3)
+    for j in range(len(fa)):
+        alone = _kronrod.tail(fa[j:j + 1], 0.3)
+        assert all(b[j] == a_[0] for b, a_ in zip(block, alone))
 
 
 def test_line_quad_partition_miss_keeps_its_value():
@@ -693,17 +733,17 @@ def test_quadrature_config_defaults():
     assert cfg.max_subdivisions == 200
 
 
-# The radial rule of the polar oracle: a tanh-sinh on scipy's schedule, with
-# scipy's nodes on half-lines and those at least 2^-53 alpha from the ends on
-# finite rows.
+# The radial rule of the polar oracle: a tanh-sinh on scipy's schedule, on
+# finite rows, with the nodes at least 2^-53 alpha from the ends.
 
 
 @pytest.mark.parametrize(
     "f, lo, hi, exact",
     [
         (lambda x: np.sqrt(x * (1.0 - x)), 0.0, 1.0, math.pi / 8.0),
-        (lambda x: x**-2.0, 1.0, math.inf, 1.0),
-        (lambda x: np.exp(-x), 0.0, math.inf, 1.0),
+        # tails up to r = 15, where the tail rule takes a heavy-tailed ray over
+        (lambda x: x**-2.0, 1.0, 16.0, 15.0 / 16.0),
+        (lambda x: np.exp(-x), 0.0, 15.0, -math.expm1(-15.0)),
     ],
     ids=["infinite-slope-ends", "power-tail", "exponential-tail"],
 )
@@ -738,7 +778,10 @@ def test_tanhsinh_matches_scipy_ray_by_ray(monkeypatch, pair):
     assert oracle.m_rel_entropy_quad(f, g, cfg).converged
     assert calls
     for (ray, lo, hi, args, rtol, atol), (integral, error, converged) in calls:
-        assert (hi == math.inf).all() == (f.m > 1.0)
+        # heavy-tailed rays: the piece r in [0, 15], as tau in [1/16, 1]
+        assert np.isfinite(hi).all()
+        if f.m > 1.0:
+            assert (lo == _kronrod.TAIL_END).all() and (hi == 1.0).all()
         ref = tanhsinh(ray, lo, hi, args=args, rtol=rtol, atol=atol, minlevel=4)
         np.testing.assert_allclose(integral, ref.integral, rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(converged, ref.success)
@@ -749,12 +792,11 @@ def test_tanhsinh_matches_scipy_ray_by_ray(monkeypatch, pair):
     [
         (lambda x: np.sin(50.0 * x), [0.0, 1.0], [3.0, 9.0]),
         (lambda x: (x > 0.3) * 1.0, [0.0], [1.0]),
-        (lambda x: 1.0 / (1.0 + x**1.01), [0.0], [math.inf]),
     ],
-    ids=["oscillating", "step", "slow-tail"],
+    ids=["oscillating", "step"],
 )
 def test_tanhsinh_matches_scipy_past_the_first_level(f, lo, hi):
-    # levels 5 to 10: the oscillating integrals converge there, the other two run out
+    # levels 5 to 10: the oscillating integrals converge there, the step runs out
     from scipy.integrate import tanhsinh
 
     lo, hi = np.array(lo), np.array(hi)
@@ -763,36 +805,29 @@ def test_tanhsinh_matches_scipy_past_the_first_level(f, lo, hi):
     ref = tanhsinh(f, lo, hi, rtol=cfg.rel_tol, atol=cfg.abs_tol, minlevel=4)
     assert (ref.maxlevel > 4).all()
     np.testing.assert_allclose(integral, ref.integral, rtol=1e-14, atol=0.0)
-    if np.isinf(hi).all():
-        np.testing.assert_allclose(error, ref.error, rtol=1e-14, atol=0.0)
-    else:
-        # finite rows drop the nodes within 2^-53 alpha of an end, which moves
-        # Bailey's estimate at its floor of a few eps |I|
-        assert (np.abs(error - ref.error) <= 8 * sys.float_info.epsilon * np.abs(integral)).all()
+    # the rows drop the nodes within 2^-53 alpha of an end, which moves
+    # Bailey's estimate at its floor of a few eps |I|
+    assert (np.abs(error - ref.error) <= 8 * sys.float_info.epsilon * np.abs(integral)).all()
     np.testing.assert_array_equal(converged, ref.success)
 
 
 def test_tanhsinh_rows_are_independent_bit_for_bit():
-    # a block of intervals of one kind gives each interval's integral, error
-    # and flag bits as a call on that interval alone: the fused polar sweep
-    # and the half-line tables rely on it.  The rows stop at level 4, past
-    # it (the oscillating ones) or never (the slow tail and the divergent one).
+    # a block of intervals gives each interval's integral, error and flag
+    # bits as a call on that interval alone: the fused polar sweep relies on
+    # it.  The rows stop at level 4, past it (the oscillating one) or never
+    # (the divergent one).
     def f(x, c, p):
         return np.cos(c * x) * np.abs(x) ** -p
 
-    finite = [(0.0, 1.0, 0.0, 0.5), (0.0, 3.0, 50.0, 0.0), (1.0, 9.0, 1.0, 1.0)]
-    half_line = [(1.0, math.inf, 0.0, 2.0), (0.5, math.inf, 0.0, 1.01),
-                 (2.0, math.inf, 3.0, 2.0), (0.0, math.inf, 0.0, 0.5)]
+    rows = [(0.0, 1.0, 0.0, 0.5), (0.0, 3.0, 50.0, 0.0), (1.0, 9.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0)]
     cfg = oracle.QuadratureConfig()
-    for rows in (finite, half_line):
-        lo, hi, c, p = (np.array(col) for col in zip(*rows))
-        block = _tanhsinh.tanhsinh(f, lo, hi, (c, p), cfg.rel_tol, cfg.abs_tol)
-        for j in range(len(rows)):
-            one = slice(j, j + 1)
-            alone = _tanhsinh.tanhsinh(f, lo[one], hi[one], (c[one], p[one]),
-                                       cfg.rel_tol, cfg.abs_tol)
-            for out_block, out_alone in zip(block, alone):
-                assert out_block[one].tobytes() == out_alone.tobytes()
+    lo, hi, c, p = (np.array(col) for col in zip(*rows))
+    block = _tanhsinh.tanhsinh(f, lo, hi, (c, p), cfg.rel_tol, cfg.abs_tol)
+    for j in range(len(rows)):
+        one = slice(j, j + 1)
+        alone = _tanhsinh.tanhsinh(f, lo[one], hi[one], (c[one], p[one]), cfg.rel_tol, cfg.abs_tol)
+        for out_block, out_alone in zip(block, alone):
+            assert out_block[one].tobytes() == out_alone.tobytes()
     assert block[2].any() and not block[2].all()
 
 
@@ -837,69 +872,34 @@ def test_polar_radial_calls(monkeypatch, members, cfg, angles, n_calls):
         assert calls == ([16] if angles == 16 else [32, 32, 64][:n_calls])
 
 
-def test_half_line_tables_built_at_first_use():
-    # each stage's half-line table is built when a ray first reads it, with
-    # the bits of the tables the parent built at import
-    run = subprocess.run([sys.executable, "-c", textwrap.dedent("""
-        from qflow import _tanhsinh, checks, oracle
-        from qflow.qgaussian import make_bivariate
-        assert _tanhsinh._half_line.cache_info().currsize == 0
-        assert oracle.m_rel_entropy_quad(*(make_bivariate(*a) for a in checks.MREL_PAIRS[1])).converged
-        print(_tanhsinh._half_line.cache_info().currsize)
-    """)], capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert int(run.stdout) == 1
-    with np.errstate(divide="ignore", over="ignore"):
-        for stage, (xjc, wj) in enumerate(_tanhsinh._STAGES):
-            t = np.stack([1.0 - 0.5 * xjc, 0.5 * xjc + 0.0])
-            w = np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5)
-            eager = t, w, 1.0 / t - 1.0, t**-2.0
-            for built, ref in zip(_tanhsinh._half_line(stage), eager):
-                assert built.tobytes() == ref.tobytes()
-
-
 def test_finite_stages_keep_the_nodes_2_53_from_the_ends():
     # a finite row reads the level tables' nodes whose complement is at least
     # 2^-53, with their bits; the others round onto hi or lie within 2^-53
     # alpha of lo
-    assert len(_tanhsinh._FINITE_STAGES) == len(_tanhsinh._STAGES)
-    for (xjc, wj), (full_xjc, full_wj) in zip(_tanhsinh._FINITE_STAGES, _tanhsinh._STAGES):
+    full_stages, _ = _tanhsinh._stages(_tanhsinh._LEVELS)
+    assert len(_tanhsinh._STAGES) == len(full_stages)
+    for (xjc, wj), (full_xjc, full_wj) in zip(_tanhsinh._STAGES, full_stages):
         keep = full_xjc >= 2.0**-53
         assert (xjc >= 2.0**-53).all()
         assert xjc.tobytes() == full_xjc[keep].tobytes()
         assert wj.tobytes() == full_wj[keep].tobytes()
-    assert len(_tanhsinh._FINITE_STAGES[0][0]) == 67
-    # levels 0..k are the first _FINITE_NODES[k] nodes of the first stage
-    first = _tanhsinh._FINITE_STAGES[0][0]
+    assert len(_tanhsinh._STAGES[0][0]) == 67
+    # levels 0..k are the first _NODES[k] nodes of the first stage
+    first = _tanhsinh._STAGES[0][0]
     for k in range(_tanhsinh.MIN_LEVEL + 1):
         kept = [x[x >= 2.0**-53] for x, _ in _tanhsinh._LEVELS[: k + 1]]
-        assert first[: _tanhsinh._FINITE_NODES[k]].tobytes() == np.concatenate(kept).tobytes()
+        assert first[: _tanhsinh._NODES[k]].tobytes() == np.concatenate(kept).tobytes()
 
 
 _M145_PAIR = ((0.3, 0.1, 0.9, 1.1, 0.25, 1.45), (0.0, 0.0, 1.0, 1.0, 0.0, 1.45))
-
-
-@pytest.mark.parametrize("pair", [checks.MREL_PAIRS[1], _M145_PAIR],
-                         ids=["verify-heavy-tailed", "m-1.45"])
-def test_half_line_skip_moves_no_bit(monkeypatch, pair):
-    # f runs only on the half-line nodes with weight; running it on every
-    # node, as scipy does, gives the same value, estimate, flag and note
-    f, g = (make_bivariate(*args) for args in pair)
-
-    def results():
-        return [repr(res) for res in (oracle.m_rel_entropy_quad(f, g), oracle.entropy_quad_2d(f),
-                                      oracle.entropy_quad_2d(g))]
-
-    skipped = results()
-    monkeypatch.setattr(_tanhsinh, "_weighted", lambda w: np.arange(w.size))
-    assert results() == skipped
 
 
 @pytest.mark.parametrize("pair", [*_RAY_PAIRS, _M145_PAIR],
                          ids=["compact", "heavy-tailed", "crossing", "m-1.45"])
 def test_ray_log_density_matches_public_density(monkeypatch, pair):
     # at every node of the first radial call, exp(l) of each member, from the
-    # rule's per-ray quadratic, is MBivariate.density at the node's (x, y)
+    # rule's per-ray quadratic, is MBivariate.density at the node's (x, y);
+    # heavy-tailed rays run in tau = 1/(1 + r)
     f, g = (make_bivariate(*args) for args in pair)
     rule, log_density = _tanhsinh.tanhsinh, oracle._log_density
     nodes, dens = [], []
@@ -927,6 +927,8 @@ def test_ray_log_density_matches_public_density(monkeypatch, pair):
     k = math.sqrt(0.5 * abs(1.0 - f.m) * f.mparams.c1_q_d)
     eps = sys.float_info.epsilon
     for j, (r, (du, dw)) in enumerate(nodes):
+        if f.m > 1.0:
+            r = 1.0 / r - 1.0
         u, w = r * du / k, r * dw / k
         x = f.mu1 + f.s1 * u
         y = f.mu2 + f.s2 * (f.theta * u + math.sqrt(1.0 - f.theta**2) * w)
@@ -954,14 +956,15 @@ _M105_PAIR = ((0.3, 0.1, 0.9, 1.1, 0.25, 1.05), (0.0, 0.0, 1.0, 1.0, 0.0, 1.05))
 @pytest.mark.parametrize("pair", [_M145_PAIR, _M105_PAIR], ids=["m-1.45", "m-1.05"])
 def test_far_tail_reads_zero_not_nan(monkeypatch, pair):
     # both 2d oracles converge to finite values with every RuntimeWarning an
-    # error, and the H_m integrand reads 0, not nan, at the outermost nodes
-    # of the half-lines, where both densities underflow
+    # error; the H_m integrand is finite at the tail rule's nodes, and reads
+    # 0, not nan, far out on the rays (tau = 1e-100), where both densities
+    # underflow
     f, g = (make_bivariate(*args) for args in pair)
     calls = []
     rule = _tanhsinh.tanhsinh
 
     def record(ray, lo, hi, args, *rest):
-        calls.append((ray, lo, args))
+        calls.append((ray, args))
         return rule(ray, lo, hi, args, *rest)
 
     monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
@@ -970,43 +973,91 @@ def test_far_tail_reads_zero_not_nan(monkeypatch, pair):
         for res in (oracle.m_rel_entropy_quad(f, g), oracle.m_rel_entropy_quad(f, g, form="first"),
                     oracle.entropy_quad_2d(f), oracle.entropy_quad_2d(g)):
             assert res.converged and math.isfinite(res.value)
-    ray, lo, args = calls[0]
-    for stage in range(_tanhsinh.MAX_LEVEL - _tanhsinh.MIN_LEVEL + 1):
-        _, w, u, _ = _tanhsinh._half_line(stage)
-        outermost = u[w != 0.0].max()
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            assert (ray(lo[:, None] + outermost, *(v[:, None] for v in args)) == 0.0).all()
+    ray, args = calls[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(ray(_kronrod.TAIL_TAU, *(v[:, None] for v in args))).all()
+    with np.errstate(over="ignore"):
+        assert (ray(np.array([1e-100]), *(v[:, None] for v in args)) == 0.0).all()
 
 
-def test_half_line_f_never_sees_a_weight_zero_node():
-    # a node of weight 0 has t = 1, so x = lo = 0; the slow tail reads every
-    # stage, the fast one stops at level 4
-    seen = []
+@pytest.mark.parametrize("m", [1.001, 1.01, 1.49])
+@pytest.mark.parametrize("cfg", [oracle.QuadratureConfig(), CRIT3_CFG], ids=["default", "crit3"])
+def test_heavy_tails_next_to_the_exponent_ends(m, cfg):
+    # _M145_PAIR's geometry at m next to 1, where the tails fall like r^-2000,
+    # and next to 3/2, where H_m's integrand falls like r^-1.08: both forms
+    # of H_m and both entropies converge, with every RuntimeWarning an error
+    (f_args, g_args) = ((*args[:5], m) for args in _M145_PAIR)
+    f, g = make_bivariate(*f_args), make_bivariate(*g_args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        forms = [oracle.m_rel_entropy_quad(f, g, cfg, form=form) for form in ("first", "second")]
+        ent_f, ent_g = oracle.entropy_quad_2d(f, cfg), oracle.entropy_quad_2d(g, cfg)
+    assert all(res.converged for res in (*forms, ent_f, ent_g))
+    closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+    for res in forms:
+        assert abs(res.value - closed) <= 1e-11, (res, closed)
+    ent_closed = entropy_diff_closed(f.mparams, f.det_cov, g.det_cov)
+    assert abs(ent_f.value - ent_g.value - ent_closed) <= 1e-11
 
-    def f(x, p):
-        seen.append(x.copy())
-        return (1.0 + x) ** -p
 
-    cfg = oracle.QuadratureConfig()
-    _, _, converged = _tanhsinh.tanhsinh(f, np.zeros(2), np.full(2, math.inf),
-                                         (np.array([1.01, 2.0]),), cfg.rel_tol, cfg.abs_tol)
-    assert list(converged) == [False, True]
-    assert len(seen) == _tanhsinh.MAX_LEVEL - _tanhsinh.MIN_LEVEL + 1
-    for stage, x in enumerate(seen):
-        w = _tanhsinh._half_line(stage)[1]
-        assert x.shape == (2 if stage == 0 else 1, np.count_nonzero(w))
-        assert (x > 0.0).all()
-    assert np.count_nonzero(_tanhsinh._half_line(0)[1]) == 2 * 129 - 62
+@pytest.mark.parametrize("distance", [5.0, 40.0])
+@pytest.mark.parametrize("m", [1.3, 1.45, 1.49])
+def test_heavy_rays_cut_where_they_pass_a_far_mean(monkeypatch, m, distance):
+    # g's mean lies 5 or 40 frame units out: a ray that passes it is cut
+    # there, so g's peak sits at a piece's end, where tanh-sinh's nodes
+    # crowd, and the tail rule starts past twice its distance.  Without the
+    # cut m = 1.45 read 1.5e-10 off at 5 units; with the tail at r = 15
+    # whatever the peak, every pair 20 or more units apart was unconverged
+    f = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.2, m)
+    g = make_bivariate(0.6 * distance, 0.8 * distance, 0.9, 1.2, 0.3, m)
+    closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+    rows = []
+    rule = _tanhsinh.tanhsinh
+
+    def record(ray, lo, *rest):
+        rows.append(len(lo))
+        return rule(ray, lo, *rest)
+
+    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    for cfg in (oracle.QuadratureConfig(), CRIT3_CFG):
+        for form in ("first", "second"):
+            res = oracle.m_rel_entropy_quad(f, g, cfg, form=form)
+            assert res.converged
+            assert abs(res.value - closed) <= 1e-13 * closed, (res, closed)
+    # the first radial call holds 32 rays, and those toward g's mean carry a cut
+    assert rows[0] > 32
+
+
+@pytest.mark.parametrize("field", range(4), ids=["mu1", "mu2", "s1", "s2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bivariate_fields_raise_domain_error(field, bad):
+    # a member is built only from finite means and scales, so neither 2d
+    # oracle meets a non-finite one
+    good = (0.1, -0.2, 0.9, 1.4, 0.35, 4.0 / 3.0)
+    args = list(good)
+    args[field] = bad
+    other = make_bivariate(*good)
+    calls = [lambda: make_bivariate(*args),
+             lambda: oracle.entropy_quad_2d(make_bivariate(*args)),
+             lambda: oracle.m_rel_entropy_quad(make_bivariate(*args), other),
+             lambda: oracle.m_rel_entropy_quad(other, make_bivariate(*args))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_nan_integrand_not_converged():
     cfg = oracle.QuadratureConfig()
-    for hi in (1.0, math.inf):
-        integral, _, converged = _tanhsinh.tanhsinh(
-            lambda x: np.full_like(x, np.nan), np.array([0.0]), np.array([hi]), (),
-            cfg.rel_tol, cfg.abs_tol)
-        assert not converged.any()
-        assert np.isnan(integral).all()
+    integral, _, converged = _tanhsinh.tanhsinh(
+        lambda x: np.full_like(x, np.nan), np.array([0.0]), np.array([1.0]), (),
+        cfg.rel_tol, cfg.abs_tol)
+    assert not converged.any()
+    assert np.isnan(integral).all()
+    value, err = _kronrod.tail(np.full((1, len(_kronrod.TAIL_TAU)), np.nan), 0.5)
+    assert np.isnan(value).all() and np.isnan(err).all()
     for m in (0.5, 4.0 / 3.0):
         nu = make_bivariate(0.1, -0.2, 0.9, 1.4, 0.35, m)
         assert not oracle._polar_quad(lambda log_b: np.full_like(log_b, np.nan), [nu], cfg).converged
