@@ -1,5 +1,6 @@
-"""Gauss-Kronrod quadrature over one half-line of a 1D q-Gaussian, and
-the algebraic-weight rule for heavy tails.
+"""Gauss-Kronrod quadrature over one half-line of a 1D q-Gaussian, the
+algebraic-weight rule for heavy tails, and the same rule at weight 1 on
+the finite pieces of the 2D oracle's rays.
 
 The rule of the 1D oracle.  Each subinterval gets QUADPACK's qk21: the
 21-point Kronrod extension of the 10-point Gauss rule, with QUADPACK's
@@ -30,7 +31,14 @@ interpolant against the weight tau^sigma, sigma = s - max(0, floor(s))
 in (-1, 1), through the modified Chebyshev moments of QUADPACK's qmomo.
 The error estimate comes from the interpolant's last two coefficients.
 
-The partition is fixed by q and the weight before anything is
+finite() runs that rule at sigma = 0, the weight 1, on every finite
+piece of a 2D ray, so every piece of every ray and every 1D tail is one
+interpolatory rule with weight tau^sigma.  A row that misses its
+tolerance halves the pieces above their share of it, for a fixed number
+of rounds; where a compact support or a far member's peak ends a piece,
+the map t = (1 - cos(pi x))/2 crowds the nodes at its ends.
+
+half_line()'s partition is fixed by q and the weight before anything is
 evaluated, so a call is one qk21 sweep and one tail rule; where it
 misses the tolerance, the result is reported unconverged.
 """
@@ -191,6 +199,119 @@ def tail(fa: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     err = (2.0 * r0) * (np.abs(c25) + np.abs(c26))
     err += _EPS * (abs(s) + 4.0) * (1.0 / (s + 1.0) + _LOG_END) * np.abs(value)
     return value, err
+
+
+# finite()'s pieces: the tail rule's nodes as fractions of a piece, the
+# x-ends of an uncrowded row's first pieces (the 1D heavy partition's
+# tau-pieces on the core [1/16, 1]), and the caps on bisection rounds and
+# on pieces per row
+_FRAC = TAIL_TAU / TAIL_END
+_CORE_X = np.array([0.0, 1.0, 3.0, 7.0, 15.0]) / 15.0
+_ROUNDS = 16
+_PIECES = 512
+
+
+def _pieces(f, lo, span, args, crowd, row, x0, dx):
+    """Integrals of f over the pieces [x0, x0 + dx] in x of the rows row,
+    their estimates and their |f|-integrals, by the tail rule at sigma = 0."""
+    t = x0[:, None] + dx[:, None] * _FRAC
+    jac = np.broadcast_to(span[row, None], t.shape)
+    on = crowd[row]
+    if on.any():
+        # t = sin(pi x/2)^2 and dt/dx = pi sin(pi x/2) cos(pi x/2), the
+        # cosine as sin(pi (1 - x)/2): 1 - x is exact for x >= 1/2, so the
+        # Jacobian keeps its relative accuracy at both ends of the row
+        x = t[on]
+        s, c = np.sin((0.5 * math.pi) * x), np.sin((0.5 * math.pi) * (1.0 - x))
+        t[on] = s * s
+        jac = jac.copy()
+        jac[on] *= math.pi * s * c
+    fv = f(lo[row, None] + span[row, None] * t, *(v[row, None] for v in args)) * jac
+    rows, _ = _tail_rows(0.0)
+    scale = dx / TAIL_END
+    value, c25, c26 = np.einsum("pj,kj->kp", fv, rows) * scale
+    return value, 2.0 * (np.abs(c25) + np.abs(c26)), np.einsum("pj,j->p", np.abs(fv), rows[0]) * scale
+
+
+def finite(
+    f: Callable[..., np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    args: tuple[np.ndarray, ...],
+    rtol: float,
+    atol: float,
+    crowd: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrals of f over the finite intervals [lo, hi], per row, and their
+    error estimates and convergence flags.
+
+    lo < hi elementwise.  f(t, *args) is elementwise, with one row of t per
+    piece and args as column arrays.  Each row runs in x in [0, 1]: where
+    crowd is set, t = lo + (hi - lo)(1 - cos(pi x))/2, whose nodes crowd at
+    both ends, and the row starts on the halves of [0, 1]; elsewhere t = lo
+    + (hi - lo) x, and the row starts on the pieces between _CORE_X, graded
+    toward lo.  Each piece gets the tail rule at sigma = 0: 27 first-kind
+    Chebyshev nodes, none at its ends, and the estimate 2 (|c_25| + |c_26|).
+
+    A row converges where its summed estimate is at most the largest of
+    atol, rtol |I| and 50 eps times its |f|-integral, the rounding floor of
+    QUADPACK's qk21.  Until then, each of its pieces whose estimate is
+    above its share of that bound, by width, is halved, for up to _ROUNDS
+    rounds and _PIECES pieces.  Where the halves' estimate stays within
+    1000 eps of their |f|-integral and does not fall below half their
+    piece's, it measures f's rounding, not the rule's error, and it is then
+    at most their change, |halves - piece|.  A row whose integral is not
+    finite stops unconverged.
+
+    A row's pieces are summed in their order along it, so each row's
+    results depend on its own row alone: a block of rows gives the same
+    bits as each row run alone.
+    """
+    n, span = len(lo), hi - lo
+    count = np.where(crowd, 2, 4)
+    row = np.repeat(np.arange(n), count)
+    j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    x0 = np.where(crowd[row], 0.5 * j, _CORE_X[j])
+    dx = np.where(crowd[row], 0.5, _CORE_X[j + 1] - _CORE_X[j])
+    value, error, conv = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    # log(0), 0 * inf and overflow are expected in f (far out on a ray)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        val, err, mag = _pieces(f, lo, span, args, crowd, row, x0, dx)
+        for rounds in range(_ROUNDS + 1):
+            # the rows still running, each a run of pieces from starts
+            starts = np.cumsum(count) - count
+            r = row[starts]
+            value[r], error[r] = np.add.reduceat(val, starts), np.add.reduceat(err, starts)
+            bound = np.maximum(np.maximum(atol, rtol * np.abs(value[r])),
+                               (50.0 * _EPS) * np.add.reduceat(mag, starts))
+            conv[r] = error[r] <= bound
+            seg = np.repeat(np.arange(len(r)), count)
+            split = (err > bound[seg] * dx) & (~conv[r] & np.isfinite(value[r]))[seg]
+            halved = np.add.reduceat(split, starts, dtype=int)
+            # a row goes on while it halves a piece and stays within the cap
+            go = (halved > 0) & (count + halved <= _PIECES)
+            split &= go[seg]
+            if rounds == _ROUNDS or not go.any():
+                break
+            # each piece of a row that goes on stays in place, or makes way
+            # for its two halves
+            reps = go[seg] + split.astype(int)
+            at = np.cumsum(reps)[split] - 2
+            half = 0.5 * dx[split]
+            kids = (np.repeat(row[split], 2), np.stack([x0[split], x0[split] + half], -1).ravel(),
+                    np.repeat(half, 2))
+            kids_val, kids_err, kids_mag = _pieces(f, lo, span, args, crowd, *kids)
+            pair_val, pair_err = kids_val.reshape(-1, 2).sum(-1), kids_err.reshape(-1, 2).sum(-1)
+            change = np.abs(pair_val - val[split])
+            floor = ((pair_err >= 0.5 * err[split]) & (change < pair_err)
+                     & (pair_err <= (1000.0 * _EPS) * kids_mag.reshape(-1, 2).sum(-1)))
+            kids_err.reshape(-1, 2)[floor] *= (change[floor] / pair_err[floor])[:, None]
+            idx = np.repeat(np.arange(len(row)), reps)
+            row, x0, dx, val, err, mag = (v[idx] for v in (row, x0, dx, val, err, mag))
+            at = np.stack([at, at + 1], -1).ravel()
+            x0[at], dx[at], val[at], err[at], mag[at] = *kids[1:], kids_val, kids_err, kids_mag
+            count = (count + halved)[go]
+    return value, error, conv
 
 
 def half_line(

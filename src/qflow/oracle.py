@@ -32,23 +32,22 @@ is not finite.  Domain policy:
 * every bivariate integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
-  trapezoid in angle, tanh-sinh in radius: the library's own rule
-  (qflow._tanhsinh) on scipy.integrate.tanhsinh's schedule (levels 4 to
-  10, Bailey's error estimate), on finite pieces only, with the nodes at
-  least 2^-53 of the piece's half-length from its ends, all rays of a
-  block of angles in one array; the coarsest 16 angles and the 16
-  midpoints of the first refinement form one block of 32 rays, so a
-  32-angle result takes one radial call.  Each member is evaluated along
-  a ray through its own quadratic in r, from the centre's whitened offset
-  and the ray's whitened slope, formed once per radial call: the rule
-  hands the integrand each member's log-bracket per node, and the
-  integrand forms one rounded log-density per member, from which it
-  takes both the density and its deformed log.  Heavy tails (m > 1) run
-  each ray to infinity untruncated: in tau = 1/(1 + r), tanh-sinh takes
-  r up to 15 (or past twice the distance of a far member's mean, where
-  the ray is also cut) and the tail rule the rest; compact supports
-  (m < 1) split each ray where it crosses a support ellipse, at the exact
-  roots of the member's quadratic, so non-nested supports stay exact.
+  trapezoid in angle; in radius, the tail rule's 27 Chebyshev nodes at
+  weight 1 on every piece of a ray (qflow._kronrod.finite), halved where
+  a piece misses the tolerance, all rays of a block of angles in one
+  array; the coarsest 16 angles and the 16 midpoints of the first
+  refinement form one block of 32 rays, so a 32-angle result takes one
+  radial call.  Each member is evaluated along a ray through its own
+  quadratic in r, from the centre's whitened offset and the ray's whitened
+  slope, formed once per radial call: the rule hands the integrand each
+  member's log-bracket per node, and the integrand forms one rounded
+  log-density per member, from which it takes both the density and its
+  deformed log.  Heavy tails (m > 1) run each ray to infinity untruncated:
+  in tau = 1/(1 + r), the finite rule takes r up to 15 (or past twice the
+  distance of a far member's mean, where the ray is also cut) and the tail
+  rule the rest; compact supports (m < 1) split each ray where it crosses
+  a support ellipse, at the exact roots of the member's quadratic, so
+  non-nested supports stay exact.
 
 Each result records the policy applied in its note.
 
@@ -95,16 +94,10 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget for the quadrature oracle.
-
-    max_subdivisions caps the blocks of angles the polar rule may
-    evaluate in 2d.  The 1d rule's partition is fixed by q and the
-    weight, so it has no budget.
-    """
+    """Tolerances of the quadrature oracle."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_subdivisions: int = 200
 
 
 class QuadResult(NamedTuple):
@@ -203,8 +196,9 @@ def entropy_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadRes
 
 # Angles per block of rays: bounds the size of the radial rule's arrays.
 _ANGLE_BLOCK = 64
-# Angle count of the coarsest periodic trapezoid rule.
+# Angle count of the coarsest periodic trapezoid rule, and the most it may reach.
 _MIN_ANGLES = 16
+_MAX_ANGLES = 8192
 
 
 def _polar_quad(
@@ -229,42 +223,40 @@ def _polar_quad(
     formed.
     In phi: the periodic trapezoid rule (Trefethen and Weideman, SIAM Rev.
     56, 2014), doubling on nested nodes until two totals agree within
-    max(abs_tol, rel_tol |I|), up to max_subdivisions blocks of angles.  In
-    r: tanh-sinh (Takahasi and Mori, 1974) with scipy.integrate.tanhsinh's
-    schedule (qflow._tanhsinh), one call per set of blocks of angles, whose
-    ray geometry is formed once.  Each ray is split where it crosses the
-    support ellipse Q_k = 1 of a compact member, at the roots of
-    a r^2 + 2 b r + q0 = 1 with the exact coefficients a = du^2 + dw^2,
-    b = u0 du + w0 dw and q0 = u0^2 + w0^2, and ended at the last crossing.
-    The pieces' nodes stay 2^-53 of their half-length from both ends, where
-    the integrand is bounded: it is r times a bounded function at the
-    centre, and a density goes to 0 at an ellipse crossing, where log_m of
-    it is -1/(1-m).  A heavy-tailed ray runs in tau = 1/(1 + r), with
-    Jacobian r/tau^2: qflow._kronrod's tail rule on (0, split] and
-    tanh-sinh on [split, 1], split = 1/16 (r = 15).  Where the ray passes
-    closest to a member's mean beyond r = 1, at tau*, the piece is cut
-    there (off the frame's unit scale the member's peak is narrow in tau,
-    and a cut puts it at a piece's end, where tanh-sinh's nodes crowd), and
-    split is at most tau*/2, so the peak, a near pole of the integrand,
-    stays out of the tail; the tail rule runs on lam F(lam t), lam =
-    16 split.  There 1 + Q_k = P_k(tau)/tau^2 with P_k a quadratic
-    positive on [0, 1], so f_k is tau^(2/(m-1)) times a function analytic
-    at 0, and every term of the integrands, times the Jacobian, is tau^s
-    times one, s = 2(2-m)/(m-1) - 3, as f^(2-m) r dr is; the terms'
-    exponents differ by integers.  The tail's estimate is judged
-    against the larger of the ray's two pieces: where H_m's terms cancel
-    far out, the tail's rounding is eps times the terms, not times the
-    tail.  Unless
-    max_subdivisions is 0, the rule always reaches 32 angles, so the 16
-    coarsest angles and their 16 midpoints share the first call; each
-    half is then summed on its own, in the order of a call of its own.
-    The radial rule's rows are independent, so this fusion gives the
-    same bits as one call per half: a 32-angle result takes one call, a
-    64-angle result two and a 128-angle result three.
+    max(abs_tol, rel_tol |I|), up to _MAX_ANGLES angles.  In r:
+    qflow._kronrod.finite, the tail rule's 27 first-kind Chebyshev nodes at
+    weight 1 on each piece, halved where a piece misses the tolerance, one
+    call per set of blocks of angles, whose ray geometry is formed once.
+    Each ray is split where it crosses the support ellipse Q_k = 1 of a
+    compact member, at the roots of a r^2 + 2 b r + q0 = 1 with the exact
+    coefficients a = du^2 + dw^2, b = u0 du + w0 dw and q0 = u0^2 + w0^2,
+    and ended at the last crossing.  Its pieces take the map r = lo + (hi -
+    lo)(1 - cos(pi x))/2, whose nodes crowd at both ends, where a density
+    goes to 0 and log_m of it to -1/(1-m); no node lies on an end, so a
+    piece one ulp long, where two supports touch, reads a finite value.  A
+    heavy-tailed ray runs in tau = 1/(1 + r), with Jacobian r/tau^2:
+    qflow._kronrod's tail rule on (0, split] and the finite rule on [split,
+    1], split = 1/16 (r = 15), on the 1D heavy partition's tau-pieces.
+    Where the ray passes closest to a member's mean beyond r = 1, at tau*,
+    the piece is cut there and its two pieces take the cosine map (off the
+    frame's unit scale the member's peak is narrow in tau, and a cut puts
+    it at a piece's end, where the map crowds the nodes), and split is at
+    most tau*/2, so the peak, a near pole of the integrand, stays out of
+    the tail; the tail rule runs on lam F(lam t), lam = 16 split.  There 1
+    + Q_k = P_k(tau)/tau^2 with P_k a quadratic positive on [0, 1], so f_k
+    is tau^(2/(m-1)) times a function analytic at 0, and every term of the
+    integrands, times the Jacobian, is tau^s times one, s = 2(2-m)/(m-1) -
+    3, as f^(2-m) r dr is; the terms' exponents differ by integers.  The
+    tail's estimate is judged against the larger of the ray's pieces:
+    where H_m's terms cancel far out, the tail's rounding is eps times the
+    terms, not times the tail.  Unless _MAX_ANGLES is below 32, the rule
+    always reaches 32 angles, so the 16 coarsest angles and their 16
+    midpoints share the first call; each half is then summed on its own,
+    in the order of a call of its own.  The radial rule's rows are
+    independent, so this fusion gives the same bits as one call per half:
+    a 32-angle result takes one call, a 64-angle result two and a
+    128-angle result three.
     """
-    # imported at the first polar integral; see that module's docstring
-    from . import _tanhsinh
-
     cx, cy = centre = members[0].mean
     # each term is divided before the sum, which then cannot overflow
     chol = np.linalg.cholesky(sum(nu.cov / len(members) for nu in members))
@@ -296,7 +288,7 @@ def _polar_quad(
         return integrand(*logs) * det * (r / (x * x))
 
     def radial(blocks: list[np.ndarray]) -> list[tuple[float, float, bool]]:
-        """One tanhsinh call over the rays at every block of angles; per
+        """One finite-rule call over the rays at every block of angles; per
         block, the sums of the radial integrals and of their errors, and
         whether all converged."""
         phis = np.concatenate(blocks)
@@ -327,10 +319,12 @@ def _polar_quad(
         lo, hi = cuts[:, :-1], cuts[:, 1:]
         live = lo < hi
         at = np.nonzero(live)[0]
-        out = _tanhsinh.tanhsinh(ray, lo[live], hi[live], tuple(v[at] for s in slopes for v in s),
-                                 cfg.rel_tol, cfg.abs_tol)
-        # only the pieces of positive length are integrated; the others hold 0,
-        # so a block sums the same array, in the same order, as scipy's tanhsinh
+        # compact pieces crowd their nodes at both ends, and so do the pieces of
+        # a heavy-tailed ray cut at a far mean, the rays with more than one
+        crowd = np.ones(len(at), dtype=bool) if compact else (live.sum(axis=1) > 1)[at]
+        out = _kronrod.finite(ray, lo[live], hi[live], tuple(v[at] for s in slopes for v in s),
+                              cfg.rel_tol, cfg.abs_tol, crowd)
+        # only the pieces of positive length are integrated; the others hold 0
         integral, error, success = np.zeros(live.shape), np.zeros(live.shape), np.ones_like(live)
         integral[live], error[live], success[live] = out
         if not compact:
@@ -352,13 +346,12 @@ def _polar_quad(
         return sum(totals), sum(errs), all(oks)
 
     n, step = _MIN_ANGLES, 2.0 * math.pi / _MIN_ANGLES
-    cap = _ANGLE_BLOCK * cfg.max_subdivisions
     phis = step * np.arange(n)
     # the coarsest rule and the midpoints of its first refinement share one radial call
-    first, *mids = radial([phis, step * (np.arange(n) + 0.5)] if 2 * n <= cap else [phis])
+    first, *mids = radial([phis, step * (np.arange(n) + 0.5)] if 2 * n <= _MAX_ANGLES else [phis])
     total, radial_err, converged = sweep([first])
     value, angle_err = step * total, math.inf
-    while 2 * n <= cap:
+    while 2 * n <= _MAX_ANGLES:
         # the refined rule adds the midpoints and keeps every earlier node
         if n > _MIN_ANGLES:
             phis = step * (np.arange(n) + 0.5)
@@ -372,7 +365,7 @@ def _polar_quad(
             break
     else:
         converged = False
-    note = f"polar trapezoid x tanh-sinh rule, {n} angles, centre ({cx:.6g}, {cy:.6g})"
+    note = f"polar trapezoid x Chebyshev rule, {n} angles, centre ({cx:.6g}, {cy:.6g})"
     return QuadResult(value, angle_err + step * radial_err, converged, note)
 
 

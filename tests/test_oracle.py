@@ -13,7 +13,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflow import _kronrod, _tanhsinh, checks, oracle, qmath
+from qflow import _kronrod, checks, oracle, qmath
 from qflow.functionals import StepPair, entropy_diff, jh, jko_step, q0h
 from qflow.qgaussian import (
     MBivariate,
@@ -402,13 +402,15 @@ def test_mrel_forms_agree_on_crossing_supports():
     assert first.value == pytest.approx(second.value, rel=1e-8)
 
 
-def test_small_budget_reports_unconverged():
-    # needs far more than one block of angles at this tolerance
+def test_small_budget_reports_unconverged(monkeypatch):
+    # needs far more than 64 angles at this tolerance
     f = make_bivariate(0.0, 0.0, 1.6, 1.5, -0.86, 4.0 / 3.0)
     g = make_bivariate(0.0, 0.0, 1.6, 1.7, 0.97, 4.0 / 3.0)
-    tight = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=1)
-    res = oracle.m_rel_entropy_quad(f, g, tight)
-    assert not res.converged
+    tight = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_MAX_ANGLES", 64)
+        res = oracle.m_rel_entropy_quad(f, g, tight)
+    assert not res.converged and ", 64 angles," in res.note
     assert oracle.m_rel_entropy_quad(f, g, CRIT3_CFG).converged
 
 
@@ -726,15 +728,29 @@ def test_support_included_geometry():
         oracle.support_included(inner, heavy)
 
 
-def test_quadrature_config_defaults():
+def test_quadrature_config_defaults(monkeypatch):
     cfg = oracle.QuadratureConfig()
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-13
-    assert cfg.max_subdivisions == 200
+    assert [field.name for field in dataclasses.fields(cfg)] == ["rel_tol", "abs_tol"]
+    # the polar rule doubles its angles up to a module constant; a patched
+    # cap stops it there
+    assert oracle._MAX_ANGLES == 8192
+    monkeypatch.setattr(oracle, "_MAX_ANGLES", 32)
+    res = oracle.m_rel_entropy_quad(*(make_bivariate(*args) for args in checks.MREL_PAIRS[1]))
+    assert ", 32 angles," in res.note and not res.converged
 
 
-# The radial rule of the polar oracle: a tanh-sinh on scipy's schedule, on
-# finite rows, with the nodes at least 2^-53 alpha from the ends.
+# The radial rule of the polar oracle: the tail rule's nodes at weight 1 on
+# each piece of a row, halved where a row misses its tolerance.
+
+
+def _quad_row(f, lo, hi, args=()):
+    """scipy's QUADPACK on one row of finite(), at its own tolerances."""
+    def point(x):
+        return float(f(np.array([[x]]), *(np.array([[a]]) for a in args))[0, 0])
+
+    return scipy.integrate.quad(point, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
 
 
 @pytest.mark.parametrize(
@@ -747,13 +763,17 @@ def test_quadrature_config_defaults():
     ],
     ids=["infinite-slope-ends", "power-tail", "exponential-tail"],
 )
-def test_tanhsinh_known_integrals(f, lo, hi, exact):
+def test_finite_known_integrals(f, lo, hi, exact):
     cfg = oracle.QuadratureConfig()
-    integral, error, converged = _tanhsinh.tanhsinh(
-        f, np.array([lo]), np.array([hi]), (), cfg.rel_tol, cfg.abs_tol)
-    assert converged[0]
-    assert abs(integral[0] / exact - 1.0) <= 1e-12
-    assert error[0] <= 1e-10
+    ref, ref_err = _quad_row(f, lo, hi)
+    assert abs(ref - exact) <= ref_err + 1e-15
+    for crowd in (True, False):
+        integral, error, converged = _kronrod.finite(
+            f, np.array([lo]), np.array([hi]), (), cfg.rel_tol, cfg.abs_tol, np.array([crowd]))
+        assert converged[0]
+        assert abs(integral[0] / exact - 1.0) <= 1e-12
+        assert abs(integral[0] - ref) <= error[0] + ref_err + 1e-15
+        assert error[0] <= 1e-10
 
 
 # the verify pairs and a compact pair whose support ellipses cross
@@ -761,71 +781,88 @@ _RAY_PAIRS = [*checks.MREL_PAIRS, ((0.1, 0.05, 1.2, 0.5, 0.3, 0.5), (-0.1, 0.0, 
 
 
 @pytest.mark.parametrize("pair", _RAY_PAIRS, ids=["compact", "heavy-tailed", "crossing"])
-def test_tanhsinh_matches_scipy_ray_by_ray(monkeypatch, pair):
-    from scipy.integrate import tanhsinh
-
+def test_finite_matches_quad_ray_by_ray(monkeypatch, pair):
     f, g = (make_bivariate(*args) for args in pair)
     calls = []
-    rule = _tanhsinh.tanhsinh
+    rule = _kronrod.finite
 
     def record(*args):
         out = rule(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    monkeypatch.setattr(_kronrod, "finite", record)
     cfg = oracle.QuadratureConfig()
     assert oracle.m_rel_entropy_quad(f, g, cfg).converged
     assert calls
-    for (ray, lo, hi, args, rtol, atol), (integral, error, converged) in calls:
-        # heavy-tailed rays: the piece r in [0, 15], as tau in [1/16, 1]
-        assert np.isfinite(hi).all()
-        if f.m > 1.0:
-            assert (lo == _kronrod.TAIL_END).all() and (hi == 1.0).all()
-        ref = tanhsinh(ray, lo, hi, args=args, rtol=rtol, atol=atol, minlevel=4)
-        np.testing.assert_allclose(integral, ref.integral, rtol=1e-14, atol=0.0)
-        np.testing.assert_array_equal(converged, ref.success)
+    (ray, lo, hi, args, rtol, atol, crowd), (integral, error, converged) = calls[0]
+    assert converged.all()
+    if f.m > 1.0:
+        # heavy-tailed rays: the core r in [0, 15], as tau in [1/16, 1], on
+        # the 1D heavy partition's tau-pieces, with no cosine map
+        assert (lo == _kronrod.TAIL_END).all() and (hi == 1.0).all() and not crowd.any()
+    else:
+        assert crowd.all()
+    # every eighth row: quad's and the rule's integrals agree within the
+    # summed estimates
+    for j in range(0, len(lo), 8):
+        ref, ref_err = _quad_row(ray, lo[j], hi[j], [a[j] for a in args])
+        assert abs(integral[j] - ref) <= error[j] + ref_err + 4 * sys.float_info.epsilon * abs(ref)
 
 
 @pytest.mark.parametrize(
     "f, lo, hi",
     [
         (lambda x: np.sin(50.0 * x), [0.0, 1.0], [3.0, 9.0]),
-        (lambda x: (x > 0.3) * 1.0, [0.0], [1.0]),
+        (lambda x: (x > 0.31) * 1.0, [0.0], [1.0]),
     ],
     ids=["oscillating", "step"],
 )
-def test_tanhsinh_matches_scipy_past_the_first_level(f, lo, hi):
-    # levels 5 to 10: the oscillating integrals converge there, the step runs out
-    from scipy.integrate import tanhsinh
+def test_finite_bisects_past_the_first_round(monkeypatch, f, lo, hi):
+    # the oscillating rows converge after a few rounds of halving; the step
+    # halves the piece that holds it until the rounds run out, unconverged
+    # (at 0.31 it never falls on a piece's end)
+    rounds = []
+    pieces = _kronrod._pieces
 
+    def record(*args):
+        rounds.append(len(args[-1]))
+        return pieces(*args)
+
+    monkeypatch.setattr(_kronrod, "_pieces", record)
     lo, hi = np.array(lo), np.array(hi)
     cfg = oracle.QuadratureConfig()
-    integral, error, converged = _tanhsinh.tanhsinh(f, lo, hi, (), cfg.rel_tol, cfg.abs_tol)
-    ref = tanhsinh(f, lo, hi, rtol=cfg.rel_tol, atol=cfg.abs_tol, minlevel=4)
-    assert (ref.maxlevel > 4).all()
-    np.testing.assert_allclose(integral, ref.integral, rtol=1e-14, atol=0.0)
-    # the rows drop the nodes within 2^-53 alpha of an end, which moves
-    # Bailey's estimate at its floor of a few eps |I|
-    assert (np.abs(error - ref.error) <= 8 * sys.float_info.epsilon * np.abs(integral)).all()
-    np.testing.assert_array_equal(converged, ref.success)
+    for crowd in (True, False):
+        rounds.clear()
+        integral, error, converged = _kronrod.finite(f, lo, hi, (), cfg.rel_tol, cfg.abs_tol,
+                                                     np.full(len(lo), crowd))
+        assert len(rounds) > 2
+        if len(lo) == 1:
+            assert len(rounds) == _kronrod._ROUNDS + 1
+        for j in range(len(lo)):
+            ref, ref_err = _quad_row(f, lo[j], hi[j])
+            assert abs(integral[j] - ref) <= error[j] + ref_err
+            assert converged[j] == (len(lo) > 1)
 
 
-def test_tanhsinh_rows_are_independent_bit_for_bit():
-    # a block of intervals gives each interval's integral, error and flag
-    # bits as a call on that interval alone: the fused polar sweep relies on
-    # it.  The rows stop at level 4, past it (the oscillating one) or never
-    # (the divergent one).
+def test_finite_rows_are_independent_bit_for_bit():
+    # a block of rows gives each row's integral, error and flag bits as a
+    # call on that row alone: the fused polar sweep relies on it.  The rows
+    # stop in the first round, past it (the oscillating one) or never (the
+    # divergent one); crowded and uncrowded rows share the block
     def f(x, c, p):
         return np.cos(c * x) * np.abs(x) ** -p
 
-    rows = [(0.0, 1.0, 0.0, 0.5), (0.0, 3.0, 50.0, 0.0), (1.0, 9.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0)]
+    rows = [(0.0, 1.0, 0.0, 0.5), (0.0, 3.0, 50.0, 0.0), (1.0, 9.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0),
+            (0.5, 2.0, 3.0, 0.0)]
     cfg = oracle.QuadratureConfig()
     lo, hi, c, p = (np.array(col) for col in zip(*rows))
-    block = _tanhsinh.tanhsinh(f, lo, hi, (c, p), cfg.rel_tol, cfg.abs_tol)
+    crowd = np.array([True, False, True, False, False])
+    block = _kronrod.finite(f, lo, hi, (c, p), cfg.rel_tol, cfg.abs_tol, crowd)
     for j in range(len(rows)):
         one = slice(j, j + 1)
-        alone = _tanhsinh.tanhsinh(f, lo[one], hi[one], (c[one], p[one]), cfg.rel_tol, cfg.abs_tol)
+        alone = _kronrod.finite(f, lo[one], hi[one], (c[one], p[one]), cfg.rel_tol, cfg.abs_tol,
+                                crowd[one])
         for out_block, out_alone in zip(block, alone):
             assert out_block[one].tobytes() == out_alone.tobytes()
     assert block[2].any() and not block[2].all()
@@ -835,30 +872,32 @@ _HEAVY = (0.1, -0.1, 0.8, 1.2, 0.3, 1.15)
 
 
 @pytest.mark.parametrize(
-    "members, cfg, angles, n_calls",
+    "members, cfg, max_angles, angles, n_calls",
     [
-        ([_HEAVY], oracle.QuadratureConfig(), 32, 1),
-        ([_HEAVY], oracle.QuadratureConfig(max_subdivisions=0), 16, 1),
-        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 64, 2),
-        (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), 64, 2),
+        ([_HEAVY], oracle.QuadratureConfig(), None, 32, 1),
+        ([_HEAVY], oracle.QuadratureConfig(), 0, 16, 1),
+        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), None, 64, 2),
+        (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), None, 64, 2),
         ((_HEAVY, (-0.1, 0.05, 1.0, 0.9, -0.2, 1.15)),
-         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), 128, 3),
-        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(max_subdivisions=0), 16, 1),
+         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), None, 128, 3),
+        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 0, 16, 1),
     ],
     ids=["entropy-32", "entropy-no-refinement", "verify-compact", "verify-heavy-tailed",
          "mrel-heavy-tailed-128", "mrel-no-refinement"],
 )
-def test_polar_radial_calls(monkeypatch, members, cfg, angles, n_calls):
+def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, n_calls):
     # the 16 coarsest angles and their 16 midpoints share one radial call;
     # each further refinement takes one call per block of midpoints
     calls = []
-    rule = _tanhsinh.tanhsinh
+    rule = _kronrod.finite
 
     def record(*args):
         calls.append(len(args[1]))
         return rule(*args)
 
-    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    monkeypatch.setattr(_kronrod, "finite", record)
+    if max_angles is not None:
+        monkeypatch.setattr(oracle, "_MAX_ANGLES", max_angles)
     nus = [make_bivariate(*args) for args in members]
     if len(nus) == 1:
         res = oracle.entropy_quad_2d(nus[0], cfg)
@@ -872,25 +911,6 @@ def test_polar_radial_calls(monkeypatch, members, cfg, angles, n_calls):
         assert calls == ([16] if angles == 16 else [32, 32, 64][:n_calls])
 
 
-def test_finite_stages_keep_the_nodes_2_53_from_the_ends():
-    # a finite row reads the level tables' nodes whose complement is at least
-    # 2^-53, with their bits; the others round onto hi or lie within 2^-53
-    # alpha of lo
-    full_stages, _ = _tanhsinh._stages(_tanhsinh._LEVELS)
-    assert len(_tanhsinh._STAGES) == len(full_stages)
-    for (xjc, wj), (full_xjc, full_wj) in zip(_tanhsinh._STAGES, full_stages):
-        keep = full_xjc >= 2.0**-53
-        assert (xjc >= 2.0**-53).all()
-        assert xjc.tobytes() == full_xjc[keep].tobytes()
-        assert wj.tobytes() == full_wj[keep].tobytes()
-    assert len(_tanhsinh._STAGES[0][0]) == 67
-    # levels 0..k are the first _NODES[k] nodes of the first stage
-    first = _tanhsinh._STAGES[0][0]
-    for k in range(_tanhsinh.MIN_LEVEL + 1):
-        kept = [x[x >= 2.0**-53] for x, _ in _tanhsinh._LEVELS[: k + 1]]
-        assert first[: _tanhsinh._NODES[k]].tobytes() == np.concatenate(kept).tobytes()
-
-
 _M145_PAIR = ((0.3, 0.1, 0.9, 1.1, 0.25, 1.45), (0.0, 0.0, 1.0, 1.0, 0.0, 1.45))
 
 
@@ -901,7 +921,7 @@ def test_ray_log_density_matches_public_density(monkeypatch, pair):
     # rule's per-ray quadratic, is MBivariate.density at the node's (x, y);
     # heavy-tailed rays run in tau = 1/(1 + r)
     f, g = (make_bivariate(*args) for args in pair)
-    rule, log_density = _tanhsinh.tanhsinh, oracle._log_density
+    rule, log_density = _kronrod.finite, oracle._log_density
     nodes, dens = [], []
 
     def first_call(ray, *rest):
@@ -910,7 +930,7 @@ def test_ray_log_density_matches_public_density(monkeypatch, pair):
             return ray(r, *slopes)
 
         out = rule(record, *rest)
-        monkeypatch.setattr(_tanhsinh, "tanhsinh", rule)
+        monkeypatch.setattr(_kronrod, "finite", rule)
         monkeypatch.setattr(oracle, "_log_density", log_density)
         return out
 
@@ -919,7 +939,7 @@ def test_ray_log_density_matches_public_density(monkeypatch, pair):
         dens.append(fv.copy())
         return fv, lm
 
-    monkeypatch.setattr(_tanhsinh, "tanhsinh", first_call)
+    monkeypatch.setattr(_kronrod, "finite", first_call)
     monkeypatch.setattr(oracle, "_log_density", record_density)
     assert oracle.m_rel_entropy_quad(f, g).converged
     assert len(dens) == 2 * len(nodes) > 0
@@ -961,13 +981,13 @@ def test_far_tail_reads_zero_not_nan(monkeypatch, pair):
     # underflow
     f, g = (make_bivariate(*args) for args in pair)
     calls = []
-    rule = _tanhsinh.tanhsinh
+    rule = _kronrod.finite
 
     def record(ray, lo, hi, args, *rest):
         calls.append((ray, args))
         return rule(ray, lo, hi, args, *rest)
 
-    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    monkeypatch.setattr(_kronrod, "finite", record)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for res in (oracle.m_rel_entropy_quad(f, g), oracle.m_rel_entropy_quad(f, g, form="first"),
@@ -1005,28 +1025,50 @@ def test_heavy_tails_next_to_the_exponent_ends(m, cfg):
 @pytest.mark.parametrize("m", [1.3, 1.45, 1.49])
 def test_heavy_rays_cut_where_they_pass_a_far_mean(monkeypatch, m, distance):
     # g's mean lies 5 or 40 frame units out: a ray that passes it is cut
-    # there, so g's peak sits at a piece's end, where tanh-sinh's nodes
-    # crowd, and the tail rule starts past twice its distance.  Without the
+    # there, so g's peak sits at a piece's end, where the cosine map crowds
+    # the nodes, and the tail rule starts past twice its distance.  Without the
     # cut m = 1.45 read 1.5e-10 off at 5 units; with the tail at r = 15
     # whatever the peak, every pair 20 or more units apart was unconverged
     f = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.2, m)
     g = make_bivariate(0.6 * distance, 0.8 * distance, 0.9, 1.2, 0.3, m)
     closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
-    rows = []
-    rule = _tanhsinh.tanhsinh
+    rows, crowded = [], []
+    rule = _kronrod.finite
 
-    def record(ray, lo, *rest):
+    def record(ray, lo, hi, args, rtol, atol, crowd):
         rows.append(len(lo))
-        return rule(ray, lo, *rest)
+        crowded.append(int(crowd.sum()))
+        return rule(ray, lo, hi, args, rtol, atol, crowd)
 
-    monkeypatch.setattr(_tanhsinh, "tanhsinh", record)
+    monkeypatch.setattr(_kronrod, "finite", record)
     for cfg in (oracle.QuadratureConfig(), CRIT3_CFG):
         for form in ("first", "second"):
             res = oracle.m_rel_entropy_quad(f, g, cfg, form=form)
             assert res.converged
             assert abs(res.value - closed) <= 1e-13 * closed, (res, closed)
-    # the first radial call holds 32 rays, and those toward g's mean carry a cut
+    # the first radial call holds 32 rays, and those toward g's mean carry a
+    # cut; only their pieces crowd their nodes
     assert rows[0] > 32
+    assert 0 < crowded[0] == 2 * (rows[0] - 32)
+
+
+def test_tangent_supports():
+    # supports that touch from inside (m = 0.5) and from outside (m = 0.9):
+    # a ray meets a piece one ulp long at the point of contact, whose nodes
+    # round onto its ends.  The inner pair's closed form holds, as supp f
+    # lies in supp g
+    f = make_bivariate(math.sqrt(8.0) / 2.0, 0.0, 0.5, 0.5, 0.0, 0.5)
+    g = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 0.5)
+    closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+    assert closed == pytest.approx(0.3886809181552526, rel=1e-15)
+    res = oracle.m_rel_entropy_quad(f, g)
+    assert res.converged
+    assert abs(res.value - closed) <= 1e-13
+    f = make_bivariate(1.5 * math.sqrt(24.0), 0.0, 0.5, 0.5, 0.0, 0.9)
+    g = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 0.9)
+    first, second = (oracle.m_rel_entropy_quad(f, g, form=form) for form in ("first", "second"))
+    assert first.converged and second.converged
+    assert abs(first.value - second.value) <= max(first.error_estimate, second.error_estimate)
 
 
 @pytest.mark.parametrize("field", range(4), ids=["mu1", "mu2", "s1", "s2"])
@@ -1051,11 +1093,12 @@ def test_non_finite_bivariate_fields_raise_domain_error(field, bad):
 
 def test_nan_integrand_not_converged():
     cfg = oracle.QuadratureConfig()
-    integral, _, converged = _tanhsinh.tanhsinh(
-        lambda x: np.full_like(x, np.nan), np.array([0.0]), np.array([1.0]), (),
-        cfg.rel_tol, cfg.abs_tol)
-    assert not converged.any()
-    assert np.isnan(integral).all()
+    for crowd in (True, False):
+        integral, _, converged = _kronrod.finite(
+            lambda x: np.full_like(x, np.nan), np.array([0.0]), np.array([1.0]), (),
+            cfg.rel_tol, cfg.abs_tol, np.array([crowd]))
+        assert not converged.any()
+        assert np.isnan(integral).all()
     value, err = _kronrod.tail(np.full((1, len(_kronrod.TAIL_TAU)), np.nan), 0.5)
     assert np.isnan(value).all() and np.isnan(err).all()
     for m in (0.5, 4.0 / 3.0):
