@@ -165,8 +165,10 @@ def _tail_rows(sigma: float) -> tuple[np.ndarray, float]:
     """The tail rule's weights on F for the weight tau^sigma and the rows
     giving the interpolant's last two coefficients c_25 and c_26 from F,
     each with TAIL_END^(sigma+1) / tau^sigma folded in, as a (3, node)
-    array, and r_0.  Cached: a 1D integral and every radial call of a 2D
-    one read the same sigma."""
+    array, and r_0.  Cached: every 1D integral of one q and weight reads
+    one sigma, and so does every 2D tail of one m (the entropy's ray and
+    each radial call of a two-member integral); finite() reads sigma = 0 on
+    every piece."""
     r0 = 1.0 / (sigma + 1.0)
     r = [r0, r0 * sigma / (sigma + 2.0)]
     for k in range(2, 27):

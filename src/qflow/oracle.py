@@ -29,7 +29,11 @@ is not finite.  Domain policy:
   mapped onto tau in (0, 1], the integrand is tau^s times a function
   analytic at tau = 0, and qflow._kronrod's tail rule, with the weight
   tau^s built into its moments, integrates (0, 1/16];
-* every bivariate integral goes through one polar rule whose frame comes
+* a member's entropy is one ray in its own frame, scaled so that the
+  bracket of exp_m is 1 -+ r^2, times 2 pi: the integrand is radial there,
+  and it is the 1D entropy integrand times r, one row of the finite rule
+  below (and the tail rule on a heavy tail);
+* every two-member integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
   trapezoid in angle; in radius, the tail rule's 27 Chebyshev nodes at
@@ -103,16 +107,29 @@ class QuadratureConfig:
 class QuadResult(NamedTuple):
     """Integral value with the adaptive error estimate.
 
-    converged is False when the 1d partition or the 2d budget of angles
-    missed the requested tolerance or a radial solve failed; note carries
-    the domain policy applied (the 1d half-lines, or the polar rule with
-    its final angle count and centre) and any quadrature message.
+    converged is False when the 1d partition, the 2d entropy's ray or the
+    2d budget of angles missed the requested tolerance or a radial solve
+    failed; note carries the domain policy applied (the 1d half-lines, the
+    2d entropy's one ray, or the polar rule with its final angle count and
+    centre) and any quadrature message.
     """
 
     value: float
     error_estimate: float
     converged: bool
     note: str
+
+
+def _entropy_integrand(log_b: np.ndarray, inv_om: float, shift: float) -> np.ndarray:
+    """f log_m f / norm at the nodes of a unit-frame integral, from the
+    log-bracket log_b there: exp(log_b/(1-m)) expm1(log_b + shift)/(1-m),
+    with inv_om = 1/(1-m) and shift = (1-m) log norm, since (1-m) log f =
+    log_b + shift.  The integrand of the 1D entropy and of the 2D entropy's
+    ray."""
+    fh = np.exp(log_b * inv_om)
+    fh *= np.expm1(log_b + shift)
+    fh *= inv_om
+    return fh
 
 
 def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> QuadResult:
@@ -153,12 +170,12 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     inv_om, shift = 1.0 / om, om * (math.log(c0) - 0.5 * math.log(v))
 
     def integrand(log_b, s2, jh):
-        fh = np.exp(log_b * inv_om)
-        if weight == "moment":
-            fh *= s2
-        elif weight == "entropy":
-            fh *= np.expm1(log_b + shift)
-            fh *= inv_om
+        if weight == "entropy":
+            fh = _entropy_integrand(log_b, inv_om, shift)
+        else:
+            fh = np.exp(log_b * inv_om)
+            if weight == "moment":
+                fh *= s2
         fh *= jh
         return fh
 
@@ -201,13 +218,36 @@ _MIN_ANGLES = 16
 _MAX_ANGLES = 8192
 
 
+def _ray_tail(ray: Callable[..., np.ndarray], split: np.ndarray, args: tuple[np.ndarray, ...],
+              m: float, pieces: np.ndarray, rtol: float,
+              atol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tails (0, split] in tau = 1/(1 + r) of heavy-tailed rays, whose
+    finite pieces hold the integrals pieces (ray, piece): per ray, the
+    tail, its estimate and whether that estimate meets the tolerance.
+
+    ray(tau, *args) is the integrand times the Jacobian, args as column
+    arrays; the tail rule runs on lam F(lam t), t in (0, 1/16], lam = 16
+    split, with s = 2(2-m)/(m-1) - 3, the exponent of f^(2-m) r dr.  The
+    estimate is judged against the larger of the tail and the ray's pieces:
+    where H_m's terms cancel far out, the tail's rounding is eps times the
+    terms, not times the tail.
+    """
+    lam = (split / _kronrod.TAIL_END)[:, None]
+    fa = ray(lam * _kronrod.TAIL_TAU, *args) * lam
+    tail, tail_err = _kronrod.tail(fa, 2.0 * (2.0 - m) / (m - 1.0) - 3.0)
+    scale = np.maximum(np.abs(tail), np.abs(pieces).max(axis=1))
+    return tail, tail_err, tail_err <= np.maximum(atol, rtol * scale)
+
+
 def _polar_quad(
     integrand: Callable[..., np.ndarray],
     members: Sequence[MBivariate],
     cfg: QuadratureConfig,
 ) -> QuadResult:
     """Integral over the plane of integrand(L_1, ..., L_n), in polar form,
-    where L_k is the log-bracket of member k at each node.
+    where L_k is the log-bracket of member k at each node: the rule of the
+    two-member integrals (a single member's entropy is one ray, see
+    entropy_quad_2d).
 
     The frame comes from the members alone: z = c + r L (cos phi, sin phi),
     Jacobian det(L) r, with c the first member's mean and L the Cholesky
@@ -234,28 +274,25 @@ def _polar_quad(
     lo)(1 - cos(pi x))/2, whose nodes crowd at both ends, where a density
     goes to 0 and log_m of it to -1/(1-m); no node lies on an end, so a
     piece one ulp long, where two supports touch, reads a finite value.  A
-    heavy-tailed ray runs in tau = 1/(1 + r), with Jacobian r/tau^2:
-    qflow._kronrod's tail rule on (0, split] and the finite rule on [split,
-    1], split = 1/16 (r = 15), on the 1D heavy partition's tau-pieces.
-    Where the ray passes closest to a member's mean beyond r = 1, at tau*,
-    the piece is cut there and its two pieces take the cosine map (off the
-    frame's unit scale the member's peak is narrow in tau, and a cut puts
-    it at a piece's end, where the map crowds the nodes), and split is at
-    most tau*/2, so the peak, a near pole of the integrand, stays out of
-    the tail; the tail rule runs on lam F(lam t), lam = 16 split.  There 1
-    + Q_k = P_k(tau)/tau^2 with P_k a quadratic positive on [0, 1], so f_k
-    is tau^(2/(m-1)) times a function analytic at 0, and every term of the
-    integrands, times the Jacobian, is tau^s times one, s = 2(2-m)/(m-1) -
-    3, as f^(2-m) r dr is; the terms' exponents differ by integers.  The
-    tail's estimate is judged against the larger of the ray's pieces:
-    where H_m's terms cancel far out, the tail's rounding is eps times the
-    terms, not times the tail.  Unless _MAX_ANGLES is below 32, the rule
-    always reaches 32 angles, so the 16 coarsest angles and their 16
-    midpoints share the first call; each half is then summed on its own,
-    in the order of a call of its own.  The radial rule's rows are
-    independent, so this fusion gives the same bits as one call per half:
-    a 32-angle result takes one call, a 64-angle result two and a
-    128-angle result three.
+    heavy-tailed ray runs in tau = 1/(1 + r), with Jacobian r/tau^2: the
+    tail rule on (0, split] (_ray_tail, which the entropy's ray shares) and
+    the finite rule on [split, 1], split = 1/16 (r = 15), on the 1D heavy
+    partition's tau-pieces.  Where the ray passes closest to a member's mean
+    beyond r = 1, at tau*, the piece is cut there and its two pieces take
+    the cosine map (off the frame's unit scale the member's peak is narrow
+    in tau, and a cut puts it at a piece's end, where the map crowds the
+    nodes), and split is at most tau*/2, so the peak, a near pole of the
+    integrand, stays out of the tail; the tail rule runs on lam F(lam t),
+    lam = 16 split.  There 1 + Q_k = P_k(tau)/tau^2 with P_k a quadratic
+    positive on [0, 1], so f_k is tau^(2/(m-1)) times a function analytic at
+    0, and every term of the integrands, times the Jacobian, is tau^s times
+    one, s = 2(2-m)/(m-1) - 3, as f^(2-m) r dr is; the terms' exponents
+    differ by integers.  Unless _MAX_ANGLES is below 32, the rule always
+    reaches 32 angles, so the 16 coarsest angles and their 16 midpoints
+    share the first call; each half is then summed on its own, in the order
+    of a call of its own.  The radial rule's rows are independent, so this
+    fusion gives the same bits as one call per half: a 32-angle result takes
+    one call, a 64-angle result two and a 128-angle result three.
     """
     cx, cy = centre = members[0].mean
     # each term is divided before the sum, which then cannot overflow
@@ -328,12 +365,9 @@ def _polar_quad(
         integral, error, success = np.zeros(live.shape), np.zeros(live.shape), np.ones_like(live)
         integral[live], error[live], success[live] = out
         if not compact:
-            # (0, split] as lam F(lam t) on t in (0, 1/16], lam = 16 split
-            lam = (split / _kronrod.TAIL_END)[:, None]
-            fa = ray(lam * _kronrod.TAIL_TAU, *(v[:, None] for s in slopes for v in s)) * lam
-            tail, tail_err = _kronrod.tail(fa, 2.0 * (2.0 - m) / (m - 1.0) - 3.0)
-            scale = np.maximum(np.abs(tail), np.abs(integral).max(axis=1))
-            success[:, 0] &= tail_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * scale)
+            tail, tail_err, ok = _ray_tail(ray, split, tuple(v[:, None] for s in slopes for v in s),
+                                           m, integral, cfg.rel_tol, cfg.abs_tol)
+            success[:, 0] &= ok
             integral[:, 0] += tail
             error[:, 0] += tail_err
         bounds = np.cumsum([len(block) for block in blocks])[:-1]
@@ -369,23 +403,28 @@ def _polar_quad(
     return QuadResult(value, angle_err + step * radial_err, converged, note)
 
 
+def _log_norm(nu: MBivariate) -> float:
+    """log norm = log C0 - log s1 - log s2 - log1p(-theta^2)/2, the log of
+    nu's density at its mean, C0/sqrt(det Sigma), from logs that cannot
+    overflow."""
+    return (math.log(nu.mparams.c0_q_d) - math.log(nu.s1) - math.log(nu.s2)
+            - 0.5 * math.log1p(-nu.theta * nu.theta))
+
+
 def _log_density(log_b: np.ndarray, nu: MBivariate) -> tuple[np.ndarray, np.ndarray]:
     """The density f of nu and (1-m) log_m f at the nodes of a polar
     integrand, from nu's log-bracket log_b there.
 
-    Both read one rounded log-density l = log_b/(1-m) + log norm, with
-    log norm = log C0 - log s1 - log s2 - log1p(-theta^2)/2: f = exp(l)
-    and (1-m) log_m f = expm1((1-m) l).  Reading the same l keeps the
-    cancellation between the terms of H_m.  The second array is log_b's,
+    Both read one rounded log-density l = log_b/(1-m) + log norm
+    (_log_norm): f = exp(l) and (1-m) log_m f = expm1((1-m) l).  Reading
+    the same l keeps the cancellation between the terms of H_m.  The second array is log_b's,
     overwritten.  For m > 1 it reads 0 where f underflows, so a product
     x log_m y is 0 where either density is 0, never 0 * inf.  Runs only in
     integrands, so inside the radial rule, whose np.errstate masks the
     overflow it meets.
     """
     om = 1.0 - nu.m
-    log_norm = (math.log(nu.mparams.c0_q_d) - math.log(nu.s1) - math.log(nu.s2)
-                - 0.5 * math.log1p(-nu.theta * nu.theta))
-    ell = np.add(np.divide(log_b, om, out=log_b), log_norm, out=log_b)
+    ell = np.add(np.divide(log_b, om, out=log_b), _log_norm(nu), out=log_b)
     dens = np.exp(ell)
     lm = np.expm1(np.multiply(ell, om, out=ell), out=ell)
     if om < 0.0:
@@ -396,21 +435,50 @@ def _log_density(log_b: np.ndarray, nu: MBivariate) -> tuple[np.ndarray, np.ndar
 def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Entropy integral f log_m f of a bivariate member, by quadrature.
 
-    The polar rule's frame is the member's own, so the integrand is radial;
-    it is f (1-m) log_m f / (1-m) from _log_density.
+    In the member's own frame the integrand is radial, so one ray, times
+    2 pi, gives the integral.  The ray runs in the whitened radius scaled by
+    k = sqrt(|1-m| C1/2), r, where the bracket of exp_m is 1 - r^2 (m < 1,
+    support edge r = 1) or 1 + r^2 (m > 1), and dx dy = sqrt(det Sigma)
+    r dr dphi / k^2.  With norm = C0/sqrt(det Sigma), f = norm
+    b^(1/(1-m)), so the integral is 2 pi C0/k^2 times that of the 1D
+    oracle's entropy integrand (_entropy_integrand) times r, about 1 at
+    every scale: abs_tol keeps its 1D meaning, and only shift = (1-m) log
+    norm reads the scale.  The ray is one row of qflow._kronrod.finite: a
+    compact one on [0, 1] with the nodes crowded at both ends, a
+    heavy-tailed one in tau = 1/(1 + r), Jacobian r/tau^2, on the 1D heavy
+    partition's pieces of [1/16, 1], and the tail rule on (0, 1/16]
+    (_ray_tail).  The estimate adds 4 eps |shift I|, the rounding of log
+    norm, as the 1D entropy does.
     Raises DomainError where s1^2 or s2^2 is not a normal double and where
     the integral is not finite.
     """
     cfg = cfg or QuadratureConfig()
+    nu.cov  # DomainError where s1^2 or s2^2 is not a normal double
+    om = 1.0 - nu.m
+    inv_om, shift = 1.0 / om, om * _log_norm(nu)
+    compact = om > 0.0
 
-    def integrand(log_b):
-        fv, lm = _log_density(log_b, nu)
-        fv *= lm
-        return np.divide(fv, 1.0 - nu.m, out=fv)
+    def ray(x):
+        # x is r on a compact ray, and tau = 1/(1 + r) on a heavy-tailed one
+        r = x if compact else 1.0 / x - 1.0
+        fv = _entropy_integrand(np.log1p(-r * r if compact else r * r), inv_om, shift)
+        fv *= r if compact else r / (x * x)
+        return fv
 
-    res = _polar_quad(integrand, [nu], cfg)
-    _finite(res.value, "the 2d entropy integral")
-    return res
+    pref = 2.0 * math.pi * nu.mparams.c0_q_d / (0.5 * abs(om) * nu.mparams.c1_q_d)
+    atol = cfg.abs_tol / pref
+    lo = np.array([0.0 if compact else _kronrod.TAIL_END])
+    value, err, conv = _kronrod.finite(ray, lo, np.ones(1), (), cfg.rel_tol, atol,
+                                       np.array([compact]))
+    if not compact:
+        tail, tail_err, ok = _ray_tail(ray, lo, (), nu.m, value[:, None], cfg.rel_tol, atol)
+        value, err, conv = value + tail, err + tail_err, conv & ok
+    value, err = pref * float(value[0]), pref * float(err[0])
+    # (1-m) log norm is rounded: its error moves every node's log_m f alike
+    err += 4.0 * _EPS * abs(shift * value)
+    _finite(value, "the 2d entropy integral")
+    policy = "to the support edge" if compact else "untruncated"
+    return QuadResult(value, err, bool(conv[0]), f"one ray in the member's unit frame, {policy}")
 
 
 def m_rel_entropy_quad(

@@ -47,21 +47,24 @@ def _g(q, mu=0.0, sigma=1.0):
 
 @pytest.fixture
 def polar_results(monkeypatch):
-    """Every result of the 2D polar rule computed during the test."""
+    """Every result of the 2D oracles computed during the test: the polar
+    rule's and entropy_quad_2d's one-ray results."""
     results = []
-    polar = oracle._polar_quad
 
-    def record(*args):
-        res = polar(*args)
-        results.append(res)
-        return res
+    def recorder(rule):
+        def record(*args):
+            res = rule(*args)
+            results.append(res)
+            return res
+        return record
 
-    monkeypatch.setattr(oracle, "_polar_quad", record)
+    for name in ("_polar_quad", "entropy_quad_2d"):
+        monkeypatch.setattr(oracle, name, recorder(getattr(oracle, name)))
     return results
 
 
 def _converged_detail(results):
-    return f"{sum(r.converged for r in results)}/{len(results)} polar calls converged"
+    return f"{sum(r.converged for r in results)}/{len(results)} 2D quadratures converged"
 
 
 def _slope(hs, errs):

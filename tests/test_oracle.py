@@ -874,15 +874,13 @@ _HEAVY = (0.1, -0.1, 0.8, 1.2, 0.3, 1.15)
 @pytest.mark.parametrize(
     "members, cfg, max_angles, angles, n_calls",
     [
-        ([_HEAVY], oracle.QuadratureConfig(), None, 32, 1),
-        ([_HEAVY], oracle.QuadratureConfig(), 0, 16, 1),
         (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), None, 64, 2),
         (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), None, 64, 2),
         ((_HEAVY, (-0.1, 0.05, 1.0, 0.9, -0.2, 1.15)),
          oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), None, 128, 3),
         (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 0, 16, 1),
     ],
-    ids=["entropy-32", "entropy-no-refinement", "verify-compact", "verify-heavy-tailed",
+    ids=["verify-compact", "verify-heavy-tailed",
          "mrel-heavy-tailed-128", "mrel-no-refinement"],
 )
 def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, n_calls):
@@ -899,16 +897,51 @@ def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, n_cal
     if max_angles is not None:
         monkeypatch.setattr(oracle, "_MAX_ANGLES", max_angles)
     nus = [make_bivariate(*args) for args in members]
-    if len(nus) == 1:
-        res = oracle.entropy_quad_2d(nus[0], cfg)
-    else:
-        res = oracle.m_rel_entropy_quad(*nus, cfg)
+    res = oracle.m_rel_entropy_quad(*nus, cfg)
     assert f", {angles} angles," in res.note
     assert len(calls) == n_calls
     assert res.converged == (angles > 16)
     if nus[0].m > 1.0:
         # one ray per angle on a heavy tail
         assert calls == ([16] if angles == 16 else [32, 32, 64][:n_calls])
+
+
+def _entropy_50(nu):
+    """The entropy [(2-m) C1 (C0/sqrt(det Sigma))^(1-m) - 1]/(1-m) of nu,
+    to 50 digits from the member's own doubles."""
+    with mpmath.workdps(50):
+        m, c0, c1 = (mpmath.mpf(v) for v in (nu.m, nu.mparams.c0_q_d, nu.mparams.c1_q_d))
+        det = (mpmath.mpf(nu.s1) * nu.s2) ** 2 * (1 - mpmath.mpf(nu.theta) ** 2)
+        return ((2 - m) * c1 * (c0 / mpmath.sqrt(det)) ** (1 - m) - 1) / (1 - m)
+
+
+@pytest.mark.parametrize("member", [(0.2, -0.1, 0.7, 1.3, 0.4, 0.5), _HEAVY,
+                                    (0.1, 0.2, 0.9, 1.1, 0.3, 1.45)],
+                         ids=["compact", "heavy-tailed", "m-1.45"])
+def test_entropy_quad_2d_integrates_one_ray(monkeypatch, member):
+    # the member's own frame makes the integrand radial: one finite-rule
+    # call on one row, and on a heavy tail one tail-rule call on that row,
+    # with no polar angles at all
+    rows, tails = [], []
+    rule, tail = _kronrod.finite, _kronrod.tail
+
+    def record_finite(f, lo, *rest):
+        rows.append(len(lo))
+        return rule(f, lo, *rest)
+
+    def record_tail(fa, s):
+        tails.append(fa.shape[0])
+        return tail(fa, s)
+
+    monkeypatch.setattr(_kronrod, "finite", record_finite)
+    monkeypatch.setattr(_kronrod, "tail", record_tail)
+    monkeypatch.setattr(oracle, "_MAX_ANGLES", 0)
+    nu = make_bivariate(*member)
+    res = oracle.entropy_quad_2d(nu)
+    assert res.converged is True
+    assert rows == [1]
+    assert tails == ([1] if nu.m > 1.0 else [])
+    assert abs(res.value - _entropy_50(nu)) <= res.error_estimate
 
 
 _M145_PAIR = ((0.3, 0.1, 0.9, 1.1, 0.25, 1.45), (0.0, 0.0, 1.0, 1.0, 0.0, 1.45))
@@ -999,6 +1032,21 @@ def test_far_tail_reads_zero_not_nan(monkeypatch, pair):
         assert np.isfinite(ray(_kronrod.TAIL_TAU, *(v[:, None] for v in args))).all()
     with np.errstate(over="ignore"):
         assert (ray(np.array([1e-100]), *(v[:, None] for v in args)) == 0.0).all()
+
+
+@pytest.mark.parametrize("m", [0.5, 1.15, 1.3, 1.45])
+@pytest.mark.parametrize("cfg", [oracle.QuadratureConfig(), CRIT3_CFG], ids=["default", "crit3"])
+def test_entropy_quad_2d_at_every_scale(m, cfg):
+    # the ray runs in the member's unit frame, where only (1-m) log norm
+    # reads the scale: from s = 1e-150, where f is about 1e300, to 1e150,
+    # every result converges within its own estimate of the 50-digit value
+    for s in (1e-150, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e150):
+        nu = make_bivariate(0.0, 0.0, s, s, 0.2, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = oracle.entropy_quad_2d(nu, cfg)
+        assert res.converged, (s, res)
+        assert abs(res.value - _entropy_50(nu)) <= res.error_estimate, (s, res)
 
 
 @pytest.mark.parametrize("m", [1.001, 1.01, 1.49])
