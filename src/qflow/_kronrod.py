@@ -36,7 +36,8 @@ piece of a 2D ray, so every piece of every ray and every 1D tail is one
 interpolatory rule with weight tau^sigma.  A row that misses its
 tolerance halves the pieces above their share of it, for a fixed number
 of rounds; where a compact support or a far member's peak ends a piece,
-the map t = (1 - cos(pi x))/2 crowds the nodes at its ends.
+the map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Such a row
+starts on the halves of [0, 1], whose mapped nodes are one table.
 
 half_line()'s partition is fixed by q and the weight before anything is
 evaluated, so a call is one qk21 sweep and one tail rule; where it
@@ -213,22 +214,39 @@ _ROUNDS = 16
 _PIECES = 512
 
 
-def _pieces(f, lo, span, args, crowd, row, x0, dx):
+def _crowd_map(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = sin(pi x/2)^2 and dt/dx = pi sin(pi x/2) cos(pi x/2) at x, the
+    cosine as sin(pi (1 - x)/2): 1 - x is exact for x >= 1/2, so the
+    Jacobian keeps its relative accuracy at both ends of the row."""
+    s, c = np.sin((0.5 * math.pi) * x), np.sin((0.5 * math.pi) * (1.0 - x))
+    return s * s, math.pi * s * c
+
+
+@lru_cache(maxsize=None)
+def _crowd_halves() -> np.ndarray:
+    """_crowd_map at the nodes of the halves [0, 1/2] and [1/2, 1] of x,
+    where every crowded row starts, as a (map, half, node) array."""
+    return _read_only(np.stack(_crowd_map(0.5 * np.arange(2.0)[:, None] + 0.5 * _FRAC)))[0]
+
+
+def _pieces(f, lo, span, args, crowd, row, x0, dx, half=None):
     """Integrals of f over the pieces [x0, x0 + dx] in x of the rows row,
-    their estimates and their |f|-integrals, by the tail rule at sigma = 0."""
-    t = x0[:, None] + dx[:, None] * _FRAC
-    jac = np.broadcast_to(span[row, None], t.shape)
+    their estimates and their |f|-integrals, by the tail rule at sigma = 0.
+
+    A crowded row's nodes go through _crowd_map.  Where half is given, the
+    index of each piece among its row's first pieces, a crowded row reads
+    the map from the table of its two halves (_crowd_halves) instead."""
     on = crowd[row]
-    if on.any():
-        # t = sin(pi x/2)^2 and dt/dx = pi sin(pi x/2) cos(pi x/2), the
-        # cosine as sin(pi (1 - x)/2): 1 - x is exact for x >= 1/2, so the
-        # Jacobian keeps its relative accuracy at both ends of the row
-        x = t[on]
-        s, c = np.sin((0.5 * math.pi) * x), np.sin((0.5 * math.pi) * (1.0 - x))
-        t[on] = s * s
-        jac = jac.copy()
-        jac[on] *= math.pi * s * c
-    fv = f(lo[row, None] + span[row, None] * t, *(v[row, None] for v in args)) * jac
+    if half is not None and on.all():
+        # every row crowded, on its first pieces: the table holds every node
+        t, dt = _crowd_halves()[:, half]
+    else:
+        t, dt = x0[:, None] + dx[:, None] * _FRAC, 1.0
+        if on.any():
+            dt = np.ones_like(t)
+            t[on], dt[on] = _crowd_map(t[on]) if half is None else _crowd_halves()[:, half[on]]
+    jac = span[row, None]
+    fv = f(lo[row, None] + jac * t, *(v[row, None] for v in args)) * (jac * dt)
     rows, _ = _tail_rows(0.0)
     scale = dx / TAIL_END
     value, c25, c26 = np.einsum("pj,kj->kp", fv, rows) * scale
@@ -250,10 +268,11 @@ def finite(
     lo < hi elementwise.  f(t, *args) is elementwise, with one row of t per
     piece and args as column arrays.  Each row runs in x in [0, 1]: where
     crowd is set, t = lo + (hi - lo)(1 - cos(pi x))/2, whose nodes crowd at
-    both ends, and the row starts on the halves of [0, 1]; elsewhere t = lo
-    + (hi - lo) x, and the row starts on the pieces between _CORE_X, graded
-    toward lo.  Each piece gets the tail rule at sigma = 0: 27 first-kind
-    Chebyshev nodes, none at its ends, and the estimate 2 (|c_25| + |c_26|).
+    both ends, and the row starts on the halves of [0, 1], whose map is
+    read from a table (_crowd_halves); elsewhere t = lo + (hi - lo) x, and
+    the row starts on the pieces between _CORE_X, graded toward lo.  Each
+    piece gets the tail rule at sigma = 0: 27 first-kind Chebyshev nodes,
+    none at its ends, and the estimate 2 (|c_25| + |c_26|).
 
     A row converges where its summed estimate is at most the largest of
     atol, rtol |I| and 50 eps times its |f|-integral, the rounding floor of
@@ -278,7 +297,7 @@ def finite(
     value, error, conv = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     # log(0), 0 * inf and overflow are expected in f (far out on a ray)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val, err, mag = _pieces(f, lo, span, args, crowd, row, x0, dx)
+        val, err, mag = _pieces(f, lo, span, args, crowd, row, x0, dx, j)
         for rounds in range(_ROUNDS + 1):
             # the rows still running, each a run of pieces from starts
             starts = np.cumsum(count) - count
@@ -287,14 +306,16 @@ def finite(
             bound = np.maximum(np.maximum(atol, rtol * np.abs(value[r])),
                                (50.0 * _EPS) * np.add.reduceat(mag, starts))
             conv[r] = error[r] <= bound
+            if rounds == _ROUNDS or conv[r].all():
+                break
             seg = np.repeat(np.arange(len(r)), count)
             split = (err > bound[seg] * dx) & (~conv[r] & np.isfinite(value[r]))[seg]
             halved = np.add.reduceat(split, starts, dtype=int)
             # a row goes on while it halves a piece and stays within the cap
             go = (halved > 0) & (count + halved <= _PIECES)
-            split &= go[seg]
-            if rounds == _ROUNDS or not go.any():
+            if not go.any():
                 break
+            split &= go[seg]
             # each piece of a row that goes on stays in place, or makes way
             # for its two halves
             reps = go[seg] + split.astype(int)

@@ -39,19 +39,19 @@ is not finite.  Domain policy:
   trapezoid in angle; in radius, the tail rule's 27 Chebyshev nodes at
   weight 1 on every piece of a ray (qflow._kronrod.finite), halved where
   a piece misses the tolerance, all rays of a block of angles in one
-  array; the coarsest 16 angles and the 16 midpoints of the first
-  refinement form one block of 32 rays, so a 32-angle result takes one
-  radial call.  Each member is evaluated along a ray through its own
-  quadratic in r, from the centre's whitened offset and the ray's whitened
-  slope, formed once per radial call: the rule hands the integrand each
-  member's log-bracket per node, and the integrand forms one rounded
-  log-density per member, from which it takes both the density and its
-  deformed log.  Heavy tails (m > 1) run each ray to infinity untruncated:
-  in tau = 1/(1 + r), the finite rule takes r up to 15 (or past twice the
-  distance of a far member's mean, where the ray is also cut) and the tail
-  rule the rest; compact supports (m < 1) split each ray where it crosses
-  a support ellipse, at the exact roots of the member's quadratic, so
-  non-nested supports stay exact.
+  array; the coarsest 16 angles and the midpoints of the first two
+  refinements, 16 and 32, form one block of 64 rays, so a 32- or
+  64-angle result takes one radial call.  Each member is evaluated along
+  a ray through its own quadratic in r, from the centre's whitened offset
+  and the ray's whitened slope, formed once per radial call: the rule
+  hands the integrand each member's log-bracket per node, and the
+  integrand forms one rounded log-density per member, from which it takes
+  both the density and its deformed log.  Heavy tails (m > 1) run each
+  ray to infinity untruncated: in tau = 1/(1 + r), the finite rule takes
+  r up to 15 (or past twice the distance of a far member's mean, where
+  the ray is also cut) and the tail rule the rest; compact supports
+  (m < 1) split each ray where it crosses a support ellipse, at the exact
+  roots of the member's quadratic, so non-nested supports stay exact.
 
 Each result records the policy applied in its note.
 
@@ -65,6 +65,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -287,12 +288,15 @@ def _polar_quad(
     positive on [0, 1], so f_k is tau^(2/(m-1)) times a function analytic at
     0, and every term of the integrands, times the Jacobian, is tau^s times
     one, s = 2(2-m)/(m-1) - 3, as f^(2-m) r dr is; the terms' exponents
-    differ by integers.  Unless _MAX_ANGLES is below 32, the rule always
-    reaches 32 angles, so the 16 coarsest angles and their 16 midpoints
-    share the first call; each half is then summed on its own, in the order
-    of a call of its own.  The radial rule's rows are independent, so this
-    fusion gives the same bits as one call per half: a 32-angle result takes
-    one call, a 64-angle result two and a 128-angle result three.
+    differ by integers.  The rule always reaches 32 angles and mostly 64,
+    so the first call holds the 16 coarsest angles and the midpoints of the
+    first two refinements, 16 and 32, as far as _MAX_ANGLES lets the rule
+    go: 64 rays, one _ANGLE_BLOCK.  Each refinement's midpoints are then
+    summed on their own, in the order of a call of their own, and read only
+    when the rule reaches them.  The radial rule's rows are independent, so
+    this fusion gives the same bits as one call per refinement: a 32- or
+    64-angle result takes one call and a 128-angle result two.  A result
+    that stops at 32 angles integrates 32 rays it does not read.
     """
     cx, cy = centre = members[0].mean
     # each term is divided before the sum, which then cannot overflow
@@ -329,7 +333,8 @@ def _polar_quad(
         block, the sums of the radial integrals and of their errors, and
         whether all converged."""
         phis = np.concatenate(blocks)
-        slopes = [mat @ np.stack([np.cos(phis), np.sin(phis)]) for _, mat in frames]
+        unit = np.stack([np.cos(phis), np.sin(phis)])
+        slopes = [mat @ unit for _, mat in frames]
         if compact:
             ends = [np.zeros_like(phis)]
         else:
@@ -370,9 +375,9 @@ def _polar_quad(
             success[:, 0] &= ok
             integral[:, 0] += tail
             error[:, 0] += tail_err
-        bounds = np.cumsum([len(block) for block in blocks])[:-1]
-        return [(float(i.sum()), float(e.sum()), bool(ok.all()))
-                for i, e, ok in zip(*(np.split(v, bounds) for v in (integral, error, success)))]
+        edges = list(accumulate((len(block) for block in blocks), initial=0))
+        return [(float(integral[a:b].sum()), float(error[a:b].sum()), bool(success[a:b].all()))
+                for a, b in zip(edges, edges[1:])]
 
     def sweep(sums: list[tuple[float, float, bool]]) -> tuple[float, float, bool]:
         """Totals over the blocks of one set of angles, in block order."""
@@ -380,14 +385,18 @@ def _polar_quad(
         return sum(totals), sum(errs), all(oks)
 
     n, step = _MIN_ANGLES, 2.0 * math.pi / _MIN_ANGLES
-    phis = step * np.arange(n)
-    # the coarsest rule and the midpoints of its first refinement share one radial call
-    first, *mids = radial([phis, step * (np.arange(n) + 0.5)] if 2 * n <= _MAX_ANGLES else [phis])
+    # the coarsest rule and the midpoints of its first two refinements, 16 + 16
+    # + 32 rays, share one radial call, as far as the cap lets the rule go
+    blocks = [step * np.arange(n)]
+    blocks += [(step / k) * (np.arange(k * n) + 0.5) for k in (1, 2) if 2 * k * n <= _MAX_ANGLES]
+    first, *ready = radial(blocks)
     total, radial_err, converged = sweep([first])
     value, angle_err = step * total, math.inf
     while 2 * n <= _MAX_ANGLES:
         # the refined rule adds the midpoints and keeps every earlier node
-        if n > _MIN_ANGLES:
+        if ready:
+            mids = [ready.pop(0)]
+        else:
             phis = step * (np.arange(n) + 0.5)
             mids = [radial([block])[0]
                     for block in np.split(phis, range(_ANGLE_BLOCK, n, _ANGLE_BLOCK))]

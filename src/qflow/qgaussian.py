@@ -252,12 +252,13 @@ def _spd_det(mat: np.ndarray, d: int, name: str) -> float:
         raise DomainError(f"{name} must have shape ({d}, {d}), got {mat.shape}")
     if not (np.isfinite(mat).all() and (np.diagonal(mat) >= _DBL_MIN).all()):
         raise DomainError(f"{name} needs finite entries and normal diagonal entries")
-    if not np.allclose(mat, mat.T, rtol=1e-12, atol=0.0):
-        raise DomainError(f"{name} must be symmetric")
     if d == 1:
         det = float(mat[0, 0])
     else:
         (a, b), (c, e) = mat.tolist()
+        # np.allclose(mat, mat.T) at rtol 1e-12, atol 0, on the two floats it reads
+        if not (abs(b - c) <= 1e-12 * abs(c) and abs(c - b) <= 1e-12 * abs(b)):
+            raise DomainError(f"{name} must be symmetric")
         det = a * e - b * c if math.isfinite(a * e) else a * (e - b * (c / a))
     if not _DBL_MIN <= det < math.inf:
         raise DomainError(f"{name} needs a positive normal determinant, got {det!r}")

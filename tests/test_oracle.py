@@ -872,20 +872,23 @@ _HEAVY = (0.1, -0.1, 0.8, 1.2, 0.3, 1.15)
 
 
 @pytest.mark.parametrize(
-    "members, cfg, max_angles, angles, n_calls",
+    "members, cfg, max_angles, angles, rows",
     [
-        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), None, 64, 2),
-        (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), None, 64, 2),
+        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), None, 64, [128]),
+        (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), None, 64, [64]),
         ((_HEAVY, (-0.1, 0.05, 1.0, 0.9, -0.2, 1.15)),
-         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), None, 128, 3),
-        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 0, 16, 1),
+         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), None, 128, [64, 64]),
+        (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 0, 16, [32]),
     ],
     ids=["verify-compact", "verify-heavy-tailed",
          "mrel-heavy-tailed-128", "mrel-no-refinement"],
 )
-def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, n_calls):
-    # the 16 coarsest angles and their 16 midpoints share one radial call;
-    # each further refinement takes one call per block of midpoints
+def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, rows):
+    # the 16 coarsest angles and the midpoints of the first two refinements
+    # share one radial call of 64 rays; each further refinement takes one
+    # call per block of midpoints.  A compact ray from f's mean inside
+    # supp g has two pieces, f's support and the rest of g's; a heavy-tailed
+    # ray one
     calls = []
     rule = _kronrod.finite
 
@@ -899,11 +902,60 @@ def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, n_cal
     nus = [make_bivariate(*args) for args in members]
     res = oracle.m_rel_entropy_quad(*nus, cfg)
     assert f", {angles} angles," in res.note
-    assert len(calls) == n_calls
+    assert calls == rows
     assert res.converged == (angles > 16)
-    if nus[0].m > 1.0:
-        # one ray per angle on a heavy tail
-        assert calls == ([16] if angles == 16 else [32, 32, 64][:n_calls])
+
+
+# a nested band-lt1 pair of the oracle-xcheck design that converges at 32 angles
+_NESTED_32 = ((0.8277608722922297, -0.7418088880940095, 0.3322131933234943, 0.3481492216117921,
+               -0.011157317222770975, 0.49865999704628966),
+              (0.146656191260216, -0.18757867523081156, 0.813454573299699, 0.8036269667096013,
+               -0.03345955520344013, 0.49865999704628966))
+
+
+@pytest.mark.parametrize("form", ["first", "second"])
+def test_first_call_rays_past_the_result_never_leak(monkeypatch, form):
+    # the first radial call also integrates the 32 midpoints of the second
+    # refinement; a result that stops at 32 angles must read the same bits
+    # as where the cap leaves them out of the call
+    f, g = (make_bivariate(*args) for args in _NESTED_32)
+    rows, results = [], []
+    rule = _kronrod.finite
+
+    def record(*args):
+        rows.append(len(args[1]))
+        return rule(*args)
+
+    monkeypatch.setattr(_kronrod, "finite", record)
+    for cap in (oracle._MAX_ANGLES, 32):
+        monkeypatch.setattr(oracle, "_MAX_ANGLES", cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results.append(oracle.m_rel_entropy_quad(f, g, form=form))
+    # one call each: 64 rays, then 32, of two pieces each (f's mean lies inside both supports)
+    assert rows == [128, 64]
+    full, capped = results
+    assert full.converged and ", 32 angles," in full.note
+    assert full.value.hex() == capped.value.hex()
+    assert full.error_estimate.hex() == capped.error_estimate.hex()
+    assert (full.converged, full.note) == (capped.converged, capped.note)
+
+
+def test_crowd_map_table_is_the_map_at_the_halves():
+    # the first round of a crowded row reads t = sin(pi x/2)^2 and dt/dx =
+    # pi sin(pi x/2) cos(pi x/2) from a table; it holds the bits the map
+    # gives at the halves' nodes x0 + dx frac, x0 = 0 or 1/2, dx = 1/2, here
+    # formed among other rows' nodes as a bisection round forms them
+    table = _kronrod._crowd_halves()
+    assert table.shape == (2, 2, 27) and not table.flags.writeable
+    x0 = np.array([0.25, 0.0, 0.5, 0.125])
+    dx = np.array([0.125, 0.5, 0.5, 0.0625])
+    x = x0[:, None] + dx[:, None] * _kronrod._FRAC
+    s, c = np.sin((0.5 * math.pi) * x), np.sin((0.5 * math.pi) * (1.0 - x))
+    for expect, got in zip((s * s, math.pi * s * c), table):
+        assert expect[1:3].tobytes() == got.tobytes()
+    for expect, got in zip(_kronrod._crowd_map(x[1:3]), table):
+        assert expect.tobytes() == got.tobytes()
 
 
 def _entropy_50(nu):
@@ -1094,10 +1146,10 @@ def test_heavy_rays_cut_where_they_pass_a_far_mean(monkeypatch, m, distance):
             res = oracle.m_rel_entropy_quad(f, g, cfg, form=form)
             assert res.converged
             assert abs(res.value - closed) <= 1e-13 * closed, (res, closed)
-    # the first radial call holds 32 rays, and those toward g's mean carry a
+    # the first radial call holds 64 rays, and those toward g's mean carry a
     # cut; only their pieces crowd their nodes
-    assert rows[0] > 32
-    assert 0 < crowded[0] == 2 * (rows[0] - 32)
+    assert rows[0] > 64
+    assert 0 < crowded[0] == 2 * (rows[0] - 64)
 
 
 def test_tangent_supports():

@@ -186,6 +186,23 @@ def test_m_rel_closed_where_the_diagonal_product_overflows():
                              rel=1e-14))
 
 
+def test_spd_det_symmetry_is_relative_at_1e_12():
+    # the off-diagonal entries may differ by 1e-12 of either, not more; both
+    # orders of the pair, and the closed form, read the same rule
+    mp = make_params(0.5, 2)
+    for near, symmetric in ((0.2 * (1.0 + 5e-13), True), (0.2 * (1.0 + 1e-11), False)):
+        for b, c in ((0.2, near), (near, 0.2)):
+            sigma = np.array([[1.0, b], [c, 1.5]])
+            if symmetric:
+                assert _spd_det(sigma, 2, "sigma") == 1.5 - b * c
+                assert m_rel_entropy_closed(mp, [0.0, 0.0], sigma, [0.1, 0.0], 2.0 * sigma) > 0.0
+                continue
+            with pytest.raises(DomainError, match="must be symmetric"):
+                _spd_det(sigma, 2, "sigma")
+            with pytest.raises(DomainError, match="sigma_b must be symmetric"):
+                m_rel_entropy_closed(mp, [0.0, 0.0], np.eye(2), [0.1, 0.0], sigma)
+
+
 def test_m_rel_closed_takes_d_up_to_two():
     mp = make_params(0.8, 3)
     with pytest.raises(DomainError):
