@@ -34,10 +34,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import Callable, Sequence
 
-from .functionals import StepPair, _jko_sigma, entropy_diff, wasserstein2_sq
+from .functionals import StepPair, _jko_scales, entropy_diff, wasserstein2_sq
 from .pme_flow import evolve_sigma
 from .qgaussian import QGaussian1D
 from .qmath import DomainError, make_params
@@ -94,9 +96,19 @@ class ConvergenceTable:
         """Each row's cells by repr, comma-joined.
 
         Formatted on the first render and kept, so the rows must not change
-        after it.
+        after it.  Where every row has one width, a column whose cells are
+        all one object is formatted once.  That is decided by identity:
+        0.0, -0.0 and 0 compare equal but print differently.
         """
-        return tuple(",".join(map(repr, row)) for row in self.rows)
+        rows = self.rows
+        if len(set(map(len, rows))) != 1 or not rows[0]:
+            return tuple(",".join(map(repr, row)) for row in rows)
+        n = len(rows)
+        cols = [
+            repeat(repr(col[0]), n) if all(map(is_, col, repeat(col[0]))) else map(repr, col)
+            for col in zip(*rows)
+        ]
+        return tuple(map(",".join, zip(*cols)))
 
 
 def _table(schema: str, inputs: dict, columns: tuple[str, ...], rows: list) -> ConvergenceTable:
@@ -214,18 +226,28 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
 
 
 def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> ConvergenceTable:
-    """Minimizing-movement trajectory against the exact scale evolution."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps!r}")
+    """Minimizing-movement trajectory against the exact scale evolution.
+
+    The scales are one _jko_scales call, jko_step's steps on the scale
+    alone: the mean stays mu0.  A table that cannot be formed raises the
+    error of its first failing row, and a row's step fails before its
+    exact scale.
+    """
+    if not (isinstance(steps, int) and steps >= 1):
+        raise DomainError(f"steps must be an int >= 1, got {steps!r}")
     p = make_params(q, 1)
     QGaussian1D(mu=mu0, sigma=sigma0, params=p)  # validates mu0 and sigma0
-    # each step is jko_step's, on the scale alone: the mean stays mu0
+    exact = []
+    try:
+        for n in range(1, steps + 1):
+            exact.append(evolve_sigma(sigma0, n * h, p.q))
+    except DomainError:
+        # the steps up to the failing row raise first where they fail
+        _jko_scales(sigma0, h, p.q, len(exact) + 1)
+        raise
     rows = [(0, mu0, sigma0, sigma0, 0.0)]
-    sigma = sigma0
-    for n in range(1, steps + 1):
-        sigma = _jko_sigma(sigma, h, p.q)
-        exact = evolve_sigma(sigma0, n * h, q)
-        rows.append((n, mu0, sigma, exact, abs(sigma - exact)))
+    for n, (sigma, ex) in enumerate(zip(_jko_scales(sigma0, h, p.q, steps), exact), 1):
+        rows.append((n, mu0, sigma, ex, abs(sigma - ex)))
 
     inputs = {"command": "jko", "q": q, "sigma0": sigma0, "mu0": mu0, "h": h, "steps": steps}
     return _table(JKO_SCHEMA, inputs, ("n", "mu", "sigma", "sigma_exact", "abs_error"), rows)

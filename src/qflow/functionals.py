@@ -15,10 +15,11 @@ functional is
 
 minimized by jko_step: one Newton descent onto the root of its
 stationarity equation, written in the logarithm of the relative scale
-increment, where it is increasing and convex.  The rate-like functional
-J_h is the relative m-entropy (m = 3 - 2/q) of the optimal pair coupling
-Q* against the flow coupling Q_{0->h}; its value reduces to the scalar
-root eta_h of
+increment, where it is increasing and convex.  A jko table, a whole
+trajectory of such steps, is one call of the kernel _jko_scales, and
+jko_step is its one-step case.  The rate-like functional J_h is the
+relative m-entropy (m = 3 - 2/q) of the optimal pair coupling Q* against
+the flow coupling Q_{0->h}; its value reduces to the scalar root eta_h of
 
     eta^q / (1 - eta^2) = sigma0^q sigma^(2-q) / (sigma_h^2 - sigma0^2),
 
@@ -562,13 +563,16 @@ def rescaled_third(g: QGaussian1D, g0: QGaussian1D, h: float) -> float:
 def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     """One minimizing-movement step: argmin of K_h(. | g0) over the family.
 
-    The minimizer keeps mu = mu0; its scale is _jko_sigma(sigma0, h, q).
+    The minimizer keeps mu = mu0; its scale is the one step of
+    _jko_scales(sigma0, h, q, 1).
     """
-    return QGaussian1D(mu=g0.mu, sigma=_jko_sigma(g0.sigma, h, g0.params.q), params=g0.params)
+    (sigma,) = _jko_scales(g0.sigma, h, g0.params.q, 1)
+    return QGaussian1D(mu=g0.mu, sigma=sigma, params=g0.params)
 
 
-def _jko_sigma(sigma0: float, h: float, q: float) -> float:
-    """Scale of the minimizing-movement step from sigma0: the float kernel of jko_step.
+def _jko_scales(sigma0: float, h: float, q: float, steps: int) -> list[float]:
+    """Scales of `steps` minimizing-movement steps from sigma0: the float kernel
+    of jko_step and of the jko table.
 
     K_h is strictly convex along sigma, and with b sigma0^(1-q) = 1/(3-q)
     its stationarity equation in the relative increment u = sigma/sigma0 - 1
@@ -582,29 +586,43 @@ def _jko_sigma(sigma0: float, h: float, q: float) -> float:
     iterates started at t = log r fall monotonically onto the root, each
     shrinking the distance to it by at least the factor (2-q)/(3-q) and
     quadratically near it.  The descent stops at the first iterate that
-    does not decrease, where roundoff has taken over, and returns the last
+    does not decrease, where roundoff has taken over, and takes the last
     one that did: at most 9 evaluations on a dense sweep of log r over its
     whole range [-1500, 710], and at most 8 over 400k random draws of the
     documented domain.  Reaching _NEWTON_MAXITER raises RuntimeError.
-    x = h / sigma0^(3-q) comes from _relative_growth; log r is formed in
-    logs where x underflows, an increment so far below sigma0's resolution
-    that the step rounds to sigma0.
+    x = h / sigma0^(3-q) comes from _relative_growth at each step; log r is
+    formed in logs where x underflows, an increment so far below sigma0's
+    resolution that the step rounds to sigma0.
     u is resolved to about |log u| eps, so sigma is within 2 ulps for
-    u <= 1 and 1e-12 relative above.  h <= 0 raises DomainError, and
-    scales that _relative_growth rejects raise its DomainError.  The result
-    is finite: u <= r^(1/(3-q)) once u >= 1, so sigma < 2 sigma0 or
-    sigma <= 2 (h/(3-q))^(1/(3-q)).
+    u <= 1 and 1e-12 relative above, for the exponent 3 - q as a double.
+    Where 3 - q is not a double, its rounding moves x by about
+    |log sigma0| eps relative: 47 ulps of sigma for q = 0.34 at sigma0 =
+    2.6e68, where u = 0.5.  h <= 0 raises DomainError, and scales that
+    _relative_growth rejects raise its DomainError at the step that starts
+    from them.  Each scale is finite: u <= r^(1/(3-q)) once u >= 1, so
+    sigma < 2 sigma0 or sigma <= 2 (h/(3-q))^(1/(3-q)).
     """
     _require_h(h)
-    x = _relative_growth(sigma0, h, q)
-    log_x = math.log(x) if x > 0.0 else math.log(h) - math.log(sigma0 ** (3.0 - q))
-    log_r = log_x - math.log(3.0 - q)
-    # t <= log r < log x and _relative_growth has checked that x is finite, so e^t is finite
-    t = log_r
-    for _ in range(_NEWTON_MAXITER):
-        e = math.exp(t)
-        t_next = t - (t + (2.0 - q) * math.log1p(e) - log_r) / (1.0 + (2.0 - q) * e / (1.0 + e))
-        if not t_next < t:
-            return sigma0 + sigma0 * math.exp(t)
-        t = t_next
-    raise RuntimeError(f"jko_step: no Newton convergence for q={q!r}, sigma0={sigma0!r}, h={h!r}")
+    a = 2.0 - q
+    log_c = math.log(3.0 - q)
+    scales = []
+    sigma = sigma0
+    for _ in range(steps):
+        x = _relative_growth(sigma, h, q)
+        log_x = math.log(x) if x > 0.0 else math.log(h) - math.log(sigma ** (3.0 - q))
+        log_r = log_x - log_c
+        # t <= log r < log x and _relative_growth has checked that x is finite, so e^t is finite
+        t = log_r
+        for _ in range(_NEWTON_MAXITER):
+            e = math.exp(t)
+            t_next = t - (t + a * math.log1p(e) - log_r) / (1.0 + a * e / (1.0 + e))
+            if not t_next < t:
+                break
+            t = t_next
+        else:
+            raise RuntimeError(
+                f"jko_step: no Newton convergence for q={q!r}, sigma0={sigma!r}, h={h!r}"
+            )
+        sigma = sigma + sigma * math.exp(t)
+        scales.append(sigma)
+    return scales

@@ -375,6 +375,10 @@ def test_jko_rejects_bad_inputs():
                      "--h", "0.01", "--steps", "0"]) == 2
     assert cli.main(["jko", "--q", "0.8", "--sigma0", "1.0", "--mu0", "0.0",
                      "--h", "-0.01", "--steps", "2"]) == 2
+    # a steps count that is not an int is outside the domain, not a TypeError
+    for steps in (2.5, "3", None):
+        with pytest.raises(DomainError, match="steps"):
+            cli.cmd_jko(0.8, 1.0, 0.5, 0.01, steps)
 
 
 @pytest.mark.parametrize(
@@ -478,14 +482,16 @@ class _CountedFloat(float):
 
 @pytest.mark.parametrize("order", [("csv", "json"), ("json", "csv")])
 def test_renderers_format_each_cell_once(order):
-    # both documents of a table, rendered twice each, read one repr per cell
+    # both documents of a table, rendered twice each, read one repr per cell,
+    # and one per table for a column that holds one object in every row
     values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 1e16, 2.5e-7]
-    plain = [(k, *values[k:], *values[:k]) for k in range(len(values))]
+    plain = [(k, *values[k:], *values[:k], 0.25) for k in range(len(values))]
+    shared = _CountedFloat(0.25)
     table = cli.ConvergenceTable(
         schema="qflow.t.v1",
         metadata={"q": 0.8, "input_sha256": "0f"},
-        columns=("k", *(f"c{i}" for i in range(len(values)))),
-        rows=[(k, *map(_CountedFloat, row)) for k, *row in plain],
+        columns=("k", *(f"c{i}" for i in range(len(values))), "shared"),
+        rows=[(k, *map(_CountedFloat, row[:-1]), shared) for k, *row in plain],
     )
     expect = {
         "csv": "\n".join(["# schema=qflow.t.v1", "# q=0.8", "# input_sha256=0f", ",".join(table.columns)]
@@ -496,7 +502,61 @@ def test_renderers_format_each_cell_once(order):
     }
     for fmt in order + order:
         assert cli.render(table, fmt) == expect[fmt]
-    assert [cell.calls for row in table.rows for cell in row[1:]] == [1] * len(values) ** 2
+    assert [cell.calls for row in table.rows for cell in row[1:-1]] == [1] * len(values) ** 2
+    assert shared.calls == 1
+
+
+def _reference_documents(table):
+    """render_csv and render_json of a table by their reference formulas."""
+    doc = {"schema": table.schema, "metadata": table.metadata,
+           "columns": list(table.columns), "rows": [list(row) for row in table.rows]}
+    lines = [f"# schema={table.schema}", "# input_sha256=0f", ",".join(table.columns)]
+    lines += [",".join(repr(x) for x in row) for row in table.rows]
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2) + "\n"
+
+
+def test_renderers_keep_equal_but_distinct_cells_apart():
+    # a column is one text only where its cells are one object: 0.0, -0.0
+    # and 0 compare equal, two nan objects are distinct, one nan object is
+    # the same cell in every row
+    nan = float("nan")
+    zeros = [float("0.0"), float("-0.0"), 0, float("0.0"), float("-0.0")]
+    nans = [float("nan") for _ in zeros]
+    table = cli.ConvergenceTable(
+        schema="qflow.t.v1",
+        metadata={"input_sha256": "0f"},
+        columns=("k", "zero", "nan", "one_nan"),
+        rows=[(k, zero, other, nan) for k, (zero, other) in enumerate(zip(zeros, nans))],
+    )
+    csv_text, json_text = _reference_documents(table)
+    assert cli.render_csv(table) == csv_text
+    assert cli.render_json(table) == json_text
+    assert [row.split(",")[1] for row in table.row_text] == ["0.0", "-0.0", "0", "0.0", "-0.0"]
+
+
+def test_renderers_keep_every_cell_of_rows_that_differ_in_width():
+    shared = 0.5
+    for rows in ([(1, shared, 2.0), (2, shared), (3, shared, 4.0, 5.0)],
+                 [(1, shared), (2, shared, 3.0)],
+                 [(1, shared, 2.0, 7.0), (2, shared, 3.0)]):
+        table = cli.ConvergenceTable(schema="qflow.t.v1", metadata={"input_sha256": "0f"},
+                                     columns=("a", "b", "c"), rows=rows)
+        csv_text, json_text = _reference_documents(table)
+        assert cli.render_csv(table) == csv_text
+        assert cli.render_json(table) == json_text
+
+
+def test_cmd_jko_formats_its_mean_once():
+    # the mean fills the mu column: across both documents, rendered twice
+    # each, its repr runs once for the input hash, once for each CSV header
+    # and once for the whole column
+    mu0 = _CountedFloat(0.5)
+    table = cli.cmd_jko(0.8, 1.0, mu0, 0.01, 50)
+    assert all(row[1] is mu0 for row in table.rows)
+    plain = cli.cmd_jko(0.8, 1.0, 0.5, 0.01, 50)
+    for fmt in ("csv", "json") * 2:
+        assert cli.render(table, fmt) == cli.render(plain, fmt)
+    assert mu0.calls == 1 + 2 + 1
 
 
 def test_const_dump(capsys):

@@ -544,6 +544,33 @@ def test_jko_golden_trajectory_steps_match_mpmath(q):
     assert worst <= 1.0
 
 
+@pytest.mark.parametrize(
+    "q, sigma0, h, steps",
+    [
+        (1.2, 1.0, 5e-324, 5),
+        (0.3, 1e-100, 1e-300, 5),  # the increment is far below sigma0's resolution
+        pytest.param(0.34, 1.0, 2.7e182, 5, marks=pytest.mark.xfail(
+            strict=True,
+            reason="the rounding of 3 - q reaches x through sigma^(3-q): 47 ulps at step 2",
+        )),
+        (1.5, 1e150, 1e200, 4),
+    ],
+)
+def test_jko_edge_trajectory_steps_match_mpmath(q, sigma0, h, steps):
+    # the trajectory kernel behind jko_step and the jko table, at the edges
+    # of the h range: each scale is the 50-digit root started from the one
+    # before it, within the kernel's bounds (2 ulps for u <= 1, 1e-12 above)
+    sigmas = functionals._jko_scales(sigma0, h, q, steps)
+    assert len(sigmas) == steps
+    for prev, sigma in zip([sigma0, *sigmas], sigmas):
+        ref, u = _jko_reference(q, prev, h)
+        err = abs(mpmath.mpf(sigma) - ref)
+        if u <= 1:
+            assert float(err) <= 2.0 * math.ulp(float(ref))
+        else:
+            assert float(err / ref) <= 1e-12
+
+
 def test_jko_step_newton_cap_raises(monkeypatch):
     # h = 0.01 from sigma0 = 1 takes more than one Newton evaluation
     monkeypatch.setattr(functionals, "_NEWTON_MAXITER", 1)
