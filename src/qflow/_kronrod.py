@@ -1,47 +1,46 @@
-"""Gauss-Kronrod quadrature over one half-line of a 1D q-Gaussian, the
-algebraic-weight rule for heavy tails, and the same rule at weight 1 on
-the finite pieces of the 2D oracle's rays.
-
-The rule of the 1D oracle.  Each subinterval gets QUADPACK's qk21: the
-21-point Kronrod extension of the 10-point Gauss rule, with QUADPACK's
-error estimate from the two (Piessens et al., 1983).  The integrands
-are functions of the member's bracket b = 1 + (1-q) t, t = -c1 u^2/2
-in scale units u, so the half-line is mapped once per branch, every
-subinterval of a call is one array, and the partitions' nodes are
-tabulated at their first use:
-
-* compact members (q < 1) run over y = u/edge in [0, 1], edge =
-  sqrt(2/((1-q) c1)), where b = 1 - y^2 vanishes like (1-y)^(1/(1-q)).
-  The map y = sin((pi/2)(1 - (1-x)^2)), x in [0, 1], raises that
-  contact to (1-x)^(4/(1-q) + 3), so the edge needs no subdivision.
-  The core, of width about sqrt(1-q) in y, gets dyadic subintervals
-  [2^-j, 2^-(j-1)] of x down to one about as wide as it;
-* heavy tails (q > 1) run over z = u sqrt(c1/2), where b = 1 + (q-1)
-  z^2, mapped by z = 1/tau - 1 onto tau in (0, 1].  The four dyadic
-  pieces [2^-(k+1), 2^-k] of [1/16, 1] get qk21, and (0, 1/16] the tail
-  rule below: with b = P(tau)/tau^2, P = tau^2 + (q-1)(1-tau)^2 > 0, a
-  weight growing like z^(2p) makes the integrand tau^s times a function
-  analytic at 0, s = 2/(q-1) - 2 - 2p.
+"""One interpolatory quadrature rule: 27 first-kind Chebyshev nodes with
+the weight tau^sigma, on the 1D oracle's half-lines, on the heavy tails of
+1D members and 2D rays, and at weight 1 on every finite piece of a 2D ray.
 
 The tail rule, tail(), integrates any F = tau^s A(tau) over (0, 1/16]
-whose A is analytic there: it also takes the 2D oracle's heavy-tailed
-rays past r = 15.  It interpolates A's integer-power part at 27
+whose A is analytic there.  It interpolates A's integer-power part at 27
 first-kind Chebyshev nodes, none of them at tau = 0, and integrates the
 interpolant against the weight tau^sigma, sigma = s - max(0, floor(s))
 in (-1, 1), through the modified Chebyshev moments of QUADPACK's qmomo.
 The error estimate comes from the interpolant's last two coefficients.
 
-finite() runs that rule at sigma = 0, the weight 1, on every finite
-piece of a 2D ray, so every piece of every ray and every 1D tail is one
-interpolatory rule with weight tau^sigma.  A row that misses its
-tolerance halves the pieces above their share of it, for a fixed number
-of rounds; where a compact support or a far member's peak ends a piece,
-the map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Such a row
-starts on the halves of [0, 1], whose mapped nodes are one table.
+At sigma = 0, the weight 1, the same rule integrates every finite piece
+(_rule, the one per-piece evaluation): its nodes are the same fractions
+of the piece, and its estimate is 2 (|c_25| + |c_26|) (Trefethen, SIAM
+Rev. 50, 2008, on why such an interpolatory rule gives up nothing to
+Gauss-Kronrod).
 
-half_line()'s partition is fixed by q and the weight before anything is
-evaluated, so a call is one qk21 sweep and one tail rule; where it
-misses the tolerance, the result is reported unconverged.
+The 1D oracle, half_line().  Its integrands are functions of the
+member's bracket b = 1 + (1-q) t, t = -c1 u^2/2 in scale units u, so the
+half-line is mapped once per branch onto a partition fixed by q and the
+weight, tabulated at its first use, and a call is one sweep of _rule over
+every piece as one array (and one tail rule on a heavy tail):
+
+* compact members (q < 1) run over y = u/edge in [0, 1], edge =
+  sqrt(2/((1-q) c1)), where b = 1 - y^2 vanishes like (1-y)^(1/(1-q)).
+  The map y = sin((pi/2)(1 - (1-x)^2)), x in [0, 1], raises that
+  contact to (1-x)^(4/(1-q) + 3), so the edge needs no subdivision.
+  The core, of width about sqrt(1-q) in y, gets dyadic pieces
+  [2^-j, 2^-(j-1)] of x down to one about as wide as it;
+* heavy tails (q > 1) run over z = u sqrt(c1/2), where b = 1 + (q-1)
+  z^2, mapped by z = 1/tau - 1 onto tau in (0, 1].  The four dyadic
+  pieces [2^-(k+1), 2^-k] of [1/16, 1] get _rule, and (0, 1/16] the tail
+  rule: with b = P(tau)/tau^2, P = tau^2 + (q-1)(1-tau)^2 > 0, a weight
+  growing like z^(2p) makes the integrand tau^s times a function
+  analytic at 0, s = 2/(q-1) - 2 - 2p.
+
+A half-line that misses its tolerance is reported unconverged.
+
+finite() runs the 2D oracle's rays.  A row that misses its tolerance
+halves the pieces above their share of it, for a fixed number of
+rounds; where a compact support or a far member's peak ends a piece, the
+map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Such a row
+starts on the halves of [0, 1], whose mapped nodes are one table.
 """
 
 from __future__ import annotations
@@ -54,37 +53,16 @@ from typing import Callable
 import numpy as np
 
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min
-# qk21 abscissae on [-1, 1] (x_0 > ... > x_10 = 0) and the Kronrod weights;
-# the Gauss weights belong to x_1, x_3, ..., x_9
-_X = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-      0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-      0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-      0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-      0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077600525478160, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_NODES = np.array([-x for x in _X[:-1]] + list(_X[::-1]))
-_WK = np.array(_WGK[:-1] + _WGK[::-1])
-_WG21 = np.zeros(21)
-_WG21[1:10:2], _WG21[11:20:2] = _WG, _WG[::-1]
-_W = np.stack([_WK, _WG21], axis=1)
-
-# Core subintervals of a compact member: the first, [0, 2^-j] in x, is at
-# most sqrt(1-q)/_CORE wide, about twice the core's width sqrt(1-q)/pi
+# Core pieces of a compact member: the first, [0, 2^-j] in x, is at most
+# sqrt(1-q)/_CORE wide, about twice the core's width sqrt(1-q)/pi
 _CORE = 1.5
 # The tail rule's interval (0, TAIL_END] in tau and its nodes, tau_j =
-# TAIL_END cos(theta_j/2)^2 for the first-kind Chebyshev angles theta_j
+# TAIL_END cos(theta_j/2)^2 for the first-kind Chebyshev angles theta_j;
+# as fractions of a piece, they are every finite piece's nodes
 TAIL_END = 1.0 / 16.0
 _THETA = [(j + 0.5) * (math.pi / 27) for j in range(27)]
 TAIL_TAU = np.array([TAIL_END * math.cos(0.5 * t) ** 2 for t in _THETA])
+_FRAC = TAIL_TAU / TAIL_END
 # log(TAIL_END/tau_j), and the matrix taking the values at the nodes to the
 # interpolant's Chebyshev coefficients in x = 2 tau/TAIL_END - 1 (built with
 # math: an importer that never integrates does not page in numpy's cos and log)
@@ -92,31 +70,6 @@ _LOG_RATIO = np.array([-2.0 * math.log(math.cos(0.5 * t)) for t in _THETA])
 _CHEB = np.array([[math.cos(k * t) * (2.0 / 27) for t in _THETA] for k in range(27)])
 _CHEB[0] *= 0.5
 _LOG_END = math.log(1.0 / TAIL_END)
-
-
-def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qk21 nodes (subinterval, node) of the subintervals [lo, hi] and
-    their half widths as a column."""
-    h = 0.5 * (hi - lo)[:, None]
-    return 0.5 * (lo + hi)[:, None] + h * _NODES, h
-
-
-def _edge_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """log b, y^2 and dy/dx times the half width at the nodes of [lo, hi]
-    in x, with y = sin(phi), phi = (pi/2)(1 - (1-x)^2) and b = cos(phi)^2.
-
-    pi/2 - phi is formed as (pi/2)(1-x)^2, so b keeps its relative
-    accuracy at the edge; where phi < pi/4, log b comes from
-    log1p(-2 sin(phi/2)^2), so it keeps it at the centre too.
-    """
-    x, h = _nodes(lo, hi)
-    w = 1.0 - x
-    phi = (0.5 * math.pi) * x * (1.0 + w)
-    cos_phi = np.sin((0.5 * math.pi) * w * w)
-    log_b = 2.0 * np.where(phi < 0.25 * math.pi,
-                           np.log1p(-2.0 * np.sin(0.5 * phi) ** 2), np.log(cos_phi))
-    y = np.sin(phi)
-    return log_b, y * y, (math.pi * w * cos_phi) * h
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -128,37 +81,36 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _edge_partition(j: int) -> tuple[np.ndarray, ...]:
-    """Nodes of [0, 2^-j], [2^-j, 2^-(j-1)], ..., [1/2, 1] in x."""
+    """log b, y^2 and dy/dx at the nodes (piece, node) of the pieces [0,
+    2^-j], [2^-j, 2^-(j-1)], ..., [1/2, 1] in x, with y = sin(phi), phi =
+    (pi/2)(1 - (1-x)^2) and b = cos(phi)^2, and the pieces' widths over
+    TAIL_END.
+
+    pi/2 - phi is formed as (pi/2)(1-x)^2, so b keeps its relative
+    accuracy at the edge; where phi < pi/4, log b comes from
+    log1p(-2 sin(phi/2)^2), so it keeps it at the centre too.
+    """
     ends = np.concatenate([[0.0], 2.0 ** -np.arange(j, -1, -1.0)])
-    return _read_only(*_edge_nodes(ends[:-1], ends[1:]))
+    width = ends[1:] - ends[:-1]
+    x = ends[:-1, None] + width[:, None] * _FRAC
+    w = 1.0 - x
+    phi = (0.5 * math.pi) * x * (1.0 + w)
+    cos_phi = np.sin((0.5 * math.pi) * w * w)
+    log_b = 2.0 * np.where(phi < 0.25 * math.pi,
+                           np.log1p(-2.0 * np.sin(0.5 * phi) ** 2), np.log(cos_phi))
+    y = np.sin(phi)
+    return _read_only(log_b, y * y, math.pi * w * cos_phi, width / TAIL_END)
 
 
 @lru_cache(maxsize=None)
 def _tail_partition() -> tuple[np.ndarray, ...]:
-    """z^2 and dz/dtau, z = (1 - tau)/tau, at the nodes of the dyadic
-    pieces [2^-(i+1), 2^-i] in tau, i < 4, times the half width, and then
-    at the tail rule's nodes, flat."""
+    """z^2 and dz/dtau, z = (1 - tau)/tau, at the nodes (piece, node) of
+    the dyadic pieces [2^-(i+1), 2^-i] in tau, i < 4, and then of the tail
+    rule, and the four pieces' widths over TAIL_END."""
     hi = 2.0 ** -np.arange(4.0)
-    tau, h = _nodes(0.5 * hi, hi)
-    tau = np.concatenate([tau.ravel(), TAIL_TAU])
+    tau = np.concatenate([0.5 * hi[:, None] * (1.0 + _FRAC), TAIL_TAU[None]])
     z = (1.0 - tau) / tau
-    return _read_only(z * z, np.concatenate([np.repeat(h.ravel(), 21), np.ones(27)]) / (tau * tau))
-
-
-def _qk21(fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod integral and QUADPACK's error estimate per subinterval from
-    the weighted values fh (subinterval, node) of its integrand.
-
-    With K and G the Kronrod and Gauss integrals, the estimate is
-    asc min(1, (200 |K - G| / asc)^1.5), at least 50 eps |f|-integral,
-    where asc integrates |f - K/(2h)|.
-    """
-    kg = fh @ _W
-    k = kg[:, 0]
-    asc = np.abs(fh - 0.5 * k[:, None]) @ _WK
-    ratio = np.minimum(200.0 * np.abs(k - kg[:, 1]), asc)
-    ratio /= asc + _TINY
-    return k, np.maximum(asc * ratio**1.5, (50.0 * _EPS) * (np.abs(fh) @ _WK))
+    return _read_only(z * z, 1.0 / (tau * tau), 0.5 * hi / TAIL_END)
 
 
 @lru_cache(maxsize=64)
@@ -204,11 +156,9 @@ def tail(fa: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return value, err
 
 
-# finite()'s pieces: the tail rule's nodes as fractions of a piece, the
-# x-ends of an uncrowded row's first pieces (the 1D heavy partition's
-# tau-pieces on the core [1/16, 1]), and the caps on bisection rounds and
-# on pieces per row
-_FRAC = TAIL_TAU / TAIL_END
+# finite()'s pieces: the x-ends of an uncrowded row's first pieces (the 1D
+# heavy partition's tau-pieces on the core [1/16, 1]), and the caps on
+# bisection rounds and on pieces per row
 _CORE_X = np.array([0.0, 1.0, 3.0, 7.0, 15.0]) / 15.0
 _ROUNDS = 16
 _PIECES = 512
@@ -229,6 +179,18 @@ def _crowd_halves() -> np.ndarray:
     return _read_only(np.stack(_crowd_map(0.5 * np.arange(2.0)[:, None] + 0.5 * _FRAC)))[0]
 
 
+def _rule(fv: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrals of the pieces whose integrand, times the Jacobian, reads fv
+    (piece, node) at the nodes, their estimates 2 (|c_25| + |c_26|) and
+    their |f|-integrals, by the tail rule at sigma = 0: scale is each
+    piece's width over TAIL_END.  The one per-piece evaluation of the
+    package's finite pieces."""
+    rows, _ = _tail_rows(0.0)
+    value, c25, c26 = np.einsum("pj,kj->kp", fv, rows) * scale
+    mag = np.einsum("pj,j->p", np.abs(fv), rows[0]) * scale
+    return value, 2.0 * (np.abs(c25) + np.abs(c26)), mag
+
+
 def _pieces(f, lo, span, args, crowd, row, x0, dx, half=None):
     """Integrals of f over the pieces [x0, x0 + dx] in x of the rows row,
     their estimates and their |f|-integrals, by the tail rule at sigma = 0.
@@ -247,10 +209,7 @@ def _pieces(f, lo, span, args, crowd, row, x0, dx, half=None):
             t[on], dt[on] = _crowd_map(t[on]) if half is None else _crowd_halves()[:, half[on]]
     jac = span[row, None]
     fv = f(lo[row, None] + jac * t, *(v[row, None] for v in args)) * (jac * dt)
-    rows, _ = _tail_rows(0.0)
-    scale = dx / TAIL_END
-    value, c25, c26 = np.einsum("pj,kj->kp", fv, rows) * scale
-    return value, 2.0 * (np.abs(c25) + np.abs(c26)), np.einsum("pj,j->p", np.abs(fv), rows[0]) * scale
+    return _rule(fv, dx / TAIL_END)
 
 
 def finite(
@@ -271,14 +230,14 @@ def finite(
     both ends, and the row starts on the halves of [0, 1], whose map is
     read from a table (_crowd_halves); elsewhere t = lo + (hi - lo) x, and
     the row starts on the pieces between _CORE_X, graded toward lo.  Each
-    piece gets the tail rule at sigma = 0: 27 first-kind Chebyshev nodes,
-    none at its ends, and the estimate 2 (|c_25| + |c_26|).
+    piece gets _rule, the tail rule at sigma = 0: 27 first-kind Chebyshev
+    nodes, none at its ends, and the estimate 2 (|c_25| + |c_26|).
 
     A row converges where its summed estimate is at most the largest of
-    atol, rtol |I| and 50 eps times its |f|-integral, the rounding floor of
-    QUADPACK's qk21.  Until then, each of its pieces whose estimate is
-    above its share of that bound, by width, is halved, for up to _ROUNDS
-    rounds and _PIECES pieces.  Where the halves' estimate stays within
+    atol, rtol |I| and 50 eps times its |f|-integral, the rounding floor
+    that half_line() puts on each piece's estimate.  Until then, each of
+    its pieces whose estimate is above its share of that bound, by width,
+    is halved, for up to _ROUNDS rounds and _PIECES pieces.  Where the halves' estimate stays within
     1000 eps of their |f|-integral and does not fall below half their
     piece's, it measures f's rounding, not the rule's error, and it is then
     at most their change, |halves - piece|.  A row whose integral is not
@@ -346,25 +305,26 @@ def half_line(
 ) -> tuple[float, float, str | None]:
     """Integral over the half-line of a member with 1 - q = om.
 
-    integrand(log_b, s2, jh) returns the weighted integrand jh f at node
-    arrays, where s2 is y^2 (compact) or z^2 (heavy tail), b = 1 - om s2
-    and jh the map's Jacobian, times the half width on a qk21 piece; f
-    may grow like s2^power, which sets the tail's exponent.  The answer
-    converges where its estimate is at most max(atol, rtol |I|).  Returns
-    the integral over y or z, its error estimate and None, or a message
-    when it did not converge.
+    integrand(log_b, s2, jac) returns the integrand f times the map's
+    Jacobian jac at node arrays (piece, node), where s2 is y^2 (compact) or
+    z^2 (heavy tail) and b = 1 - om s2; f may grow like s2^power, which sets
+    the tail's exponent.  Each finite piece's estimate is at least 50 eps
+    of its |f|-integral, the rounding of the sum.  The answer converges
+    where its estimate is at most max(atol, rtol |I|).  Returns the integral
+    over y or z, its error estimate and None, or a message when it did not
+    converge.
     """
     if om > 0.0:
-        log_b, s2, jh = _edge_partition(max(1, math.ceil(math.log2(_CORE / math.sqrt(om)))))
-        values, errors = _qk21(integrand(log_b, s2, jh))
-        value, err = float(values.sum()), float(errors.sum())
+        log_b, s2, jac, scale = _edge_partition(max(1, math.ceil(math.log2(_CORE / math.sqrt(om)))))
+        values, errors, mags = _rule(integrand(log_b, s2, jac), scale)
+        rest = rest_err = 0.0
     else:
-        s2, jh = _tail_partition()
-        fh = integrand(np.log1p(-om * s2), s2, jh)
-        n = len(TAIL_TAU)
-        values, errors = _qk21(fh[:-n].reshape(-1, 21))
-        rest, rest_err = tail(fh[None, -n:], -2.0 / om - 2.0 - 2.0 * power)
-        value, err = float(values.sum()) + float(rest[0]), float(errors.sum()) + float(rest_err[0])
+        s2, jac, scale = _tail_partition()
+        fv = integrand(np.log1p(-om * s2), s2, jac)
+        values, errors, mags = _rule(fv[:-1], scale)
+        (rest,), (rest_err,) = tail(fv[-1:], -2.0 / om - 2.0 - 2.0 * power)
+    errors = np.maximum(errors, (50.0 * _EPS) * mags)
+    value, err = float(values.sum()) + float(rest), float(errors.sum()) + float(rest_err)
     if err <= max(atol, rtol * abs(value)):
         return value, err, None
     return value, err, "the partition's error estimate did not reach the tolerance"

@@ -8,10 +8,11 @@ theta-family minimizer: it solves its stationarity equation with the
 closed forms' own coupling root (functionals._coupling_root), and the
 checks compare it with minimize_theta, which never uses that equation.
 
-One-dimensional integrals use the library's own Gauss-Kronrod rule
-(qflow._kronrod: QUADPACK's qk21 and its error estimate over a partition
-fixed by q and the weight, every subinterval of a call in one array) on
-two half-lines from the mean, in units of the member's scale, where the
+One-dimensional integrals use the package's one quadrature rule
+(qflow._kronrod: 27 first-kind Chebyshev nodes per piece, with the error
+estimate from the interpolant's last two coefficients, over a partition
+fixed by q and the weight, every piece of a call in one array) on two
+half-lines from the mean, in units of the member's scale, where the
 integrand reads only the bracket b = 1 + (1-q) t of exp_q.  The second
 half-line is the mirror of the first: each integrand reads the offset
 only through its square, so one run gives both halves.  Its integrand is
@@ -71,7 +72,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kronrod
-from .functionals import _coupling_root, _entropy_b
+from .functionals import _coupling_root, _entropy_b, _require_h
 from .qgaussian import MBivariate, QGaussian1D
 from .qmath import _DBL_MIN, _LOG_DBL_MAX, DomainError, _finite
 
@@ -170,15 +171,15 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     unit = math.sqrt(2.0 / (om * c1)) if om > 0.0 else math.sqrt(2.0 / c1)
     inv_om, shift = 1.0 / om, om * (math.log(c0) - 0.5 * math.log(v))
 
-    def integrand(log_b, s2, jh):
+    def integrand(log_b, s2, jac):
         if weight == "entropy":
-            fh = _entropy_integrand(log_b, inv_om, shift)
+            fv = _entropy_integrand(log_b, inv_om, shift)
         else:
-            fh = np.exp(log_b * inv_om)
+            fv = np.exp(log_b * inv_om)
             if weight == "moment":
-                fh *= s2
-        fh *= jh
-        return fh
+                fv *= s2
+        fv *= jac
+        return fv
 
     # one half-line in final units, but for the moment's factor v
     pref = c0 * unit * (unit * unit if weight == "moment" else 1.0)
@@ -306,9 +307,7 @@ def _polar_quad(
     # member's whitened coordinates, scaled by sqrt(|1-m| C1/2)
     frames = []
     for nu in members:
-        root = math.sqrt(1.0 - nu.theta * nu.theta)
-        white = math.sqrt(0.5 * abs(1.0 - nu.m) * nu.mparams.c1_q_d) * np.array(
-            [[1.0 / nu.s1, 0.0], [-nu.theta / (root * nu.s1), 1.0 / (root * nu.s2)]])
+        white = math.sqrt(0.5 * abs(1.0 - nu.m) * nu.mparams.c1_q_d) * _whitening(nu)
         frames.append((white @ (centre - nu.mean), white @ chol))
     # the members share m; compact supports split each ray where it crosses them
     m = members[0].m
@@ -410,6 +409,13 @@ def _polar_quad(
         converged = False
     note = f"polar trapezoid x Chebyshev rule, {n} angles, centre ({cx:.6g}, {cy:.6g})"
     return QuadResult(value, angle_err + step * radial_err, converged, note)
+
+
+def _whitening(nu: MBivariate) -> np.ndarray:
+    """The inverse of the Cholesky factor of nu's scale matrix: it takes an
+    offset from nu's mean to nu's whitened coordinates."""
+    root = math.sqrt(1.0 - nu.theta * nu.theta)
+    return np.array([[1.0 / nu.s1, 0.0], [-nu.theta / (root * nu.s1), 1.0 / (root * nu.s2)]])
 
 
 def _log_norm(nu: MBivariate) -> float:
@@ -759,8 +765,7 @@ def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
     returned coordinates: where the window is below it, every grid point
     rounds to one double.
     """
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h!r}")
+    _require_h(h)
     p = g0.params
     q = p.q
     big_c = p.C
@@ -800,18 +805,40 @@ def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
 
 
 def support_included(inner: MBivariate, outer: MBivariate, margin: float = 0.0) -> bool:
-    """True when the support ellipse of inner lies inside outer's.
+    """True when the support ellipse of inner lies inside outer's, with
+    outer's quadratic form below its threshold by the relative margin.
 
-    Sweeps 720 points of the boundary of inner (exact parametrization via
-    Cholesky) and requires outer's quadratic form to stay below its
-    threshold by the given relative margin.  Both exponents must be < 1.
+    Decided exactly, not by sampling.  In outer's whitened frame, inner's
+    support ellipse is e + A c over unit vectors c, and the largest value
+    of outer's form on it, max |e + A c|^2, is a 2x2 trust-region boundary
+    problem (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  With
+    A = U S V^T, h_k = S_k^2 and g_k = S_k (U^T e)_k, the maximizer in V's
+    basis is c_k = g_k/(mu - h_k), at the root mu >= h_1 of the secular
+    equation sum g_k^2/(mu - h_k)^2 = 1, and the largest value is |e|^2 +
+    mu + sum g_k^2/(mu - h_k), every term non-negative.  Newton's method
+    on 1/|c(mu)|, concave in mu, rises to the root from below, from
+    max_k (h_k + |g_k|); where that start is h_1, the root is h_1 and the
+    terms with g_k = 0 drop (the hard case).  Both exponents must be < 1.
     """
     thr_i = inner.support_threshold()
     thr_o = outer.support_threshold()
     if not (math.isfinite(thr_i) and math.isfinite(thr_o)):
         raise DomainError("support_included needs compactly supported members (m < 1)")
-    chol = np.linalg.cholesky(inner.cov)
-    phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    circle = np.stack([np.cos(phis), np.sin(phis)])
-    boundary = inner.mean[:, None] + math.sqrt(thr_i) * (chol @ circle)
-    return bool(np.all(outer.quadratic_form(*boundary) < thr_o * (1.0 - margin)))
+    white = _whitening(outer)
+    root = math.sqrt(1.0 - inner.theta * inner.theta)
+    chol = np.array([[inner.s1, 0.0], [inner.theta * inner.s2, root * inner.s2]])
+    u, s, _ = np.linalg.svd(math.sqrt(thr_i) * (white @ chol))
+    e = u.T @ (white @ (inner.mean - outer.mean))
+    terms = [(float(sk * ek) ** 2, float(sk * sk)) for sk, ek in zip(s, e) if sk * ek]
+    h1 = float(s[0] * s[0])
+    mu = max([h1] + [hk + math.sqrt(gk) for gk, hk in terms])
+    while mu > h1:
+        norm2 = sum(gk / (mu - hk) ** 2 for gk, hk in terms)
+        slope = sum(gk / (mu - hk) ** 3 for gk, hk in terms)
+        # 1/|c| is concave, so each Newton step stays below the root
+        after = mu + (math.sqrt(norm2) - 1.0) * norm2 / slope
+        if not after > mu:
+            break
+        mu = after
+    largest = float(e @ e) + mu + sum(gk / (mu - hk) for gk, hk in terms)
+    return largest < thr_o * (1.0 - margin)

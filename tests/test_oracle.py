@@ -31,8 +31,8 @@ def test_truncation_policy_recorded():
     assert oracle.mass_quad(compact).note == "two half-lines from the mean, to the support edge"
     for res in (oracle.mass_quad(heavy), oracle.moment2_quad(heavy), oracle.entropy_quad(heavy)):
         assert res.note == "two half-lines from the mean, untruncated"
-    # a quad message rides along after the policy: qk21's estimate is at
-    # least 50 eps of the integral, so this tolerance is out of its reach
+    # a quad message rides along after the policy: each piece's estimate is
+    # at least 50 eps of its |f|-integral, so this tolerance is out of reach
     tight = oracle.QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
     res = oracle.entropy_quad(QGaussian1D(mu=0.0, sigma=1.0, params=make_params(1.66, 1)), tight)
     assert not res.converged
@@ -162,7 +162,7 @@ def _quadpack(weight, g):
 @example(q=0.999, mu=0.0, log_sigma=0.0)
 @example(q=1.001, mu=0.0, log_sigma=0.0)
 def test_line_quad_within_its_error_of_quadpack(q, mu, log_sigma):
-    # the library's Gauss-Kronrod rule against QUADPACK's adaptive one; the
+    # the library's Chebyshev rule against QUADPACK's adaptive one; the
     # bound carries 1e-12 of the reference, since against 50 digits
     # QUADPACK misses its own estimate up to 13-fold on heavy-tail
     # entropies.  Nearer q = 5/3 it misses by more (5e-11 on the entropy
@@ -224,6 +224,19 @@ def test_line_quad_heavy_tail_next_to_five_thirds(q, sigma):
         assert abs(res.value - _mp_line(weight, g)) <= res.error_estimate, (weight, res)
 
 
+@pytest.mark.parametrize("q", [0.85, 0.9, 0.99, 0.9999])
+def test_line_quad_tight_config_next_to_q1(q):
+    # at criterion 3's config the moments and entropies next to q = 1, whose
+    # core is a few dyadic pieces wide, converge on the fixed partition
+    tight = oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+    for sigma in (1e-150, 0.37, 3.16, 1e150):
+        g = QGaussian1D(mu=0.0, sigma=sigma, params=make_params(q, 1))
+        for weight, oracle_1d in _ONE_D:
+            res = oracle_1d(g, tight)
+            assert res.converged, (sigma, weight, res)
+            assert abs(res.value - _mp_line(weight, g)) <= res.error_estimate, (sigma, weight, res)
+
+
 _TAIL_S = [-0.999, -0.556, 0.0, 1.0 - 2e-16, 1.0 + 2e-16, 8.0 + 2e-15, 38.0, 195.0, 2e4]
 
 
@@ -263,20 +276,21 @@ def test_tail_rule_rows_are_independent():
 
 def test_line_quad_partition_miss_keeps_its_value():
     # the partition is fixed by q and the weight: below what it reaches,
-    # the result reads unconverged with the default config's value and estimate
-    g = QGaussian1D(mu=0.0, sigma=1e-150, params=make_params(0.85, 1))
+    # the result reads unconverged with the default config's value and
+    # estimate (here the moment's tail next to q = 5/3)
+    g = QGaussian1D(mu=0.0, sigma=1e-150, params=make_params(1.6666, 1))
     tight = oracle.moment2_quad(g, oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15))
     default = oracle.moment2_quad(g)
     assert default.converged and not tight.converged
-    assert tight.note == ("two half-lines from the mean, to the support edge; "
+    assert tight.note == ("two half-lines from the mean, untruncated; "
                           "the partition's error estimate did not reach the tolerance")
     assert (tight.value, tight.error_estimate) == (default.value, default.error_estimate)
 
 
 def test_line_quad_one_sweep_whatever_the_tolerance(monkeypatch):
-    # one qk21 sweep over the fixed partition, converged or not
-    sweeps, sweep = [], _kronrod._qk21
-    monkeypatch.setattr(_kronrod, "_qk21", lambda fh: sweeps.append(fh.shape) or sweep(fh))
+    # one sweep of the per-piece rule over the fixed partition, converged or not
+    sweeps, sweep = [], _kronrod._rule
+    monkeypatch.setattr(_kronrod, "_rule", lambda fv, scale: sweeps.append(fv.shape) or sweep(fv, scale))
     for cfg in (None, oracle.QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)):
         for q in (0.01, 0.85, 0.9999, 1.2, 1.5, 1.6666):
             g = QGaussian1D(mu=0.0, sigma=1e-150, params=make_params(q, 1))
@@ -726,6 +740,30 @@ def test_support_included_geometry():
     heavy = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 1.2)
     with pytest.raises(DomainError):
         oracle.support_included(inner, heavy)
+
+
+@pytest.mark.parametrize("m", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("psi", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("poke", [-1e-12, 1e-12])
+def test_support_included_decided_exactly(m, psi, poke):
+    # a thin ellipse, its long axis along psi, reaches (1 + poke) of the outer
+    # unit support's radius at one point between any boundary sweep's samples
+    # (2e-6 out still read as inside on a 720-point sweep)
+    outer = make_bivariate(0.3, -0.2, 1.0, 1.0, 0.0, m)
+    a, b, c = 0.6, 0.05, 0.4 * (1.0 + poke) + 0.6 * poke
+    cs, sn = math.cos(psi), math.sin(psi)
+    v1, v2 = a * a * cs * cs + b * b * sn * sn, a * a * sn * sn + b * b * cs * cs
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    radius = math.sqrt(outer.support_threshold())
+    inner = make_bivariate(0.3 + c * radius * cs, -0.2 + c * radius * sn, s1, s2,
+                           (a * a - b * b) * cs * sn / (s1 * s2), m)
+    assert oracle.support_included(inner, outer) == (poke < 0.0)
+    # a margin moves the decision by its own relative size
+    assert not oracle.support_included(inner, outer, margin=1e-9)
+    assert oracle.support_included(inner, outer, margin=-1e-9)
+    # concentric circles: the hard case of the secular equation
+    ring = make_bivariate(0.3, -0.2, 1.0 + poke, 1.0 + poke, 0.0, m)
+    assert oracle.support_included(ring, outer) == (poke < 0.0)
 
 
 def test_quadrature_config_defaults(monkeypatch):
