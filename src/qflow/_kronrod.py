@@ -237,11 +237,11 @@ def finite(
     atol, rtol |I| and 50 eps times its |f|-integral, the rounding floor
     that half_line() puts on each piece's estimate.  Until then, each of
     its pieces whose estimate is above its share of that bound, by width,
-    is halved, for up to _ROUNDS rounds and _PIECES pieces.  Where the halves' estimate stays within
-    1000 eps of their |f|-integral and does not fall below half their
-    piece's, it measures f's rounding, not the rule's error, and it is then
-    at most their change, |halves - piece|.  A row whose integral is not
-    finite stops unconverged.
+    is halved, for up to _ROUNDS rounds and _PIECES pieces.  Where the
+    halves' estimate stays within 1000 eps of their |f|-integral and does
+    not fall below half their piece's, it measures f's rounding, not the
+    rule's error, and it is then at most their change, |halves - piece|.
+    A row whose integral is not finite stops unconverged.
 
     A row's pieces are summed in their order along it, so each row's
     results depend on its own row alone: a block of rows gives the same

@@ -414,7 +414,8 @@ def _polar_quad(
 def _whitening(nu: MBivariate) -> np.ndarray:
     """The inverse of the Cholesky factor of nu's scale matrix: it takes an
     offset from nu's mean to nu's whitened coordinates."""
-    root = math.sqrt(1.0 - nu.theta * nu.theta)
+    # numpy, so a product that underflows to 0 divides to inf, not ZeroDivisionError
+    root = np.sqrt(1.0 - nu.theta * nu.theta)
     return np.array([[1.0 / nu.s1, 0.0], [-nu.theta / (root * nu.s1), 1.0 / (root * nu.s2)]])
 
 
@@ -812,33 +813,47 @@ def support_included(inner: MBivariate, outer: MBivariate, margin: float = 0.0) 
     support ellipse is e + A c over unit vectors c, and the largest value
     of outer's form on it, max |e + A c|^2, is a 2x2 trust-region boundary
     problem (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  With
-    A = U S V^T, h_k = S_k^2 and g_k = S_k (U^T e)_k, the maximizer in V's
-    basis is c_k = g_k/(mu - h_k), at the root mu >= h_1 of the secular
-    equation sum g_k^2/(mu - h_k)^2 = 1, and the largest value is |e|^2 +
-    mu + sum g_k^2/(mu - h_k), every term non-negative.  Newton's method
-    on 1/|c(mu)|, concave in mu, rises to the root from below, from
-    max_k (h_k + |g_k|); where that start is h_1, the root is h_1 and the
-    terms with g_k = 0 drop (the hard case).  Both exponents must be < 1.
+    A = U S V^T, h_k = S_k^2 and g_k = S_k |(U^T e)_k|, the maximizer in
+    V's basis is c_k = g_k/(mu - h_k), at the root mu >= h_1 of the
+    secular equation sum c_k^2 = 1, and the largest value is |e|^2 + mu +
+    sum g_k c_k, every term non-negative.  Newton's method on 1/|c(mu)|,
+    concave in mu, rises to the root from below, from max_k (h_k + g_k).
+    A term with g_k below h_k's rounding adds less than that rounding and
+    drops; where every term drops, the root is h_1 (the hard case).  A and e
+    are taken in units of outer's support radius, so equal shapes compare
+    exactly, and then of the power of two at or below their largest entry,
+    so nothing below overflows.  Both exponents must be < 1, and inner's
+    s1^2 and s2^2 normal doubles; an entry of A or e past the doubles then
+    puts inner's support beyond outer's.
     """
     thr_i = inner.support_threshold()
     thr_o = outer.support_threshold()
     if not (math.isfinite(thr_i) and math.isfinite(thr_o)):
         raise DomainError("support_included needs compactly supported members (m < 1)")
-    white = _whitening(outer)
+    inner.cov  # DomainError where s1^2 or s2^2 is not a normal double
     root = math.sqrt(1.0 - inner.theta * inner.theta)
     chol = np.array([[inner.s1, 0.0], [inner.theta * inner.s2, root * inner.s2]])
-    u, s, _ = np.linalg.svd(math.sqrt(thr_i) * (white @ chol))
-    e = u.T @ (white @ (inner.mean - outer.mean))
-    terms = [(float(sk * ek) ** 2, float(sk * sk)) for sk, ek in zip(s, e) if sk * ek]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        white = _whitening(outer)
+        a = math.sqrt(thr_i / thr_o) * (white @ chol)
+        d = (white @ (inner.mean - outer.mean)) / math.sqrt(thr_o)
+    if not (np.isfinite(a).all() and np.isfinite(d).all()):
+        return False
+    unit = math.ldexp(1.0, math.frexp(max(float(np.abs(a).max()), float(np.abs(d).max())))[1] - 1)
+    u, s, _ = np.linalg.svd(a / unit)
+    e = u.T @ (d / unit)
+    terms = [(abs(float(sk * ek)), float(sk * sk)) for sk, ek in zip(s, e)]
+    terms = [(gk, hk) for gk, hk in terms if hk + gk > hk]
     h1 = float(s[0] * s[0])
-    mu = max([h1] + [hk + math.sqrt(gk) for gk, hk in terms])
+    mu = max([h1] + [hk + gk for gk, hk in terms])
     while mu > h1:
-        norm2 = sum(gk / (mu - hk) ** 2 for gk, hk in terms)
-        slope = sum(gk / (mu - hk) ** 3 for gk, hk in terms)
+        c2 = [(gk / (mu - hk)) ** 2 for gk, hk in terms]
+        norm2 = sum(c2)
+        slope = sum(ck2 / (mu - hk) for ck2, (_, hk) in zip(c2, terms))
         # 1/|c| is concave, so each Newton step stays below the root
         after = mu + (math.sqrt(norm2) - 1.0) * norm2 / slope
         if not after > mu:
             break
         mu = after
-    largest = float(e @ e) + mu + sum(gk / (mu - hk) for gk, hk in terms)
-    return largest < thr_o * (1.0 - margin)
+    largest = float(e @ e) + mu + sum(gk * (gk / (mu - hk)) for gk, hk in terms)
+    return largest * unit * unit < 1.0 - margin

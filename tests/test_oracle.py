@@ -740,6 +740,21 @@ def test_support_included_geometry():
     heavy = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.0, 1.2)
     with pytest.raises(DomainError):
         oracle.support_included(inner, heavy)
+    # extreme scales: whitened entries past the doubles read as outside, a
+    # tiny member inside a huge one as inside, and an inner s1^2 that is not
+    # a normal double as a DomainError
+    big = make_bivariate(0.0, 0.0, 1e154, 1e154, 0.0, 0.5)
+    tiny = make_bivariate(0.0, 0.0, 1e-154, 1e-154, 0.0, 0.5)
+    assert not oracle.support_included(big, tiny)
+    assert not oracle.support_included(inner, make_bivariate(0.0, 0.0, 5e-324, 5e-324, 0.9, 0.5))
+    assert oracle.support_included(make_bivariate(0.0, 0.0, 1e-150, 1e-150, 0.2, 0.5),
+                                   make_bivariate(0.0, 0.0, 1e300, 1e300, 0.2, 0.5))
+    with pytest.raises(DomainError):
+        oracle.support_included(make_bivariate(0.0, 0.0, 1e200, 1e200, 0.0, 0.5), tiny)
+    # an offset of 1e-20, nonzero in whitened units but below the rounding
+    # of the scales: a term of the secular equation that rounds away
+    assert not oracle.support_included(make_bivariate(1e-20, 0.0, 1.0, 1.0, 0.0, 0.5), outer)
+    assert oracle.support_included(make_bivariate(1e-20, 0.0, 0.5, 0.5, 0.0, 0.5), outer)
 
 
 @pytest.mark.parametrize("m", [0.2, 0.5, 0.9])
@@ -764,6 +779,13 @@ def test_support_included_decided_exactly(m, psi, poke):
     # concentric circles: the hard case of the secular equation
     ring = make_bivariate(0.3, -0.2, 1.0 + poke, 1.0 + poke, 0.0, m)
     assert oracle.support_included(ring, outer) == (poke < 0.0)
+    # means one ulp apart, below the rounding of the whitened scales: a term
+    # of the secular equation that rounds away, read as the 720-point sweep
+    # read it
+    assert 0.1 + 0.2 != 0.3
+    assert not oracle.support_included(make_bivariate(0.1 + 0.2, -0.2, 1.0, 1.0, 0.0, m), outer)
+    shrunk = 1.0 + poke - 1e-9
+    assert oracle.support_included(make_bivariate(0.1 + 0.2, -0.2, shrunk, shrunk, 0.0, m), outer)
 
 
 def test_quadrature_config_defaults(monkeypatch):
