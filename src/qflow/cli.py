@@ -39,10 +39,12 @@ from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import Callable, Sequence
 
-from .functionals import StepPair, _jko_scales, entropy_diff, wasserstein2_sq
+from .functionals import (
+    StepPair, _entropy_b, _jko_scales, _step_terms, _third_gap_coeff, entropy_diff, wasserstein2_sq,
+)
 from .pme_flow import evolve_sigma
 from .qgaussian import QGaussian1D
-from .qmath import DomainError, make_params
+from .qmath import DomainError, _finite, _require_int, make_params
 
 GAMMA_SCHEMA = "qflow.gamma.v1"
 JKO_SCHEMA = "qflow.jko.v1"
@@ -73,8 +75,7 @@ class RunConfig:
                 f"h grid must be strictly positive and decreasing, got "
                 f"{self.h_start!r}:{self.h_stop!r}"
             )
-        if self.h_points < 2:
-            raise DomainError(f"h grid needs at least 2 points, got {self.h_points!r}")
+        _require_int(self.h_points, 2, "h_points must be an int >= 2")
 
     def h_grid(self) -> list[float]:
         ratio = self.h_stop / self.h_start
@@ -192,9 +193,14 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
     and 3 to the entropy difference; statement 3 (defined for q < 1 only)
     additionally reports its one-sided bound, the gap to statement 2's
     functional, which is nonnegative on the whole grid.
+
+    The steps are one _step_terms call over the h-grid, and b, C and W2^2
+    are formed once: each row is the StepPair(g, g0, h) row of its h, bit
+    for bit, read with StepPair.first, second and third's expressions.  A
+    table that cannot be formed raises the error of its first failing row,
+    as that row's StepPair raises it.
     """
-    if statement not in (1, 2, 3):
-        raise DomainError(f"statement must be 1, 2 or 3, got {statement!r}")
+    _require_int(statement, 1, "statement must be 1, 2 or 3", most=3)
     if statement == 3 and cfg.q > 1.0:
         raise DomainError("statement 3 is one-sided and only defined for q < 1")
     p = make_params(cfg.q, 1)
@@ -203,7 +209,7 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
 
     if statement == 1:
         functional: Callable[[StepPair], float] = StepPair.first
-        limit = wasserstein2_sq(g, g0)
+        limit = w2 = wasserstein2_sq(g, g0)
     else:
         functional = StepPair.second if statement == 2 else StepPair.third
         limit = entropy_diff(g, g0)
@@ -212,14 +218,31 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
     if statement == 3:
         columns = columns + ("bound_gap",)
 
-    rows = []
-    for h in cfg.h_grid():
-        step = StepPair(g, g0, h)
-        value = functional(step)
-        row = (h, value, limit, abs(value - limit))
+    hs = cfg.h_grid()
+    q, sigma0, c = p.q, g0.sigma, p.C
+    try:
+        b = _entropy_b(p, sigma0)
         if statement == 3:
-            row = row + (value - step.second(),)
-        rows.append(row)
+            w2 = wasserstein2_sq(g, g0)
+        rows = []
+        for h, (gap, _, _, fh_q) in zip(hs, _step_terms(g.sigma, sigma0, q, hs)):
+            if statement == 1:
+                value = _finite(w2 + c * gap * fh_q, "the first rescaling")
+            else:
+                value = second = _finite(b * c * fh_q, "the second rescaling")
+                if statement == 3:
+                    coeff = _third_gap_coeff(sigma0, h, q, b, gap)
+                    value = _finite(second + coeff * w2, "the third rescaling")
+            row = (h, value, limit, abs(value - limit))
+            if statement == 3:
+                row = row + (value - second,)
+            rows.append(row)
+    except DomainError:
+        # b, W2^2 and every step ran ahead of the rows' own checks: replay the rows
+        # one StepPair each, so that the first failing row raises as StepPair orders them
+        for h in hs:
+            functional(StepPair(g, g0, h))
+        raise
 
     inputs = {"command": "gamma", "statement": statement, **vars(cfg)}
     return _table(GAMMA_SCHEMA, inputs, columns, rows)
@@ -233,8 +256,7 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
     error of its first failing row, and a row's step fails before its
     exact scale.
     """
-    if not (isinstance(steps, int) and steps >= 1):
-        raise DomainError(f"steps must be an int >= 1, got {steps!r}")
+    _require_int(steps, 1, "steps must be an int >= 1")
     p = make_params(q, 1)
     QGaussian1D(mu=mu0, sigma=sigma0, params=p)  # validates mu0 and sigma0
     exact = []

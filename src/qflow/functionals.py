@@ -52,10 +52,12 @@ in its m-form,
 
 whose log term is the q-form's, since 2 log_m(x^(1/(3-m))) = q log_q x
 at m = 3 - 2/q; the two forms differ only in their first terms, which
-agree at the solved eta alone.  StepPair(g, g0, h) computes D, delta, the
-shared log term, the q-form of F_h and b once, and it is the only entry
-to eta_h: J_h, F_h, the optimal coupling and the three rescalings all
-read those numbers from it.  The coefficients
+agree at the solved eta alone.  D, delta, the shared log term and the
+q-form of F_h come from one kernel, _step_terms, the only entry to
+eta_h: a gamma table, one rescaling over a whole h-grid, is one call of
+it, which forms the h-free pieces once, and StepPair(g, g0, h) is its
+one-h case.  StepPair adds b, and J_h, F_h, the optimal coupling and the
+three rescalings all read those numbers from it.  The coefficients
 
     a = 2 C^(2-m) / C1(m,2) * (C0(m,2)/sigma0)^(m-1),
     b = (2-q) C1(q,1) / C^((3-q)/2) * (C0(q,1)/sigma0)^(1-q)
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .pme_flow import _relative_growth, evolve_sigma, sigma_sq_gap
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
@@ -122,7 +125,8 @@ class GammaCoefficients:
 
 
 def _require_same_family(g: QGaussian1D, g0: QGaussian1D) -> None:
-    if g.params != g0.params:
+    # one shared parameter set is equal to itself without a field-by-field compare
+    if g.params is not g0.params and g.params != g0.params:
         raise DomainError("both densities must share one parameter set")
 
 
@@ -375,22 +379,41 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
     )
 
 
-def _f_h_terms(delta: float, sigma: float, sigma0: float, q: float) -> tuple[float, float]:
-    """The q-form's first term 2 eta^q/(2-delta) (sigma0/sigma)^(1-q) of F_h
-    and the log term q log_q(sigma0/(sigma eta)) that both forms share,
-    given delta = 1 - eta_h; each is inf where its power overflows."""
+def _step_terms(
+    sigma: float, sigma0: float, q: float, hs: Sequence[float]
+) -> list[tuple[float, float, float, float]]:
+    """(gap, delta, fh_log, fh_q) of the step (sigma | sigma0, h) for each h of hs:
+    the float kernel of StepPair and of the gamma table.
+
+    gap is D = sigma_h^2 - sigma0^2 and delta = 1 - eta_h the root of
+    _solve_eta_gap.  fh_log = q log_q(sigma0/(sigma eta_h)) is the log term
+    that both forms of F_h share, and fh_q = 2 eta^q/(2-delta)
+    (sigma0/sigma)^(1-q) + fh_log - 1 is the q-form; each term is inf where
+    its own power overflows.  log(sigma0/sigma) and (sigma0/sigma)^(1-q)
+    do not depend on h and are formed once.  Each h is checked by
+    _require_h before its gap, so the first failing h raises, in the order
+    of the one-h case.
+    """
+    om = 1.0 - q
     log_ratio = _log_ratio(sigma0, sigma)
     try:
-        eta_pow_q = math.exp(q * math.log1p(-delta))
-        first = 2.0 * eta_pow_q / (2.0 - delta) * math.exp((1.0 - q) * log_ratio)
+        ratio_pow = math.exp(om * log_ratio)
     except OverflowError:
-        first = math.inf
-    ell = log_ratio - math.log1p(-delta)
-    try:
-        shared = q * math.expm1((1.0 - q) * ell) / (1.0 - q)
-    except OverflowError:
-        shared = math.inf
-    return first, shared
+        ratio_pow = math.inf
+    terms = []
+    for h in hs:
+        _require_h(h)
+        gap = sigma_sq_gap(sigma0, h, q)
+        delta = _solve_eta_gap(sigma, sigma0, gap, q)[0]
+        log_eta = math.log1p(-delta)
+        # eta >= 2^-53, so eta^q > 0 and an overflowing power makes the first term inf
+        first = 2.0 * math.exp(q * log_eta) / (2.0 - delta) * ratio_pow
+        try:
+            fh_log = q * math.expm1(om * (log_ratio - log_eta)) / om
+        except OverflowError:
+            fh_log = math.inf
+        terms.append((gap, delta, fh_log, first + fh_log - 1.0))
+    return terms
 
 
 def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) -> float:
@@ -419,7 +442,8 @@ class StepPair:
     coupling root delta = 1 - eta_h, the log term fh_log = q
     log_q(sigma0/(sigma eta_h)) that both forms of F_h share, the q-form
     fh_q of F_h and the entropy coefficient b(sigma0, q), each computed
-    once.
+    once.  The first four are _step_terms' one-h case, so a gamma table's
+    row at h holds the same bits.
 
     The two forms of F_h differ only in their first terms, 2 eta^q/(2 -
     delta) (sigma0/sigma)^(1-q) and 2 sigma0 sigma delta/D, which agree at
@@ -438,17 +462,13 @@ class StepPair:
 
     def __post_init__(self) -> None:
         _require_same_family(self.g, self.g0)
-        _require_h(self.h)
         p = self.g.params
-        sigma, sigma0 = self.g.sigma, self.g0.sigma
-        gap = sigma_sq_gap(sigma0, self.h, p.q)
-        delta = _solve_eta_gap(sigma, sigma0, gap, p.q)[0]
-        first, shared = _f_h_terms(delta, sigma, sigma0, p.q)
+        ((gap, delta, fh_log, fh_q),) = _step_terms(self.g.sigma, self.g0.sigma, p.q, (self.h,))
         object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "fh_log", shared)
-        object.__setattr__(self, "fh_q", first + shared - 1.0)
-        object.__setattr__(self, "b", _entropy_b(p, sigma0))
+        object.__setattr__(self, "fh_log", fh_log)
+        object.__setattr__(self, "fh_q", fh_q)
+        object.__setattr__(self, "b", _entropy_b(p, self.g0.sigma))
 
     def f_h(self, form: str = "q") -> float:
         if form == "q":

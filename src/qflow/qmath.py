@@ -67,6 +67,15 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
+def _require_int(value: object, least: int, message: str, most: float = math.inf) -> None:
+    """DomainError(f"{message}, got {value!r}") unless value is an int in [least, most].
+
+    A bool is not an int here, nor is a float of integral value.
+    """
+    if isinstance(value, bool) or not (isinstance(value, int) and least <= value <= most):
+        raise DomainError(f"{message}, got {value!r}")
+
+
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) for a, b > 0, stable for large arguments.
 
@@ -204,8 +213,7 @@ def make_params(q: float, d: int) -> QParams:
     Raises DomainError for q outside (0, 1) u (1, (d+4)/(d+2)) or d < 1,
     and where C0, A or C is not a positive finite double (large d).
     """
-    if not (isinstance(d, int) and d >= 1):
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    _require_int(d, 1, "d must be a positive integer")
     if not in_q_domain(q, d):
         raise DomainError(
             f"q={q!r} outside Q_{d} = (0, 1) u (1, {q_domain_upper(d)!r})"

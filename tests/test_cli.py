@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -192,7 +194,8 @@ def test_gamma_where_a_power_of_the_coupling_equation_overflows_exits_0(capsys):
 
 
 def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
-    calls = {"_f_h_terms": 0, "_entropy_b": 0}
+    # a table is one kernel call over its h-grid, and it forms b once
+    calls = {"_step_terms": 0, "_entropy_b": 0}
     for name in calls:
         orig = getattr(functionals, name)
 
@@ -200,11 +203,81 @@ def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(functionals, name, counted)
+        for module in (functionals, cli):
+            monkeypatch.setattr(module, name, counted)
     cfg = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=4)
-    cli.cmd_gamma(3, cfg)
-    # entropy_diff's limit reads b once more
-    assert calls == {"_f_h_terms": 4, "_entropy_b": 5}
+    for statement, limit_b in ((1, 0), (2, 1), (3, 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(cli.cmd_gamma(statement, cfg).rows) == 4
+        # entropy_diff's limit reads b once more
+        assert calls == {"_step_terms": 1, "_entropy_b": 1 + limit_b}
+
+
+def _step_pair_table(statement, cfg):
+    """cmd_gamma's rows read one StepPair(g, g0, h) at a time, or the error of
+    the first failing row and its index (-1 for the limit)."""
+    p = make_params(cfg.q, 1)
+    g0 = QGaussian1D(mu=cfg.mu0, sigma=cfg.sigma0, params=p)
+    g = QGaussian1D(mu=cfg.mu, sigma=cfg.sigma, params=p)
+    try:
+        limit = wasserstein2_sq(g, g0) if statement == 1 else entropy_diff(g, g0)
+    except DomainError as exc:
+        return [], exc, -1
+    rows = []
+    for k, h in enumerate(cfg.h_grid()):
+        try:
+            step = functionals.StepPair(g, g0, h)
+            value = (step.first, step.second, step.third)[statement - 1]()
+        except DomainError as exc:
+            return rows, exc, k
+        row = (h, value, limit, abs(value - limit))
+        if statement == 3:
+            row = row + (value - step.second(),)
+        rows.append(row)
+    return rows, None, None
+
+
+def _gamma_draws(n, seed):
+    rng = random.Random(seed)
+    for _ in range(n):
+        statement = rng.choice((1, 2, 3))
+        low = statement == 3 or rng.random() < 0.5
+        q = rng.uniform(0.01, 0.99) if low else rng.uniform(1.01, 1.66)
+        sigma0 = 10.0 ** rng.uniform(-150, 150)
+        if rng.random() < 0.3:
+            sigma = 10.0 ** rng.uniform(-150, 150)
+        else:
+            sigma = sigma0 * 10.0 ** rng.uniform(-1.0, 1.0)
+        # a mean of 1e200 puts W2^2 past the doubles
+        mu = 1e200 if rng.random() < 0.1 else rng.uniform(-1.0, 1.0)
+        # h over the doubles, or within twelve decades below sigma0^(3-q)
+        exps = [rng.uniform(-300, 250), rng.uniform(-300, 250)]
+        if rng.random() < 0.5:
+            top = min(max((3.0 - q) * math.log10(sigma0), -288.0), 250.0)
+            exps = [top - rng.uniform(0.0, 12.0) for _ in exps]
+        h_start, h_stop = sorted((10.0**e for e in exps), reverse=True)
+        cfg = cli.RunConfig(q=q, sigma0=sigma0, mu0=rng.uniform(-1.0, 1.0), mu=mu, sigma=sigma,
+                            h_start=h_start, h_stop=h_stop, h_points=rng.randint(2, 12))
+        yield statement, cfg
+
+
+def test_gamma_rows_are_step_pair_rows_bit_for_bit():
+    # the whole-grid kernel reads each row as StepPair(g, g0, h) does, and a
+    # table that cannot be formed raises its first failing row's error
+    failing_rows = []
+    for statement, cfg in _gamma_draws(600, 20261019):
+        rows, exc, failing = _step_pair_table(statement, cfg)
+        if exc is None:
+            table = cli.cmd_gamma(statement, cfg)
+            assert [list(map(repr, r)) for r in table.rows] == [list(map(repr, r)) for r in rows]
+        else:
+            with pytest.raises(DomainError) as got:
+                cli.cmd_gamma(statement, cfg)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            failing_rows.append(failing)
+    # the draw forms tables and raises at the limit, at the first row and at later rows
+    assert 250 < len(failing_rows) < 400
+    assert {-1, 0} <= set(failing_rows) and max(failing_rows) >= 3
 
 
 def test_table_commands_do_not_import_scipy(tmp_path):
@@ -681,3 +754,22 @@ def test_run_config_validation():
     assert grid[0] == pytest.approx(1e-1) and grid[-1] == pytest.approx(1e-6)
     ratios = [grid[i] / grid[i + 1] for i in range(10)]
     assert all(r == pytest.approx(ratios[0], rel=1e-12) for r in ratios)
+
+
+def test_integer_inputs_reject_bools_and_floats():
+    # True and 1.0 compare equal to 1, but a document built from them would
+    # fail its schema ("integer") or hash to another input_sha256
+    cfg = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=4)
+    calls = {
+        "statement": lambda v: cli.cmd_gamma(v, cfg),
+        "steps": lambda v: cli.cmd_jko(0.8, 1.0, 0.0, 0.01, v),
+        "d": lambda v: cli.cmd_const(0.8, v),
+        "h_points": lambda v: cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=v),
+    }
+    for name, call in calls.items():
+        for value in (True, 2.0, 2.5, "2", None):
+            with pytest.raises(DomainError, match=rf"{name}.*, got {re.escape(repr(value))}$"):
+                call(value)
+        call(2)
+    with pytest.raises(DomainError, match="d must be a positive integer, got True"):
+        make_params(0.8, True)
