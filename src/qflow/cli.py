@@ -16,6 +16,12 @@ Subcommands:
   runs; run_checks is the one runner that measures and judges them.
 * ``const``: dumps the constants pipeline for one (q, d) as JSON.
 
+The gamma and jko tables each read a step kernel of ``qflow.functionals``
+that yields one step at a time, and form each row, in order, as its step
+arrives, so a table that cannot be formed raises the error of its first
+failing row.  The rescalings' row algebra is the row functions of
+``functionals``, which StepPair calls too.
+
 Output is byte-deterministic: no timestamps, floats rendered by repr
 (shortest round-trip form, locale-independent), and a sha256 over the
 defining inputs embedded as metadata.  Every document is built from the
@@ -37,14 +43,14 @@ from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .functionals import (
-    StepPair, _entropy_b, _jko_scales, _step_terms, _third_gap_coeff, entropy_diff, wasserstein2_sq,
+    _entropy_b, _first, _jko_scales, _second, _step_terms, _third, entropy_diff, wasserstein2_sq,
 )
 from .pme_flow import evolve_sigma
 from .qgaussian import QGaussian1D
-from .qmath import DomainError, _finite, _require_int, make_params
+from .qmath import _DBL_MIN, DomainError, _require_int, make_params
 
 GAMMA_SCHEMA = "qflow.gamma.v1"
 JKO_SCHEMA = "qflow.jko.v1"
@@ -78,9 +84,25 @@ class RunConfig:
         _require_int(self.h_points, 2, "h_points must be an int >= 2")
 
     def h_grid(self) -> list[float]:
-        ratio = self.h_stop / self.h_start
-        n = self.h_points
-        return [self.h_start * ratio ** (k / (n - 1)) for k in range(n)]
+        """h_start (h_stop/h_start)^(k/(n-1)) for k = 0, ..., n-1.
+
+        Where the ratio is not a normal double (the ends more than about 308
+        decades apart), each point is formed in base-2 logs: with the ends'
+        mantissas m0, m1 and exponents e0, e1, the point is m0^(1-t) m1^t
+        2^((e1-e0) t) at t = k/(n-1), the integer part of the exponent
+        applied exactly.  Both ends are then exact.
+        """
+        start, stop, n = self.h_start, self.h_stop, self.h_points
+        ratio = stop / start
+        if ratio >= _DBL_MIN:
+            return [start * ratio ** (k / (n - 1)) for k in range(n)]
+        (m0, e0), (m1, e1) = math.frexp(start), math.frexp(stop)
+        grid = []
+        for k in range(n):
+            t = k / (n - 1)
+            whole, part = divmod((e1 - e0) * k, n - 1)
+            grid.append(math.ldexp(m0 ** (1.0 - t) * m1**t * 2.0 ** (part / (n - 1)), e0 + whole))
+        return grid
 
 
 @dataclass(frozen=True)
@@ -194,11 +216,12 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
     additionally reports its one-sided bound, the gap to statement 2's
     functional, which is nonnegative on the whole grid.
 
-    The steps are one _step_terms call over the h-grid, and b, C and W2^2
-    are formed once: each row is the StepPair(g, g0, h) row of its h, bit
-    for bit, read with StepPair.first, second and third's expressions.  A
-    table that cannot be formed raises the error of its first failing row,
-    as that row's StepPair raises it.
+    The steps are one _step_terms call over the h-grid, and the table
+    forms each row as its step arrives, with the row functions _first,
+    _second and _third that StepPair.first, second and third call: each
+    row is the StepPair(g, g0, h) row of its h, bit for bit.  A table that
+    cannot be formed raises the error of its first failing row, as that
+    row's StepPair raises it.
     """
     _require_int(statement, 1, "statement must be 1, 2 or 3", most=3)
     if statement == 3 and cfg.q > 1.0:
@@ -208,41 +231,27 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
     g = QGaussian1D(mu=cfg.mu, sigma=cfg.sigma, params=p)
 
     if statement == 1:
-        functional: Callable[[StepPair], float] = StepPair.first
         limit = w2 = wasserstein2_sq(g, g0)
     else:
-        functional = StepPair.second if statement == 2 else StepPair.third
         limit = entropy_diff(g, g0)
+        b = _entropy_b(p, g0.sigma)
 
     columns = ("h", "value", "limit", "abs_error")
     if statement == 3:
         columns = columns + ("bound_gap",)
 
     hs = cfg.h_grid()
-    q, sigma0, c = p.q, g0.sigma, p.C
-    try:
-        b = _entropy_b(p, sigma0)
-        if statement == 3:
-            w2 = wasserstein2_sq(g, g0)
-        rows = []
-        for h, (gap, _, _, fh_q) in zip(hs, _step_terms(g.sigma, sigma0, q, hs)):
-            if statement == 1:
-                value = _finite(w2 + c * gap * fh_q, "the first rescaling")
-            else:
-                value = second = _finite(b * c * fh_q, "the second rescaling")
-                if statement == 3:
-                    coeff = _third_gap_coeff(sigma0, h, q, b, gap)
-                    value = _finite(second + coeff * w2, "the third rescaling")
-            row = (h, value, limit, abs(value - limit))
-            if statement == 3:
-                row = row + (value - second,)
-            rows.append(row)
-    except DomainError:
-        # b, W2^2 and every step ran ahead of the rows' own checks: replay the rows
-        # one StepPair each, so that the first failing row raises as StepPair orders them
-        for h in hs:
-            functional(StepPair(g, g0, h))
-        raise
+    c = p.C
+    rows = []
+    for h, (gap, _, _, fh_q) in zip(hs, _step_terms(g.sigma, g0.sigma, p.q, hs)):
+        if statement == 1:
+            value = _first(c, w2, gap, fh_q)
+        elif statement == 2:
+            value = _second(c, b, fh_q)
+        else:
+            value, second = _third(g, g0, h, b, gap, fh_q)
+        row = (h, value, limit, abs(value - limit))
+        rows.append(row + (value - second,) if statement == 3 else row)
 
     inputs = {"command": "gamma", "statement": statement, **vars(cfg)}
     return _table(GAMMA_SCHEMA, inputs, columns, rows)
@@ -252,23 +261,16 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
     """Minimizing-movement trajectory against the exact scale evolution.
 
     The scales are one _jko_scales call, jko_step's steps on the scale
-    alone: the mean stays mu0.  A table that cannot be formed raises the
-    error of its first failing row, and a row's step fails before its
-    exact scale.
+    alone: the mean stays mu0.  Each row is formed as its step arrives, the
+    step before its exact scale, so a table that cannot be formed raises
+    the error of its first failing row.
     """
     _require_int(steps, 1, "steps must be an int >= 1")
     p = make_params(q, 1)
     QGaussian1D(mu=mu0, sigma=sigma0, params=p)  # validates mu0 and sigma0
-    exact = []
-    try:
-        for n in range(1, steps + 1):
-            exact.append(evolve_sigma(sigma0, n * h, p.q))
-    except DomainError:
-        # the steps up to the failing row raise first where they fail
-        _jko_scales(sigma0, h, p.q, len(exact) + 1)
-        raise
     rows = [(0, mu0, sigma0, sigma0, 0.0)]
-    for n, (sigma, ex) in enumerate(zip(_jko_scales(sigma0, h, p.q, steps), exact), 1):
+    for n, sigma in enumerate(_jko_scales(sigma0, h, p.q, steps), 1):
+        ex = evolve_sigma(sigma0, n * h, p.q)
         rows.append((n, mu0, sigma, ex, abs(sigma - ex)))
 
     inputs = {"command": "jko", "q": q, "sigma0": sigma0, "mu0": mu0, "h": h, "steps": steps}

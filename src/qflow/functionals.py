@@ -16,10 +16,11 @@ functional is
 minimized by jko_step: one Newton descent onto the root of its
 stationarity equation, written in the logarithm of the relative scale
 increment, where it is increasing and convex.  A jko table, a whole
-trajectory of such steps, is one call of the kernel _jko_scales, and
-jko_step is its one-step case.  The rate-like functional J_h is the
-relative m-entropy (m = 3 - 2/q) of the optimal pair coupling Q* against
-the flow coupling Q_{0->h}; its value reduces to the scalar root eta_h of
+trajectory of such steps, is one call of the kernel _jko_scales, which
+yields the steps one at a time, and jko_step is its one-step case.  The
+rate-like functional J_h is the relative m-entropy (m = 3 - 2/q) of the
+optimal pair coupling Q* against the flow coupling Q_{0->h}; its value
+reduces to the scalar root eta_h of
 
     eta^q / (1 - eta^2) = sigma0^q sigma^(2-q) / (sigma_h^2 - sigma0^2),
 
@@ -55,9 +56,12 @@ at m = 3 - 2/q; the two forms differ only in their first terms, which
 agree at the solved eta alone.  D, delta, the shared log term and the
 q-form of F_h come from one kernel, _step_terms, the only entry to
 eta_h: a gamma table, one rescaling over a whole h-grid, is one call of
-it, which forms the h-free pieces once, and StepPair(g, g0, h) is its
-one-h case.  StepPair adds b, and J_h, F_h, the optimal coupling and the
-three rescalings all read those numbers from it.  The coefficients
+it, which forms the h-free pieces once and yields the steps one h at a
+time, and StepPair(g, g0, h) is its one-h case.  Each rescaling has one
+row function, _first, _second or _third, that StepPair and the gamma
+table both call.  StepPair adds b at its first read, and J_h, F_h, the
+optimal coupling and the three rescalings all read those numbers from
+it.  The coefficients
 
     a = 2 C^(2-m) / C1(m,2) * (C0(m,2)/sigma0)^(m-1),
     b = (2-q) C1(q,1) / C^((3-q)/2) * (C0(q,1)/sigma0)^(1-q)
@@ -71,7 +75,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .pme_flow import _relative_growth, evolve_sigma, sigma_sq_gap
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
@@ -381,9 +386,9 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
 
 def _step_terms(
     sigma: float, sigma0: float, q: float, hs: Sequence[float]
-) -> list[tuple[float, float, float, float]]:
-    """(gap, delta, fh_log, fh_q) of the step (sigma | sigma0, h) for each h of hs:
-    the float kernel of StepPair and of the gamma table.
+) -> Iterator[tuple[float, float, float, float]]:
+    """Yield (gap, delta, fh_log, fh_q) of the step (sigma | sigma0, h) for each h
+    of hs in turn: the float kernel of StepPair and of the gamma table.
 
     gap is D = sigma_h^2 - sigma0^2 and delta = 1 - eta_h the root of
     _solve_eta_gap.  fh_log = q log_q(sigma0/(sigma eta_h)) is the log term
@@ -391,8 +396,9 @@ def _step_terms(
     (sigma0/sigma)^(1-q) + fh_log - 1 is the q-form; each term is inf where
     its own power overflows.  log(sigma0/sigma) and (sigma0/sigma)^(1-q)
     do not depend on h and are formed once.  Each h is checked by
-    _require_h before its gap, so the first failing h raises, in the order
-    of the one-h case.
+    _require_h before its gap, and a step is formed only when the one
+    before it has been taken, so a reader that forms each row as its step
+    arrives raises at its first failing row, in the order of the one-h case.
     """
     om = 1.0 - q
     log_ratio = _log_ratio(sigma0, sigma)
@@ -400,7 +406,6 @@ def _step_terms(
         ratio_pow = math.exp(om * log_ratio)
     except OverflowError:
         ratio_pow = math.inf
-    terms = []
     for h in hs:
         _require_h(h)
         gap = sigma_sq_gap(sigma0, h, q)
@@ -412,8 +417,7 @@ def _step_terms(
             fh_log = q * math.expm1(om * (log_ratio - log_eta)) / om
         except OverflowError:
             fh_log = math.inf
-        terms.append((gap, delta, fh_log, first + fh_log - 1.0))
-    return terms
+        yield gap, delta, fh_log, first + fh_log - 1.0
 
 
 def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) -> float:
@@ -436,19 +440,45 @@ def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) ->
     return num / den
 
 
+def _first(c: float, w2: float, gap: float, fh_q: float) -> float:
+    """The first rescaling W2^2 + C D F_h of one step."""
+    return _finite(w2 + c * gap * fh_q, "the first rescaling")
+
+
+def _second(c: float, b: float, fh_q: float) -> float:
+    """The second rescaling b C F_h of one step."""
+    return _finite(b * c * fh_q, "the second rescaling")
+
+
+def _third(
+    g: QGaussian1D, g0: QGaussian1D, h: float, b: float, gap: float, fh_q: float
+) -> tuple[float, float]:
+    """The third rescaling b C F_h + (b/D - 1/(2h)) W2^2 of one step, and the
+    second rescaling b C F_h it adds to.
+
+    The gap coefficient is checked first, then the second rescaling, then
+    W2^2.
+    """
+    coeff = _third_gap_coeff(g0.sigma, h, g.params.q, b, gap)
+    second = _second(g.params.C, b, fh_q)
+    return _finite(second + coeff * wasserstein2_sq(g, g0), "the third rescaling"), second
+
+
 @dataclass(frozen=True)
 class StepPair:
     """One step (g | g0, h): the variance gap D = sigma_h^2 - sigma0^2, the
     coupling root delta = 1 - eta_h, the log term fh_log = q
-    log_q(sigma0/(sigma eta_h)) that both forms of F_h share, the q-form
-    fh_q of F_h and the entropy coefficient b(sigma0, q), each computed
-    once.  The first four are _step_terms' one-h case, so a gamma table's
-    row at h holds the same bits.
+    log_q(sigma0/(sigma eta_h)) that both forms of F_h share and the q-form
+    fh_q of F_h, each computed once as _step_terms' one-h case.  The
+    entropy coefficient b(sigma0, q) is formed at its first read, by the
+    second or third rescaling.
 
     The two forms of F_h differ only in their first terms, 2 eta^q/(2 -
     delta) (sigma0/sigma)^(1-q) and 2 sigma0 sigma delta/D, which agree at
     the solved root alone.  J_h, F_h, the optimal coupling and the three
-    rescalings are readers of these numbers.
+    rescalings are readers of these numbers; the rescalings are the row
+    functions _first, _second and _third, which the gamma table calls too,
+    so its row at h holds the same bits.
     """
 
     g: QGaussian1D
@@ -458,17 +488,19 @@ class StepPair:
     delta: float = field(init=False)
     fh_log: float = field(init=False)
     fh_q: float = field(init=False)
-    b: float = field(init=False)
 
     def __post_init__(self) -> None:
         _require_same_family(self.g, self.g0)
-        p = self.g.params
-        ((gap, delta, fh_log, fh_q),) = _step_terms(self.g.sigma, self.g0.sigma, p.q, (self.h,))
+        q = self.g.params.q
+        ((gap, delta, fh_log, fh_q),) = _step_terms(self.g.sigma, self.g0.sigma, q, (self.h,))
         object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "fh_log", fh_log)
         object.__setattr__(self, "fh_q", fh_q)
-        object.__setattr__(self, "b", _entropy_b(p, self.g0.sigma))
+
+    @cached_property
+    def b(self) -> float:
+        return _entropy_b(self.g.params, self.g0.sigma)
 
     def f_h(self, form: str = "q") -> float:
         if form == "q":
@@ -502,19 +534,13 @@ class StepPair:
         )
 
     def first(self) -> float:
-        return _finite(
-            wasserstein2_sq(self.g, self.g0) + self.g.params.C * self.gap * self.fh_q,
-            "the first rescaling",
-        )
+        return _first(self.g.params.C, wasserstein2_sq(self.g, self.g0), self.gap, self.fh_q)
 
     def second(self) -> float:
-        return _finite(self.b * self.g.params.C * self.fh_q, "the second rescaling")
+        return _second(self.g.params.C, self.b, self.fh_q)
 
     def third(self) -> float:
-        coeff = _third_gap_coeff(self.g0.sigma, self.h, self.g.params.q, self.b, self.gap)
-        return _finite(
-            self.second() + coeff * wasserstein2_sq(self.g, self.g0), "the third rescaling"
-        )
+        return _third(self.g, self.g0, self.h, self.b, self.gap, self.fh_q)[0]
 
 
 def qstar(g: QGaussian1D, g0: QGaussian1D, h: float) -> MBivariate:
@@ -590,9 +616,9 @@ def jko_step(g0: QGaussian1D, h: float) -> QGaussian1D:
     return QGaussian1D(mu=g0.mu, sigma=sigma, params=g0.params)
 
 
-def _jko_scales(sigma0: float, h: float, q: float, steps: int) -> list[float]:
-    """Scales of `steps` minimizing-movement steps from sigma0: the float kernel
-    of jko_step and of the jko table.
+def _jko_scales(sigma0: float, h: float, q: float, steps: int) -> Iterator[float]:
+    """Yield the scales of `steps` minimizing-movement steps from sigma0, one
+    step at a time: the float kernel of jko_step and of the jko table.
 
     K_h is strictly convex along sigma, and with b sigma0^(1-q) = 1/(3-q)
     its stationarity equation in the relative increment u = sigma/sigma0 - 1
@@ -617,15 +643,15 @@ def _jko_scales(sigma0: float, h: float, q: float, steps: int) -> list[float]:
     u <= 1 and 1e-12 relative above, for the exponent 3 - q as a double.
     Where 3 - q is not a double, its rounding moves x by about
     |log sigma0| eps relative: 47 ulps of sigma for q = 0.34 at sigma0 =
-    2.6e68, where u = 0.5.  h <= 0 raises DomainError, and scales that
-    _relative_growth rejects raise its DomainError at the step that starts
-    from them.  Each scale is finite: u <= r^(1/(3-q)) once u >= 1, so
-    sigma < 2 sigma0 or sigma <= 2 (h/(3-q))^(1/(3-q)).
+    2.6e68, where u = 0.5.  h <= 0 raises DomainError before the first
+    step, and scales that _relative_growth rejects raise its DomainError at
+    the step that starts from them; no step is formed before the one ahead
+    of it has been read.  Each scale is finite: u <= r^(1/(3-q)) once
+    u >= 1, so sigma < 2 sigma0 or sigma <= 2 (h/(3-q))^(1/(3-q)).
     """
     _require_h(h)
     a = 2.0 - q
     log_c = math.log(3.0 - q)
-    scales = []
     sigma = sigma0
     for _ in range(steps):
         x = _relative_growth(sigma, h, q)
@@ -644,5 +670,4 @@ def _jko_scales(sigma0: float, h: float, q: float, steps: int) -> list[float]:
                 f"jko_step: no Newton convergence for q={q!r}, sigma0={sigma!r}, h={h!r}"
             )
         sigma = sigma + sigma * math.exp(t)
-        scales.append(sigma)
-    return scales
+        yield sigma

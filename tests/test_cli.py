@@ -11,6 +11,7 @@ import textwrap
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,7 +195,8 @@ def test_gamma_where_a_power_of_the_coupling_equation_overflows_exits_0(capsys):
 
 
 def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
-    # a table is one kernel call over its h-grid, and it forms b once
+    # a table is one kernel call over its h-grid; statements 2 and 3 form b
+    # once, statement 1 forms none
     calls = {"_step_terms": 0, "_entropy_b": 0}
     for name in calls:
         orig = getattr(functionals, name)
@@ -206,11 +208,11 @@ def test_statement3_row_evaluates_fh_and_b_once(monkeypatch):
         for module in (functionals, cli):
             monkeypatch.setattr(module, name, counted)
     cfg = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4, h_points=4)
-    for statement, limit_b in ((1, 0), (2, 1), (3, 1)):
+    for statement, table_b in ((1, 0), (2, 1), (3, 1)):
         calls.update(dict.fromkeys(calls, 0))
         assert len(cli.cmd_gamma(statement, cfg).rows) == 4
         # entropy_diff's limit reads b once more
-        assert calls == {"_step_terms": 1, "_entropy_b": 1 + limit_b}
+        assert calls == {"_step_terms": 1, "_entropy_b": 2 * table_b}
 
 
 def _step_pair_table(statement, cfg):
@@ -483,7 +485,9 @@ def test_cmd_jko_equals_repeated_jko_step(q, sigma0, h, steps):
         (0.8, 1.0, 0.0, 2, 0),
         (0.8, 1e300, 0.1, 3, 0),
         (1.2, 1e-300, 0.1, 2, 0),
-        (0.5, 1.0, 1e307, 30, 20),  # sigma^(3-q) overflows at step 21
+        # sigma^(3-q) overflows in the step of row 21 (row 20 at q = 1.6), but the
+        # exact scale at row 18 fails first: 18 h = 1.8e308 overflows to inf
+        (0.5, 1.0, 1e307, 30, 20),
         (1.6, 1.0, 1e307, 30, 19),
     ],
 )
@@ -493,8 +497,21 @@ def test_cmd_jko_raises_where_jko_step_raises(q, sigma0, h, steps, raising_step)
         g = functionals.jko_step(g, h)
     with pytest.raises(DomainError):
         functionals.jko_step(g, h)
-    with pytest.raises(DomainError):
+    # the table raises its first failing row's error, and a row's step fails
+    # before its exact scale
+    g = QGaussian1D(mu=0.5, sigma=sigma0, params=make_params(q, 1))
+    expected = None
+    for n in range(1, steps + 1):
+        try:
+            g = functionals.jko_step(g, h)
+            evolve_sigma(sigma0, n * h, q)
+        except DomainError as exc:
+            expected = exc
+            break
+    assert n <= raising_step + 1 and expected is not None
+    with pytest.raises(DomainError) as got:
         cli.cmd_jko(q, sigma0, 0.5, h, steps)
+    assert (type(got.value), str(got.value)) == (type(expected), str(expected))
 
 
 _CELLS = st.one_of(
@@ -754,6 +771,27 @@ def test_run_config_validation():
     assert grid[0] == pytest.approx(1e-1) and grid[-1] == pytest.approx(1e-6)
     ratios = [grid[i] / grid[i + 1] for i in range(10)]
     assert all(r == pytest.approx(ratios[0], rel=1e-12) for r in ratios)
+
+
+@pytest.mark.parametrize(
+    "h_start, h_stop, n",
+    [(1e250, 1e-100, 3), (1e10, 1e-300, 3), (1e300, 1e-300, 7), (_DBL_MAX, 1e-300, 41),
+     (1e-5, 1e-320, 11), (1e308, 5e-324, 23)],
+)
+def test_h_grid_where_the_end_ratio_is_not_a_normal_double(h_start, h_stop, n):
+    # h_stop/h_start underflows or is subnormal, so the points are formed in base-2 logs
+    assert not h_stop / h_start >= sys.float_info.min
+    cfg = cli.RunConfig(q=0.8, sigma0=1.0, mu0=0.0, mu=0.3, sigma=1.4,
+                        h_start=h_start, h_stop=h_stop, h_points=n)
+    grid = cfg.h_grid()
+    assert len(grid) == n and grid[0] == h_start and grid[-1] == h_stop
+    assert all(h > 0.0 for h in grid)
+    with mpmath.workdps(50):
+        for k, h in enumerate(grid):
+            t = mpmath.mpf(k) / (n - 1)
+            exact = mpmath.mpf(h_start) * (mpmath.mpf(h_stop) / h_start) ** t
+            # a subnormal point holds fewer digits: within half its spacing of 5e-324
+            assert abs(h - exact) <= max(1e-13 * exact, 2.5e-324)
 
 
 def test_integer_inputs_reject_bools_and_floats():

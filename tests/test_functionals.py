@@ -560,7 +560,7 @@ def test_jko_edge_trajectory_steps_match_mpmath(q, sigma0, h, steps):
     # the trajectory kernel behind jko_step and the jko table, at the edges
     # of the h range: each scale is the 50-digit root started from the one
     # before it, within the kernel's bounds (2 ulps for u <= 1, 1e-12 above)
-    sigmas = functionals._jko_scales(sigma0, h, q, steps)
+    sigmas = list(functionals._jko_scales(sigma0, h, q, steps))
     assert len(sigmas) == steps
     for prev, sigma in zip([sigma0, *sigmas], sigmas):
         ref, u = _jko_reference(q, prev, h)
