@@ -1027,31 +1027,51 @@ def _entropy_50(nu):
         return ((2 - m) * c1 * (c0 / mpmath.sqrt(det)) ** (1 - m) - 1) / (1 - m)
 
 
+def _entropy_of_doubles_50(nu):
+    """The integral f log_m f = (P - M)/(1-m) of the density that nu's own
+    doubles define, to 50 digits: its mass M = 2 pi C0/((2-m) C1), which
+    C0's rounding moves off 1, and P, the integral of f^(2-m), N^(1-m) 2 pi
+    C0/((3-2m) C1) with N = C0/sqrt(det Sigma).  Next to m = 1, where C0's
+    mass error over |1-m| is larger than the quadrature's estimate, only
+    this value is the integral the oracle computes."""
+    with mpmath.workdps(50):
+        m, c0, c1 = (mpmath.mpf(v) for v in (nu.m, nu.mparams.c0_q_d, nu.mparams.c1_q_d))
+        det = (mpmath.mpf(nu.s1) * nu.s2) ** 2 * (1 - mpmath.mpf(nu.theta) ** 2)
+        mass = 2 * mpmath.pi * c0 / ((2 - m) * c1)
+        p = (c0 / mpmath.sqrt(det)) ** (1 - m) * 2 * mpmath.pi * c0 / ((3 - 2 * m) * c1)
+        return (p - mass) / (1 - m)
+
+
 @pytest.mark.parametrize("member", [(0.2, -0.1, 0.7, 1.3, 0.4, 0.5), _HEAVY,
                                     (0.1, 0.2, 0.9, 1.1, 0.3, 1.45)],
                          ids=["compact", "heavy-tailed", "m-1.45"])
 def test_entropy_quad_2d_integrates_one_ray(monkeypatch, member):
-    # the member's own frame makes the integrand radial: one finite-rule
-    # call on one row, and on a heavy tail one tail-rule call on that row,
-    # with no polar angles at all
-    rows, tails = [], []
-    rule, tail = _kronrod.finite, _kronrod.tail
+    # the member's own frame makes the integrand radial: one half-line, the
+    # 1D oracle's, and on a heavy tail one tail-rule call on its one row, with
+    # no finite-rule row and no polar angles at all
+    calls, tails = collections.Counter(), []
+    half_line, rule, tail = _kronrod.half_line, _kronrod.finite, _kronrod.tail
 
-    def record_finite(f, lo, *rest):
-        rows.append(len(lo))
-        return rule(f, lo, *rest)
+    def record_half_line(*args):
+        calls["half_line"] += 1
+        return half_line(*args)
+
+    def record_finite(*args):
+        calls["finite"] += 1
+        return rule(*args)
 
     def record_tail(fa, s):
         tails.append(fa.shape[0])
         return tail(fa, s)
 
+    monkeypatch.setattr(_kronrod, "half_line", record_half_line)
     monkeypatch.setattr(_kronrod, "finite", record_finite)
     monkeypatch.setattr(_kronrod, "tail", record_tail)
     monkeypatch.setattr(oracle, "_MAX_ANGLES", 0)
     nu = make_bivariate(*member)
     res = oracle.entropy_quad_2d(nu)
     assert res.converged is True
-    assert rows == [1]
+    assert calls == {"half_line": 1}
     assert tails == ([1] if nu.m > 1.0 else [])
     assert abs(res.value - _entropy_50(nu)) <= res.error_estimate
 
@@ -1159,6 +1179,21 @@ def test_entropy_quad_2d_at_every_scale(m, cfg):
             res = oracle.entropy_quad_2d(nu, cfg)
         assert res.converged, (s, res)
         assert abs(res.value - _entropy_50(nu)) <= res.error_estimate, (s, res)
+
+
+@pytest.mark.parametrize("m", [0.97, 0.99, 1.01, 1.05])
+@pytest.mark.parametrize("cfg", [oracle.QuadratureConfig(), CRIT3_CFG], ids=["default", "crit3"])
+def test_entropy_quad_2d_next_to_m_1(m, cfg):
+    # next to m = 1 the entropy is the integral of the density nu's doubles
+    # define, whose mass is off 1 by C0's rounding: every result converges
+    # within its own estimate of that integral, at every scale
+    for s in (1e-150, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e150):
+        nu = make_bivariate(0.0, 0.0, s, s, 0.2, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = oracle.entropy_quad_2d(nu, cfg)
+        assert res.converged, (s, res)
+        assert abs(res.value - _entropy_of_doubles_50(nu)) <= res.error_estimate, (s, res)
 
 
 @pytest.mark.parametrize("m", [1.001, 1.01, 1.49])
