@@ -1,7 +1,6 @@
 """One interpolatory quadrature rule: 27 first-kind Chebyshev nodes with
-the weight tau^sigma, on the half-lines of the one-member integrals, on
-the heavy tails of those and of the two-member rays, and at weight 1 on
-every finite piece.
+the weight tau^sigma, on the 1D oracle's half-lines, on the heavy tails of
+1D members and 2D rays, and at weight 1 on every finite piece of a 2D ray.
 
 The tail rule, tail(), integrates any F = tau^s A(tau) over (0, 1/16]
 whose A is analytic there.  It interpolates A's integer-power part at 27
@@ -16,10 +15,8 @@ of the piece, and its estimate is 2 (|c_25| + |c_26|) (Trefethen, SIAM
 Rev. 50, 2008, on why such an interpolatory rule gives up nothing to
 Gauss-Kronrod).
 
-The one-member integrals, half_line(): the 1D oracle's mass, moment and
-entropy, and the 2D entropy, whose member is radial in its own frame.
-Their integrands are functions of the member's bracket b = 1 + (1-q) t,
-t = -c1 u^2/2 in scale units u (in 2D, u is the whitened radius), so the
+The 1D oracle, half_line().  Its integrands are functions of the
+member's bracket b = 1 + (1-q) t, t = -c1 u^2/2 in scale units u, so the
 half-line is mapped once per branch onto a partition fixed by q and the
 weight, tabulated at its first use, and a call is one sweep of _rule over
 every piece as one array (and one tail rule on a heavy tail):
@@ -35,17 +32,15 @@ every piece as one array (and one tail rule on a heavy tail):
   pieces [2^-(k+1), 2^-k] of [1/16, 1] get _rule, and (0, 1/16] the tail
   rule: with b = P(tau)/tau^2, P = tau^2 + (q-1)(1-tau)^2 > 0, a weight
   growing like z^(2p) makes the integrand tau^s times a function
-  analytic at 0, s = 2/(q-1) - 2 - 2p (p = 3/2 for the 2D entropy: its
-  weight log_q f grows like z^2, and the radius adds z).
+  analytic at 0, s = 2/(q-1) - 2 - 2p.
 
 A half-line that misses its tolerance is reported unconverged.
 
-finite() runs only the two-member rays of the 2D polar rule (H_m).  A
-row that misses its tolerance halves the pieces above their share of it,
-for a fixed number of rounds; where a compact support or a far member's
-peak ends a piece, the map t = (1 - cos(pi x))/2 crowds the nodes at its
-ends.  Such a row starts on the halves of [0, 1], whose mapped nodes are
-one table.
+finite() runs the 2D oracle's rays.  A row that misses its tolerance
+halves the pieces above their share of it, for a fixed number of
+rounds; where a compact support or a far member's peak ends a piece, the
+map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Such a row
+starts on the halves of [0, 1], whose mapped nodes are one table.
 """
 
 from __future__ import annotations
@@ -123,9 +118,10 @@ def _tail_rows(sigma: float) -> tuple[np.ndarray, float]:
     """The tail rule's weights on F for the weight tau^sigma and the rows
     giving the interpolant's last two coefficients c_25 and c_26 from F,
     each with TAIL_END^(sigma+1) / tau^sigma folded in, as a (3, node)
-    array, and r_0.  Cached: every half-line of one q and weight reads
-    one sigma, and so does every radial call of a two-member integral of one
-    m; finite() reads sigma = 0 on every piece."""
+    array, and r_0.  Cached: every 1D integral of one q and weight reads
+    one sigma, and so does every 2D tail of one m (the entropy's ray and
+    each radial call of a two-member integral); finite() reads sigma = 0 on
+    every piece."""
     r0 = 1.0 / (sigma + 1.0)
     r = [r0, r0 * sigma / (sigma + 2.0)]
     for k in range(2, 27):
@@ -226,8 +222,7 @@ def finite(
     crowd: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrals of f over the finite intervals [lo, hi], per row, and their
-    error estimates and convergence flags: the two-member rays of the 2D
-    polar rule (every one-member integral is a half_line()).
+    error estimates and convergence flags.
 
     lo < hi elementwise.  f(t, *args) is elementwise, with one row of t per
     piece and args as column arrays.  Each row runs in x in [0, 1]: where
@@ -304,18 +299,16 @@ def finite(
 def half_line(
     integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     om: float,
-    power: float,
+    power: int,
     atol: float,
     rtol: float,
 ) -> tuple[float, float, str | None]:
-    """Integral over the half-line of a member with 1 - q = om, in 1D or,
-    radially, in 2D.
+    """Integral over the half-line of a member with 1 - q = om.
 
     integrand(log_b, s2, jac) returns the integrand f times the map's
     Jacobian jac at node arrays (piece, node), where s2 is y^2 (compact) or
     z^2 (heavy tail) and b = 1 - om s2; f may grow like s2^power, which sets
-    the tail's exponent (a half-integer power where a 2D radius adds
-    sqrt(s2)).  Each finite piece's estimate is at least 50 eps
+    the tail's exponent.  Each finite piece's estimate is at least 50 eps
     of its |f|-integral, the rounding of the sum.  The answer converges
     where its estimate is at most max(atol, rtol |I|).  Returns the integral
     over y or z, its error estimate and None, or a message when it did not

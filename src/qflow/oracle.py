@@ -8,15 +8,14 @@ theta-family minimizer: it solves its stationarity equation with the
 closed forms' own coupling root (functionals._coupling_root), and the
 checks compare it with minimize_theta, which never uses that equation.
 
-One-member integrals, the 1d oracles and the 2d entropy, use the
-package's one quadrature rule (qflow._kronrod: 27 first-kind Chebyshev
-nodes per piece, with the error estimate from the interpolant's last two
-coefficients, over a partition fixed by q and the weight, every piece of
-a call in one array) on one half-line from the mean, in units of the
-member's scale, where the integrand reads only the bracket b = 1 + (1-q)
-t of exp_q.  In 1d the second half-line is the mirror of the first: each
-integrand reads the offset only through its square, so one run gives
-both halves; in 2d the half-line is a radius.  Its integrand is
+One-dimensional integrals use the package's one quadrature rule
+(qflow._kronrod: 27 first-kind Chebyshev nodes per piece, with the error
+estimate from the interpolant's last two coefficients, over a partition
+fixed by q and the weight, every piece of a call in one array) on two
+half-lines from the mean, in units of the member's scale, where the
+integrand reads only the bracket b = 1 + (1-q) t of exp_q.  The second
+half-line is the mirror of the first: each integrand reads the offset
+only through its square, so one run gives both halves.  Its integrand is
 one array expression per integral that computes the density and its
 weight (1, the squared offset, or log_q of the density) from b, with no
 library call per node.  The 1d oracles raise DomainError where the
@@ -31,10 +30,10 @@ is not finite.  Domain policy:
   mapped onto tau in (0, 1], the integrand is tau^s times a function
   analytic at tau = 0, and qflow._kronrod's tail rule, with the weight
   tau^s built into its moments, integrates (0, 1/16];
-* a 2d member's entropy is one ray in its own frame, times 2 pi: the
-  integrand is radial there, and it is the 1D entropy integrand times r,
-  on the 1D half-line and its partition (and the tail rule on a heavy
-  tail, with the exponent the factor r lowers);
+* a member's entropy is one ray in its own frame, scaled so that the
+  bracket of exp_m is 1 -+ r^2, times 2 pi: the integrand is radial there,
+  and it is the 1D entropy integrand times r, one row of the finite rule
+  below (and the tail rule on a heavy tail);
 * every two-member integral goes through one polar rule whose frame comes
   from the members alone: centred at the first member's mean, whitened by
   the Cholesky factor of the members' average scale matrix.  Periodic
@@ -75,7 +74,7 @@ import numpy as np
 from . import _kronrod
 from .functionals import _coupling_root, _entropy_b, _require_h
 from .qgaussian import MBivariate, QGaussian1D
-from .qmath import _DBL_MIN, _LOG_DBL_MAX, DomainError, QParams, _finite
+from .qmath import _DBL_MIN, _LOG_DBL_MAX, DomainError, _finite
 
 __all__ = [
     "QuadratureConfig",
@@ -110,11 +109,11 @@ class QuadratureConfig:
 class QuadResult(NamedTuple):
     """Integral value with the adaptive error estimate.
 
-    converged is False when the half-line's partition (the 1d oracles and
-    the 2d entropy) or the 2d budget of angles missed the requested
-    tolerance or a radial solve failed; note carries the domain policy
-    applied (the 1d half-lines, the 2d entropy's one ray, or the polar rule
-    with its final angle count and centre) and any 1d quadrature message.
+    converged is False when the 1d partition, the 2d entropy's ray or the
+    2d budget of angles missed the requested tolerance or a radial solve
+    failed; note carries the domain policy applied (the 1d half-lines, the
+    2d entropy's one ray, or the polar rule with its final angle count and
+    centre) and any quadrature message.
     """
 
     value: float
@@ -123,83 +122,79 @@ class QuadResult(NamedTuple):
     note: str
 
 
-def _radial_quad(weight: str, params: QParams, log_det: float,
-                 cfg: QuadratureConfig | None) -> tuple[float, float, str | None]:
-    """Integral over R^d, d = params.d (1 or 2), of w f for a member whose
-    scale matrix has the log-determinant log_det, f its density, with the
-    error estimate and the half-line's message, None where it converged.
-
-    weight names w: "mass" (1), "moment" (the squared offset, whose factor v
-    the caller applies) or "entropy" (log_q f).  In the member's whitened
-    frame, in units of unit = sqrt(2/((1-q) C1)), the support edge (q < 1),
-    or sqrt(2/C1) (q > 1), f is radial, norm b^(1/(1-q)) with norm =
-    C0/sqrt(det) and the bracket b = 1 - (1-q) s^2 of exp_q at radius s, so
-    the integral is |S^(d-1)| C0 unit^d times one half-line of w f/norm
-    s^(d-1) ds: 2 C0 unit in 1D, 2 pi C0 unit^2 in 2D.  b is the half-line
-    rule's own variable (qflow._kronrod.half_line), so no offset is formed:
-    a scale far below the resolution of the mean stays exact, and a huge
-    one cannot overflow.  The integrand is one array expression per
-    weight: exp_q = exp(log b/(1-q)), the squared offset v s^2 unit^2 and,
-    for the entropy, (1-q) log f = shift + log b, shift = (1-q) log norm,
-    so log_q f = expm1((1-q) log f)/(1-q) keeps its relative accuracy next
-    to q = 1; in 2D it gains the factor s, so the tail's power gains 1/2.
-    The half-line is about 1 for every weight and scale, and the absolute
-    tolerance is relative to that, so a tiny or huge integral keeps its
-    relative accuracy.  expm1 cannot overflow: (1-q) log f is at most
-    (1-q) log norm < 355 for q < 1; for q > 1, (q-1) log(1/norm) < 237, and
-    log b < 20 at the tail rule's nodes (s < 1.9e4).  The entropy's
-    estimate adds 4 eps |shift I|: shift is rounded, and its error moves
-    every node's log_q f alike.
-    """
-    cfg = cfg or QuadratureConfig()
-    c0, c1, om, d = params.c0_q_d, params.c1_q_d, 1.0 - params.q, params.d
-    unit = math.sqrt(2.0 / (om * c1)) if om > 0.0 else math.sqrt(2.0 / c1)
-    inv_om, shift = 1.0 / om, om * (math.log(c0) - 0.5 * log_det)
-
-    def integrand(log_b, s2, jac):
-        fv = np.exp(log_b * inv_om)
-        if weight == "entropy":
-            fv *= np.expm1(log_b + shift)
-            fv *= inv_om
-        elif weight == "moment":
-            fv *= s2
-        if d == 2:
-            fv *= np.sqrt(s2)
-        fv *= jac
-        return fv
-
-    # one half-line in final units, but for the sphere's area and the moment's factor v
-    pref = c0 * unit ** d * (unit * unit if weight == "moment" else 1.0)
-    value, err, message = _kronrod.half_line(integrand, om, int(weight != "mass") + 0.5 * (d - 1),
-                                             cfg.abs_tol / pref, cfg.rel_tol)
-    sphere = 2.0 if d == 1 else 2.0 * math.pi
-    value, err = sphere * pref * value, sphere * pref * err
-    if weight == "entropy":
-        err += 4.0 * _EPS * abs(shift * value)
-    return value, err, message
+def _entropy_integrand(log_b: np.ndarray, inv_om: float, shift: float) -> np.ndarray:
+    """f log_m f / norm at the nodes of a unit-frame integral, from the
+    log-bracket log_b there: exp(log_b/(1-m)) expm1(log_b + shift)/(1-m),
+    with inv_om = 1/(1-m) and shift = (1-m) log norm, since (1-m) log f =
+    log_b + shift.  The integrand of the 1D entropy and of the 2D entropy's
+    ray."""
+    fh = np.exp(log_b * inv_om)
+    fh *= np.expm1(log_b + shift)
+    fh *= inv_om
+    return fh
 
 
 def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> QuadResult:
-    """Integral over the real line of w(d) f(mu + d), f = g's density, by
-    _radial_quad: two half-lines from the mean, to the support edge (q < 1)
-    or to +inf untruncated (q > 1).  The second half-line is the mirror of
-    the first (the integrand reads the offset only through its square), so
-    it is integrated once and counted twice.
+    """Integral over the real line of w(d) f(mu + d), f = g's density.
+
+    weight names w: "mass" (1), "moment" (d*d) or "entropy" (log_q f).
+    Two half-lines from the mean, each integrated in scale units u = d/scale
+    by qflow._kronrod's rule, from 0 to the support edge sqrt(2/((1-q) C1))
+    (q < 1) or to +inf untruncated (q > 1).  With t = -C1 u^2/2 the density
+    is norm exp_q(t), norm = C0/scale, and its bracket b = 1 + (1-q) t is
+    the rule's own variable, so no offset d is formed: a scale far below
+    the resolution of mu stays exact, and a huge one cannot overflow d*d.
+    The integrand is one array expression per weight: exp_q(t) =
+    exp(log b/(1-q)), d*d = v u^2 and, for the entropy, (1-q) log f =
+    (1-q) log norm + log b, so log_q f = expm1((1-q) log f)/(1-q) keeps its
+    relative accuracy next to q = 1.  The integral in scale units is
+    about 1 for every weight (the moment is v times it), and the absolute
+    tolerance is relative to that, so a tiny or huge integral keeps its
+    relative accuracy.  expm1 cannot overflow: (1-q) log f is at most
+    (1-q) log norm < 355 for q < 1; for q > 1, (q-1) log(1/norm) < 237,
+    and log b < 20 at the tail rule's nodes (z < 1.9e4).
+
+    The second half-line is the mirror of the first (the integrand reads
+    the offset only through u^2), so it is integrated once and counted
+    twice.
 
     Raises DomainError where v is not a normal double or 2v overflows (at
     q = 0.5, sigma outside [1.4e-154, 8.6e153]), and where the integral is
     not finite.
     """
+    cfg = cfg or QuadratureConfig()
     v = g.variance
     if not (_DBL_MIN <= v and 2.0 * v < math.inf):
         raise DomainError(f"1d oracle needs a normal variance with 2v finite, got v={v!r}")
-    value, err, message = _radial_quad(weight, g.params, math.log(v), cfg)
+    c0, c1, om = g.params.c0_q_d, g.params.c1_q_d, 1.0 - g.params.q
+    # the rule's unit offset in scale units: the support edge (q < 1) or sqrt(2/C1)
+    unit = math.sqrt(2.0 / (om * c1)) if om > 0.0 else math.sqrt(2.0 / c1)
+    inv_om, shift = 1.0 / om, om * (math.log(c0) - 0.5 * math.log(v))
+
+    def integrand(log_b, s2, jac):
+        if weight == "entropy":
+            fv = _entropy_integrand(log_b, inv_om, shift)
+        else:
+            fv = np.exp(log_b * inv_om)
+            if weight == "moment":
+                fv *= s2
+        fv *= jac
+        return fv
+
+    # one half-line in final units, but for the moment's factor v
+    pref = c0 * unit * (unit * unit if weight == "moment" else 1.0)
+    value, err, message = _kronrod.half_line(integrand, om, int(weight != "mass"),
+                                             cfg.abs_tol / pref, cfg.rel_tol)
+    policy = "to the support edge" if om > 0.0 else "untruncated"
+    notes = [f"two half-lines from the mean, {policy}", *([message] if message else [])]
+    value, err = 2.0 * pref * value, 2.0 * pref * err
+    if weight == "entropy":
+        # (1-q) log norm is rounded: its error moves every node's log_q f alike
+        err += 4.0 * _EPS * abs(shift * value)
     if weight == "moment":
         value, err = value * v, err * v
     if not math.isfinite(value):
         raise DomainError(f"1d {weight} integral is not finite: {value!r}")
-    policy = "to the support edge" if g.params.q < 1.0 else "untruncated"
-    notes = [f"two half-lines from the mean, {policy}", *([message] if message else [])]
     return QuadResult(value, err, message is None, "; ".join(notes))
 
 
@@ -225,6 +220,27 @@ _MIN_ANGLES = 16
 _MAX_ANGLES = 8192
 
 
+def _ray_tail(ray: Callable[..., np.ndarray], split: np.ndarray, args: tuple[np.ndarray, ...],
+              m: float, pieces: np.ndarray, rtol: float,
+              atol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tails (0, split] in tau = 1/(1 + r) of heavy-tailed rays, whose
+    finite pieces hold the integrals pieces (ray, piece): per ray, the
+    tail, its estimate and whether that estimate meets the tolerance.
+
+    ray(tau, *args) is the integrand times the Jacobian, args as column
+    arrays; the tail rule runs on lam F(lam t), t in (0, 1/16], lam = 16
+    split, with s = 2(2-m)/(m-1) - 3, the exponent of f^(2-m) r dr.  The
+    estimate is judged against the larger of the tail and the ray's pieces:
+    where H_m's terms cancel far out, the tail's rounding is eps times the
+    terms, not times the tail.
+    """
+    lam = (split / _kronrod.TAIL_END)[:, None]
+    fa = ray(lam * _kronrod.TAIL_TAU, *args) * lam
+    tail, tail_err = _kronrod.tail(fa, 2.0 * (2.0 - m) / (m - 1.0) - 3.0)
+    scale = np.maximum(np.abs(tail), np.abs(pieces).max(axis=1))
+    return tail, tail_err, tail_err <= np.maximum(atol, rtol * scale)
+
+
 def _polar_quad(
     integrand: Callable[..., np.ndarray],
     members: Sequence[MBivariate],
@@ -232,7 +248,7 @@ def _polar_quad(
 ) -> QuadResult:
     """Integral over the plane of integrand(L_1, ..., L_n), in polar form,
     where L_k is the log-bracket of member k at each node: the rule of the
-    two-member integrals (a single member's entropy is one half-line, see
+    two-member integrals (a single member's entropy is one ray, see
     entropy_quad_2d).
 
     The frame comes from the members alone: z = c + r L (cos phi, sin phi),
@@ -261,17 +277,17 @@ def _polar_quad(
     goes to 0 and log_m of it to -1/(1-m); no node lies on an end, so a
     piece one ulp long, where two supports touch, reads a finite value.  A
     heavy-tailed ray runs in tau = 1/(1 + r), with Jacobian r/tau^2: the
-    tail rule on (0, split], its estimate judged against the larger of the
-    tail and the ray's pieces, and the finite rule on [split, 1], split =
-    1/16 (r = 15), on the 1D heavy partition's tau-pieces.  Where the ray
-    passes closest to a member's mean beyond r = 1, at tau*, the piece is
-    cut there and its two pieces take the cosine map (off the frame's unit
-    scale the member's peak is narrow in tau, and a cut puts it at a
-    piece's end, where the map crowds the nodes), and split is at most
-    tau*/2, so the peak, a near pole of the integrand, stays out of the
-    tail; the tail rule runs on lam F(lam t), lam = 16 split.  There 1 +
-    Q_k = P_k(tau)/tau^2 with P_k a quadratic positive on [0, 1], so f_k
-    is tau^(2/(m-1)) times a function analytic at 0, and every term of the integrands, times the Jacobian, is tau^s times
+    tail rule on (0, split] (_ray_tail, which the entropy's ray shares) and
+    the finite rule on [split, 1], split = 1/16 (r = 15), on the 1D heavy
+    partition's tau-pieces.  Where the ray passes closest to a member's mean
+    beyond r = 1, at tau*, the piece is cut there and its two pieces take
+    the cosine map (off the frame's unit scale the member's peak is narrow
+    in tau, and a cut puts it at a piece's end, where the map crowds the
+    nodes), and split is at most tau*/2, so the peak, a near pole of the
+    integrand, stays out of the tail; the tail rule runs on lam F(lam t),
+    lam = 16 split.  There 1 + Q_k = P_k(tau)/tau^2 with P_k a quadratic
+    positive on [0, 1], so f_k is tau^(2/(m-1)) times a function analytic at
+    0, and every term of the integrands, times the Jacobian, is tau^s times
     one, s = 2(2-m)/(m-1) - 3, as f^(2-m) r dr is; the terms' exponents
     differ by integers.  The rule always reaches 32 angles and mostly 64,
     so the first call holds the 16 coarsest angles and the midpoints of the
@@ -353,15 +369,9 @@ def _polar_quad(
         integral, error, success = np.zeros(live.shape), np.zeros(live.shape), np.ones_like(live)
         integral[live], error[live], success[live] = out
         if not compact:
-            # the tail rule on (0, split] in tau, on lam F(lam t), t in (0, 1/16],
-            # lam = 16 split; its estimate is judged against the larger of the tail
-            # and the ray's pieces: where H_m's terms cancel far out, the tail's
-            # rounding is eps times the terms, not times the tail
-            lam = (split / _kronrod.TAIL_END)[:, None]
-            fa = ray(lam * _kronrod.TAIL_TAU, *(v[:, None] for s in slopes for v in s)) * lam
-            tail, tail_err = _kronrod.tail(fa, 2.0 * (2.0 - m) / (m - 1.0) - 3.0)
-            scale = np.maximum(np.abs(tail), np.abs(integral).max(axis=1))
-            success[:, 0] &= tail_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * scale)
+            tail, tail_err, ok = _ray_tail(ray, split, tuple(v[:, None] for s in slopes for v in s),
+                                           m, integral, cfg.rel_tol, cfg.abs_tol)
+            success[:, 0] &= ok
             integral[:, 0] += tail
             error[:, 0] += tail_err
         edges = list(accumulate((len(block) for block in blocks), initial=0))
@@ -442,23 +452,49 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
     """Entropy integral f log_m f of a bivariate member, by quadrature.
 
     In the member's own frame the integrand is radial, so one ray, times
-    2 pi, gives the integral: the d = 2 case of the 1D oracle's half-line
-    (_radial_quad), whose integrand gains the factor r.  The ray runs in
-    the whitened radius in units of sqrt(2/((1-m) C1)) (m < 1, to the
-    support edge) or sqrt(2/C1) (m > 1, untruncated), and only (1-m) log
-    norm, norm = C0/sqrt(det Sigma), reads the scale: log det Sigma is
-    formed from logs, as _log_norm forms it, so the entropy returns at
-    every scale of normal s1^2 and s2^2.  The estimate adds 4 eps |shift
-    I|, the rounding of (1-m) log norm, as the 1D entropy does.
+    2 pi, gives the integral.  The ray runs in the whitened radius scaled by
+    k = sqrt(|1-m| C1/2), r, where the bracket of exp_m is 1 - r^2 (m < 1,
+    support edge r = 1) or 1 + r^2 (m > 1), and dx dy = sqrt(det Sigma)
+    r dr dphi / k^2.  With norm = C0/sqrt(det Sigma), f = norm
+    b^(1/(1-m)), so the integral is 2 pi C0/k^2 times that of the 1D
+    oracle's entropy integrand (_entropy_integrand) times r, about 1 at
+    every scale: abs_tol keeps its 1D meaning, and only shift = (1-m) log
+    norm reads the scale.  The ray is one row of qflow._kronrod.finite: a
+    compact one on [0, 1] with the nodes crowded at both ends, a
+    heavy-tailed one in tau = 1/(1 + r), Jacobian r/tau^2, on the 1D heavy
+    partition's pieces of [1/16, 1], and the tail rule on (0, 1/16]
+    (_ray_tail).  The estimate adds 4 eps |shift I|, the rounding of log
+    norm, as the 1D entropy does.
     Raises DomainError where s1^2 or s2^2 is not a normal double and where
     the integral is not finite.
     """
+    cfg = cfg or QuadratureConfig()
     nu.cov  # DomainError where s1^2 or s2^2 is not a normal double
-    log_det = 2.0 * (math.log(nu.s1) + math.log(nu.s2)) + math.log1p(-nu.theta * nu.theta)
-    value, err, message = _radial_quad("entropy", nu.mparams, log_det, cfg)
+    om = 1.0 - nu.m
+    inv_om, shift = 1.0 / om, om * _log_norm(nu)
+    compact = om > 0.0
+
+    def ray(x):
+        # x is r on a compact ray, and tau = 1/(1 + r) on a heavy-tailed one
+        r = x if compact else 1.0 / x - 1.0
+        fv = _entropy_integrand(np.log1p(-r * r if compact else r * r), inv_om, shift)
+        fv *= r if compact else r / (x * x)
+        return fv
+
+    pref = 2.0 * math.pi * nu.mparams.c0_q_d / (0.5 * abs(om) * nu.mparams.c1_q_d)
+    atol = cfg.abs_tol / pref
+    lo = np.array([0.0 if compact else _kronrod.TAIL_END])
+    value, err, conv = _kronrod.finite(ray, lo, np.ones(1), (), cfg.rel_tol, atol,
+                                       np.array([compact]))
+    if not compact:
+        tail, tail_err, ok = _ray_tail(ray, lo, (), nu.m, value[:, None], cfg.rel_tol, atol)
+        value, err, conv = value + tail, err + tail_err, conv & ok
+    value, err = pref * float(value[0]), pref * float(err[0])
+    # (1-m) log norm is rounded: its error moves every node's log_m f alike
+    err += 4.0 * _EPS * abs(shift * value)
     _finite(value, "the 2d entropy integral")
-    policy = "to the support edge" if nu.m < 1.0 else "untruncated"
-    return QuadResult(value, err, message is None, f"one ray in the member's unit frame, {policy}")
+    policy = "to the support edge" if compact else "untruncated"
+    return QuadResult(value, err, bool(conv[0]), f"one ray in the member's unit frame, {policy}")
 
 
 def m_rel_entropy_quad(
