@@ -39,8 +39,16 @@ A half-line that misses its tolerance is reported unconverged.
 finite() runs the 2D oracle's rays.  A row that misses its tolerance
 halves the pieces above their share of it, for a fixed number of
 rounds; where a compact support or a far member's peak ends a piece, the
-map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Such a row
-starts on the halves of [0, 1], whose mapped nodes are one table.
+map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Every row starts
+on fixed pieces of x in [0, 1], so the first round of a call is one
+integrand call on node tables built at their first use: _crowd_halves
+holds the mapped nodes and dt/dx on the halves of [0, 1], where crowded
+rows start, and _core_nodes the nodes on the pieces between _CORE_X,
+where the others start.  Where every row starts alike, its table is
+broadcast against the rows' ends, and rows on one interval (the heavy
+rays with no far peak, all on tau in [1/16, 1]) share one array of
+nodes.  The rule's contractions call einsum's C core, and its estimates
+are formed in place.
 """
 
 from __future__ import annotations
@@ -51,6 +59,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+try:
+    # einsum's C core: np.einsum's Python wrapper costs as much as a small contraction
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
 
 _EPS = sys.float_info.epsilon
 # Core pieces of a compact member: the first, [0, 2^-j] in x, is at most
@@ -124,9 +138,12 @@ def _tail_rows(sigma: float) -> tuple[np.ndarray, float]:
     every piece."""
     r0 = 1.0 / (sigma + 1.0)
     r = [r0, r0 * sigma / (sigma + 2.0)]
+    rk = r[-1]
     for k in range(2, 27):
-        r.append(-(1.0 + k * (k - sigma - 2.0) * r[-1]) / ((k - 1.0) * (k + sigma + 1.0)))
-    rows = np.concatenate([[np.dot(r, _CHEB)], _CHEB[-2:]])
+        rk = -(1.0 + k * (k - sigma - 2.0) * rk) / ((k - 1.0) * (k + sigma + 1.0))
+        r.append(rk)
+    rows = _CHEB[-3:].copy()
+    rows[0] = np.dot(r, _CHEB)
     rows *= TAIL_END * np.exp(sigma * _LOG_RATIO)
     return _read_only(rows)[0], r0
 
@@ -134,7 +151,7 @@ def _tail_rows(sigma: float) -> tuple[np.ndarray, float]:
 def tail(fa: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over tau in (0, TAIL_END] of F = tau^s A(tau), s > -1,
     with A analytic there, from F's values fa (row, node) at TAIL_TAU, and
-    their error estimates.
+    their error estimates; for one row of values fa (node), two scalars.
 
     F/tau^sigma, sigma = s - max(0, floor(s)) in (-1, 1), is A times an
     integer power of tau: its interpolant at the nodes is integrated
@@ -150,9 +167,9 @@ def tail(fa: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     summed on its own, so a block of rows gives each row's bits.
     """
     rows, r0 = _tail_rows(s - max(0.0, math.floor(s)))
-    value, c25, c26 = (fa[:, None, :] * rows).sum(-1).T
-    err = (2.0 * r0) * (np.abs(c25) + np.abs(c26))
-    err += _EPS * (abs(s) + 4.0) * (1.0 / (s + 1.0) + _LOG_END) * np.abs(value)
+    value, c25, c26 = np.add.reduce(fa[..., None, :] * rows, axis=-1).T
+    err = (2.0 * r0) * (abs(c25) + abs(c26))
+    err += _EPS * (abs(s) + 4.0) * (1.0 / (s + 1.0) + _LOG_END) * abs(value)
     return value, err
 
 
@@ -160,6 +177,7 @@ def tail(fa: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
 # heavy partition's tau-pieces on the core [1/16, 1]), and the caps on
 # bisection rounds and on pieces per row
 _CORE_X = np.array([0.0, 1.0, 3.0, 7.0, 15.0]) / 15.0
+_CORE_DX = _CORE_X[1:] - _CORE_X[:-1]
 _ROUNDS = 16
 _PIECES = 512
 
@@ -179,6 +197,13 @@ def _crowd_halves() -> np.ndarray:
     return _read_only(np.stack(_crowd_map(0.5 * np.arange(2.0)[:, None] + 0.5 * _FRAC)))[0]
 
 
+@lru_cache(maxsize=None)
+def _core_nodes() -> np.ndarray:
+    """The nodes x of the pieces between _CORE_X, where every uncrowded row
+    starts, as a (piece, node) array."""
+    return _read_only(_CORE_X[:-1, None] + _CORE_DX[:, None] * _FRAC)[0]
+
+
 def _rule(fv: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrals of the pieces whose integrand, times the Jacobian, reads fv
     (piece, node) at the nodes, their estimates 2 (|c_25| + |c_26|) and
@@ -186,27 +211,43 @@ def _rule(fv: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     piece's width over TAIL_END.  The one per-piece evaluation of the
     package's finite pieces."""
     rows, _ = _tail_rows(0.0)
-    value, c25, c26 = np.einsum("pj,kj->kp", fv, rows) * scale
-    mag = np.einsum("pj,j->p", np.abs(fv), rows[0]) * scale
-    return value, 2.0 * (np.abs(c25) + np.abs(c26)), mag
+    out = c_einsum("pj,kj->kp", fv, rows)
+    out *= scale
+    value, err, c26 = out
+    np.abs(err, out=err)
+    err += np.abs(c26)
+    err *= 2.0
+    mag = c_einsum("pj,j->p", np.abs(fv), rows[0])
+    mag *= scale
+    return value, err, mag
 
 
 def _pieces(f, lo, span, args, crowd, row, x0, dx, half=None):
     """Integrals of f over the pieces [x0, x0 + dx] in x of the rows row,
     their estimates and their |f|-integrals, by the tail rule at sigma = 0.
 
-    A crowded row's nodes go through _crowd_map.  Where half is given, the
-    index of each piece among its row's first pieces, a crowded row reads
-    the map from the table of its two halves (_crowd_halves) instead."""
+    A crowded row's nodes go through _crowd_map, on the whole array where
+    every row is crowded.  Where half is given, the index of each piece
+    among its row's first pieces, and every row is crowded or none is, the
+    nodes come from the table of their first pieces (_crowd_halves or
+    _core_nodes), broadcast against the rows' ends with no per-piece
+    gather, and rows on one interval share one array of nodes: f gets a
+    (1, piece, node) t and (row, 1, 1) args.  The tables hold the bits that
+    x0 + dx frac and its map give."""
+    if half is not None and crowd.all() == crowd.any():
+        t, dt = _crowd_halves() if crowd[0] else (_core_nodes(), 1.0)
+        jac = span[:, None, None]
+        one = (lo == lo[0]).all() and (span == span[0]).all()
+        base, width = (lo[:1, None, None], jac[:1]) if one else (lo[:, None, None], jac)
+        fv = f(base + width * t, *(v[:, None, None] for v in args)) * (jac * dt)
+        return _rule(fv.reshape(-1, len(_FRAC)), dx / TAIL_END)
     on = crowd[row]
-    if half is not None and on.all():
-        # every row crowded, on its first pieces: the table holds every node
-        t, dt = _crowd_halves()[:, half]
-    else:
-        t, dt = x0[:, None] + dx[:, None] * _FRAC, 1.0
-        if on.any():
-            dt = np.ones_like(t)
-            t[on], dt[on] = _crowd_map(t[on]) if half is None else _crowd_halves()[:, half[on]]
+    t, dt = x0[:, None] + dx[:, None] * _FRAC, 1.0
+    if on.all():
+        t, dt = _crowd_map(t)
+    elif on.any():
+        dt = np.ones_like(t)
+        t[on], dt[on] = _crowd_map(t[on])
     jac = span[row, None]
     fv = f(lo[row, None] + jac * t, *(v[row, None] for v in args)) * (jac * dt)
     return _rule(fv, dx / TAIL_END)
@@ -224,14 +265,17 @@ def finite(
     """Integrals of f over the finite intervals [lo, hi], per row, and their
     error estimates and convergence flags.
 
-    lo < hi elementwise.  f(t, *args) is elementwise, with one row of t per
-    piece and args as column arrays.  Each row runs in x in [0, 1]: where
-    crowd is set, t = lo + (hi - lo)(1 - cos(pi x))/2, whose nodes crowd at
-    both ends, and the row starts on the halves of [0, 1], whose map is
-    read from a table (_crowd_halves); elsewhere t = lo + (hi - lo) x, and
-    the row starts on the pieces between _CORE_X, graded toward lo.  Each
-    piece gets _rule, the tail rule at sigma = 0: 27 first-kind Chebyshev
-    nodes, none at its ends, and the estimate 2 (|c_25| + |c_26|).
+    lo < hi elementwise.  f(t, *args) is elementwise and broadcasts: t
+    holds the nodes with one row per piece, or a (row, piece, node) array
+    in the first round, and args are column arrays of a matching shape.
+    Each row runs in x in [0, 1]: where crowd is set, t = lo + (hi -
+    lo)(1 - cos(pi x))/2, whose nodes crowd at both ends, and the row
+    starts on the halves of [0, 1]; elsewhere t = lo + (hi - lo) x, and the
+    row starts on the pieces between _CORE_X, graded toward lo.  The first
+    round reads its nodes from the tables of those pieces (_pieces), one
+    integrand call for every row.  Each piece gets _rule, the tail rule at
+    sigma = 0: 27 first-kind Chebyshev nodes, none at its ends, and the
+    estimate 2 (|c_25| + |c_26|).
 
     A row converges where its summed estimate is at most the largest of
     atol, rtol |I| and 50 eps times its |f|-integral, the rounding floor
@@ -249,26 +293,27 @@ def finite(
     """
     n, span = len(lo), hi - lo
     count = np.where(crowd, 2, 4)
-    row = np.repeat(np.arange(n), count)
-    j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-    x0 = np.where(crowd[row], 0.5 * j, _CORE_X[j])
-    dx = np.where(crowd[row], 0.5, _CORE_X[j + 1] - _CORE_X[j])
+    starts = count.cumsum() - count
+    row = np.arange(n).repeat(count)
+    j = np.arange(len(row)) - starts[row]
+    on = crowd[row]
+    x0, dx = np.where(on, 0.5 * j, _CORE_X[j]), np.where(on, 0.5, _CORE_DX[j])
     value, error, conv = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     # log(0), 0 * inf and overflow are expected in f (far out on a ray)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val, err, mag = _pieces(f, lo, span, args, crowd, row, x0, dx, j)
         for rounds in range(_ROUNDS + 1):
-            # the rows still running, each a run of pieces from starts
-            starts = np.cumsum(count) - count
+            # the rows still running, r, each a run of pieces from starts
             r = row[starts]
-            value[r], error[r] = np.add.reduceat(val, starts), np.add.reduceat(err, starts)
-            bound = np.maximum(np.maximum(atol, rtol * np.abs(value[r])),
+            v, e = np.add.reduceat(val, starts), np.add.reduceat(err, starts)
+            bound = np.maximum(np.maximum(atol, rtol * np.abs(v)),
                                (50.0 * _EPS) * np.add.reduceat(mag, starts))
-            conv[r] = error[r] <= bound
-            if rounds == _ROUNDS or conv[r].all():
+            done = e <= bound
+            value[r], error[r], conv[r] = v, e, done
+            if rounds == _ROUNDS or done.all():
                 break
-            seg = np.repeat(np.arange(len(r)), count)
-            split = (err > bound[seg] * dx) & (~conv[r] & np.isfinite(value[r]))[seg]
+            seg = np.arange(len(r)).repeat(count)
+            split = (err > bound[seg] * dx) & (~done & np.isfinite(v))[seg]
             halved = np.add.reduceat(split, starts, dtype=int)
             # a row goes on while it halves a piece and stays within the cap
             go = (halved > 0) & (count + halved <= _PIECES)
@@ -276,23 +321,27 @@ def finite(
                 break
             split &= go[seg]
             # each piece of a row that goes on stays in place, or makes way
-            # for its two halves
+            # for its two halves, which start at x0 and x0 + dx/2
             reps = go[seg] + split.astype(int)
-            at = np.cumsum(reps)[split] - 2
+            at = reps.cumsum()[split] - 2
             half = 0.5 * dx[split]
-            kids = (np.repeat(row[split], 2), np.stack([x0[split], x0[split] + half], -1).ravel(),
-                    np.repeat(half, 2))
+            kids = (row[split].repeat(2), x0[split].repeat(2), half.repeat(2))
+            kids[1][1::2] += half
             kids_val, kids_err, kids_mag = _pieces(f, lo, span, args, crowd, *kids)
-            pair_val, pair_err = kids_val.reshape(-1, 2).sum(-1), kids_err.reshape(-1, 2).sum(-1)
+            pair_val = np.add.reduce(kids_val.reshape(-1, 2), -1)
+            pair_err = np.add.reduce(kids_err.reshape(-1, 2), -1)
             change = np.abs(pair_val - val[split])
             floor = ((pair_err >= 0.5 * err[split]) & (change < pair_err)
-                     & (pair_err <= (1000.0 * _EPS) * kids_mag.reshape(-1, 2).sum(-1)))
-            kids_err.reshape(-1, 2)[floor] *= (change[floor] / pair_err[floor])[:, None]
-            idx = np.repeat(np.arange(len(row)), reps)
-            row, x0, dx, val, err, mag = (v[idx] for v in (row, x0, dx, val, err, mag))
-            at = np.stack([at, at + 1], -1).ravel()
+                     & (pair_err <= (1000.0 * _EPS) * np.add.reduce(kids_mag.reshape(-1, 2), -1)))
+            if floor.any():
+                kids_err.reshape(-1, 2)[floor] *= (change[floor] / pair_err[floor])[:, None]
+            idx = np.arange(len(row)).repeat(reps)
+            row, x0, dx, val, err, mag = (a[idx] for a in (row, x0, dx, val, err, mag))
+            at = at.repeat(2)
+            at[1::2] += 1
             x0[at], dx[at], val[at], err[at], mag[at] = *kids[1:], kids_val, kids_err, kids_mag
             count = (count + halved)[go]
+            starts = count.cumsum() - count
     return value, error, conv
 
 
@@ -322,9 +371,10 @@ def half_line(
         s2, jac, scale = _tail_partition()
         fv = integrand(np.log1p(-om * s2), s2, jac)
         values, errors, mags = _rule(fv[:-1], scale)
-        (rest,), (rest_err,) = tail(fv[-1:], -2.0 / om - 2.0 - 2.0 * power)
-    errors = np.maximum(errors, (50.0 * _EPS) * mags)
-    value, err = float(values.sum()) + float(rest), float(errors.sum()) + float(rest_err)
+        rest, rest_err = tail(fv[-1], -2.0 / om - 2.0 - 2.0 * power)
+    np.maximum(errors, np.multiply(mags, 50.0 * _EPS, out=mags), out=errors)
+    value = float(np.add.reduce(values)) + float(rest)
+    err = float(np.add.reduce(errors)) + float(rest_err)
     if err <= max(atol, rtol * abs(value)):
         return value, err, None
     return value, err, "the partition's error estimate did not reach the tolerance"

@@ -48,7 +48,7 @@ from typing import Sequence
 from .functionals import (
     _entropy_b, _first, _jko_scales, _second, _step_terms, _third, entropy_diff, wasserstein2_sq,
 )
-from .pme_flow import evolve_sigma
+from .pme_flow import _relative_growth, evolve_sigma
 from .qgaussian import QGaussian1D
 from .qmath import _DBL_MIN, DomainError, _require_int, make_params
 
@@ -270,11 +270,23 @@ def cmd_jko(q: float, sigma0: float, mu0: float, h: float, steps: int) -> Conver
     QGaussian1D(mu=mu0, sigma=sigma0, params=p)  # validates mu0 and sigma0
     rows = [(0, mu0, sigma0, sigma0, 0.0)]
     for n, sigma in enumerate(_jko_scales(sigma0, h, p.q, steps), 1):
-        ex = evolve_sigma(sigma0, n * h, p.q)
+        t = n * h
+        ex = evolve_sigma(sigma0, t, p.q) if t < math.inf else _scale_past_overflow(
+            sigma0, n, h, p.q)
         rows.append((n, mu0, sigma, ex, abs(sigma - ex)))
 
     inputs = {"command": "jko", "q": q, "sigma0": sigma0, "mu0": mu0, "h": h, "steps": steps}
     return _table(JKO_SCHEMA, inputs, ("n", "mu", "sigma", "sigma_exact", "abs_error"), rows)
+
+
+def _scale_past_overflow(sigma0: float, n: int, h: float, q: float) -> float:
+    """The exact scale at time n h, evolve_sigma(sigma0, n h, q), where n h
+    overflows to inf.  The growth x_n = n h / sigma0^(3-q) is then past
+    2^1024 / sigma0^(3-q) > 1, and the scale comes from its log, log x_n =
+    log n + log(h / sigma0^(3-q)), as sigma0 exp(log1p(x_n)/(3-q)) with
+    log1p(x_n) = log x_n + log1p(1/x_n)."""
+    log_x = math.log(n) + math.log(_relative_growth(sigma0, h, q))
+    return math.exp((log_x + math.log1p(math.exp(-log_x))) / (3.0 - q)) * sigma0
 
 
 def cmd_const(q: float, d: int) -> dict:

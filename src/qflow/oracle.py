@@ -106,6 +106,9 @@ class QuadratureConfig:
     abs_tol: float = 1e-13
 
 
+_DEFAULT_CFG = QuadratureConfig()
+
+
 class QuadResult(NamedTuple):
     """Integral value with the adaptive error estimate.
 
@@ -162,7 +165,7 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     q = 0.5, sigma outside [1.4e-154, 8.6e153]), and where the integral is
     not finite.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CFG
     v = g.variance
     if not (_DBL_MIN <= v and 2.0 * v < math.inf):
         raise DomainError(f"1d oracle needs a normal variance with 2v finite, got v={v!r}")
@@ -185,8 +188,7 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
     pref = c0 * unit * (unit * unit if weight == "moment" else 1.0)
     value, err, message = _kronrod.half_line(integrand, om, int(weight != "mass"),
                                              cfg.abs_tol / pref, cfg.rel_tol)
-    policy = "to the support edge" if om > 0.0 else "untruncated"
-    notes = [f"two half-lines from the mean, {policy}", *([message] if message else [])]
+    note = "two half-lines from the mean, " + ("to the support edge" if om > 0.0 else "untruncated")
     value, err = 2.0 * pref * value, 2.0 * pref * err
     if weight == "entropy":
         # (1-q) log norm is rounded: its error moves every node's log_q f alike
@@ -195,7 +197,7 @@ def _line_quad(weight: str, g: QGaussian1D, cfg: QuadratureConfig | None) -> Qua
         value, err = value * v, err * v
     if not math.isfinite(value):
         raise DomainError(f"1d {weight} integral is not finite: {value!r}")
-    return QuadResult(value, err, message is None, "; ".join(notes))
+    return QuadResult(value, err, message is None, f"{note}; {message}" if message else note)
 
 
 def mass_quad(g: QGaussian1D, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -269,6 +271,8 @@ def _polar_quad(
     qflow._kronrod.finite, the tail rule's 27 first-kind Chebyshev nodes at
     weight 1 on each piece, halved where a piece misses the tolerance, one
     call per set of blocks of angles, whose ray geometry is formed once.
+    The call's first round is one integrand call on the rule's node tables
+    (qflow._kronrod._pieces), with the slopes as columns.
     Each ray is split where it crosses the support ellipse Q_k = 1 of a
     compact member, at the roots of a r^2 + 2 b r + q0 = 1 with the exact
     coefficients a = du^2 + dw^2, b = u0 du + w0 dw and q0 = u0^2 + w0^2,
@@ -285,7 +289,12 @@ def _polar_quad(
     in tau, and a cut puts it at a piece's end, where the map crowds the
     nodes), and split is at most tau*/2, so the peak, a near pole of the
     integrand, stays out of the tail; the tail rule runs on lam F(lam t),
-    lam = 16 split.  There 1 + Q_k = P_k(tau)/tau^2 with P_k a quadratic
+    lam = 16 split.  Where no member's peak lies beyond r = 1, every ray
+    is the one piece [1/16, 1] in tau and split = 1/16, with no cuts to
+    sort: the first round reads one (piece, node) array of tau for every
+    ray, and the tail one row of TAIL_TAU, so r = 1/tau - 1 and r/tau^2
+    are formed once per call, not per ray.  A centre member's offsets are
+    0, and are not added.  There 1 + Q_k = P_k(tau)/tau^2 with P_k a quadratic
     positive on [0, 1], so f_k is tau^(2/(m-1)) times a function analytic at
     0, and every term of the integrands, times the Jacobian, is tau^s times
     one, s = 2(2-m)/(m-1) - 3, as f^(2-m) r dr is; the terms' exponents
@@ -318,21 +327,34 @@ def _polar_quad(
         r = x if compact else 1.0 / x - 1.0
         logs = []
         for ((u0, w0), _), du, dw in zip(frames, slopes[::2], slopes[1::2]):
-            q = np.square(du * r + u0)
-            q += np.square(dw * r + w0)
+            # Q = (du r + u0)^2 + (dw r + w0)^2; a zero offset (the centre
+            # member's) is not added, which changes no bit of Q
+            q, p = du * r, dw * r
+            if u0:
+                q += u0
+            if w0:
+                p += w0
+            np.square(q, out=q)
+            q += np.square(p, out=p)
             # L = log1p(-Q), with the bracket clipped to 0 off a compact support, or log1p(Q)
-            logs.append(np.log1p(np.maximum(-q, -1.0, out=q) if compact else q, out=q))
+            if compact:
+                np.maximum(np.negative(q, out=q), -1.0, out=q)
+            logs.append(np.log1p(q, out=q))
+        fv = integrand(*logs)
         if compact:
-            return integrand(*logs) * (det * r)
-        # det r/tau^2 overflows at large scales: det goes first
-        return integrand(*logs) * det * (r / (x * x))
+            fv *= det * r
+        else:
+            # det r/tau^2 overflows at large scales: det goes first
+            fv *= det
+            fv *= r / (x * x)
+        return fv
 
     def radial(blocks: list[np.ndarray]) -> list[tuple[float, float, bool]]:
         """One finite-rule call over the rays at every block of angles; per
         block, the sums of the radial integrals and of their errors, and
         whether all converged."""
         phis = np.concatenate(blocks)
-        unit = np.stack([np.cos(phis), np.sin(phis)])
+        unit = np.array([np.cos(phis), np.sin(phis)])
         slopes = [mat @ unit for _, mat in frames]
         if compact:
             ends = [np.zeros_like(phis)]
@@ -354,17 +376,29 @@ def _polar_quad(
                 tau = a / (a - np.minimum(b, 0.0))
                 ends.append(np.where(tau < 0.5, tau, 1.0))
                 split = np.minimum(split, 0.5 * tau)
-        if not compact:
-            ends.append(split)
-        cuts = np.sort(np.stack(ends, axis=-1), axis=-1)
-        lo, hi = cuts[:, :-1], cuts[:, 1:]
-        live = lo < hi
-        at = np.nonzero(live)[0]
-        # compact pieces crowd their nodes at both ends, and so do the pieces of
-        # a heavy-tailed ray cut at a far mean, the rays with more than one
-        crowd = np.ones(len(at), dtype=bool) if compact else (live.sum(axis=1) > 1)[at]
-        out = _kronrod.finite(ray, lo[live], hi[live], tuple(v[at] for s in slopes for v in s),
-                              cfg.rel_tol, cfg.abs_tol, crowd)
+        args = tuple(v for s in slopes for v in s)
+        if not compact and all((end == 1.0).all() for end in ends):
+            # no peak lies beyond r = 1: every ray is the one piece [1/16, 1]
+            # in tau, in the first column of the cut layout, and its first
+            # round and its tail (split = 1/16 on every ray) each read one
+            # array of nodes for every ray
+            live = np.zeros((len(phis), len(ends)), dtype=bool)
+            live[:, 0] = True
+            lo, hi, crowd = split, np.ones_like(phis), np.zeros(len(phis), dtype=bool)
+            split = split[:1]
+        else:
+            if not compact:
+                ends.append(split)
+            cuts = np.array(ends).T
+            cuts.sort(axis=-1)
+            lo, hi = cuts[:, :-1], cuts[:, 1:]
+            live = lo < hi
+            at = np.nonzero(live)[0]
+            # compact pieces crowd their nodes at both ends, and so do the pieces
+            # of a heavy-tailed ray cut at a far mean, the rays with more than one
+            crowd = np.ones(len(at), dtype=bool) if compact else (live.sum(axis=1) > 1)[at]
+            lo, hi, args = lo[live], hi[live], tuple(v[at] for v in args)
+        out = _kronrod.finite(ray, lo, hi, args, cfg.rel_tol, cfg.abs_tol, crowd)
         # only the pieces of positive length are integrated; the others hold 0
         integral, error, success = np.zeros(live.shape), np.zeros(live.shape), np.ones_like(live)
         integral[live], error[live], success[live] = out
@@ -443,7 +477,7 @@ def _log_density(log_b: np.ndarray, nu: MBivariate) -> tuple[np.ndarray, np.ndar
     ell = np.add(np.divide(log_b, om, out=log_b), _log_norm(nu), out=log_b)
     dens = np.exp(ell)
     lm = np.expm1(np.multiply(ell, om, out=ell), out=ell)
-    if om < 0.0:
+    if om < 0.0 and not dens.all():
         np.putmask(lm, dens == 0.0, 0.0)
     return dens, lm
 
@@ -459,7 +493,8 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
     b^(1/(1-m)), so the integral is 2 pi C0/k^2 times that of the 1D
     oracle's entropy integrand (_entropy_integrand) times r, about 1 at
     every scale: abs_tol keeps its 1D meaning, and only shift = (1-m) log
-    norm reads the scale.  The ray is one row of qflow._kronrod.finite: a
+    norm reads the scale.  The ray is one row of qflow._kronrod.finite,
+    whose first round reads the node table of its first pieces: a
     compact one on [0, 1] with the nodes crowded at both ends, a
     heavy-tailed one in tau = 1/(1 + r), Jacobian r/tau^2, on the 1D heavy
     partition's pieces of [1/16, 1], and the tail rule on (0, 1/16]
@@ -468,7 +503,7 @@ def entropy_quad_2d(nu: MBivariate, cfg: QuadratureConfig | None = None) -> Quad
     Raises DomainError where s1^2 or s2^2 is not a normal double and where
     the integral is not finite.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CFG
     nu.cov  # DomainError where s1^2 or s2^2 is not a normal double
     om = 1.0 - nu.m
     inv_om, shift = 1.0 / om, om * _log_norm(nu)
@@ -522,7 +557,7 @@ def m_rel_entropy_quad(
     of either scale matrix is not a normal double and where the integral
     is not finite.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CFG
     if f_biv.m != g_biv.m:
         raise DomainError("relative entropy needs a common exponent m")
     if form not in ("first", "second"):
@@ -734,7 +769,7 @@ def pythagorean_gap(
     converged is the AND of the flags of the quadratures run here, so a
     cached term's own flag is the caller's to check.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CFG
     runs = [m_rel_entropy_quad(q_biv, p_biv, cfg), m_rel_entropy_quad(q_biv, qstar_biv, cfg)]
     if h_qstar_p is None:
         runs.append(m_rel_entropy_quad(qstar_biv, p_biv, cfg))

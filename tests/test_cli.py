@@ -485,8 +485,8 @@ def test_cmd_jko_equals_repeated_jko_step(q, sigma0, h, steps):
         (0.8, 1.0, 0.0, 2, 0),
         (0.8, 1e300, 0.1, 3, 0),
         (1.2, 1e-300, 0.1, 2, 0),
-        # sigma^(3-q) overflows in the step of row 21 (row 20 at q = 1.6), but the
-        # exact scale at row 18 fails first: 18 h = 1.8e308 overflows to inf
+        # sigma^(3-q) overflows in the step of row 21 (row 20 at q = 1.6); the
+        # exact scales of rows 18 on, where n h overflows to inf, are doubles
         (0.5, 1.0, 1e307, 30, 20),
         (1.6, 1.0, 1e307, 30, 19),
     ],
@@ -498,20 +498,38 @@ def test_cmd_jko_raises_where_jko_step_raises(q, sigma0, h, steps, raising_step)
     with pytest.raises(DomainError):
         functionals.jko_step(g, h)
     # the table raises its first failing row's error, and a row's step fails
-    # before its exact scale
+    # before its exact scale; here every table fails at its step
     g = QGaussian1D(mu=0.5, sigma=sigma0, params=make_params(q, 1))
     expected = None
     for n in range(1, steps + 1):
         try:
             g = functionals.jko_step(g, h)
-            evolve_sigma(sigma0, n * h, q)
+            if n * h < math.inf:
+                evolve_sigma(sigma0, n * h, q)
+            else:
+                cli._scale_past_overflow(sigma0, n, h, q)
         except DomainError as exc:
             expected = exc
             break
-    assert n <= raising_step + 1 and expected is not None
+    assert n == raising_step + 1 and expected is not None
     with pytest.raises(DomainError) as got:
         cli.cmd_jko(q, sigma0, 0.5, h, steps)
     assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+
+
+@pytest.mark.parametrize("q, steps", [(0.5, 20), (1.6, 19)])
+def test_cmd_jko_exact_scale_where_n_h_overflows(q, steps):
+    # from row 18, n h = 1.8e308 overflows to inf, but the exact scale
+    # (n h + sigma0^(3-q))^(1/(3-q)) is about 2e123 (q = 0.5) or 1.5e220
+    # (q = 1.6): the rows up to the step's own failure are formed
+    h = 1e307
+    rows = cli.cmd_jko(q, 1.0, 0.0, h, steps).rows
+    assert len(rows) == steps + 1 and math.isinf(18 * h)
+    for n, _, sigma, exact, error in rows[17:]:
+        with mpmath.workdps(50):
+            ref = (n * mpmath.mpf(h) + 1) ** (1 / (3 - mpmath.mpf(q)))
+            assert abs(exact / ref - 1) <= 1e-13, (n, exact)
+        assert error == abs(sigma - exact)
 
 
 _CELLS = st.one_of(

@@ -1325,3 +1325,187 @@ def test_verify_pairs_converge_in_64_angles(pair):
     assert ", 64 angles," in res.note
     closed = m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
     assert abs(res.value / closed - 1.0) <= 1e-12
+
+
+# Every first-round layout of the radial rule, both H_m forms, the 2D
+# entropy's ray on both branches and the 1D half-lines on both branches,
+# under both configs: value, estimate, flag and note, as hex literals
+_POLAR = "polar trapezoid x Chebyshev rule, "
+_RAY = "one ray in the member's unit frame, "
+_LINE = "two half-lines from the mean, "
+_PIN_PAIRS = {
+    "compact": checks.MREL_PAIRS[0],
+    "heavy": checks.MREL_PAIRS[1],
+    "crossing": _RAY_PAIRS[2],
+    # test_heavy_rays_cut_where_they_pass_a_far_mean's m = 1.3, distance-5 pair
+    "far-mean": ((0.0, 0.0, 1.0, 1.0, 0.2, 1.3), (3.0, 4.0, 0.9, 1.2, 0.3, 1.3)),
+    "nested-32": _NESTED_32,
+}
+_PIN_MEMBERS = {"compact": (0.2, -0.1, 0.7, 1.3, 0.4, 0.5), "heavy": _HEAVY}
+_PINNED = {
+    ("mrel", "compact", "first", "default"):
+        ("0x1.3a8ac7da28af5p-3", "0x1.c339afe37fdeap-48",
+         True, _POLAR + "64 angles, centre (0, 0)"),
+    ("mrel", "compact", "second", "default"):
+        ("0x1.3a8ac7da28af5p-3", "0x1.c40eb9efe8289p-48",
+         True, _POLAR + "64 angles, centre (0, 0)"),
+    ("mrel", "heavy", "first", "default"):
+        ("0x1.cb05b76356ad8p-2", "0x1.036bf0dfe02bep-46",
+         True, _POLAR + "64 angles, centre (0.3, 0.1)"),
+    ("mrel", "heavy", "second", "default"):
+        ("0x1.cb05b76356ad8p-2", "0x1.03be9ccd3782cp-46",
+         True, _POLAR + "64 angles, centre (0.3, 0.1)"),
+    ("mrel", "crossing", "first", "default"):
+        ("0x1.868c701d57aacp-3", "0x1.bc043e99d2628p-40",
+         True, _POLAR + "1024 angles, centre (0.1, 0.05)"),
+    ("mrel", "crossing", "second", "default"):
+        ("0x1.868c701d57aadp-3", "0x1.bc0435ee993d4p-40",
+         True, _POLAR + "1024 angles, centre (0.1, 0.05)"),
+    ("mrel", "far-mean", "first", "default"):
+        ("0x1.fd0ebd5963106p+4", "0x1.0fa0443c7b149p-33",
+         True, _POLAR + "256 angles, centre (0, 0)"),
+    ("mrel", "far-mean", "second", "default"):
+        ("0x1.fd0ebd5963104p+4", "0x1.0fa0434fa3434p-33",
+         True, _POLAR + "256 angles, centre (0, 0)"),
+    ("mrel", "nested-32", "first", "default"):
+        ("0x1.10fa810281197p-1", "0x1.042d18f27a19ap-40",
+         True, _POLAR + "32 angles, centre (0.827761, -0.741809)"),
+    ("mrel", "nested-32", "second", "default"):
+        ("0x1.10fa810281197p-1", "0x1.042b5ccdf4a48p-40",
+         True, _POLAR + "32 angles, centre (0.827761, -0.741809)"),
+    ("ent2d", "compact", "default"):
+        ("-0x1.6eba696b4f9dep+0", "0x1.b51e44aca5635p-48",
+         True, _RAY + "to the support edge"),
+    ("ent2d", "heavy", "default"):
+        ("-0x1.c735158fc2f99p+1", "0x1.054f3898c19e0p-37",
+         True, _RAY + "untruncated"),
+    ("1d", "mass", 0.3, "default"):
+        ("0x1.ffffffffffffap-1", "0x1.91589cf98ff5dp-47",
+         True, _LINE + "to the support edge"),
+    ("1d", "moment", 0.3, "default"):
+        ("0x1.c4cbbc87c7556p+0", "0x1.6790dc032dd06p-46",
+         True, _LINE + "to the support edge"),
+    ("1d", "entropy", 0.3, "default"):
+        ("-0x1.ef7a03c2cf77ep-1", "0x1.a228f702ddedfp-47",
+         True, _LINE + "to the support edge"),
+    ("1d", "mass", 0.8, "default"):
+        ("0x1.ffffffffffff4p-1", "0x1.921085ffcfd1ep-47",
+         True, _LINE + "to the support edge"),
+    ("1d", "moment", 0.8, "default"):
+        ("0x1.58af7926f4770p+1", "0x1.2cb065ae5d710p-45",
+         True, _LINE + "to the support edge"),
+    ("1d", "entropy", 0.8, "default"):
+        ("-0x1.9051d5480ac6fp+0", "0x1.484b6e3d34929p-46",
+         True, _LINE + "to the support edge"),
+    ("1d", "mass", 1.2, "default"):
+        ("0x1.ffffffffffff0p-1", "0x1.90000015bb177p-47",
+         True, _LINE + "untruncated"),
+    ("1d", "moment", 1.2, "default"):
+        ("0x1.215104e19b46bp+2", "0x1.c40eb4b592831p-45",
+         True, _LINE + "untruncated"),
+    ("1d", "entropy", 1.2, "default"):
+        ("-0x1.6a4fb289e7af2p+1", "0x1.2230b497d77f0p-45",
+         True, _LINE + "untruncated"),
+    ("1d", "mass", 1.5, "default"):
+        ("0x1.0000000000001p+0", "0x1.8fec2ed11d1d4p-47",
+         True, _LINE + "untruncated"),
+    ("1d", "moment", 1.5, "default"):
+        ("0x1.3c300ba242a39p+3", "0x1.d0714bfeac111p-44",
+         True, _LINE + "untruncated"),
+    ("1d", "entropy", 1.5, "default"):
+        ("-0x1.b8d9e54f197dap+2", "0x1.604b61e44ef69p-44",
+         True, _LINE + "untruncated"),
+    ("mrel", "compact", "first", "crit3"):
+        ("0x1.3a8ac7da28af5p-3", "0x1.c339afe37fdeap-48",
+         True, _POLAR + "64 angles, centre (0, 0)"),
+    ("mrel", "compact", "second", "crit3"):
+        ("0x1.3a8ac7da28af5p-3", "0x1.c40eb9efe8289p-48",
+         True, _POLAR + "64 angles, centre (0, 0)"),
+    ("mrel", "heavy", "first", "crit3"):
+        ("0x1.cb05b76356ad8p-2", "0x1.e9e1e15804b50p-47",
+         True, _POLAR + "64 angles, centre (0.3, 0.1)"),
+    ("mrel", "heavy", "second", "crit3"):
+        ("0x1.cb05b76356ad8p-2", "0x1.ea76f08397fd0p-47",
+         True, _POLAR + "64 angles, centre (0.3, 0.1)"),
+    ("mrel", "crossing", "first", "crit3"):
+        ("0x1.868c701d58453p-3", "0x1.3a682f976c2e5p-44",
+         True, _POLAR + "2048 angles, centre (0.1, 0.05)"),
+    ("mrel", "crossing", "second", "crit3"):
+        ("0x1.868c701d58452p-3", "0x1.3a2bc2ece8d9ep-44",
+         True, _POLAR + "2048 angles, centre (0.1, 0.05)"),
+    ("mrel", "far-mean", "first", "crit3"):
+        ("0x1.fd0ebd5963104p+4", "0x1.e24b06999e43fp-40",
+         True, _POLAR + "256 angles, centre (0, 0)"),
+    ("mrel", "far-mean", "second", "crit3"):
+        ("0x1.fd0ebd5963104p+4", "0x1.e03da99e8dc54p-40",
+         True, _POLAR + "256 angles, centre (0, 0)"),
+    ("mrel", "nested-32", "first", "crit3"):
+        ("0x1.10fa810281197p-1", "0x1.ab7f2031ac12ep-42",
+         True, _POLAR + "64 angles, centre (0.827761, -0.741809)"),
+    ("mrel", "nested-32", "second", "crit3"):
+        ("0x1.10fa810281197p-1", "0x1.ab781fea5929ap-42",
+         True, _POLAR + "64 angles, centre (0.827761, -0.741809)"),
+    ("ent2d", "compact", "crit3"):
+        ("-0x1.6eba696b4f9dep+0", "0x1.b51e44aca5635p-48",
+         True, _RAY + "to the support edge"),
+    ("ent2d", "heavy", "crit3"):
+        ("-0x1.c735158fc2f98p+1", "0x1.fa7ad16da24f7p-48",
+         True, _RAY + "untruncated"),
+    ("1d", "mass", 0.3, "crit3"):
+        ("0x1.ffffffffffffap-1", "0x1.91589cf98ff5dp-47",
+         True, _LINE + "to the support edge"),
+    ("1d", "moment", 0.3, "crit3"):
+        ("0x1.c4cbbc87c7556p+0", "0x1.6790dc032dd06p-46",
+         True, _LINE + "to the support edge"),
+    ("1d", "entropy", 0.3, "crit3"):
+        ("-0x1.ef7a03c2cf77ep-1", "0x1.a228f702ddedfp-47",
+         True, _LINE + "to the support edge"),
+    ("1d", "mass", 0.8, "crit3"):
+        ("0x1.ffffffffffff4p-1", "0x1.921085ffcfd1ep-47",
+         True, _LINE + "to the support edge"),
+    ("1d", "moment", 0.8, "crit3"):
+        ("0x1.58af7926f4770p+1", "0x1.2cb065ae5d710p-45",
+         True, _LINE + "to the support edge"),
+    ("1d", "entropy", 0.8, "crit3"):
+        ("-0x1.9051d5480ac6fp+0", "0x1.484b6e3d34929p-46",
+         True, _LINE + "to the support edge"),
+    ("1d", "mass", 1.2, "crit3"):
+        ("0x1.ffffffffffff0p-1", "0x1.90000015bb177p-47",
+         True, _LINE + "untruncated"),
+    ("1d", "moment", 1.2, "crit3"):
+        ("0x1.215104e19b46bp+2", "0x1.c40eb4b592831p-45",
+         True, _LINE + "untruncated"),
+    ("1d", "entropy", 1.2, "crit3"):
+        ("-0x1.6a4fb289e7af2p+1", "0x1.2230b497d77f0p-45",
+         True, _LINE + "untruncated"),
+    ("1d", "mass", 1.5, "crit3"):
+        ("0x1.0000000000001p+0", "0x1.8fec2ed11d1d4p-47",
+         True, _LINE + "untruncated"),
+    ("1d", "moment", 1.5, "crit3"):
+        ("0x1.3c300ba242a39p+3", "0x1.d0714bfeac111p-44",
+         True, _LINE + "untruncated"),
+    ("1d", "entropy", 1.5, "crit3"):
+        ("-0x1.b8d9e54f197dap+2", "0x1.604b61e44ef69p-44",
+         True, _LINE + "untruncated"),
+
+}
+
+
+def test_oracle_results_keep_their_bits():
+    cfgs = {"default": oracle.QuadratureConfig(), "crit3": CRIT3_CFG}
+    got = {}
+    for cname, cfg in cfgs.items():
+        for pname, pair in _PIN_PAIRS.items():
+            f, g = (make_bivariate(*args) for args in pair)
+            for form in ("first", "second"):
+                got["mrel", pname, form, cname] = oracle.m_rel_entropy_quad(f, g, cfg, form=form)
+        for name, member in _PIN_MEMBERS.items():
+            got["ent2d", name, cname] = oracle.entropy_quad_2d(make_bivariate(*member), cfg)
+        for q in (0.3, 0.8, 1.2, 1.5):
+            g = QGaussian1D(mu=0.25, sigma=1.3, params=make_params(q, 1))
+            for weight, quad in _ONE_D:
+                got["1d", weight, q, cname] = quad(g, cfg)
+    assert got.keys() == _PINNED.keys()
+    for key, res in got.items():
+        bits = (res.value.hex(), res.error_estimate.hex(), res.converged, res.note)
+        assert bits == _PINNED[key], key
