@@ -1,6 +1,7 @@
 """One interpolatory quadrature rule: 27 first-kind Chebyshev nodes with
-the weight tau^sigma, on the 1D oracle's half-lines, on the heavy tails of
-1D members and 2D rays, and at weight 1 on every finite piece of a 2D ray.
+the weight tau^sigma, on the half-lines of the one-member integrals, on
+the heavy tails of those and of the two-member rays, and at weight 1 on
+every finite piece.
 
 The tail rule, tail(), integrates any F = tau^s A(tau) over (0, 1/16]
 whose A is analytic there.  It interpolates A's integer-power part at 27
@@ -15,11 +16,14 @@ of the piece, and its estimate is 2 (|c_25| + |c_26|) (Trefethen, SIAM
 Rev. 50, 2008, on why such an interpolatory rule gives up nothing to
 Gauss-Kronrod).
 
-The 1D oracle, half_line().  Its integrands are functions of the
-member's bracket b = 1 + (1-q) t, t = -c1 u^2/2 in scale units u, so the
-half-line is mapped once per branch onto a partition fixed by q and the
-weight, tabulated at its first use, and a call is one sweep of _rule over
-every piece as one array (and one tail rule on a heavy tail):
+Every one-member integral is one half_line(): the 1D oracle's mass,
+moment and entropy, and the 2D entropy, whose member is radial in its
+own frame.  Their integrands are functions of the member's bracket b =
+1 + (1-q) t, t = -c1 u^2/2 in scale units u (in 2D, u is the whitened
+radius), so the half-line is mapped once per branch onto a partition
+fixed by q and the weight, tabulated at its first use, and a call is one
+sweep of _rule over every piece as one array (and one tail rule on a
+heavy tail):
 
 * compact members (q < 1) run over y = u/edge in [0, 1], edge =
   sqrt(2/((1-q) c1)), where b = 1 - y^2 vanishes like (1-y)^(1/(1-q)).
@@ -29,26 +33,30 @@ every piece as one array (and one tail rule on a heavy tail):
   [2^-j, 2^-(j-1)] of x down to one about as wide as it;
 * heavy tails (q > 1) run over z = u sqrt(c1/2), where b = 1 + (q-1)
   z^2, mapped by z = 1/tau - 1 onto tau in (0, 1].  The four dyadic
-  pieces [2^-(k+1), 2^-k] of [1/16, 1] get _rule, and (0, 1/16] the tail
-  rule: with b = P(tau)/tau^2, P = tau^2 + (q-1)(1-tau)^2 > 0, a weight
-  growing like z^(2p) makes the integrand tau^s times a function
-  analytic at 0, s = 2/(q-1) - 2 - 2p.
+  pieces [2^-(k+1), 2^-k] of [1/16, 1] get _rule, each cut in two where
+  2/(q-1) > 15 (there the member is near-Gaussian in z), and (0, 1/16]
+  the tail rule: with b = P(tau)/tau^2, P = tau^2 + (q-1)(1-tau)^2 > 0, a
+  weight growing like z^(2p) makes the integrand tau^s times a function
+  analytic at 0, s = 2/(q-1) - 2 - 2p (p = 3/2 for the 2D entropy: its
+  weight log_q f grows like z^2, and the radius adds z).
 
-A half-line that misses its tolerance is reported unconverged.
+A half-line converges by its own sweep's estimate, or else by finite()'s
+tests on its pieces and its tail; one that misses both is reported
+unconverged.
 
-finite() runs the 2D oracle's rays.  A row that misses its tolerance
-halves the pieces above their share of it, for a fixed number of
-rounds; where a compact support or a far member's peak ends a piece, the
-map t = (1 - cos(pi x))/2 crowds the nodes at its ends.  Every row starts
-on fixed pieces of x in [0, 1], so the first round of a call is one
-integrand call on node tables built at their first use: _crowd_halves
-holds the mapped nodes and dt/dx on the halves of [0, 1], where crowded
-rows start, and _core_nodes the nodes on the pieces between _CORE_X,
-where the others start.  Where every row starts alike, its table is
-broadcast against the rows' ends, and rows on one interval (the heavy
-rays with no far peak, all on tau in [1/16, 1]) share one array of
-nodes.  The rule's contractions call einsum's C core, and its estimates
-are formed in place.
+finite() runs only the two-member rays of the 2D polar rule (H_m).  A row
+that misses its tolerance halves the pieces above their share of it, for
+a fixed number of rounds; where a compact support or a far member's peak
+ends a piece, the map t = (1 - cos(pi x))/2 crowds the nodes at its
+ends.  Every row starts on fixed pieces of x in [0, 1], so the first
+round of a call is one integrand call on node tables built at their
+first use: _crowd_halves holds the mapped nodes and dt/dx on the halves
+of [0, 1], where crowded rows start, and _core_nodes the nodes on the
+pieces between _CORE_X, where the others start.  Where every row starts
+alike, its table is broadcast against the rows' ends, and rows on one
+interval (the heavy rays with no far peak, all on tau in [1/16, 1])
+share one array of nodes.  The rule's contractions call einsum's C core,
+and its estimates are formed in place.
 """
 
 from __future__ import annotations
@@ -117,14 +125,16 @@ def _edge_partition(j: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tail_partition() -> tuple[np.ndarray, ...]:
+def _tail_partition(cuts: int) -> tuple[np.ndarray, ...]:
     """z^2 and dz/dtau, z = (1 - tau)/tau, at the nodes (piece, node) of
-    the dyadic pieces [2^-(i+1), 2^-i] in tau, i < 4, and then of the tail
-    rule, and the four pieces' widths over TAIL_END."""
-    hi = 2.0 ** -np.arange(4.0)
-    tau = np.concatenate([0.5 * hi[:, None] * (1.0 + _FRAC), TAIL_TAU[None]])
+    the dyadic pieces [2^-(i+1), 2^-i] in tau, i < 4, each cut into cuts
+    equal pieces, and then of the tail rule, and the pieces' widths over
+    TAIL_END."""
+    width = ((0.5 / cuts) * 2.0 ** -np.arange(4.0)).repeat(cuts)
+    lo = (cuts + np.tile(np.arange(cuts), 4)) * width
+    tau = np.concatenate([lo[:, None] + width[:, None] * _FRAC, TAIL_TAU[None]])
     z = (1.0 - tau) / tau
-    return _read_only(z * z, 1.0 / (tau * tau), 0.5 * hi / TAIL_END)
+    return _read_only(z * z, 1.0 / (tau * tau), width / TAIL_END)
 
 
 @lru_cache(maxsize=64)
@@ -132,10 +142,9 @@ def _tail_rows(sigma: float) -> tuple[np.ndarray, float]:
     """The tail rule's weights on F for the weight tau^sigma and the rows
     giving the interpolant's last two coefficients c_25 and c_26 from F,
     each with TAIL_END^(sigma+1) / tau^sigma folded in, as a (3, node)
-    array, and r_0.  Cached: every 1D integral of one q and weight reads
-    one sigma, and so does every 2D tail of one m (the entropy's ray and
-    each radial call of a two-member integral); finite() reads sigma = 0 on
-    every piece."""
+    array, and r_0.  Cached: every half-line of one q and weight reads one
+    sigma, and so does every radial call of a two-member integral of one
+    m; _rule reads sigma = 0 on every piece."""
     r0 = 1.0 / (sigma + 1.0)
     r = [r0, r0 * sigma / (sigma + 2.0)]
     rk = r[-1]
@@ -204,22 +213,24 @@ def _core_nodes() -> np.ndarray:
     return _read_only(_CORE_X[:-1, None] + _CORE_DX[:, None] * _FRAC)[0]
 
 
-def _rule(fv: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rule(fv: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Integrals of the pieces whose integrand, times the Jacobian, reads fv
     (piece, node) at the nodes, their estimates 2 (|c_25| + |c_26|) and
-    their |f|-integrals, by the tail rule at sigma = 0: scale is each
-    piece's width over TAIL_END.  The one per-piece evaluation of the
-    package's finite pieces."""
+    their |f|-integrals, as the rows of one (3, piece) array, by the tail
+    rule at sigma = 0: scale is each piece's width over TAIL_END.  The one
+    per-piece evaluation of the package's finite pieces."""
     rows, _ = _tail_rows(0.0)
     out = c_einsum("pj,kj->kp", fv, rows)
     out *= scale
-    value, err, c26 = out
+    # rows taken by index: unpacking iterates the array, at about 0.5 us
+    err, c26 = out[1], out[2]
     np.abs(err, out=err)
-    err += np.abs(c26)
+    err += np.abs(c26, out=c26)
     err *= 2.0
-    mag = c_einsum("pj,j->p", np.abs(fv), rows[0])
-    mag *= scale
-    return value, err, mag
+    # the |f|-integrals take c_26's row
+    c_einsum("pj,j->p", np.abs(fv), rows[0], out=c26)
+    c26 *= scale
+    return out
 
 
 def _pieces(f, lo, span, args, crowd, row, x0, dx, half=None):
@@ -263,7 +274,8 @@ def finite(
     crowd: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrals of f over the finite intervals [lo, hi], per row, and their
-    error estimates and convergence flags.
+    error estimates and convergence flags: the two-member rays of the 2D
+    polar rule (every one-member integral is a half_line()).
 
     lo < hi elementwise.  f(t, *args) is elementwise and broadcasts: t
     holds the nodes with one row per piece, or a (row, piece, node) array
@@ -348,33 +360,55 @@ def finite(
 def half_line(
     integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     om: float,
-    power: int,
+    power: float,
     atol: float,
     rtol: float,
 ) -> tuple[float, float, str | None]:
-    """Integral over the half-line of a member with 1 - q = om.
+    """Integral over the half-line of a member with 1 - q = om, in 1D or,
+    radially, in 2D.
 
     integrand(log_b, s2, jac) returns the integrand f times the map's
     Jacobian jac at node arrays (piece, node), where s2 is y^2 (compact) or
     z^2 (heavy tail) and b = 1 - om s2; f may grow like s2^power, which sets
-    the tail's exponent.  Each finite piece's estimate is at least 50 eps
-    of its |f|-integral, the rounding of the sum.  The answer converges
-    where its estimate is at most max(atol, rtol |I|).  Returns the integral
-    over y or z, its error estimate and None, or a message when it did not
-    converge.
+    the tail's exponent (a half-integer power where a 2D radius adds
+    sqrt(s2)).  The heavy partition is halved where 2/(q-1) > 15: there
+    the coarse pieces' estimates are hundreds of times their errors.
+    Each finite piece's estimate is at least 50 eps of its |f|-integral,
+    the rounding of the sum, and the answer converges where its estimate
+    is at most max(atol, rtol |I|).  Where it is not, the answer still
+    converges where the pieces and the tail each pass finite()'s tests:
+    the pieces' summed estimate, without that floor, is at most the
+    largest of atol, rtol |pieces| and 50 eps R, R the integral of |f| (1 +
+    |log b/om|), which counts the rounding that exp(log b/om) carries next
+    to q = 1; and the tail's estimate is at most max(atol, rtol max(|tail|,
+    max |piece|)), as a two-member ray's tail is judged.  Either way the
+    estimate is the floored one.  Returns the integral over y or z, its
+    error estimate and None, or a message when it did not converge.
     """
     if om > 0.0:
         log_b, s2, jac, scale = _edge_partition(max(1, math.ceil(math.log2(_CORE / math.sqrt(om)))))
-        values, errors, mags = _rule(integrand(log_b, s2, jac), scale)
+        fv = integrand(log_b, s2, jac)
+        out = _rule(fv, scale)
         rest = rest_err = 0.0
     else:
-        s2, jac, scale = _tail_partition()
-        fv = integrand(np.log1p(-om * s2), s2, jac)
-        values, errors, mags = _rule(fv[:-1], scale)
+        # the pieces are halved where 2/(q-1) > 15
+        s2, jac, scale = _tail_partition(2 if om > -2.0 / 15.0 else 1)
+        log_b = np.log1p(-om * s2)
+        fv = integrand(log_b, s2, jac)
+        out = _rule(fv[:-1], scale)
         rest, rest_err = tail(fv[-1], -2.0 / om - 2.0 - 2.0 * power)
-    np.maximum(errors, np.multiply(mags, 50.0 * _EPS, out=mags), out=errors)
-    value = float(np.add.reduce(values)) + float(rest)
-    err = float(np.add.reduce(errors)) + float(rest_err)
+    # each piece's estimate, floored, takes its |f|-integral's row
+    errors, mags = out[1], out[2]
+    np.maximum(errors, np.multiply(mags, 50.0 * _EPS, out=mags), out=mags)
+    pieces, raw, floored = np.add.reduce(out, axis=1).tolist()
+    value, err = pieces + float(rest), floored + float(rest_err)
     if err <= max(atol, rtol * abs(value)):
+        return value, err, None
+    # finite()'s tests, on the pieces and the tail apart
+    n = len(scale)
+    weight = np.abs(fv[:n]) * (1.0 + np.abs(log_b[:n] / om))
+    rounding = float(c_einsum("pj,j,p->", weight, _tail_rows(0.0)[0][0], scale))
+    if (raw <= max(atol, rtol * abs(pieces), 50.0 * _EPS * rounding)
+            and rest_err <= max(atol, rtol * max(abs(rest), float(np.abs(out[0]).max())))):
         return value, err, None
     return value, err, "the partition's error estimate did not reach the tolerance"
