@@ -946,6 +946,11 @@ def test_finite_rows_are_independent_bit_for_bit():
 
 
 _HEAVY = (0.1, -0.1, 0.8, 1.2, 0.3, 1.15)
+# an m = 0.2 pair whose compact supports cross: the angle error is not
+# predicted there, and the rule doubles to 1024 angles at the default config
+_CROSSING_02 = ((0.0, 0.0, 1.0106117026074521, 0.7015564354231305, 0.4801748474925821, 0.2),
+                (-0.30773166882387115, 0.17393454805449346, 1.2571409295652494,
+                 0.6519845346605048, -0.011036899524194399, 0.2))
 
 
 @pytest.mark.parametrize(
@@ -954,18 +959,20 @@ _HEAVY = (0.1, -0.1, 0.8, 1.2, 0.3, 1.15)
         (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), None, 64, [128]),
         (checks.MREL_PAIRS[1], oracle.QuadratureConfig(), None, 64, [64]),
         ((_HEAVY, (-0.1, 0.05, 1.0, 0.9, -0.2, 1.15)),
-         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), None, 128, [64, 64]),
+         oracle.QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), None, 64, [64]),
+        (_CROSSING_02, oracle.QuadratureConfig(), None, 1024, [128] * 16),
         (checks.MREL_PAIRS[0], oracle.QuadratureConfig(), 0, 16, [32]),
     ],
     ids=["verify-compact", "verify-heavy-tailed",
-         "mrel-heavy-tailed-128", "mrel-no-refinement"],
+         "mrel-heavy-tailed-predicted-64", "mrel-crossing-1024", "mrel-no-refinement"],
 )
 def test_polar_radial_calls(monkeypatch, members, cfg, max_angles, angles, rows):
     # the 16 coarsest angles and the midpoints of the first two refinements
     # share one radial call of 64 rays; each further refinement takes one
     # call per block of midpoints.  A compact ray from f's mean inside
     # supp g has two pieces, f's support and the rest of g's; a heavy-tailed
-    # ray one
+    # ray one.  The heavy pair's angle error is predicted at 64 angles; the
+    # crossing pair's supports cross, so it keeps doubling to 1024
     calls = []
     rule = _kronrod.finite
 
@@ -1375,11 +1382,11 @@ _PINNED = {
         ("0x1.868c701d57aadp-3", "0x1.bc0435ee993d4p-40",
          True, _POLAR + "1024 angles, centre (0.1, 0.05)"),
     ("mrel", "far-mean", "first", "default"):
-        ("0x1.fd0ebd5963106p+4", "0x1.0fa0443c7b149p-33",
-         True, _POLAR + "256 angles, centre (0, 0)"),
+        ("0x1.fd0ebd5963106p+4", "0x1.320e84e8edc1ap-33",
+         True, _POLAR + "128 angles, predicted, centre (0, 0)"),
     ("mrel", "far-mean", "second", "default"):
-        ("0x1.fd0ebd5963104p+4", "0x1.0fa0434fa3434p-33",
-         True, _POLAR + "256 angles, centre (0, 0)"),
+        ("0x1.fd0ebd5963104p+4", "0x1.320ea70a50c5ep-33",
+         True, _POLAR + "128 angles, predicted, centre (0, 0)"),
     ("mrel", "nested-32", "first", "default"):
         ("0x1.10fa810281197p-1", "0x1.042d18f27a19ap-40",
          True, _POLAR + "32 angles, centre (0.827761, -0.741809)"),
@@ -1447,11 +1454,11 @@ _PINNED = {
         ("0x1.868c701d58452p-3", "0x1.3a2bc2ece8d9ep-44",
          True, _POLAR + "2048 angles, centre (0.1, 0.05)"),
     ("mrel", "far-mean", "first", "crit3"):
-        ("0x1.fd0ebd5963104p+4", "0x1.e24b06999e43fp-40",
-         True, _POLAR + "256 angles, centre (0, 0)"),
+        ("0x1.fd0ebd5963106p+4", "0x1.24013d750a50bp-35",
+         True, _POLAR + "128 angles, predicted, centre (0, 0)"),
     ("mrel", "far-mean", "second", "crit3"):
-        ("0x1.fd0ebd5963104p+4", "0x1.e03da99e8dc54p-40",
-         True, _POLAR + "256 angles, centre (0, 0)"),
+        ("0x1.fd0ebd5963104p+4", "0x1.2401787f2345ep-35",
+         True, _POLAR + "128 angles, predicted, centre (0, 0)"),
     ("mrel", "nested-32", "first", "crit3"):
         ("0x1.10fa810281197p-1", "0x1.ab7f2031ac12ep-42",
          True, _POLAR + "64 angles, centre (0.827761, -0.741809)"),
@@ -1522,3 +1529,82 @@ def test_oracle_results_keep_their_bits():
     for key, res in got.items():
         bits = (res.value.hex(), res.error_estimate.hex(), res.converged, res.note)
         assert bits == _PINNED[key], key
+
+
+# Pairs on which the polar rule may predict its angle error (nested compact,
+# heavy near and heavy far-mean pairs, two of them at m = 1.05) and pairs on
+# which it may not (compact supports that cross, or touch from inside)
+_PREDICTION_PAIRS = {
+    "nested": ((0.3315250563215599, -0.024778047635256623, 0.5616207937204554,
+                0.4428805356527784, 0.5247058876039506, 0.50288109962552),
+               (0.06879178326818824, 0.14141005927466277, 1.0781935085047523,
+                1.175443025089963, 0.3457049002859217, 0.50288109962552)),
+    "heavy-near": ((-0.2571625462811252, -0.13810192258106796, 0.8847040597387821,
+                    0.7905333328075778, 0.17819828482924527, 1.2993630278822663),
+                   (0.04339222052348346, 0.20274890490088054, 1.0734044046369513,
+                    0.8545533217728571, -0.38397598164986235, 1.2993630278822663)),
+    "heavy-far-mean": _PIN_PAIRS["far-mean"],
+    # T_64 is 1.7e-11 off, where d_64^2/d_32 is 1.3e-11
+    "m1.05": ((0.0, 0.0, 0.6546673134430792, 1.1400629738759496, 0.06058655934732515, 1.05),
+              (0.054670400936913686, -0.27615239461214364, 1.6877931840218716,
+               0.8893190236139401, 0.5499155566395165, 1.05)),
+    # d_64 falls 2.2e-6-fold from d_32, where d_32 fell only 0.03-fold from
+    # d_16; T_64 is then 1.2e-11 off, 120 times d_64^2/d_32
+    "m1.05-far": ((0.0, 0.0, 2.032603697516329, 0.6729301790227464, 0.03206558132975679, 1.05),
+                  (-1.5859940580381888, -0.11007327891123822, 1.1738812562367993,
+                   1.503627754797876, -0.5857095328595451, 1.05)),
+    "crossing": _CROSSING_02,
+    "inner-tangent": ((math.sqrt(8.0) / 2.0, 0.0, 0.5, 0.5, 0.0, 0.5), (0.0, 0.0, 1.0, 1.0, 0.0, 0.5)),
+}
+_PREDICTION_PINS = {
+    ("m1.05", "default", "first"):
+        ("0x1.0c71dc2cdb90ap+0", "0x1.2b35bf9fc3ec9p-36", _POLAR + "128 angles, centre (0, 0)"),
+    ("m1.05", "default", "second"):
+        ("0x1.0c71dc2cdb90ap+0", "0x1.2b35e56470602p-36", _POLAR + "128 angles, centre (0, 0)"),
+    ("m1.05", "crit3", "first"):
+        ("0x1.0c71dc2cdb90ap+0", "0x1.2ddf4d95c0c4fp-45",
+         _POLAR + "128 angles, predicted, centre (0, 0)"),
+    ("m1.05", "crit3", "second"):
+        ("0x1.0c71dc2cdb90ap+0", "0x1.2e1f28f94b0f4p-45",
+         _POLAR + "128 angles, predicted, centre (0, 0)"),
+    ("crossing", "default", "first"):
+        ("0x1.5936019820454p-6", "0x1.c6f6e4aebc3fdp-38", _POLAR + "1024 angles, centre (0, 0)"),
+    ("crossing", "default", "second"):
+        ("0x1.5936019820452p-6", "0x1.c6f6e8845917dp-38", _POLAR + "1024 angles, centre (0, 0)"),
+    ("crossing", "crit3", "first"):
+        ("0x1.593601981cfbap-6", "0x1.26de948436cbdp-44", _POLAR + "4096 angles, centre (0, 0)"),
+    ("crossing", "crit3", "second"):
+        ("0x1.593601981cfb8p-6", "0x1.26e5cc349c5afp-44", _POLAR + "4096 angles, centre (0, 0)"),
+}
+
+
+def test_polar_angle_prediction_holds(monkeypatch):
+    # where no ray bearing or support crossing breaks the angular integrand's
+    # analyticity, the rule stops once T_n's error is predicted within the
+    # tolerance; every result whose note says so lies within its estimate,
+    # and within the tolerance, of the trapezoid rule at 4 times its angles.
+    # The crossing and tangent pairs keep the fixed rule (at m = 0.2 the
+    # crossing pair's prediction would stop at 256 angles, 8 tolerances off)
+    cfgs = {"default": oracle.QuadratureConfig(), "crit3": CRIT3_CFG}
+    predicted = set()
+    for name, pair in _PREDICTION_PAIRS.items():
+        f, g = (make_bivariate(*args) for args in pair)
+        for cname, cfg in cfgs.items():
+            for form in ("first", "second"):
+                res = oracle.m_rel_entropy_quad(f, g, cfg, form=form)
+                assert res.converged, (name, cname, form)
+                pin = _PREDICTION_PINS.get((name, cname, form))
+                if pin is not None:
+                    assert (res.value.hex(), res.error_estimate.hex(), res.note) == pin
+                if ", predicted," not in res.note:
+                    continue
+                predicted.add(name)
+                angles = int(res.note.split(" angles")[0].rsplit(" ", 1)[1])
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_MIN_ANGLES", 4 * angles)
+                    patch.setattr(oracle, "_MAX_ANGLES", 4 * angles)
+                    reference = oracle.m_rel_entropy_quad(f, g, cfg, form=form).value
+                off = abs(res.value - reference)
+                assert off <= res.error_estimate, (name, cname, form, off, res)
+                assert off <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)), (name, cname, form)
+    assert predicted == {"nested", "heavy-near", "heavy-far-mean", "m1.05", "m1.05-far"}
