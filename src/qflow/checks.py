@@ -4,7 +4,9 @@ Each row is data: a name, a tolerance, a detail text, one measure function
 and, for an order check, the target slope.  cli.run_checks runs the rows
 and judges them; this module imports nothing from cli.  Most measures run
 the quadrature oracle; cli imports this module only when verify runs, so
-the table commands load neither.
+the table commands load neither.  The flow is checked against the PDE by
+its x^2 moment identity, which holds across the compact edge: the 1D
+entropy quadrature gives int rho^(2-q), and sigma_sq_gap gives the rate.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .functionals import (
     rescaled_second,
     wasserstein2_sq,
 )
-from .pme_flow import barenblatt_density, evolve_sigma, pde_residual, theta_map_1d
+from .pme_flow import barenblatt_density, evolve_sigma, sigma_sq_gap, theta_map_1d
 from .qgaussian import QGaussian1D, m_rel_entropy_closed, make_bivariate
 from .qmath import make_params, q_exp, q_log
 
@@ -172,10 +174,35 @@ def _self_similar_errors():
             yield abs(barenblatt_density(t, float(x), p) - g.density(float(x)))
 
 
-def _residual_slope() -> float:
-    g0 = QGaussian1D(mu=0.0, sigma=1.0, params=make_params(0.8, 1))
-    dxs = [0.04, 0.02, 0.01]
-    return _loglog_slope(dxs, [pde_residual(g0, 0.5, dx, dx * dx) for dx in dxs])
+def moment_identity_error(g: QGaussian1D, cfg: oracle.QuadratureConfig | None = None) -> float:
+    """Relative gap of d/dt int x^2 rho = 2 int rho^(2-q) at the member g.
+
+    The left side is C d/dt sigma^2 along the flow, a central difference of
+    sigma_sq_gap over a relative step of 1e-6; the right side is
+    2 (1 + (1-q) S), with S = int rho log_q rho by quadrature.  nan if the
+    quadrature did not converge.
+    """
+    p = g.params
+    q = p.q
+    entropy = oracle.entropy_quad(g, cfg)
+    if not entropy.converged:
+        return math.nan
+    h = 1e-6 * g.sigma ** (3.0 - q)
+    rate = p.C * (sigma_sq_gap(g.sigma, h, q) - sigma_sq_gap(g.sigma, -h, q)) / (2.0 * h)
+    return abs(rate / (2.0 * (1.0 + (1.0 - q) * entropy.value)) - 1.0)
+
+
+# (q, sigma) of the moment identity: q = 0.8 and 1.2 at t = 0.5 from sigma = 1,
+# then both ends of Q_1 and next to q = 1, with sigma three decades either side of 1
+_IDENTITY_INSTANCES = [
+    *((q, evolve_sigma(1.0, 0.5, q)) for q in (0.8, 1.2)),
+    (0.05, 1e3), (0.3, 1e-3), (0.99, 1e3), (1.01, 1e-3), (1.45, 1e3), (1.66, 1e-3),
+]
+
+
+def _moment_identity_errors():
+    for q, sigma in _IDENTITY_INSTANCES:
+        yield moment_identity_error(QGaussian1D(mu=0.0, sigma=sigma, params=make_params(q, 1)))
 
 
 def _flow_mass_errors():
@@ -227,8 +254,10 @@ CHECKS: dict[str, tuple[Check, ...]] = {
               "evolving 0.3 then 0.4 equals evolving 0.7, 4 exponents", _semigroup_errors),
         Check("self-similar-family-match", 1e-12,
               "source solution equals the evolving family member pointwise", _self_similar_errors),
-        Check("pde-residual-order", 0.2,
-              "residual refinement slope in dx, target 2", _residual_slope, target=2.0),
+        # worst instance 1.13e-12: q = 0.05, sigma = 1e3, where 1 + (1-q) S cancels to 1.4e-3
+        Check("pde-moment-identity", 1e-11,
+              "d/dt int x^2 rho = 2 int rho^(2-q) along the flow, {n} (q, sigma) instances",
+              _moment_identity_errors),
         Check("flow-mass-conservation", 1e-9,
               "evolved density still integrates to 1", _flow_mass_errors),
     ),

@@ -14,28 +14,21 @@ solution started from a point mass is
 (d = 1 exponents; A, B, alpha from the parameter set), which coincides
 with the q-Gaussian N_q(0, C t^(2 alpha)) at every t > 0.
 
-``pde_residual`` checks the equation directly: central differences in t
-(using the exact semigroup) and in x on rho^(2-q), evaluated on interior
-points where the density stays above a threshold fraction of its peak, so
-the compact-support edge (q < 1), where rho^(2-q) loses smoothness, is
-excluded.
+``qflow verify`` checks the flow against the equation through its x^2
+moment identity d/dt int x^2 rho = 2 int rho^(2-q) (see qflow.checks).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .qgaussian import QGaussian1D
-from .qmath import DomainError, QParams, q_log
+from .qmath import _DBL_MIN, DomainError, QParams
 
 __all__ = [
     "evolve_sigma",
     "sigma_sq_gap",
     "theta_map_1d",
     "barenblatt_density",
-    "pde_residual",
 ]
 
 
@@ -96,7 +89,10 @@ def theta_map_1d(v: float, q: float) -> float:
     """
     if not v > 0.0:
         raise DomainError(f"theta_map_1d requires v > 0, got {v!r}")
-    return v ** (2.0 / (3.0 - q))
+    try:
+        return v ** (2.0 / (3.0 - q))
+    except OverflowError:
+        raise DomainError(f"theta_map_1d({v!r}, {q!r}) exceeds the double range") from None
 
 
 def barenblatt_density(t: float, x: float, p: QParams) -> float:
@@ -104,80 +100,39 @@ def barenblatt_density(t: float, x: float, p: QParams) -> float:
 
     For q > 1, B < 0 and the bracket is positive everywhere (heavy tails);
     for q < 1 the bracket clips to 0 outside |x| < sqrt(A/B) t^alpha.
-    Requires t > 0.
+    Requires t > 0.  Where a power of t, the bracket or the product
+    overflows, or the bracket's power underflows, the value is formed in
+    logs; DomainError if it exceeds the double range.
     """
     if not t > 0.0:
         raise DomainError(f"barenblatt_density requires t > 0, got {t!r}")
-    q = p.q
-    bracket = p.A - p.B * x * x * t ** (-2.0 * p.alpha)
-    if bracket <= 0.0:
-        return 0.0 if q < 1.0 else math.inf
-    return bracket ** (1.0 / (1.0 - q)) * t ** (-p.d * p.alpha)
+    try:
+        bracket = p.A - p.B * x * x * t ** (-2.0 * p.alpha)
+        if bracket <= 0.0:
+            return 0.0
+        power = bracket ** (1.0 / (1.0 - p.q))
+        if power >= _DBL_MIN:
+            value = power * t ** (-p.d * p.alpha)
+            if value < math.inf:
+                return value
+    except OverflowError:
+        pass
+    return _barenblatt_in_logs(t, x, p)
 
 
-_MIN_DENSITY_RATIO = 1e-3
-
-
-def _density_grid(mu: float, sigma: float, p: QParams, x: np.ndarray) -> np.ndarray:
-    v = p.C * sigma * sigma
-    w = p.c1_q_d * (x - mu) ** 2 / (2.0 * v)
-    om = 1.0 - p.q
-    bracket = 1.0 - om * w
-    if p.q < 1.0:
-        bracket = np.maximum(bracket, 0.0)
-    return p.c0_q_d / math.sqrt(v) * bracket ** (1.0 / om)
-
-
-def pde_residual(g0: QGaussian1D, t: float, dx: float, dt: float) -> float:
-    """Max abs residual of d/dt rho - d2/dx2 rho^(2-q) at time t.
-
-    rho(s, .) is the exactly evolved density started from g0 at time 0;
-    the time derivative is a centered difference over [t-dt, t+dt] and the
-    space derivative a three-point stencil on rho^(2-q).  A stencil point
-    is admitted only if all five density evaluations exceed
-    _MIN_DENSITY_RATIO times the peak of rho(t, .).  Raises DomainError if
-    the grid is degenerate (no admitted points, nonpositive steps, or
-    t - dt <= 0).
-    """
-    if not (dx > 0.0 and dt > 0.0):
-        raise DomainError("dx and dt must be positive")
-    if not t - dt > 0.0:
-        raise DomainError(f"need t - dt > 0, got t={t!r}, dt={dt!r}")
-    p = g0.params
-    q = p.q
-    mu = g0.mu
-    sig_lo = evolve_sigma(g0.sigma, t - dt, q)
-    sig_c = evolve_sigma(g0.sigma, t, q)
-    sig_hi = evolve_sigma(g0.sigma, t + dt, q)
-
-    v_c = p.C * sig_c * sig_c
-    peak = p.c0_q_d / math.sqrt(v_c)
-    # radius where rho(t, .) falls to the threshold fraction of its peak
-    w_edge = -q_log(_MIN_DENSITY_RATIO, q)
-    radius = math.sqrt(2.0 * v_c * w_edge / p.c1_q_d)
-    n = int(math.floor(2.0 * radius / dx))
-    if n < 4:
-        raise DomainError("degenerate grid: fewer than 5 interior points")
-    # centered grid with one extra point on each side for the space stencil
-    xs_ext = mu + (np.arange(n + 3) - (n + 2) / 2.0) * dx
-    xs = xs_ext[1:-1]
-
-    rho_lo = _density_grid(mu, sig_lo, p, xs)
-    rho_hi = _density_grid(mu, sig_hi, p, xs)
-    rho_c_ext = _density_grid(mu, sig_c, p, xs_ext)
-    u = rho_c_ext ** (2.0 - q)
-
-    dt_term = (rho_hi - rho_lo) / (2.0 * dt)
-    dxx_term = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-
-    thr = _MIN_DENSITY_RATIO * peak
-    mask = (
-        (rho_lo >= thr)
-        & (rho_hi >= thr)
-        & (rho_c_ext[1:-1] >= thr)
-        & (rho_c_ext[2:] >= thr)
-        & (rho_c_ext[:-2] >= thr)
-    )
-    if not mask.any():
-        raise DomainError("degenerate grid: no admitted interior points")
-    return float(np.max(np.abs(dt_term[mask] - dxx_term[mask])))
+def _barenblatt_in_logs(t: float, x: float, p: QParams) -> float:
+    # the bracket is A (1 - r) with r = (B/A) x^2 t^(-2 alpha), formed from log r
+    log_t = math.log(t)
+    log_w = 2.0 * (math.log(abs(x)) - p.alpha * log_t) if x else -math.inf
+    try:
+        r = p.B / p.A * math.exp(log_w)
+    except OverflowError:
+        r = math.copysign(math.inf, p.B)
+    if r >= 1.0:
+        return 0.0
+    # where r overflows (q > 1), the bracket is |B| w to rounding
+    log_bracket = math.log(-p.B) + log_w if r == -math.inf else math.log(p.A) + math.log1p(-r)
+    try:
+        return math.exp(log_bracket / (1.0 - p.q) - p.d * p.alpha * log_t)
+    except OverflowError:
+        raise DomainError(f"barenblatt_density({t!r}, {x!r}) exceeds the double range") from None

@@ -44,6 +44,7 @@ from .qmath import (
     QParams,
     _finite,
     in_q_domain,
+    make_params,
     q_domain_upper,
     q_exp,
     q_log_pow,
@@ -223,8 +224,6 @@ def make_bivariate(
     either normalization or second moments fail and none of the closed
     entropy formulas are established.
     """
-    from .qmath import make_params
-
     if not in_q_domain(m, 2):
         raise OutsideVerifiedRangeError(
             f"m={m!r} outside the verified range (0, 1) u (1, {q_domain_upper(2)!r}) "

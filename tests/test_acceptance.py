@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qflow import oracle
+from qflow.checks import moment_identity_error
 from qflow.functionals import (
     coefficients,
     entropy_diff,
@@ -25,7 +26,7 @@ from qflow.functionals import (
     rescaled_third,
     wasserstein2_sq,
 )
-from qflow.pme_flow import evolve_sigma, pde_residual
+from qflow.pme_flow import evolve_sigma
 from qflow.qgaussian import (
     QGaussian1D,
     entropy_diff_closed,
@@ -223,18 +224,13 @@ def test_criterion_05_rate_functional_vanishes_on_flow():
         for h in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
             g_h = _g(q, mu=0.2, sigma=evolve_sigma(1.0, h, q))
             worst = max(worst, abs(jh(g_h, g0, h)))
-    slopes = []
-    for q in (0.8, 1.2):
-        g0 = _g(q)
-        dxs = [0.04, 0.02, 0.01]
-        res = [pde_residual(g0, 0.5, dx, dx * dx) for dx in dxs]
-        slopes.append(_slope(dxs, res))
+    # the flow solves the PDE: d/dt int x^2 rho = 2 int rho^(2-q) at t = 0.5
+    gaps = [moment_identity_error(_g(q, sigma=evolve_sigma(1.0, 0.5, q))) for q in (0.8, 1.2)]
     dt = time.perf_counter() - t0
-    slope_ok = all(1.8 <= s <= 2.2 for s in slopes)
-    ok = worst <= 1e-10 and slope_ok and dt < 30.0
+    ok = worst <= 1e-10 and all(gap <= 1e-11 for gap in gaps) and dt < 30.0
     _report(5, ok, f"|J_h| on exact flow: max {worst:.2e} (tol 1e-10) over q in (0.8, 1.2), "
-                   f"h in 1e-1..1e-5; residual slopes {[f'{s:.2f}' for s in slopes]} "
-                   f"(range 1.8-2.2); {dt:.1f}s (budget 30s)")
+                   f"h in 1e-1..1e-5; x^2 moment identity at t = 0.5: gaps "
+                   f"{[f'{gap:.2e}' for gap in gaps]} (tol 1e-11); {dt:.1f}s (budget 30s)")
 
 
 def test_criterion_06_first_rescaling_to_transport_cost():

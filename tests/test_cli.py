@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow import checks, cli, functionals, oracle
+from qflow import checks, cli, functionals, oracle, pme_flow
 from qflow.functionals import entropy_diff, wasserstein2_sq
 from qflow.pme_flow import evolve_sigma
 from qflow.qgaussian import QGaussian1D
@@ -710,7 +710,7 @@ def test_verify_pme_flow_scope(capsys):
     jsonschema.validate(doc, _schema("verify.v1.schema.json"))
     assert doc["scope"] == "pme_flow"
     assert [c["name"] for c in doc["checks"]] == [
-        "semigroup-composition", "self-similar-family-match", "pde-residual-order",
+        "semigroup-composition", "self-similar-family-match", "pde-moment-identity",
         "flow-mass-conservation",
     ]
     assert all(c["scope"] == "pme_flow" for c in doc["checks"])
@@ -731,6 +731,20 @@ def test_verify_catches_injected_constant_fault(monkeypatch):
     # the untampered pipeline passes the same check
     monkeypatch.undo()
     assert constant_identity().passed
+
+
+def test_verify_catches_injected_flow_fault(monkeypatch):
+    def moment_identity():
+        return {r.name: r for r in cli.run_checks("pme_flow")}["pde-moment-identity"]
+
+    assert moment_identity().passed
+    growth = pme_flow._relative_growth
+    # a relative fault of 1e-6 in the flow's growth moves the row by 1e-6,
+    # a hundred times its tolerance
+    monkeypatch.setattr(pme_flow, "_relative_growth", lambda s0, h, q: growth(s0, h, q) * (1.0 + 1e-6))
+    fault = moment_identity()
+    assert not fault.passed
+    assert fault.measured > fault.tolerance
 
 
 def test_verify_catches_a_wrong_coupling_root(monkeypatch):
