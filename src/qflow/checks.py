@@ -7,6 +7,10 @@ the quadrature oracle; cli imports this module only when verify runs, so
 the table commands load neither.  The flow is checked against the PDE by
 its x^2 moment identity, which holds across the compact edge: the 1D
 entropy quadrature gives int rho^(2-q), and sigma_sq_gap gives the rate.
+The implicit step is checked against oracle.minimize_kh, a bounded Brent
+search on K_h that never reads the step's stationarity equation; its
+error is taken relative to the step's increment, so a fault in the
+increment reads at its own relative size whatever the step.
 """
 
 from __future__ import annotations
@@ -152,10 +156,17 @@ def _rescaled_slope(which: Callable[[QGaussian1D, QGaussian1D, float], float], l
     return _loglog_slope(hs, errs)
 
 
-def _jko_grid_errors():
-    g0 = QGaussian1D(mu=0.5, sigma=1.0, params=make_params(0.8, 1))
-    stepped = jko_step(g0, 0.05)
-    yield abs(oracle.minimize_kh_grid(g0, 0.05).sigma - stepped.sigma)
+# (q, sigma0, mu0, h) of the implicit step: both sides of q = 1 and next to
+# both ends of Q_1, each with an increment of 1.6-21% of sigma0
+_JKO_INSTANCES = [(0.8, 1.0, 0.5, 0.05), (1.2, 1.0, 0.0, 0.05), (1.5, 2.0, 0.0, 1.0),
+                  (0.05, 1.0, 0.0, 0.05)]
+
+
+def _jko_kh_errors():
+    for q, sigma0, mu0, h in _JKO_INSTANCES:
+        g0 = QGaussian1D(mu=mu0, sigma=sigma0, params=make_params(q, 1))
+        sigma = jko_step(g0, h).sigma
+        yield abs(oracle.minimize_kh(g0, h).sigma - sigma) / (sigma - sigma0)
 
 
 def _semigroup_errors():
@@ -246,8 +257,10 @@ CHECKS: dict[str, tuple[Check, ...]] = {
               lambda: _rescaled_slope(rescaled_first, wasserstein2_sq), target=1.0),
         Check("rescaled-second-order", 0.1, _SLOPE_DETAIL,
               lambda: _rescaled_slope(rescaled_second, entropy_diff), target=1.0),
-        Check("jko-vs-grid", 1e-5,
-              "implicit step agrees with brute-force grid minimizer", _jko_grid_errors),
+        # worst instance 3.0e-8: q = 0.05, a Brent stop of about sqrt(eps) of the increment
+        Check("jko-minimizes-kh", 1e-7,
+              "implicit step vs bounded Brent on K_h, relative to the increment, {n} instances",
+              _jko_kh_errors),
     ),
     "pme_flow": (
         Check("semigroup-composition", 1e-12,

@@ -1,12 +1,15 @@
-"""Quadrature and grid-search oracles, independent of the closed forms.
+"""Quadrature and search oracles, independent of the closed forms.
 
 The quadratures and searches here evaluate densities pointwise and
 integrate or search numerically, so the closed-form entropies, couplings
 and minimizers in the rest of the package can be cross-checked against a
-path that shares no algebra with them.  The one exception is the analytic
-theta-family minimizer: it solves its stationarity equation with the
+path that shares no algebra with them.  There are two exceptions.  The
+analytic theta-family minimizer solves its stationarity equation with the
 closed forms' own coupling root (functionals._coupling_root), and the
 checks compare it with minimize_theta, which never uses that equation.
+minimize_kh searches the closed-form K_h itself (functionals.kh), so it
+checks jko_step's solve of the stationarity equation, which the search
+never reads, and not the entropy's closed form.
 
 Every one-member integral, the 1d oracles and the 2d entropy, is one
 half-line of the package's one quadrature rule (qflow._kronrod: 27
@@ -61,9 +64,9 @@ where an integral is not finite.  Domain policy:
 
 Each result records the policy applied in its note.
 
-The grid searches are deterministic (no randomness): minimize_kh_grid uses
-nested refinement, minimize_theta uses a coarse grid + the library's own
-bounded Brent search.  Nothing here imports scipy.
+The searches are deterministic (no randomness): minimize_theta uses a
+coarse grid + the library's own bounded Brent search, and minimize_kh that
+search alone.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kronrod
-from .functionals import _coupling_root, _entropy_b, _require_h
+from .functionals import _coupling_root, _entropy_b, kh
 from .qgaussian import MBivariate, QGaussian1D
 from .qmath import _DBL_MIN, _LOG_DBL_MAX, DomainError, QParams, _finite
 
@@ -94,8 +97,7 @@ __all__ = [
     "theta_family_minimizer",
     "PythagoreanGap",
     "pythagorean_gap",
-    "KhGrid",
-    "minimize_kh_grid",
+    "minimize_kh",
     "support_included",
 ]
 
@@ -812,60 +814,27 @@ def pythagorean_gap(
     )
 
 
-class KhGrid(NamedTuple):
-    mu: float
-    sigma: float
-    value: float
-    mu_resolution: float
-    sigma_resolution: float
+def minimize_kh(g0: QGaussian1D, h: float) -> QGaussian1D:
+    """Minimizer of K_h(. | g0) over the family, by a bounded Brent search
+    (_bounded_brent) on the public functionals.kh.
 
-
-def minimize_kh_grid(g0: QGaussian1D, h: float) -> KhGrid:
-    """Minimize K_h(. | g0) over (mu, sigma) by nested grid refinement.
-
-    Deterministic: each of 3 rounds re-grids a window of +-2 cells (101
-    points per axis) around the running argmin.  The returned resolutions
-    are the final grid steps, at least the spacing of doubles at the
-    returned coordinates: where the window is below it, every grid point
-    rounds to one double.
+    K_h is separable in mu: W2^2 = C (sigma - sigma0)^2 + (mu - mu0)^2 and
+    the entropy difference reads sigma alone, so the mean's term (mu -
+    mu0)^2/(4h) is least at mu = mu0 for every sigma, and the search runs
+    over the scale only, at mu = mu0.  It searches the increment d = sigma
+    - sigma0 on [-min(w, 0.999 sigma0), w], w = max(0.05 sigma0, 5 h
+    b/sigma0), which holds the minimizer: K_h is convex in sigma, and its
+    slope is positive at every sigma > sigma0 + h b/sigma0.  With xatol =
+    0 Brent's stop is relative to d, so the minimizer is resolved to a
+    fraction of its increment however small the step.  Raises DomainError
+    where kh does, as for h <= 0.
     """
-    _require_h(h)
     p = g0.params
-    q = p.q
-    big_c = p.C
     sigma0 = g0.sigma
-    mu0 = g0.mu
-    b = _entropy_b(p, sigma0)
-    bc = b * big_c
-
-    step = h * b / sigma0
-    w_sigma = max(0.05 * sigma0, 5.0 * step)
-    w_mu = max(0.05 * sigma0, 5.0 * step)
-    mu_lo, mu_hi = mu0 - w_mu, mu0 + w_mu
-    sig_lo, sig_hi = max(1e-3 * sigma0, sigma0 - w_sigma), sigma0 + w_sigma
-
-    best = (mu0, sigma0, 0.0)
-    dmu = dsig = 0.0
-    for _ in range(3):
-        mus = np.linspace(mu_lo, mu_hi, 101)
-        sigs = np.linspace(sig_lo, sig_hi, 101)
-        # rows are mu, columns sigma; the sigma terms are formed once per column
-        w2 = big_c * (sigs - sigma0) ** 2 + (mus[:, None] - mu0) ** 2
-        ent = bc * ((sigma0 / sigs) ** (1.0 - q) - 1.0) / (1.0 - q)
-        vals = w2 / (4.0 * h) + 0.5 * ent
-        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        dmu = mus[1] - mus[0]
-        dsig = sigs[1] - sigs[0]
-        best = (float(mus[i]), float(sigs[j]), float(vals[i, j]))
-        mu_lo, mu_hi = best[0] - 2.0 * dmu, best[0] + 2.0 * dmu
-        sig_lo, sig_hi = max(1e-3 * sigma0, best[1] - 2.0 * dsig), best[1] + 2.0 * dsig
-    return KhGrid(
-        mu=best[0],
-        sigma=best[1],
-        value=best[2],
-        mu_resolution=max(float(dmu), math.ulp(best[0])),
-        sigma_resolution=max(float(dsig), math.ulp(best[1])),
-    )
+    w = max(0.05 * sigma0, 5.0 * h * _entropy_b(p, sigma0) / sigma0)
+    d, _ = _bounded_brent(lambda d: kh(QGaussian1D(g0.mu, sigma0 + d, p), g0, h),
+                          -min(w, 0.999 * sigma0), w, 0.0)
+    return QGaussian1D(mu=g0.mu, sigma=sigma0 + d, params=p)
 
 
 def support_included(inner: MBivariate, outer: MBivariate, margin: float = 0.0) -> bool:

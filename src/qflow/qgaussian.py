@@ -28,7 +28,10 @@ supp f lies inside supp g; callers on the compact branch must ensure
 inclusion (the quadrature oracle checks it geometrically).  The bivariate
 functions raise DomainError where a diagonal entry of a scale matrix or a
 determinant is not a normal double, and the closed forms where their value
-is not finite.
+is not finite; the relative entropy also where LAPACK finds Sigma_b
+singular or an intermediate of its trace or quadratic form overflows.  The
+densities raise DomainError only where their peak or normalization exceeds
+the double range.
 """
 
 from __future__ import annotations
@@ -117,13 +120,46 @@ class QGaussian1D:
         return SupportInterval(self.mu - r, self.mu + r)
 
     def peak_density(self) -> float:
-        return self.params.c0_q_d / self.scale
+        """C0 / sqrt(C sigma^2); DomainError where it exceeds the double range.
+
+        Formed in units of sigma where C sigma^2 is not a normal double or
+        twice it overflows.
+        """
+        v = self.variance
+        if _DBL_MIN <= v and 2.0 * v < math.inf:
+            return self.params.c0_q_d / self.scale
+        return _finite(self.params.c0_q_d / math.sqrt(self.params.C) / self.sigma,
+                       "the peak density")
 
     def density(self, x: float) -> float:
+        """Pointwise density; DomainError where the peak density exceeds the
+        double range.
+
+        peak * exp_q(-w) with w = C1 (x - mu)^2 / (2 C sigma^2), formed from
+        C sigma^2 where it is a normal double, twice it is finite and w is
+        finite; elsewhere w is formed in units of sigma.  Where exp_q(-w)
+        underflows under a peak above 1 the product is taken from logs, and
+        past the overflow of w the bracket 1 + (q-1) w of a heavy tail is
+        taken as (q-1) w, from log|x - mu|: its 1 is below the rounding.
+        """
+        p = self.params
+        q = p.q
         v = self.variance
         dx = x - self.mu
-        w = self.params.c1_q_d * dx * dx / (2.0 * v)
-        return self.params.c0_q_d / math.sqrt(v) * q_exp(-w, self.params.q)
+        peak = self.peak_density()
+        w = p.c1_q_d * dx * dx / (2.0 * v) if _DBL_MIN <= v and 2.0 * v < math.inf else math.inf
+        if w == math.inf:
+            z = dx / self.sigma / math.sqrt(p.C)
+            w = 0.5 * p.c1_q_d * z * z
+        e = q_exp(-w, q)
+        if e >= _DBL_MIN or peak <= 1.0 or (q - 1.0) * w <= -1.0:
+            return peak * e
+        if w < math.inf:
+            log_bracket = math.log1p((q - 1.0) * w)
+        else:
+            log_bracket = (math.log(0.5 * (q - 1.0) * p.c1_q_d / p.C)
+                           + 2.0 * (math.log(abs(dx)) - math.log(self.sigma)))
+        return math.exp(math.log(peak) - log_bracket / (q - 1.0))
 
 
 @dataclass(frozen=True)
@@ -194,19 +230,27 @@ class MBivariate:
     def quadratic_form(self, x, y):
         """<z - mean, Sigma^(-1) (z - mean)>, elementwise on arrays.
 
-        Summed in whitened coordinates, so far points give +inf, never
-        inf - inf.
+        Summed in whitened coordinates u and w, so far points give +inf.
+        Where u overflows, w = v - th u can be inf - inf; the form is at
+        least u^2 = inf there.
         """
-        u = (x - self.mu1) / self.s1
-        v = (y - self.mu2) / self.s2
-        th = self.theta
-        w = v - th * u
-        return u * u + w * w / (1.0 - th * th)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (x - self.mu1) / self.s1
+            v = (y - self.mu2) / self.s2
+            th = self.theta
+            w = v - th * u
+            uu = u * u
+            return np.fmax(uu, uu + w * w / (1.0 - th * th))
 
     def density(self, x, y):
-        """Pointwise density, elementwise on arrays (0.0 off a compact support)."""
+        """Pointwise density, elementwise on arrays (0.0 off a compact support).
+
+        DomainError where the normalization C0 / (s1 s2 sqrt(1 - th^2))
+        exceeds the double range.
+        """
         th = self.theta
-        norm = self.mparams.c0_q_d / (self.s1 * self.s2 * math.sqrt(1.0 - th * th))
+        den = self.s1 * self.s2 * math.sqrt(1.0 - th * th)
+        norm = _finite(self.mparams.c0_q_d / den if den else math.inf, "the normalization")
         om = 1.0 - self.m
         # exp_m(-w) = [1 - (1-m) w]_+^(1/(1-m)), the scalar q_exp on arrays;
         # far points overflow w to +inf and get density 0
@@ -306,10 +350,18 @@ def m_rel_entropy_closed(mp, mu_a, sigma_a, mu_b, sigma_b) -> float:
         raise DomainError(f"means must have shape ({d},)")
     det_a = _spd_det(sig_a, d, "sigma_a")
     det_b = _spd_det(sig_b, d, "sigma_b")
-    inv_b = np.linalg.inv(sig_b)
-    tr = float(np.trace(inv_b @ sig_a))
-    dmu = mu_a - mu_b
-    quad = float(dmu @ inv_b @ dmu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            inv_b = np.linalg.inv(sig_b)
+        except np.linalg.LinAlgError:
+            raise DomainError("sigma_b is singular to working precision") from None
+        prod = inv_b @ sig_a
+        dmu = mu_a - mu_b
+        half = dmu @ inv_b
+        quad = float(half @ dmu)
+    if not (np.isfinite(prod).all() and np.isfinite(half).all() and math.isfinite(quad)):
+        raise DomainError("an intermediate of the trace or the quadratic form is not finite")
+    tr = float(np.trace(prod))
     pref = math.exp((1.0 - m) * (math.log(mp.c0_q_d) - 0.5 * math.log(det_b)))
     bracket = tr + quad + 2.0 * q_log_pow(det_b / det_a, 0.5, m) - d
     return _finite(0.5 * mp.c1_q_d * pref * bracket, "the relative m-entropy")

@@ -747,6 +747,24 @@ def test_verify_catches_injected_flow_fault(monkeypatch):
     assert fault.measured > fault.tolerance
 
 
+def test_verify_catches_injected_jko_fault(monkeypatch):
+    def jko_row():
+        return {r.name: r for r in cli.run_checks("functionals")}["jko-minimizes-kh"]
+
+    assert jko_row().passed
+    scales = functionals._jko_scales
+
+    def off_increment(sigma0, h, q, steps):
+        # jko_step's one step, its increment off by 1e-6 relative, ten times the row's tolerance
+        (sigma,) = scales(sigma0, h, q, steps)
+        yield sigma + (sigma - sigma0) * 1e-6
+
+    monkeypatch.setattr(functionals, "_jko_scales", off_increment)
+    fault = jko_row()
+    assert not fault.passed
+    assert fault.measured > fault.tolerance
+
+
 def test_verify_catches_a_wrong_coupling_root(monkeypatch):
     def eta_residual():
         return {r.name: r for r in cli.run_checks("functionals")}["eta-equation-residual"]

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflow import _kronrod, checks, oracle, qmath
-from qflow.functionals import StepPair, entropy_diff, jh, jko_step, q0h
+from qflow.functionals import StepPair, entropy_diff, jh, jko_step, kh, q0h
 from qflow.qgaussian import (
     MBivariate,
     QGaussian1D,
@@ -710,39 +711,46 @@ def test_bivariate_functions_finite_or_domain_error(s, m):
         assert abs(res.value - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref)) + res.error_estimate
 
 
-def test_minimize_kh_grid_matches_implicit_step():
+def test_minimize_kh_matches_implicit_step():
     g0 = QGaussian1D(mu=0.5, sigma=1.0, params=make_params(0.8, 1))
     h = 0.05
-    grid = oracle.minimize_kh_grid(g0, h)
+    found = oracle.minimize_kh(g0, h)
     step = jko_step(g0, h)
-    assert grid.sigma == pytest.approx(step.sigma, abs=1e-6)
-    assert abs(grid.mu - g0.mu) <= grid.mu_resolution
-    assert grid.value <= 0.0
-    assert 0.0 < grid.sigma_resolution < 1e-4
+    assert found.mu == g0.mu and found.params is g0.params
+    # 2.4e-11 of the increment, 0.022
+    assert abs(found.sigma - step.sigma) <= 1e-9 * (step.sigma - g0.sigma)
+    assert kh(found, g0, h) <= 0.0
     with pytest.raises(DomainError):
-        oracle.minimize_kh_grid(g0, 0.0)
+        oracle.minimize_kh(g0, 0.0)
 
 
 @pytest.mark.parametrize("q, sigma0", [(0.1, 1e20), (0.1, 1e-20), (0.05, 1e10)])
 @pytest.mark.parametrize("h_rel", [0.05, 1e-4])
-def test_minimize_kh_grid_where_coefficient_a_overflows(q, sigma0, h_rel):
-    # the grid reads b alone; a = coefficients(q, sigma0).a leaves the double range here
+def test_minimize_kh_where_coefficient_a_overflows(q, sigma0, h_rel):
+    # the search reads b alone; a = coefficients(q, sigma0).a leaves the double range here
     g0 = QGaussian1D(mu=0.0, sigma=sigma0, params=make_params(q, 1))
     h = h_rel * sigma0 ** (3.0 - q)
-    grid = oracle.minimize_kh_grid(g0, h)
-    assert abs(grid.sigma - jko_step(g0, h).sigma) <= grid.sigma_resolution
+    # worst 7.4e-10, at sigma0 = 1e-20, h_rel = 0.05
+    assert oracle.minimize_kh(g0, h).sigma == pytest.approx(jko_step(g0, h).sigma, rel=2e-9, abs=0.0)
 
 
-def test_minimize_kh_grid_resolutions_where_the_window_is_below_the_mean():
-    # the mu window +-max(0.05 sigma0, 5hb/sigma0) is below the spacing of
-    # doubles at mu0 = 0.5: every grid mu rounds to 0.5
-    sigma0 = 1e-20
-    g0 = QGaussian1D(mu=0.5, sigma=sigma0, params=make_params(0.1, 1))
-    grid = oracle.minimize_kh_grid(g0, 0.05 * sigma0**2.9)
-    assert grid.mu == 0.5
-    assert type(grid.mu_resolution) is float and type(grid.sigma_resolution) is float
-    assert grid.mu_resolution == math.ulp(0.5)
-    assert grid.sigma_resolution >= math.ulp(grid.sigma)
+def test_minimize_kh_matches_implicit_step_across_the_domain():
+    # 3000 seeded draws: q over Q_1, with its ends and both sides of 1 every tenth draw;
+    # sigma0 in 10^U(-3, 3) and h in 10^U(-8, 2), so steps run from 1e-8 of sigma0 to
+    # over 1000 sigma0
+    rng = random.Random(44)
+    edges = (0.02, 1.0 - 1e-3, 1.0 + 1e-3, 5.0 / 3.0 - 0.02)
+    worst = 0.0
+    for i in range(3000):
+        q = rng.choice(edges) if i % 10 == 0 else rng.uniform(0.02, 5.0 / 3.0 - 0.02)
+        g0 = QGaussian1D(mu=0.0, sigma=10.0 ** rng.uniform(-3.0, 3.0), params=make_params(q, 1))
+        h = 10.0 ** rng.uniform(-8.0, 2.0)
+        sigma = jko_step(g0, h).sigma
+        worst = max(worst, abs(oracle.minimize_kh(g0, h).sigma / sigma - 1.0))
+    # measured 1.9e-7, at q = 0.02 and sigma/sigma0 = 2163: there K_h's constant term,
+    # b C/(2(1-q)), is 3800 times its variation C sigma^2/(4h), and a search on doubles
+    # resolves sigma to about sqrt(eps) times the root of that ratio
+    assert worst <= 5e-7
 
 
 def test_support_included_geometry():

@@ -4,6 +4,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qflow import oracle
 from qflow.qgaussian import (
@@ -268,3 +270,106 @@ def test_bivariate_density_on_arrays():
     # far points give density 0, never nan
     heavy = make_bivariate(0.0, 0.0, 1.0, 1.0, 0.9, 1.3)
     assert heavy.density(np.array([1e300]), np.array([1e300]))[0] == 0.0
+
+
+# the bivariate member of the repros below; its normalization overflows
+_TINY_BIV = (-2.224336150228073, -3.29349526210264e-06, 2.1146938227215098e-160,
+             4.227758212593557e-160, -0.925770231301719, 0.9999996304955706)
+# f and g of a pair whose sigma_b LAPACK calls singular although det = 7.0e216 is normal;
+# the determinant of the double entries is 3.98e216, and _spd_det's rounding reads 5.5e216
+_SINGULAR_PAIR = (
+    (0.02244915872085437, 6.031990004568223, 2.1101978186449926e-78, 9.823985771790828e46,
+     -0.9999999999999996, 1.280835391169577),
+    (-2.3456988267279745e-05, -32.42726710773594, 4.2620312500787626e126, 4.1653270571980776e-11,
+     -0.9999999999999999, 1.280835391169577),
+)
+
+
+def _mp_density(q, sigma, mu, x):
+    # 50 digits on the member's double constants
+    p = make_params(q, 1)
+    with mpmath.workdps(50):
+        mq, c0, c1, v = mpmath.mpf(q), mpmath.mpf(p.c0_q_d), mpmath.mpf(p.c1_q_d), \
+            mpmath.mpf(p.C) * mpmath.mpf(sigma) ** 2
+        dx = mpmath.mpf(x) - mpmath.mpf(mu)
+        bracket = 1 - (1 - mq) * c1 * dx * dx / (2 * v)
+        return c0 / mpmath.sqrt(v) * (bracket ** (1 / (1 - mq)) if bracket > 0 else 0)
+
+
+@pytest.mark.parametrize("q, sigma, x, rel", [
+    # C sigma^2 underflows to 0: the parent divided by it
+    (0.5, 1e-200, 0.0, 1e-15),
+    # C sigma^2 overflows: the peak read 0.0
+    (1.2, 1e200, 0.0, 1e-15),
+    # the bracket's argument overflows under a normal C sigma^2: it read 0.0
+    (1.2, 1e153, 2e154, 1e-14),
+    # exp_q(-w) = 1.4e-327 underflows under a peak of 2.8e149: it read 0.0
+    (0.999, 1e-150, 4.6e-149, 1e-12),
+    # a heavy tail past the overflow of w, under a peak of 1e300, from logs
+    (1.66, 1e-300, 1e-146, 2e-13),
+])
+def test_density_at_extreme_scales_matches_mpmath(q, sigma, x, rel):
+    g = _g(q, sigma=sigma)
+    ref = _mp_density(q, sigma, 0.0, x)
+    assert abs(g.density(x) / ref - 1) <= rel
+    if x == 0.0:
+        assert abs(g.peak_density() / ref - 1) <= rel
+
+
+def test_density_at_extreme_scales_underflows_or_raises():
+    # 6.2e-695 at 50 digits: the parent read nan from inf/inf
+    assert _g(1.2, sigma=1e200).density(1e250) == 0.0
+    # the peak C0/(sqrt(C) sigma) = 3.2e309 exceeds the double range
+    tiny = _g(0.5, sigma=1e-310)
+    with pytest.raises(DomainError):
+        tiny.peak_density()
+    with pytest.raises(DomainError):
+        tiny.density(0.0)
+    # the normalization, 4.7e318, exceeds the double range: it read inf, and inf * 0 read nan
+    with pytest.raises(DomainError):
+        make_bivariate(*_TINY_BIV).density(-4.97660475284834e89, 7.807494244807658e135)
+    f, g = (make_bivariate(*args) for args in _SINGULAR_PAIR)
+    with pytest.raises(DomainError):
+        m_rel_entropy_closed(f.mparams, f.mean, f.cov, g.mean, g.cov)
+
+
+_Q1 = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1.0, max_value=5.0 / 3.0, exclude_min=True, exclude_max=True),
+)
+_M = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1.0, max_value=1.5, exclude_min=True, exclude_max=True),
+)
+_SCALE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_THETA = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_BIV = st.tuples(_FINITE, _FINITE, _SCALE, _SCALE, _THETA)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(one=st.tuples(_Q1, _SCALE, _FINITE, _FINITE), m=_M, f=_BIV, g=_BIV, point=st.tuples(_FINITE, _FINITE))
+# 1/(C sigma^2) divided by zero; the tiny member's normalization overflowed and its density read nan
+@example(one=(0.5, 1e-200, 0.0, 0.0), m=_TINY_BIV[5], f=_TINY_BIV[:5], g=_TINY_BIV[:5],
+         point=(-4.97660475284834e89, 7.807494244807658e135))
+# C sigma^2 overflowed: density(1e250) read nan; LAPACK raised LinAlgError on sigma_b
+@example(one=(1.2, 1e200, 0.0, 1e250), m=_SINGULAR_PAIR[0][5], f=_SINGULAR_PAIR[0][:5],
+         g=_SINGULAR_PAIR[1][:5], point=(0.0, 0.0))
+def test_densities_and_closed_forms_return_or_raise_domain_error(one, m, f, g, point):
+    # over every finite scale, mean and point, each returns a finite value or raises
+    # DomainError, never another exception, nan or a RuntimeWarning
+    q, sigma, mu, x = one
+    member = QGaussian1D(mu=mu, sigma=sigma, params=make_params(q, 1))
+    nu_f, nu_g = make_bivariate(*f, m), make_bivariate(*g, m)
+    calls = (
+        member.peak_density,
+        lambda: member.density(x),
+        lambda: nu_f.density(*point),
+        lambda: m_rel_entropy_closed(nu_f.mparams, nu_f.mean, nu_f.cov, nu_g.mean, nu_g.cov),
+    )
+    for call in calls:
+        try:
+            value = call()
+        except DomainError:
+            continue
+        assert math.isfinite(value)
