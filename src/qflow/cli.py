@@ -46,7 +46,8 @@ from operator import is_
 from typing import Sequence
 
 from .functionals import (
-    _entropy_b, _first, _jko_scales, _second, _step_terms, _third, entropy_diff, wasserstein2_sq,
+    _entropy_b, _first, _jko_scales, _second, _step_terms, _ThirdRows, entropy_diff,
+    wasserstein2_sq,
 )
 from .pme_flow import _relative_growth, evolve_sigma
 from .qgaussian import QGaussian1D
@@ -133,19 +134,28 @@ class ConvergenceTable:
         ]
         return tuple(map(",".join, zip(*cols)))
 
+    @cached_property
+    def float_text(self) -> dict[str, str]:
+        """The repr of each float in the metadata, formatted once for the
+        input hash and both headers."""
+        return {k: repr(v) for k, v in self.metadata.items() if isinstance(v, float)}
+
 
 def _table(schema: str, inputs: dict, columns: tuple[str, ...], rows: list) -> ConvergenceTable:
     """The table of one run; metadata is inputs less "command", plus their sha256."""
-    canon = "|".join(f"{k}={v!r}" for k, v in inputs.items())
     metadata = {k: v for k, v in inputs.items() if k != "command"}
+    table = ConvergenceTable(schema=schema, metadata=metadata, columns=columns, rows=rows)
+    text = table.float_text
+    canon = "|".join(f"{k}={text[k] if k in text else repr(v)}" for k, v in inputs.items())
     metadata["input_sha256"] = hashlib.sha256(canon.encode("ascii")).hexdigest()
-    return ConvergenceTable(schema=schema, metadata=metadata, columns=columns, rows=rows)
+    return table
 
 
 def render_csv(table: ConvergenceTable) -> str:
     lines = [f"# schema={table.schema}"]
+    text = table.float_text
     for k, v in table.metadata.items():
-        lines.append(f"# {k}={v!r}" if isinstance(v, float) else f"# {k}={v}")
+        lines.append(f"# {k}={text[k] if k in text else v}")
     lines.append(",".join(table.columns))
     lines.extend(table.row_text)
     return "\n".join(lines) + "\n"
@@ -154,20 +164,21 @@ def render_csv(table: ConvergenceTable) -> str:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(v: float) -> str:
-    text = float.__repr__(v)
+def _json_float(text: str) -> str:
+    """json's text for a float, from its repr text."""
     return _JSON_NONFINITE.get(text, text)
 
 
-# json's own C pieces for the scalars of a header
-_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+# json's own C pieces for the str and int scalars of a header
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _json_value(v) -> str:
-    """json.dumps(v, indent=2) for a value at depth 2 of a document.
+    """json.dumps(v, indent=2) for a value at depth 2 of a document, other
+    than a float.
 
-    A str, int or float is written by the C pieces json uses for it;
-    anything else goes through json.dumps, its lines indented to depth 2.
+    A str or int is written by the C pieces json uses for it; anything else
+    goes through json.dumps, its lines indented to depth 2.
     """
     encode = _JSON_SCALAR.get(type(v))
     return encode(v) if encode else json.dumps(v, indent=2).replace("\n", "\n    ")
@@ -178,13 +189,18 @@ def render_json(table: ConvergenceTable) -> str:
 
     The header (schema, flat metadata, columns) is built from json's C
     pieces (json's pure-Python indenting encoder costs more than the header
-    and leaves its closures in reference cycles).  The cells are the repr
-    text that render_csv prints, formatted once per table: json writes a
-    finite float by the same shortest round-trip repr, and nan, inf and
-    -inf become NaN, Infinity and -Infinity.  Rows hold at least one cell.
+    and leaves its closures in reference cycles).  The metadata's floats
+    and the cells are the repr text that the input hash and render_csv
+    read, formatted once per table: json writes a finite float by the same
+    shortest round-trip repr, and nan, inf and -inf become NaN, Infinity
+    and -Infinity.  Rows hold at least one cell.
     """
     key = encode_basestring_ascii
-    meta = ",\n    ".join(f"{key(k)}: {_json_value(v)}" for k, v in table.metadata.items())
+    floats = table.float_text
+    meta = ",\n    ".join(
+        f"{key(k)}: {_json_float(floats[k]) if k in floats else _json_value(v)}"
+        for k, v in table.metadata.items()
+    )
     cols = ",\n    ".join(map(key, table.columns))
     text = (
         f'{{\n  "schema": {key(table.schema)},\n  "metadata": '
@@ -218,8 +234,9 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
 
     The steps are one _step_terms call over the h-grid, and the table
     forms each row as its step arrives, with the row functions _first,
-    _second and _third that StepPair.first, second and third call: each
-    row is the StepPair(g, g0, h) row of its h, bit for bit.  A table that
+    _second and _ThirdRows.row that StepPair.first, second and third call:
+    each row is the StepPair(g, g0, h) row of its h, bit for bit.  The
+    third rescaling's h-free pieces are formed once per table.  A table that
     cannot be formed raises the error of its first failing row, as that
     row's StepPair raises it.
     """
@@ -239,17 +256,18 @@ def cmd_gamma(statement: int, cfg: RunConfig) -> ConvergenceTable:
     columns = ("h", "value", "limit", "abs_error")
     if statement == 3:
         columns = columns + ("bound_gap",)
+        third = _ThirdRows(g, g0, b)
 
     hs = cfg.h_grid()
     c = p.C
     rows = []
-    for h, (gap, _, _, fh_q) in zip(hs, _step_terms(g.sigma, g0.sigma, p.q, hs)):
+    for h, (x, gap, _, _, fh_q) in zip(hs, _step_terms(g.sigma, g0.sigma, p.q, hs)):
         if statement == 1:
             value = _first(c, w2, gap, fh_q)
         elif statement == 2:
             value = _second(c, b, fh_q)
         else:
-            value, second = _third(g, g0, h, b, gap, fh_q)
+            value, second = third.row(h, x, gap, fh_q)
         row = (h, value, limit, abs(value - limit))
         rows.append(row + (value - second,) if statement == 3 else row)
 

@@ -27,14 +27,15 @@ reduces to the scalar root eta_h of
 solved here for delta = 1 - eta (the root sits near 1 as h -> 0, where eta
 itself cannot hold relative precision): the same kind of Newton descent,
 in w = log eta, where the equation is also increasing and convex, started
-at the least of three closed-form upper bounds on the root and read out
-as delta = -expm1(w), with one final step on the direct form for delta <
-1/2 (at most 8 evaluations; see _solve_eta_gap).  That descent,
-_coupling_root, is the one solver of the coupling equation in the
-package: the oracle's analytic theta-family minimizer, whose stationarity
-equation is the same equation with q' = 2/(3-m), reads it too.  The
-closed forms need no scipy.  The three rescalings of J_h obey exact
-algebraic reductions
+at the least of three closed-form upper bounds on the root or, above rhs
+= 4, at the Newton step from the root's two-term asymptote in 1/rhs, and
+read out as delta = -expm1(w), with one final step on the direct form for
+delta < 1/2 (3 evaluations on most steps, at most 8; see _solve_eta_gap).
+That descent, _coupling_root, is the one solver of the coupling equation
+in the package: the oracle's analytic theta-family minimizer, whose
+stationarity equation is the same equation with q' = 2/(3-m), reads it
+too.  The closed forms need no scipy.  The three rescalings of J_h obey
+exact algebraic reductions
 
     a D^(1/q) J_h                    = W2^2 + C D F_h,
     a b D^((1-q)/q) J_h - b/D W2^2   = b C F_h,
@@ -56,12 +57,13 @@ at m = 3 - 2/q; the two forms differ only in their first terms, which
 agree at the solved eta alone.  D, delta, the shared log term and the
 q-form of F_h come from one kernel, _step_terms, the only entry to
 eta_h: a gamma table, one rescaling over a whole h-grid, is one call of
-it, which forms the h-free pieces once and yields the steps one h at a
-time, and StepPair(g, g0, h) is its one-h case.  Each rescaling has one
-row function, _first, _second or _third, that StepPair and the gamma
-table both call.  StepPair adds b at its first read, and J_h, F_h, the
-optimal coupling and the three rescalings all read those numbers from
-it.  The coefficients
+it, which forms the h-free pieces of D and of the coupling equation once
+and yields the steps one h at a time, and StepPair(g, g0, h) is its one-h
+case.  Each rescaling has one row function, _first, _second or
+_ThirdRows.row, that StepPair and the gamma table both call; the third
+forms its own h-free pieces once per table.  StepPair adds b at its first
+read, and J_h, F_h, the optimal coupling and the three rescalings all
+read those numbers from it.  The coefficients
 
     a = 2 C^(2-m) / C1(m,2) * (C0(m,2)/sigma0)^(m-1),
     b = (2-q) C1(q,1) / C^((3-q)/2) * (C0(q,1)/sigma0)^(1-q)
@@ -78,7 +80,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .pme_flow import _relative_growth, evolve_sigma, sigma_sq_gap
+from .pme_flow import _gap, _relative_growth, _volume, evolve_sigma
 from .qgaussian import MBivariate, QGaussian1D, make_bivariate
 from .qmath import (
     _DBL_MIN,
@@ -276,6 +278,16 @@ def _coupling_root(log_rhs: float, rhs: float, q: float, w_min: float) -> tuple[
       -log(1 - x) >= x; where log(x)/2 < w_min, the root is below w_min
       too.
 
+    Above rhs = 4, where the asymptote w_a = -(1/(2 rhs) + (1-q)/(4 rhs^2))
+    of the root as rhs -> inf lies below that start, the first iterate is
+    instead the Newton step from w_a, or the start where that step lands
+    above it.  H is convex, so a Newton step from any point lands at or
+    above the root, and the descent from there is monotone too.  The step
+    counts as an evaluation: on a dense sweep of log rhs over [-700, 700]
+    and q over (0, 5/3], the root takes exactly 2 evaluations from rhs =
+    100 up and at most 4 above rhs = 4, where the bounds alone took up to
+    6; the most, 8, is next to rhs = 1.
+
     log(1 - e^(2w)) is formed as log1p(-e^(2w)) where e^(2w) < 1/2, which
     keeps the relative precision of its small values as q -> 0, and as
     log(-expm1(2w)) next to w = 0.  The descent stops at a step below
@@ -285,13 +297,26 @@ def _coupling_root(log_rhs: float, rhs: float, q: float, w_min: float) -> tuple[
     that the root is below it.  Reaching _NEWTON_MAXITER raises
     RuntimeError.
     """
-    s = min(1.0, 2.0 / q)
-    w = -0.5 * min(s, math.exp(-0.5 * q * s) / rhs)
+    # each least is taken by one comparison, in the builtin min's order: the
+    # call of min costs as much as the rest of the start
+    s = 2.0 / q
+    s = s if s < 1.0 else 1.0
+    t = math.exp(-0.5 * q * s) / rhs
+    w = -0.5 * (t if t < s else s)
     if rhs < 1.0:
-        w = min(w, log_rhs / q)
+        t = log_rhs / q
+        w = t if t < w else w
     x = log_rhs - w_min * q
     if 0.0 < x < 1.0:
-        w = min(w, 0.5 * math.log(x))
+        t = 0.5 * math.log(x)
+        w = t if t < w else w
+    # above rhs = 4 the first iterate is the Newton step from the asymptote
+    # instead, where it lies below the bounds
+    bound = w
+    if rhs > 4.0:
+        t = -(0.5 + 0.25 * (1.0 - q) / rhs) / rhs
+        w = t if t < w else w
+    pre = w < bound
     evals = 0
     while w >= w_min:
         if evals >= _NEWTON_MAXITER:
@@ -302,6 +327,11 @@ def _coupling_root(log_rhs: float, rhs: float, q: float, w_min: float) -> tuple[
         step = (log_rhs - q * w + (math.log1p(-e) if e < 0.5 else math.log(om))) / (
             q + 2.0 * e / om
         )
+        if pre:
+            pre = False
+            w += step
+            w = bound if bound < w else w
+            continue
         if abs(step) <= -_W_STEP * w:
             return w + step, evals
         if not step < 0.0:
@@ -310,26 +340,44 @@ def _coupling_root(log_rhs: float, rhs: float, q: float, w_min: float) -> tuple[
     return w, evals
 
 
-def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[float, float, int]:
+def _coupling_num(sigma: float, sigma0: float, q: float) -> float:
+    """sigma0^q sigma^(2-q), the h-free numerator of the coupling equation's
+    right-hand side, where both powers and their product are normal
+    doubles, and 0.0 where one of them is not."""
+    try:
+        pow0, pow1 = sigma0**q, sigma ** (2.0 - q)
+    except OverflowError:
+        return 0.0
+    num = pow0 * pow1
+    return num if pow0 >= _DBL_MIN and pow1 >= _DBL_MIN and num >= _DBL_MIN else 0.0
+
+
+def _solve_eta_gap(
+    sigma: float, sigma0: float, gap: float, q: float, num: float
+) -> tuple[float, float, int]:
     """Root delta = 1 - eta of eta^q/(1-eta^2) = rhs = sigma0^q sigma^(2-q)/gap.
 
-    Returns delta, rhs and the number of evaluations.  _coupling_root
-    solves for w = log eta, with this solve's floor w_min = -53 log 2;
-    delta = -expm1(w).  For delta < 1/2 the rounding of log rhs and of
-    log(1 - e^(2w)) (about |log delta| eps) would show in delta, so one
-    Newton step on the direct form rhs delta (2-delta) / (1-delta)^q = 1,
-    which carries only relative roundings, polishes it.
+    Returns delta, rhs and the number of evaluations.  num is the h-free
+    numerator sigma0^q sigma^(2-q) from _coupling_num, formed once per
+    table.  _coupling_root solves for w = log eta, with this solve's floor
+    w_min = -53 log 2; delta = -expm1(w).  For delta < 1/2 the rounding of
+    log rhs and of log(1 - e^(2w)) (about |log delta| eps) would show in
+    delta, so one Newton step on the direct form rhs delta (2-delta) /
+    (1-delta)^q = 1, which carries only relative roundings, polishes it.
 
-    The solve takes at most 7 evaluations, the polishing one included,
-    over 200k random draws of sigma0 in [1e-3, 1e3], sigma/sigma0 in
-    [0.1, 10] and h/sigma0^(3-q) in [1e-12, 1e2] over Q_1, at most 8 on
-    a dense sweep of log rhs over [-700, 700] for q from 0.01 to 5/3, and
-    at most 7 on the same sweep for q from 1e-3 down to 5e-324.  Against
-    the 50-digit root for the same rhs, delta is within 3.4e-16 relative
-    over 3k random draws.
+    Over 200k random draws of q over Q_1 from 1e-3, sigma0 in [1e-3, 1e3],
+    sigma/sigma0 in [0.1, 10] and h/sigma0^(3-q) in [1e-12, 1e2], the
+    solve takes 3 evaluations, the polishing one included, on 81% of them
+    and 3.2 on average (5.5 from _coupling_root's bounds alone), and at
+    most 8.  It takes at most 8 on a dense sweep of log rhs over [-700,
+    700] for q from 0.01 to 5/3, and at most 7 on the same sweep for q
+    from 1e-3 down to 5e-324.  Against the 50-digit root for the same rhs,
+    delta is within 4.1e-16 relative (below 2^-51) over 43k random draws,
+    23k of them concentrated at rhs in (4, 100], at large rhs and at q next
+    to 0 and 5/3.
 
-    rhs is formed directly where its powers and quotient are normal
-    doubles, and in logs where one of them is not.  A right-hand side
+    rhs is formed directly where num is nonzero and the quotient is a
+    normal double, and in logs where not.  A right-hand side
     outside the normal double range, a root below w = -53 log 2 (eta <
     2^-53, which delta = 1 - eta no longer resolves) and a delta below the
     normal range raise DomainError.
@@ -337,13 +385,8 @@ def _solve_eta_gap(sigma: float, sigma0: float, gap: float, q: float) -> tuple[f
     # sigma_sq_gap underflows to 0 where sigma0^2 or the step leaves the double range
     if not gap > 0.0:
         raise DomainError(f"variance gap must be positive, got {gap!r}")
-    try:
-        pow0, pow1 = sigma0**q, sigma ** (2.0 - q)
-    except OverflowError:
-        pow0 = pow1 = 0.0
-    num = pow0 * pow1
     rhs = num / gap
-    if pow0 >= _DBL_MIN and pow1 >= _DBL_MIN and num >= _DBL_MIN and _DBL_MIN <= rhs < math.inf:
+    if num >= _DBL_MIN and _DBL_MIN <= rhs < math.inf:
         log_rhs = math.log(rhs)
     else:
         log_rhs = q * math.log(sigma0) + (2.0 - q) * math.log(sigma) - math.log(gap)
@@ -386,19 +429,22 @@ def q0h(g0: QGaussian1D, h: float) -> MBivariate:
 
 def _step_terms(
     sigma: float, sigma0: float, q: float, hs: Sequence[float]
-) -> Iterator[tuple[float, float, float, float]]:
-    """Yield (gap, delta, fh_log, fh_q) of the step (sigma | sigma0, h) for each h
-    of hs in turn: the float kernel of StepPair and of the gamma table.
+) -> Iterator[tuple[float, float, float, float, float]]:
+    """Yield (x, gap, delta, fh_log, fh_q) of the step (sigma | sigma0, h) for
+    each h of hs in turn: the float kernel of StepPair and of the gamma table.
 
-    gap is D = sigma_h^2 - sigma0^2 and delta = 1 - eta_h the root of
-    _solve_eta_gap.  fh_log = q log_q(sigma0/(sigma eta_h)) is the log term
-    that both forms of F_h share, and fh_q = 2 eta^q/(2-delta)
-    (sigma0/sigma)^(1-q) + fh_log - 1 is the q-form; each term is inf where
-    its own power overflows.  log(sigma0/sigma) and (sigma0/sigma)^(1-q)
-    do not depend on h and are formed once.  Each h is checked by
-    _require_h before its gap, and a step is formed only when the one
-    before it has been taken, so a reader that forms each row as its step
-    arrives raises at its first failing row, in the order of the one-h case.
+    x = h / sigma0^(3-q) is the step's relative growth, gap is D = sigma_h^2
+    - sigma0^2 and delta = 1 - eta_h the root of _solve_eta_gap.  fh_log = q
+    log_q(sigma0/(sigma eta_h)) is the log term that both forms of F_h
+    share, and fh_q = 2 eta^q/(2-delta) (sigma0/sigma)^(1-q) + fh_log - 1 is
+    the q-form; each term is inf where its own power overflows.  The h-free
+    pieces are formed once: log(sigma0/sigma), (sigma0/sigma)^(1-q), D's
+    2/(3-q) and sigma0^2, the coupling equation's numerator sigma0^q
+    sigma^(2-q), and sigma0^(3-q), which the first row validates after its
+    h.  Each h is checked by _require_h before its gap, and a step is formed
+    only when the one before it has been taken, so a reader that forms each
+    row as its step arrives raises at its first failing row, in the order of
+    the one-h case.
     """
     om = 1.0 - q
     log_ratio = _log_ratio(sigma0, sigma)
@@ -406,10 +452,17 @@ def _step_terms(
         ratio_pow = math.exp(om * log_ratio)
     except OverflowError:
         ratio_pow = math.inf
+    eps = 2.0 / (3.0 - q)
+    sigma0_sq = sigma0 * sigma0
+    num = _coupling_num(sigma, sigma0, q)
+    v0 = None
     for h in hs:
         _require_h(h)
-        gap = sigma_sq_gap(sigma0, h, q)
-        delta = _solve_eta_gap(sigma, sigma0, gap, q)[0]
+        if v0 is None:
+            v0 = _volume(sigma0, q)
+        x = _relative_growth(sigma0, h, q, v0)
+        gap = _gap(x, sigma0_sq, eps, sigma0, h)
+        delta = _solve_eta_gap(sigma, sigma0, gap, q, num)[0]
         log_eta = math.log1p(-delta)
         # eta >= 2^-53, so eta^q > 0 and an overflowing power makes the first term inf
         first = 2.0 * math.exp(q * log_eta) / (2.0 - delta) * ratio_pow
@@ -417,27 +470,7 @@ def _step_terms(
             fh_log = q * math.expm1(om * (log_ratio - log_eta)) / om
         except OverflowError:
             fh_log = math.inf
-        yield gap, delta, fh_log, first + fh_log - 1.0
-
-
-def _third_gap_coeff(sigma0: float, h: float, q: float, b: float, gap: float) -> float:
-    """b/D - 1/(2h) = (2hb - D)/(2hD), formed without cancellation.
-
-    With eps = 2/(3-q) and x = h/sigma0^(3-q),
-    2 h b_exact = sigma0^2 eps x and D = sigma0^2 expm1(eps log1p(x)), so
-    the difference is sigma0^2 (eps x - expm1(eps log1p(x))), nonnegative
-    for q < 1 by Bernoulli's inequality; a final term corrects for the
-    printed-pipeline b differing from sigma0^(q-1)/(3-q) by roundoff.
-    Raises DomainError where 2 h D underflows to 0.
-    """
-    eps = 2.0 / (3.0 - q)
-    x = _relative_growth(sigma0, h, q)
-    b_exact = sigma0 ** (q - 1.0) / (3.0 - q)
-    num = sigma0 * sigma0 * (eps * x - math.expm1(eps * math.log1p(x))) + 2.0 * h * (b - b_exact)
-    den = 2.0 * h * gap
-    if not den > 0.0:
-        raise DomainError(f"2 h D underflows to 0 for h={h!r}, gap={gap!r}")
-    return num / den
+        yield x, gap, delta, fh_log, first + fh_log - 1.0
 
 
 def _first(c: float, w2: float, gap: float, fh_q: float) -> float:
@@ -450,40 +483,77 @@ def _second(c: float, b: float, fh_q: float) -> float:
     return _finite(b * c * fh_q, "the second rescaling")
 
 
-def _third(
-    g: QGaussian1D, g0: QGaussian1D, h: float, b: float, gap: float, fh_q: float
-) -> tuple[float, float]:
-    """The third rescaling b C F_h + (b/D - 1/(2h)) W2^2 of one step, and the
-    second rescaling b C F_h it adds to.
+class _ThirdRows:
+    """The third rescaling b C F_h + (b/D - 1/(2h)) W2^2 of the steps (g | g0,
+    h) over one table's h-grid, row by row.
 
-    The gap coefficient is checked first, then the second rescaling, then
-    W2^2.
+    b_exact = sigma0^(q-1)/(3-q) and W2^2 do not depend on h.  Each is
+    formed once, at the first row that reaches it, so that every row checks
+    its gap coefficient, then the second rescaling, then W2^2, as the one-h
+    case does.
     """
-    coeff = _third_gap_coeff(g0.sigma, h, g.params.q, b, gap)
-    second = _second(g.params.C, b, fh_q)
-    return _finite(second + coeff * wasserstein2_sq(g, g0), "the third rescaling"), second
+
+    def __init__(self, g: QGaussian1D, g0: QGaussian1D, b: float) -> None:
+        self.g, self.g0, self.b = g, g0, b
+        self.eps = 2.0 / (3.0 - g.params.q)
+
+    @cached_property
+    def b_exact(self) -> float:
+        q = self.g.params.q
+        return self.g0.sigma ** (q - 1.0) / (3.0 - q)
+
+    @cached_property
+    def w2(self) -> float:
+        return wasserstein2_sq(self.g, self.g0)
+
+    def gap_coeff(self, h: float, x: float, gap: float) -> float:
+        """b/D - 1/(2h) = (2hb - D)/(2hD), formed without cancellation.
+
+        With eps = 2/(3-q) and x = h/sigma0^(3-q),
+        2 h b_exact = sigma0^2 eps x and D = sigma0^2 expm1(eps log1p(x)),
+        so the difference is sigma0^2 (eps x - expm1(eps log1p(x))),
+        nonnegative for q < 1 by Bernoulli's inequality; a final term
+        corrects for the printed-pipeline b differing from b_exact by
+        roundoff.  Raises DomainError where 2 h D underflows to 0.
+        """
+        sigma0, eps = self.g0.sigma, self.eps
+        num = sigma0 * sigma0 * (eps * x - math.expm1(eps * math.log1p(x))) + 2.0 * h * (
+            self.b - self.b_exact
+        )
+        den = 2.0 * h * gap
+        if not den > 0.0:
+            raise DomainError(f"2 h D underflows to 0 for h={h!r}, gap={gap!r}")
+        return num / den
+
+    def row(self, h: float, x: float, gap: float, fh_q: float) -> tuple[float, float]:
+        """The third rescaling of the step at h, and the second rescaling b C
+        F_h it adds to."""
+        coeff = self.gap_coeff(h, x, gap)
+        second = _second(self.g.params.C, self.b, fh_q)
+        return _finite(second + coeff * self.w2, "the third rescaling"), second
 
 
 @dataclass(frozen=True)
 class StepPair:
-    """One step (g | g0, h): the variance gap D = sigma_h^2 - sigma0^2, the
-    coupling root delta = 1 - eta_h, the log term fh_log = q
-    log_q(sigma0/(sigma eta_h)) that both forms of F_h share and the q-form
-    fh_q of F_h, each computed once as _step_terms' one-h case.  The
-    entropy coefficient b(sigma0, q) is formed at its first read, by the
-    second or third rescaling.
+    """One step (g | g0, h): the relative growth x = h/sigma0^(3-q), the
+    variance gap D = sigma_h^2 - sigma0^2, the coupling root delta = 1 -
+    eta_h, the log term fh_log = q log_q(sigma0/(sigma eta_h)) that both
+    forms of F_h share and the q-form fh_q of F_h, each computed once as
+    _step_terms' one-h case.  The entropy coefficient b(sigma0, q) is
+    formed at its first read, by the second or third rescaling.
 
     The two forms of F_h differ only in their first terms, 2 eta^q/(2 -
     delta) (sigma0/sigma)^(1-q) and 2 sigma0 sigma delta/D, which agree at
     the solved root alone.  J_h, F_h, the optimal coupling and the three
     rescalings are readers of these numbers; the rescalings are the row
-    functions _first, _second and _third, which the gamma table calls too,
-    so its row at h holds the same bits.
+    functions _first, _second and _ThirdRows.row, which the gamma table
+    calls too, so its row at h holds the same bits.
     """
 
     g: QGaussian1D
     g0: QGaussian1D
     h: float
+    x: float = field(init=False)
     gap: float = field(init=False)
     delta: float = field(init=False)
     fh_log: float = field(init=False)
@@ -492,7 +562,8 @@ class StepPair:
     def __post_init__(self) -> None:
         _require_same_family(self.g, self.g0)
         q = self.g.params.q
-        ((gap, delta, fh_log, fh_q),) = _step_terms(self.g.sigma, self.g0.sigma, q, (self.h,))
+        ((x, gap, delta, fh_log, fh_q),) = _step_terms(self.g.sigma, self.g0.sigma, q, (self.h,))
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "fh_log", fh_log)
@@ -540,7 +611,7 @@ class StepPair:
         return _second(self.g.params.C, self.b, self.fh_q)
 
     def third(self) -> float:
-        return _third(self.g, self.g0, self.h, self.b, self.gap, self.fh_q)[0]
+        return _ThirdRows(self.g, self.g0, self.b).row(self.h, self.x, self.gap, self.fh_q)[0]
 
 
 def qstar(g: QGaussian1D, g0: QGaussian1D, h: float) -> MBivariate:

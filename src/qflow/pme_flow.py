@@ -32,27 +32,41 @@ __all__ = [
 ]
 
 
-def _relative_growth(sigma0: float, h: float, q: float) -> float:
+def _relative_growth(sigma0: float, h: float, q: float, v0: float | None = None) -> float:
     """x = h / sigma0^(3-q), validated: sigma_h^(3-q) = sigma0^(3-q) (1 + x).
 
-    The one source of x for the flow and the step kernels.  Raises
-    DomainError for sigma0 <= 0, for h at or past extinction, and when
-    sigma0^(3-q) is not a positive finite double or x is not finite.
+    The one source of x for the flow and the step kernels.  A kernel over
+    many h passes v0 = _volume(sigma0, q), formed once; otherwise
+    sigma0^(3-q) is formed here.  Raises DomainError for sigma0 <= 0, for
+    h at or past extinction, and when sigma0^(3-q) is not a positive
+    finite double or x is not finite.
     """
-    if not sigma0 > 0.0:
-        raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
-    try:
-        v0 = sigma0 ** (3.0 - q)
-    except OverflowError:
-        v0 = math.inf
-    if not 0.0 < v0 < math.inf:
-        raise DomainError(f"sigma0^(3-q) is not a positive finite double for sigma0={sigma0!r}")
+    if v0 is None:
+        if not sigma0 > 0.0:
+            raise DomainError(f"sigma0 must be positive, got {sigma0!r}")
+        try:
+            v0 = sigma0 ** (3.0 - q)
+        except OverflowError:
+            v0 = math.inf
+        if not 0.0 < v0 < math.inf:
+            raise DomainError(
+                f"sigma0^(3-q) is not a positive finite double for sigma0={sigma0!r}"
+            )
     if not h > -v0:
         raise DomainError(f"h={h!r} reaches extinction (needs h > {-v0!r})")
     x = h / v0
     if not math.isfinite(x):
         raise DomainError(f"h / sigma0^(3-q) is not finite for h={h!r}, sigma0={sigma0!r}")
     return x
+
+
+def _volume(sigma0: float, q: float) -> float:
+    """sigma0^(3-q), the h-free piece of x = _relative_growth(sigma0, h, q),
+    formed once by a kernel over many h.  Raises _relative_growth's
+    DomainError where sigma0 or sigma0^(3-q) is not valid.
+    """
+    _relative_growth(sigma0, 0.0, q)
+    return sigma0 ** (3.0 - q)
 
 
 def evolve_sigma(sigma0: float, h: float, q: float) -> float:
@@ -72,9 +86,17 @@ def sigma_sq_gap(sigma0: float, h: float, q: float) -> float:
     subtracting evolve_sigma would keep ~6 digits at h = 1e-10.  Raises
     DomainError where the gap exceeds the double range.
     """
-    log_growth = math.log1p(_relative_growth(sigma0, h, q))
+    return _gap(_relative_growth(sigma0, h, q), sigma0 * sigma0, 2.0 / (3.0 - q), sigma0, h)
+
+
+def _gap(x: float, sigma0_sq: float, eps: float, sigma0: float, h: float) -> float:
+    """D = sigma0_sq expm1(eps log1p(x)) with eps = 2/(3-q): sigma_sq_gap from
+    its h-free pieces sigma0^2 and eps, which a kernel over many h forms once.
+
+    Raises DomainError where D exceeds the double range.
+    """
     try:
-        gap = sigma0 * sigma0 * math.expm1(2.0 / (3.0 - q) * log_growth)
+        gap = sigma0_sq * math.expm1(eps * math.log1p(x))
     except OverflowError:
         gap = math.inf
     if not math.isfinite(gap):

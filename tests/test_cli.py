@@ -656,15 +656,15 @@ def test_renderers_keep_every_cell_of_rows_that_differ_in_width():
 
 def test_cmd_jko_formats_its_mean_once():
     # the mean fills the mu column: across both documents, rendered twice
-    # each, its repr runs once for the input hash, once for each CSV header
-    # and once for the whole column
+    # each, its repr runs once for the metadata (the input hash and both
+    # headers) and once for the whole column
     mu0 = _CountedFloat(0.5)
     table = cli.cmd_jko(0.8, 1.0, mu0, 0.01, 50)
     assert all(row[1] is mu0 for row in table.rows)
     plain = cli.cmd_jko(0.8, 1.0, 0.5, 0.01, 50)
     for fmt in ("csv", "json") * 2:
         assert cli.render(table, fmt) == cli.render(plain, fmt)
-    assert mu0.calls == 1 + 2 + 1
+    assert mu0.calls == 1 + 1
 
 
 def test_const_dump(capsys):
@@ -772,8 +772,8 @@ def test_verify_catches_a_wrong_coupling_root(monkeypatch):
     assert eta_residual().passed
     solve = functionals._solve_eta_gap
 
-    def off_root(sigma, sigma0, gap, q):
-        delta, rhs, evals = solve(sigma, sigma0, gap, q)
+    def off_root(sigma, sigma0, gap, q, num):
+        delta, rhs, evals = solve(sigma, sigma0, gap, q, num)
         return delta * (1.0 + 1e-9), rhs, evals
 
     monkeypatch.setattr(functionals, "_solve_eta_gap", off_root)

@@ -155,6 +155,12 @@ def _eta_root_mp(rhs, q):
         return 1 / (1 + mpmath.exp(-t)), 1 / (1 + mpmath.exp(t))
 
 
+def _solve_eta(sigma, sigma0, gap, q):
+    """_solve_eta_gap, with the numerator that the step kernel forms once per table."""
+    num = functionals._coupling_num(sigma, sigma0, q)
+    return functionals._solve_eta_gap(sigma, sigma0, gap, q, num)
+
+
 def test_eta_solve_matches_mpmath_root():
     # sigma0 in [1e-3, 1e3], sigma/sigma0 in [0.1, 10], h/sigma0^(3-q) in
     # [1e-12, 1e2], q on both branches.  The reference solves for the rhs
@@ -169,7 +175,7 @@ def test_eta_solve_matches_mpmath_root():
         gap = sigma_sq_gap(sigma0, 10.0 ** rng.uniform(-12.0, 2.0) * sigma0 ** (3.0 - q), q)
         delta_ref, eta_ref = _eta_root_mp(sigma0**q * sigma ** (2.0 - q) / gap, q)
         try:
-            delta, _, evals = functionals._solve_eta_gap(sigma, sigma0, gap, q)
+            delta, _, evals = _solve_eta(sigma, sigma0, gap, q)
         except DomainError:
             # the root rounds to delta = 1
             assert eta_ref < 2.0**-53
@@ -197,7 +203,7 @@ def test_eta_solve_small_q(q):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if f(mid, mpmath.mpf(log_rhs)) < 0 else (lo, mid)
             try:
-                delta, _, evals = functionals._solve_eta_gap(1.0, 1.0, math.exp(-log_rhs), q)
+                delta, _, evals = _solve_eta(1.0, 1.0, math.exp(-log_rhs), q)
             except DomainError:
                 # the root rounds to delta = 1
                 assert 1 / (1 + mpmath.exp(lo)) < 2.0**-53
@@ -211,7 +217,7 @@ def test_eta_solve_small_q(q):
 def test_eta_solve_large_q(q, rhs):
     # beyond Q_1, where e^(-q/2) in the first start bound would leave the
     # start next to w = 0 (or at it, once it underflows)
-    delta, _, evals = functionals._solve_eta_gap(1.0, 1.0, 1.0 / rhs, q)
+    delta, _, evals = _solve_eta(1.0, 1.0, 1.0 / rhs, q)
     lhs = math.exp(q * math.log1p(-delta)) / (delta * (2.0 - delta))
     assert lhs / rhs == pytest.approx(1.0, abs=1e-13)
     assert evals <= 9
@@ -224,9 +230,9 @@ def test_eta_solve_cut_off_at_eta_2_pow_minus_53(eta):
     rhs = eta**q / (1.0 - eta * eta)
     if eta < 2.0**-53:
         with pytest.raises(DomainError):
-            functionals._solve_eta_gap(1.0, 1.0, 1.0 / rhs, q)
+            _solve_eta(1.0, 1.0, 1.0 / rhs, q)
     else:
-        delta, _, _ = functionals._solve_eta_gap(1.0, 1.0, 1.0 / rhs, q)
+        delta, _, _ = _solve_eta(1.0, 1.0, 1.0 / rhs, q)
         assert abs((1.0 - delta) - eta) <= 2.0**-53
 
 
@@ -251,16 +257,105 @@ def test_eta_solve_log_path_where_a_power_overflows():
 def test_eta_solve_outside_double_range_raises(sigma, sigma0, sigma_h):
     gap = (sigma_h - sigma0) * (sigma_h + sigma0)
     with pytest.raises(DomainError):
-        functionals._solve_eta_gap(sigma, sigma0, gap, 0.8)
+        _solve_eta(sigma, sigma0, gap, 0.8)
 
 
 def test_eta_solve_newton_cap_raises(monkeypatch):
     # at rhs ~ 1 neither asymptote is within 2^-27 of the root
     gap = (1.5 - 1.0) * (1.5 + 1.0)
-    assert functionals._solve_eta_gap(1.3, 1.0, gap, 0.8)[2] > 3
+    assert _solve_eta(1.3, 1.0, gap, 0.8)[2] > 3
     monkeypatch.setattr(functionals, "_NEWTON_MAXITER", 1)
     with pytest.raises(RuntimeError):
-        functionals._solve_eta_gap(1.3, 1.0, gap, 0.8)
+        _solve_eta(1.3, 1.0, gap, 0.8)
+
+
+def test_eta_solve_matches_mpmath_root_where_the_start_applies():
+    # above rhs = 4 the descent starts with the Newton step from the
+    # asymptote.  Draws concentrate on rhs in (4, 100], where that step lands
+    # farthest from the root, on large rhs, and on q next to 0 and 5/3; a
+    # third of them cover rhs over [1e-300, 1e300].  The error is taken at
+    # 50 digits; the polish's own roundings put it at up to 4.1e-16, two
+    # units in the last place at 1 being 2^-51 = 4.4e-16.
+    rng = np.random.default_rng(4520)
+    bands = ((math.log10(4.0), 2.0), (2.0, 300.0), (-300.0, 300.0))
+    solved = 0
+    for i in range(3000):
+        lo, hi = bands[i % 3]
+        rhs = 10.0 ** rng.uniform(lo, hi)
+        q = (rng.uniform(1e-3, 5.0 / 3.0), 10.0 ** rng.uniform(-12.0, -1.0),
+             5.0 / 3.0 - 10.0 ** rng.uniform(-12.0, -1.0))[i // 3 % 3]
+        try:
+            delta, rhs, evals = _solve_eta(1.0, 1.0, 1.0 / rhs, q)
+        except DomainError:
+            # the root rounds to delta = 1
+            assert i % 3 == 2 and _eta_root_mp(rhs, q)[1] < 2.0**-53
+            continue
+        solved += 1
+        delta_ref = _eta_root_mp(rhs, q)[0]
+        with mpmath.workdps(50):
+            assert abs(delta / delta_ref - 1) <= 2.0**-51, (q, rhs)
+        assert evals <= 9
+    assert solved > 2500
+
+
+def _root_evals(rhs, q):
+    return functionals._coupling_root(math.log(rhs), rhs, q, functionals._W_MIN)[1]
+
+
+def test_coupling_root_evaluations_on_a_sweep():
+    # the start takes exactly 2 evaluations from rhs = 100 up and at most 4
+    # above rhs = 4; the most, 8, is next to rhs = 1, where it does not apply
+    qs = [*np.linspace(0.01, 5.0 / 3.0, 24), 1e-3, 1e-6, 1e-12]
+    counts = {"le4": 0, "gt4": 0}
+    for q in qs:
+        for log_rhs in np.arange(-700.0, 700.0, 0.5):
+            rhs = math.exp(log_rhs)
+            evals = _root_evals(rhs, float(q))
+            if rhs >= 100.0:
+                assert evals == 2, (q, rhs)
+            band = "gt4" if rhs > 4.0 else "le4"
+            counts[band] = max(counts[band], evals)
+    assert counts == {"le4": 8, "gt4": 4}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.one_of(st.floats(1e-12, 5.0 / 3.0), st.sampled_from([1e-12, 1e-3, 5.0 / 3.0])),
+    log_rhs=st.one_of(st.floats(-700.0, 700.0), st.floats(math.log(4.0), 10.0)),
+)
+@example(q=1.45, log_rhs=math.log(4.5))
+@example(q=1e-3, log_rhs=1.45)
+def test_coupling_root_iterates_fall_after_the_start(q, log_rhs):
+    # H is convex, so the step from the start lands at or above the root:
+    # every later iterate lies below the one before it, and above the result
+    # but for the resolution of H's evaluation, about |log rhs| eps relative
+    rhs = math.exp(log_rhs)
+    iterates = []
+
+    def expm1(x):
+        iterates.append(0.5 * x)
+        return math.expm1(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "math", type(math)("math"))
+        vars(functionals.math).update(vars(math), expm1=expm1)
+        w, evals = functionals._coupling_root(log_rhs, rhs, q, functionals._W_MIN)
+    assert len(iterates) == evals
+    after = iterates[1:]
+    assert all(b < a for a, b in zip(after, after[1:]))
+    assert all(v >= w + w * 2.0**-40 for v in after)
+
+
+def test_eta_solve_newton_cap_counts_the_start(monkeypatch):
+    # at rhs = 1e3 the step from the asymptote is the first of 2 evaluations
+    gap = 1e-3
+    delta, _, evals = _solve_eta(1.0, 1.0, gap, 0.8)
+    assert evals == 3  # with the polish
+    monkeypatch.setattr(functionals, "_NEWTON_MAXITER", 2)
+    assert _solve_eta(1.0, 1.0, gap, 0.8)[0] == delta
+    monkeypatch.setattr(functionals, "_NEWTON_MAXITER", 1)
+    with pytest.raises(RuntimeError):
+        _solve_eta(1.0, 1.0, gap, 0.8)
 
 
 def test_q0h_and_qstar_geometry():
